@@ -1,0 +1,7 @@
+"""Make the simulator sources and the benchmark's modules importable."""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE.parents[1] / "src"), str(HERE)]
