@@ -18,12 +18,11 @@ The loops cover the paths the tier-1 suite leans on hardest:
 All timings are host wall clock by design; simulated time is asserted
 untouched (the hot loops are deterministic under the stock seed).
 
-Each loop is timed once per execution-engine mode (``scalar`` and
-``batched`` — see ``repro.engine.batch``), and every entry is tagged
-with its ``engine`` so the history can chart both modes.  ``--engine``
-narrows the sweep to one mode; ``--gate-fork-speedup R`` makes the run
-fail unless the fresh *batched* ``fork_core_run`` is at least R× faster
-than the committed scalar baseline entry, which is the CI perf gate.
+``--gate BASE HEAD`` is the CI perf gate instead: *BASE* and *HEAD* hold
+the last output line of ``benchmarks/perf/run.py --workload fork-type1
+--trace 0`` run on the base commit and on HEAD in the same job, and the
+gate fails unless HEAD's run is correct and its ``pass_cpu_s`` is at
+most the base's times ``1 + GATE_BOUND``.
 """
 
 import json
@@ -31,13 +30,14 @@ import sys
 import time
 from pathlib import Path
 
-from repro.engine.batch import default_engine_mode, set_default_engine_mode
 from repro.eval.fork_experiment import run_benchmark
 from repro.eval.remap_latency import measure_remap_latency
 from repro.obs import RunManifest
 
 DEFAULT_REPEATS = 3
-ENGINE_MODES = ("scalar", "batched")
+#: Largest allowed relative growth of ``pass_cpu_s``: the bound
+#: BENCHMARK.json sets on it.
+GATE_BOUND = 0.22
 RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_perf.json"
 
 
@@ -80,73 +80,39 @@ def time_loop(fn, repeats: int = DEFAULT_REPEATS):
     return samples
 
 
-def run_perf(repeats: int = DEFAULT_REPEATS, loops=None,
-             engines=ENGINE_MODES):
-    """One datapoint per (hot loop, engine mode), ready to append."""
+def run_perf(repeats: int = DEFAULT_REPEATS, loops=None):
+    """One datapoint per hot loop, ready to append."""
     manifest = RunManifest.create("bench_perf")
     entries = []
-    previous_mode = default_engine_mode()
-    try:
-        for mode in engines:
-            set_default_engine_mode(mode)
-            for name, fn in (loops or HOT_LOOPS):
-                samples = time_loop(fn, repeats)
-                entries.append({
-                    "bench": name,
-                    "engine": mode,
-                    "best_seconds": round(min(samples), 6),
-                    "mean_seconds": round(sum(samples) / len(samples), 6),
-                    "repeats": len(samples),
-                    "python": manifest.python,
-                    "platform": manifest.platform,
-                    "started_at": manifest.started_at,
-                })
-    finally:
-        set_default_engine_mode(previous_mode)
+    for name, fn in (loops or HOT_LOOPS):
+        samples = time_loop(fn, repeats)
+        entries.append({
+            "bench": name,
+            "best_seconds": round(min(samples), 6),
+            "mean_seconds": round(sum(samples) / len(samples), 6),
+            "repeats": len(samples),
+            "python": manifest.python,
+            "platform": manifest.platform,
+            "started_at": manifest.started_at,
+        })
     return entries
 
 
-def committed_baseline(bench: str, path: Path = RESULTS_PATH):
-    """``best_seconds`` of the newest *pre-engine-split* entry for *bench*.
-
-    Entries written before the engine split carry no ``engine`` key;
-    they are the frozen scalar history the batched gate measures
-    against.  Tagged entries (including fresh ``scalar`` ones) are
-    excluded on purpose: the per-access machinery shared by both modes
-    was optimised alongside the batched drain loop, so a same-commit
-    scalar run is itself several times faster than the committed
-    history and would make the gate compare the engine against a moving
-    target instead of the state of the repo before the work.
-    """
-    if not path.exists():
-        return None
-    best = None
-    for entry in json.loads(path.read_text())["entries"]:
-        if entry["bench"] == bench and "engine" not in entry:
-            best = entry["best_seconds"]
-    return best
-
-
-def gate_fork_speedup(entries, minimum: float,
-                      baseline_path: Path = RESULTS_PATH) -> int:
-    """Fail (return 1) unless fresh batched fork_core_run is at least
-    *minimum*× faster than the committed scalar baseline."""
-    baseline = committed_baseline("fork_core_run", baseline_path)
-    if baseline is None:
-        print("gate: no committed scalar fork_core_run baseline")
+def gate(base: dict, head: dict, bound: float = GATE_BOUND) -> int:
+    """Fail (return 1) unless *head*, a ``benchmarks/perf/run.py`` result
+    line, is correct and its ``pass_cpu_s`` is within *bound* of
+    *base*'s, a run of the base commit in the same job."""
+    if not head["correct"] or head["failed"]:
+        print(f"gate: HEAD run is not correct ({head['failed']} of "
+              f"{head['attempted']} units failed): FAIL")
         return 1
-    fresh = [e for e in entries
-             if e["bench"] == "fork_core_run" and e["engine"] == "batched"]
-    if not fresh:
-        print("gate: no fresh batched fork_core_run datapoint")
-        return 1
-    best = min(e["best_seconds"] for e in fresh)
-    speedup = baseline / best
-    verdict = "pass" if speedup >= minimum else "FAIL"
-    print(f"gate: batched fork_core_run {best:.3f}s vs committed scalar "
-          f"{baseline:.3f}s = {speedup:.2f}x (need >= {minimum:.1f}x): "
-          f"{verdict}")
-    return 0 if speedup >= minimum else 1
+    base_s = base["metrics"]["pass_cpu_s"]["value"]
+    head_s = head["metrics"]["pass_cpu_s"]["value"]
+    ok = head_s <= base_s * (1 + bound)
+    print(f"gate: pass_cpu_s {head_s:.3f}s at HEAD vs {base_s:.3f}s at base "
+          f"({head_s / base_s - 1:+.1%}, allowed {bound:+.0%}): "
+          f"{'pass' if ok else 'FAIL'}")
+    return 0 if ok else 1
 
 
 def append_results(entries, path: Path = RESULTS_PATH) -> Path:
@@ -164,8 +130,6 @@ def main(argv=None) -> int:
     args = list(sys.argv[1:] if argv is None else argv)
     repeats = DEFAULT_REPEATS
     out = RESULTS_PATH
-    engines = ENGINE_MODES
-    gate_minimum = None
     i = 0
     while i < len(args):
         if args[i] == "--repeats" and i + 1 < len(args):
@@ -174,76 +138,52 @@ def main(argv=None) -> int:
         elif args[i] == "--out" and i + 1 < len(args):
             out = Path(args[i + 1])
             i += 2
-        elif args[i] == "--engine" and i + 1 < len(args):
-            if args[i + 1] not in ENGINE_MODES:
-                print(f"--engine must be one of {ENGINE_MODES}")
-                return 2
-            engines = (args[i + 1],)
-            i += 2
-        elif args[i] == "--gate-fork-speedup" and i + 1 < len(args):
-            gate_minimum = float(args[i + 1])
-            i += 2
+        elif args[i] == "--gate" and i + 2 < len(args):
+            base, head = (json.loads(Path(arg).read_text())
+                          for arg in args[i + 1:i + 3])
+            return gate(base, head)
         else:
-            print("usage: bench_perf.py [--repeats N] [--out FILE] "
-                  "[--engine scalar|batched] [--gate-fork-speedup R]")
+            print("usage: bench_perf.py [--repeats N] [--out FILE] | "
+                  "--gate BASE_JSON HEAD_JSON")
             return 2
-    if gate_minimum is not None and "batched" not in engines:
-        print("--gate-fork-speedup needs a batched run")
-        return 2
-    # The gate reads the *committed* history, so snapshot the baseline
-    # before this run appends its own entries.
-    entries = run_perf(repeats, engines=engines)
+    entries = run_perf(repeats)
     width = max(len(entry["bench"]) for entry in entries)
     for entry in entries:
-        print(f"{entry['bench']:<{width}} [{entry['engine']:<7}]  "
+        print(f"{entry['bench']:<{width}}  "
               f"best {entry['best_seconds']:8.3f}s  "
               f"mean {entry['mean_seconds']:8.3f}s  "
               f"x{entry['repeats']}")
-    gate_rc = 0
-    if gate_minimum is not None:
-        gate_rc = gate_fork_speedup(entries, gate_minimum,
-                                    baseline_path=RESULTS_PATH)
     path = append_results(entries, out)
     print(f"[appended {len(entries)} datapoint(s) to {path}]")
-    return gate_rc
+    return 0
 
 
 def test_perf_entries_well_formed(tmp_path):
     """The quick loops produce positive timings and the file appends."""
     quick = [pair for pair in HOT_LOOPS if pair[0] != "fork_core_run"]
-    mode_before = default_engine_mode()
     entries = run_perf(repeats=1, loops=quick)
-    assert ([(e["bench"], e["engine"]) for e in entries]
-            == [(name, mode) for mode in ENGINE_MODES
-                for name, _ in quick])
+    assert [e["bench"] for e in entries] == [name for name, _ in quick]
     assert all(e["best_seconds"] > 0 for e in entries)
-    assert default_engine_mode() == mode_before  # restored after the sweep
     out = tmp_path / "BENCH_perf.json"
     append_results(entries, out)
     append_results(entries, out)
     doc = json.loads(out.read_text())
     assert doc["format"] == 1
-    assert len(doc["entries"]) == 2 * len(ENGINE_MODES) * len(quick)
+    assert len(doc["entries"]) == 2 * len(quick)
 
 
-def test_fork_speedup_gate(tmp_path):
-    """The gate passes on a fast batched run, fails on a slow one."""
-    history = tmp_path / "BENCH_perf.json"
-    append_results([{"bench": "fork_core_run", "best_seconds": 1.0,
-                     "mean_seconds": 1.0, "repeats": 3},
-                    # A tagged scalar entry must not move the baseline.
-                    {"bench": "fork_core_run", "engine": "scalar",
-                     "best_seconds": 0.3, "mean_seconds": 0.3,
-                     "repeats": 3}], history)
-    assert committed_baseline("fork_core_run", history) == 1.0
-    fast = [{"bench": "fork_core_run", "engine": "batched",
-             "best_seconds": 0.25}]
-    slow = [{"bench": "fork_core_run", "engine": "batched",
-             "best_seconds": 0.5}]
-    assert gate_fork_speedup(fast, 3.0, baseline_path=history) == 0
-    assert gate_fork_speedup(slow, 3.0, baseline_path=history) == 1
-    assert gate_fork_speedup(fast, 3.0,
-                             baseline_path=tmp_path / "absent.json") == 1
+def test_gate():
+    """The gate passes within the bound and fails past it or on an
+    incorrect HEAD run."""
+    def line(seconds, correct=True, failed=0):
+        return {"correct": correct, "attempted": 10, "failed": failed,
+                "metrics": {"pass_cpu_s": {"value": seconds, "unit": "s"}}}
+
+    assert gate(line(3.0), line(2.0)) == 0
+    assert gate(line(3.0), line(3.6)) == 0
+    assert gate(line(3.0), line(3.7)) == 1
+    assert gate(line(3.0), line(2.0, correct=False)) == 1
+    assert gate(line(3.0), line(2.0, failed=1)) == 1
 
 
 if __name__ == "__main__":

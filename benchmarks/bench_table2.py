@@ -5,6 +5,8 @@ construction of a fully wired simulated machine and a short warm access
 loop; ``python benchmarks/bench_table2.py`` prints Table 2 itself.
 """
 
+from dataclasses import asdict
+
 from repro.eval.config import DEFAULT_CONFIG
 from repro.obs import benchmark_run
 from repro.osmodel.kernel import Kernel
@@ -40,7 +42,7 @@ def main():
     with benchmark_run("table2") as run:
         print("Table 2: Main parameters of our simulated system")
         print(DEFAULT_CONFIG.format_table())
-        run.record(config=DEFAULT_CONFIG.semantic_dict())
+        run.record(config=asdict(DEFAULT_CONFIG))
 
 
 if __name__ == "__main__":

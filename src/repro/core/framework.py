@@ -30,14 +30,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from .address import (LINE_SIZE, LINES_PER_PAGE, PAGE_SIZE, line_index,
-                      line_offset, line_tag_of, overlay_page_number,
-                      page_number)
+from .address import (LINE_SIZE, LINES_PER_PAGE, OVERLAY_BIT_MASK, PAGE_SIZE,
+                      VIRTUAL_ADDRESS_BITS, line_index, line_offset,
+                      line_tag_of, overlay_page_number, page_number)
 from .coherence import CoherenceNetwork
 from .mmu import MemoryController, MMU, TranslationResult
 from .oms import OverlayMemoryStore, ZERO_LINE
 from .page_table import PTE, PageFault, PageTable
-from .tlb import TLB
+from .tlb import TLB, TLBEntry
 from ..engine.builder import SystemBuilder
 from ..engine.component import Component
 from ..mem.mainmemory import MainMemory
@@ -46,6 +46,11 @@ from ..mem.mainmemory import MainMemory
 #: frame a workload will map, so the two regions of main memory
 #: (Ê in Figure 6) never collide in the default wiring.
 DEFAULT_OMS_FRAME_BASE = 1 << 30
+
+#: The overlay page number of (asid, vpn) is ``_OPN_BIT | (asid <<
+#: _OPN_ASID_SHIFT) | vpn``: Figure 5's overlay address in page units.
+_OPN_BIT = OVERLAY_BIT_MASK >> 12
+_OPN_ASID_SHIFT = VIRTUAL_ADDRESS_BITS - 12
 
 #: Promotion actions of Section 4.3.4.
 PROMOTE_ACTIONS = ("copy-and-commit", "commit", "discard")
@@ -215,50 +220,81 @@ class OverlaySystem(Component):
 
     # -- the demand access path (Section 4.3) ----------------------------------
 
-    def _translate(self, asid: int, vaddr: int, write: bool,
-                   core: int) -> TranslationResult:
-        return self.mmus[core].translate(asid, page_number(vaddr), write=write)
+    def access_line(self, asid: int, vaddr: int, data: Optional[bytes],
+                    core: int, now: int, entry: Optional[TLBEntry] = None,
+                    out: Optional[List[bytes]] = None) -> int:
+        """One access within a single cache line; returns its latency.
 
-    def _target_tag(self, asid: int, vaddr: int,
-                    translation: TranslationResult) -> int:
-        """Pick the overlay or the physical tag per the OBitVector."""
-        vpn = page_number(vaddr)
-        line = line_index(vaddr)
-        entry = translation.entry
-        if entry.pte.overlays_enabled and entry.obitvector.is_set(line):
-            self.stats.overlay_hits += 1
-            return line_tag_of(overlay_page_number(asid, vpn), line)
-        return line_tag_of(entry.pte.ppn, line)
+        The one line dispatch of Section 4.3: translate (unless the
+        caller passes the page's TLB *entry*, already charged), pick the
+        overlay or the physical tag from the OBitVector, then a read
+        (*data* is None), a simple write, or — for a line of a
+        copy-on-write page not in the overlay — the installed CoW
+        policy.  *now* is the cycle the access issues at.  A read
+        appends the line's 64 bytes to *out* when one is given; a
+        caller that discards the data passes none.  The request
+        counters (``reads``/``writes``) are the caller's.
+        """
+        latency = 0
+        tlb_hit = True
+        if entry is None:
+            entry, latency, tlb_hit = self.mmus[core].lookup(
+                asid, vaddr >> 12, data is not None)
+        # Tag arithmetic inlined (line_tag_of, overlay_page_number and
+        # OBitVector.is_set); the TLB fill validated (asid, vpn) already.
+        line = (vaddr >> 6) & 63
+        pte = entry.pte
+        in_overlay = pte.overlays_enabled and entry.obitvector._bits >> line & 1
+        if in_overlay:
+            tag = ((_OPN_BIT | asid << _OPN_ASID_SHIFT | vaddr >> 12) << 6
+                   | line)
+        else:
+            tag = pte.ppn << 6 | line
+        if data is None:
+            if in_overlay:
+                self.stats.overlay_hits += 1
+            latency += self.hierarchy.access_fast(tag, False, None,
+                                                  now + latency)
+            if out is not None:
+                out.append(self.hierarchy.lookup_data(tag) or ZERO_LINE)
+            return latency
+        if not in_overlay and pte.cow:
+            self.stats.cow_triggers += 1
+            if self.cow_handler is None:
+                raise CowWriteFault(f"CoW write at {vaddr:#x} with no handler")
+            return latency + self.cow_handler(
+                self, asid, vaddr, data, core,
+                TranslationResult(entry, latency, tlb_hit))
+        if in_overlay:
+            self.stats.simple_overlay_writes += 1
+        return latency + self._store_line(tag, vaddr, data, now + latency)
 
     def read(self, asid: int, vaddr: int, size: int = 8,
              core: int = 0) -> tuple:
         """Read *size* bytes at *vaddr*; returns ``(data, latency_cycles)``.
 
         The access may span cache lines and even pages; every line is a
-        separate (freshly translated) hierarchy access, as in hardware.
+        separate hierarchy access, and each page is translated once.
         """
         self.stats.reads += 1
         latency = 0
         out = bytearray()
+        lines: List[bytes] = []
         cursor = vaddr
         remaining = size
         last_vpn = None
-        translation = None
         while remaining > 0:
-            take = min(remaining, LINE_SIZE - line_offset(cursor))
+            offset = line_offset(cursor)
+            take = min(remaining, LINE_SIZE - offset)
             vpn = page_number(cursor)
             if vpn != last_vpn:
-                translation = self._translate(asid, cursor, write=False,
-                                              core=core)
-                latency += translation.latency
+                entry, translate_latency, _hit = self.mmus[core].lookup(
+                    asid, vpn)
+                latency += translate_latency
                 last_vpn = vpn
-            tag = self._target_tag(asid, cursor, translation)
-            result = self.hierarchy.access(tag, write=False,
-                                           now=self.clock + latency)
-            latency += result.latency
-            data = self.hierarchy.lookup_data(tag) or ZERO_LINE
-            start = line_offset(cursor)
-            out += data[start:start + take]
+            latency += self.access_line(asid, cursor, None, core,
+                                        self.clock + latency, entry, lines)
+            out += lines[-1][offset:offset + take]
             cursor += take
             remaining -= take
         return bytes(out), latency
@@ -266,11 +302,11 @@ class OverlaySystem(Component):
     def write(self, asid: int, vaddr: int, data: bytes, core: int = 0) -> int:
         """Write *data* at *vaddr*; returns the latency in cycles.
 
-        Dispatches per Section 4.3: a line already in the overlay takes
-        the *simple write* path; a line of a copy-on-write page not in
-        the overlay triggers the installed CoW policy (overlaying write
-        by default); anything else is a regular store.  Writes may span
-        lines and pages.
+        Dispatches per Section 4.3 (see :meth:`access_line`): a line
+        already in the overlay takes the *simple write* path; a line of
+        a copy-on-write page not in the overlay triggers the installed
+        CoW policy (overlaying write by default); anything else is a
+        regular store.  Writes may span lines and pages.
         """
         self.stats.writes += 1
         latency = 0
@@ -281,47 +317,22 @@ class OverlaySystem(Component):
             chunk, payload = payload[:take], payload[take:]
             # Each line access consults the TLB afresh — essential when a
             # CoW break remaps the page mid-way through a spanning write.
-            translation = self._translate(asid, cursor, write=True,
-                                          core=core)
-            latency += translation.latency
-            latency += self._write_one_line(asid, cursor, chunk, core,
-                                            translation,
-                                            now=self.clock + latency)
+            latency += self.access_line(asid, cursor, chunk, core,
+                                        self.clock + latency)
             cursor += take
         return latency
-
-    def _write_one_line(self, asid: int, vaddr: int, chunk: bytes, core: int,
-                        translation: TranslationResult, now: int) -> int:
-        vpn = page_number(vaddr)
-        line = line_index(vaddr)
-        entry = translation.entry
-        pte = entry.pte
-        in_overlay = pte.overlays_enabled and entry.obitvector.is_set(line)
-        if not in_overlay and pte.cow:
-            self.stats.cow_triggers += 1
-            if self.cow_handler is None:
-                raise CowWriteFault(f"CoW write at {vaddr:#x} with no handler")
-            return self.cow_handler(self, asid, vaddr, chunk, core, translation)
-        if in_overlay:
-            self.stats.simple_overlay_writes += 1
-            tag = line_tag_of(overlay_page_number(asid, vpn), line)
-        else:
-            tag = line_tag_of(pte.ppn, line)
-        return self._store_line(tag, vaddr, chunk, now)
 
     def _store_line(self, tag: int, vaddr: int, chunk: bytes, now: int) -> int:
         """Store *chunk* into the line holding *vaddr* (read-modify-write
         when the store covers only part of the line)."""
         offset = line_offset(vaddr)
+        access_fast = self.hierarchy.access_fast
         if len(chunk) == LINE_SIZE and offset == 0:
-            return self.hierarchy.access(tag, write=True, data=chunk,
-                                         now=now).latency
-        fetch = self.hierarchy.access(tag, write=False, now=now)
+            return access_fast(tag, True, chunk, now)
+        fetch = access_fast(tag, False, None, now)
         current = self.hierarchy.lookup_data(tag) or ZERO_LINE
         patched = current[:offset] + chunk + current[offset + len(chunk):]
-        store = self.hierarchy.access(tag, write=True, data=patched,
-                                      now=now + fetch.latency)
-        return fetch.latency + store.latency
+        return fetch + access_fast(tag, True, patched, now + fetch)
 
     # -- the overlaying write (Section 4.3.3) -----------------------------------
 
@@ -339,7 +350,8 @@ class OverlaySystem(Component):
         the dirty line is evicted (the controller's writeback path).
         """
         if translation is None:
-            translation = self._translate(asid, vaddr, write=True, core=core)
+            translation = self.mmus[core].translate(
+                asid, page_number(vaddr), write=True)
         vpn = page_number(vaddr)
         line = line_index(vaddr)
         pte = translation.entry.pte
@@ -540,7 +552,19 @@ class OverlaySystem(Component):
             write_latency = self.dram.write(dst, read_done)
             finish = max(finish, read_done + write_latency)
         self.main_memory.copy_page(src_ppn, dst_ppn)
+        self._drop_cached_frame(dst_ppn)
         return finish - start
+
+    def _drop_cached_frame(self, ppn: int) -> None:
+        """Drop every cached line of frame *ppn*, without writeback.
+
+        For copies that rewrite a whole frame behind the caches: any
+        cached line of it is stale (the prefetcher can leave a
+        zero-filled line of a not-yet-allocated frame in the L3).
+        """
+        for line in range(LINES_PER_PAGE):
+            self.hierarchy.invalidate(line_tag_of(ppn, line),
+                                      writeback=False)
 
     def copy_page_via_cache(self, src_ppn: int, dst_ppn: int,
                             now: Optional[int] = None) -> int:
@@ -558,19 +582,19 @@ class OverlaySystem(Component):
         start = self.clock if now is None else now
         finish = start
         issue = start
+        hierarchy = self.hierarchy
         for line in range(LINES_PER_PAGE):
             src_tag = line_tag_of(src_ppn, line)
             dst_tag = line_tag_of(dst_ppn, line)
-            read = self.hierarchy.access(src_tag, write=False, now=issue)
-            data = (self.hierarchy.lookup_data(src_tag)
+            read = hierarchy.access_fast(src_tag, False, None, issue)
+            data = (hierarchy.lookup_data(src_tag)
                     or self.main_memory.read_line(src_ppn, line))
-            write = self.hierarchy.access(dst_tag, write=True, data=data,
-                                          now=issue)
+            write = hierarchy.access_fast(dst_tag, True, data, issue)
             # Keep the destination frame in sync line by line: the copy
             # must carry dirty cached source data, never the (possibly
             # stale) source frame.
             self.main_memory.write_line(dst_ppn, line, data)
-            finish = max(finish, issue + read.latency + write.latency)
+            finish = max(finish, issue + read + write)
             issue += 2  # one load + one store issued per two cycles
         return finish - start
 
@@ -605,6 +629,7 @@ class OverlaySystem(Component):
             merged = b"".join(self.line_bytes(asid, vpn, line)
                               for line in range(LINES_PER_PAGE))
             self.main_memory.write_page(new_ppn, merged)
+            self._drop_cached_frame(new_ppn)
             for line in range(LINES_PER_PAGE):
                 latency = max(latency, self.dram.write(
                     line_tag_of(new_ppn, line) * LINE_SIZE, self.clock))

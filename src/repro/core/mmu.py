@@ -223,20 +223,24 @@ class MMU:
         overlay-enabled mappings, the OMT lookup that fetches the
         OBitVector into the new TLB entry (Section 4.3, change Ì).
         """
+        return TranslationResult(*self.lookup(asid, vpn, write))
+
+    def lookup(self, asid: int, vpn: int,
+               write: bool = False) -> Tuple[TLBEntry, int, bool]:
+        """:meth:`translate` as a plain ``(entry, latency, tlb_hit)``
+        tuple — the per-access path builds no :class:`TranslationResult`."""
         entry, latency = self.tlb.lookup(asid, vpn)
         if entry is not None:
-            return TranslationResult(entry=entry, latency=latency, tlb_hit=True)
+            return entry, latency, True
         entry, latency = self.translate_miss(asid, vpn, write, latency)
-        return TranslationResult(entry=entry, latency=latency, tlb_hit=False)
+        return entry, latency, False
 
     def translate_miss(self, asid: int, vpn: int, write: bool,
                        latency: int) -> Tuple[TLBEntry, int]:
-        """The TLB-miss half of :meth:`translate`: walk, OMT fetch, fill.
+        """The TLB-miss half of :meth:`lookup`: walk, OMT fetch, fill.
 
         *latency* is the cycles already charged by the failed TLB lookup;
-        returns ``(entry, total_latency)`` without wrapping a
-        :class:`TranslationResult` — the batched engine calls this
-        directly after its own inline TLB probe misses.
+        returns ``(entry, total_latency)``.
         """
         table = self.page_tables.get(asid)
         if table is None:

@@ -32,8 +32,9 @@ from ..engine.component import Component
 class TLBEntry:
     """A cached translation plus its overlay state.
 
-    A slotted value type: one is allocated per TLB fill, and the batched
-    engine reads its fields on every access.
+    A slotted value type: one is allocated per TLB fill, and
+    :meth:`~repro.core.framework.OverlaySystem.access_line` reads its
+    fields on every access.
     """
 
     __slots__ = ("asid", "vpn", "pte", "obitvector")
@@ -86,7 +87,7 @@ class _SetAssociativeArray:
     ``(asid, vpn)`` in LRU order (least recent first): a hit is one
     ``get`` plus ``move_to_end``, an eviction is ``popitem(last=False)``
     — the same LRU semantics as the previous per-set lists, without the
-    linear probe.  The batched engine probes the buckets directly.
+    linear probe.
     """
 
     __slots__ = ("_sets", "_ways", "_buckets")
@@ -161,8 +162,13 @@ class TLB(Component):
         page-table and OMT walk and then calls :meth:`fill`.
         """
         key = (asid, vpn)
-        entry = self._l1.lookup(key)
+        # The L1 probe is _SetAssociativeArray.lookup, inlined: it runs
+        # on every access.
+        l1 = self._l1
+        bucket = l1._buckets[(vpn ^ asid) % l1._sets]
+        entry = bucket.get(key)
         if entry is not None:
+            bucket.move_to_end(key)
             self.stats.l1_hits += 1
             return entry, self.l1_latency
         entry = self._l2.lookup(key)

@@ -33,24 +33,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Deque, Iterator, Optional, Tuple
 
 from .trace import MemoryAccess, Trace
-from ..core.address import OVERLAY_BIT_MASK, VIRTUAL_ADDRESS_BITS
-from ..core.framework import CowWriteFault, OverlaySystem
-from ..core.mmu import TranslationResult
-from ..core.oms import ZERO_LINE
-from ..engine.batch import BatchEngine, resolve_engine_mode
+from ..core.address import LINE_SIZE
+from ..core.framework import OverlaySystem
 from ..engine.clock import ClockCursor
 from ..engine.stats import merge_blocks
-from ..engine.tracing import HOOKS
-
-#: Overlay page numbers, precomposed for the fused loop: the OPN of
-#: (asid, vpn) is ``_OPN_BIT | (asid << _OPN_ASID_SHIFT) | vpn`` — the
-#: overlay-address layout of Figure 5 shifted into page-number space.
-_OPN_BIT = OVERLAY_BIT_MASK >> 12
-_OPN_ASID_SHIFT = VIRTUAL_ADDRESS_BITS - 12
 
 
 @dataclass
@@ -104,23 +93,6 @@ class WindowState:
             self.pending = next(self.accesses, None)
         return self.pending
 
-    def consume(self) -> None:
-        self.pending = None
-
-
-class _WindowSink:
-    """Binds a :class:`Core` and its :class:`WindowState` as the sink a
-    :class:`~repro.engine.batch.BatchEngine` drains batches into."""
-
-    __slots__ = ("_core", "_state")
-
-    def __init__(self, core: "Core", state: "WindowState"):
-        self._core = core
-        self._state = state
-
-    def drain(self, batch) -> None:
-        self._core._drain_batch(self._state, batch)
-
 
 class Core:
     """A single simulated core bound to one address space.
@@ -169,7 +141,9 @@ class Core:
 
         Returns False when the trace has drained.  This is the single
         implementation of the window model; single- and multi-core
-        drivers differ only in how they interleave calls to it.
+        drivers differ only in how they interleave calls to it.  Every
+        cursor move goes through the cursor, so the clock (and with it
+        the watchdog, trace and sampler hooks) sees each access.
         """
         access = state.fetch()
         if access is None:
@@ -180,46 +154,74 @@ class Core:
         inflight = state.inflight
 
         # Non-memory instructions issue one per cycle.
-        cursor.advance(access.gap)
-        state.instr_index += access.gap + 1
+        gap = access.gap
+        time = cursor.advance(gap)
+        instr_index = state.instr_index + gap + 1
+        state.instr_index = instr_index
 
         # Retire anything already complete.
-        while inflight and inflight[0][1] <= cursor.time:
+        while inflight and inflight[0][1] <= time:
             inflight.popleft()
 
         # Window blocking: the ROB head must retire before an
         # instruction `window` younger can issue.
-        while inflight and inflight[0][0] <= state.instr_index - self.window:
+        oldest = instr_index - self.window
+        while inflight and inflight[0][0] <= oldest:
             stall_until = inflight.popleft()[1]
-            if stall_until > cursor.time:
-                stats.window_stall_cycles += stall_until - cursor.time
-                cursor.advance_to(stall_until)
+            if stall_until > time:
+                stats.window_stall_cycles += stall_until - time
+                time = cursor.advance_to(stall_until)
 
         # MSHR limit.
         while len(inflight) >= self.mshrs:
             stall_until = inflight.popleft()[1]
-            if stall_until > cursor.time:
-                stats.window_stall_cycles += stall_until - cursor.time
-                cursor.advance_to(stall_until)
+            if stall_until > time:
+                stats.window_stall_cycles += stall_until - time
+                time = cursor.advance_to(stall_until)
 
-        self.system.sim_clock.focus(cursor)
-        latency = self._issue(access)
-        if self.system.consume_serializing_event():
+        system = self.system
+        system.sim_clock.seek(time)
+        vaddr = access.vaddr
+        data = None
+        size = access.size
+        if access.write:
+            data = access.data
+            if data is None:
+                data = b"\xAB" * size
+            size = len(data)
+        if 0 < size <= LINE_SIZE - vaddr % LINE_SIZE:
+            # One line: straight to the line dispatch, counted as one
+            # request, as read/write count it.  A read's data is not
+            # needed, so none is assembled.
+            if data is None:
+                system.stats.reads += 1
+            else:
+                system.stats.writes += 1
+            latency = system.access_line(self.asid, vaddr, data,
+                                         self.core_id, time)
+        elif data is None:
+            latency = system.read(self.asid, vaddr, size,
+                                  core=self.core_id)[1]
+        else:
+            latency = system.write(self.asid, vaddr, data,
+                                   core=self.core_id)
+
+        if system.consume_serializing_event():
             # A trap (e.g. a software page-fault handler) flushes the
             # pipeline: everything in flight drains, then the handler
             # runs with nothing overlapping it.
             for _, completion in inflight:
-                if completion > cursor.time:
-                    stats.window_stall_cycles += completion - cursor.time
-                    cursor.advance_to(completion)
+                if completion > time:
+                    stats.window_stall_cycles += completion - time
+                    time = cursor.advance_to(completion)
             inflight.clear()
             stats.window_stall_cycles += latency
             cursor.advance(latency)
             stats.faults_served += 1
         else:
-            inflight.append((state.instr_index, cursor.time + latency))
+            inflight.append((instr_index, time + latency))
         stats.memory_accesses += 1
-        state.consume()
+        state.pending = None
         return True
 
     def finish_run(self, state: WindowState) -> int:
@@ -245,294 +247,9 @@ class Core:
         time.
         """
         state = self.begin_run(trace, start_cycle=start_cycle)
-        config = getattr(self.system, "config", None)
-        mode = resolve_engine_mode(
-            config.engine_mode if config is not None else "auto")
-        if (mode == "batched" and HOOKS.active is None
-                and HOOKS.sampler is None and HOOKS.faults is None):
-            # The fused fast path replicates the scalar stepping exactly
-            # but with per-batch (not per-access) clock publication; any
-            # armed hook needs per-access event/sample/fault fidelity, so
-            # tracing, metrics and fault-injection runs stay scalar.
-            self._run_batched(state)
-        else:
-            while self.step(state):
-                pass
+        step = self.step
+        while step(state):
+            pass
         finish = self.finish_run(state)
         self.system.clock = finish
         return state.stats
-
-    # -- the batched driver (fused window model + access path) ----------------
-
-    def _run_batched(self, state: WindowState) -> None:
-        """Drain *state*'s whole trace through the fused batch loop."""
-        first = state.pending
-        if first is None:
-            state.done = True
-            return
-        state.pending = None
-        BatchEngine(_WindowSink(self, state)).run(
-            chain((first,), state.accesses))
-        state.done = True
-
-    def _drain_batch(self, state: WindowState, batch) -> None:
-        """Advance *state* by one batch of accesses — the fused fast path.
-
-        One Python loop replicates, access by access, exactly what
-        :meth:`step` plus :meth:`~repro.core.framework.OverlaySystem.read`
-        / ``write`` would do for the common case (single-line access, no
-        copy-on-write trigger): window retirement and stalls, the TLB
-        probe, overlay-vs-physical tag selection, and the hierarchy
-        access — with the hot state (time, window, counters) in locals.
-        Anything uncommon — a line-spanning access, a CoW trigger — is
-        handed to the scalar machinery after publishing the shared state
-        it reads.  The clock cursor and shared counters are written back
-        once per batch (in ``finally``, so errors leave consistent
-        state); the hang watchdog therefore fires at batch granularity.
-        """
-        system = self.system
-        sim_clock = system.sim_clock
-        cursor = state.cursor
-        stats = state.stats
-        inflight = state.inflight
-        mmu = system.mmus[self.core_id]
-        tlb = mmu.tlb
-        l1_array = tlb._l1
-        l1_buckets = l1_array._buckets
-        l1_sets = l1_array._sets
-        l2_array = tlb._l2
-        l2_buckets = l2_array._buckets
-        l2_sets = l2_array._sets
-        tlb_stats = tlb.stats
-        l1_lat = tlb.l1_latency
-        l12_lat = l1_lat + tlb.l2_latency
-        miss_lat = tlb.miss_latency
-        hierarchy = system.hierarchy
-        access_fast = hierarchy.access_fast
-        lookup_data = hierarchy.lookup_data
-        below_l1 = hierarchy._access_below_l1
-        l1 = hierarchy.l1
-        l1_where_get = l1._where.get
-        l1_lines = l1._lines
-        l1_policy = l1._policy
-        l1_policy_lru = l1._policy_is_lru
-        l1_cache_stats = l1.stats
-        l1_hit_lat = l1.hit_latency
-        l1_miss_lat = l1.miss_latency
-        fstats = system.stats
-        asid = self.asid
-        window = self.window
-        mshrs = self.mshrs
-        opn_base = _OPN_BIT | (asid << _OPN_ASID_SHIFT)
-
-        time = cursor.time
-        instr_index = state.instr_index
-        stall = stats.window_stall_cycles
-        mem_accesses = stats.memory_accesses
-        faults = stats.faults_served
-        reads = fstats.reads
-        writes = fstats.writes
-        overlay_hits = fstats.overlay_hits
-        simple_ov = fstats.simple_overlay_writes
-        tlb_l1_hits = tlb_stats.l1_hits
-        tlb_l2_hits = tlb_stats.l2_hits
-        tlb_misses = tlb_stats.misses
-
-        # Shared counters are held in plain locals for the loop and
-        # published back around every scalar-fallback call (which reads
-        # and updates them) and at batch end.
-        try:
-            for access in batch.items:
-                gap = access.gap
-                time += gap
-                instr_index += gap + 1
-
-                # Retire anything already complete.
-                while inflight and inflight[0][1] <= time:
-                    inflight.popleft()
-                # ROB-head blocking.
-                limit = instr_index - window
-                while inflight and inflight[0][0] <= limit:
-                    stall_until = inflight.popleft()[1]
-                    if stall_until > time:
-                        stall += stall_until - time
-                        time = stall_until
-                # MSHR limit.
-                while len(inflight) >= mshrs:
-                    stall_until = inflight.popleft()[1]
-                    if stall_until > time:
-                        stall += stall_until - time
-                        time = stall_until
-
-                vaddr = access.vaddr
-                is_write = access.write
-                if is_write:
-                    data = (access.data if access.data is not None
-                            else b"\xAB" * access.size)
-                    span = (vaddr & 63) + len(data)
-                else:
-                    data = None
-                    span = (vaddr & 63) + access.size
-
-                if span > 64:
-                    # Line-spanning access: the scalar per-line loop.
-                    sim_clock.seek(time)
-                    fstats.reads = reads
-                    fstats.writes = writes
-                    fstats.overlay_hits = overlay_hits
-                    fstats.simple_overlay_writes = simple_ov
-                    tlb_stats.l1_hits = tlb_l1_hits
-                    tlb_stats.l2_hits = tlb_l2_hits
-                    tlb_stats.misses = tlb_misses
-                    latency = self._issue(access)
-                    reads = fstats.reads
-                    writes = fstats.writes
-                    overlay_hits = fstats.overlay_hits
-                    simple_ov = fstats.simple_overlay_writes
-                    tlb_l1_hits = tlb_stats.l1_hits
-                    tlb_l2_hits = tlb_stats.l2_hits
-                    tlb_misses = tlb_stats.misses
-                else:
-                    # Inline TLB probe (the hot half of MMU.translate).
-                    vpn = vaddr >> 12
-                    key = (asid, vpn)
-                    bucket = l1_buckets[(vpn ^ asid) % l1_sets]
-                    entry = bucket.get(key)
-                    if entry is not None:
-                        bucket.move_to_end(key)
-                        tlb_l1_hits += 1
-                        tlat = l1_lat
-                        tlb_hit = True
-                    else:
-                        bucket = l2_buckets[(vpn ^ asid) % l2_sets]
-                        entry = bucket.get(key)
-                        if entry is not None:
-                            bucket.move_to_end(key)
-                            tlb_l2_hits += 1
-                            l1_array.insert(entry)
-                            tlat = l12_lat
-                            tlb_hit = True
-                        else:
-                            tlb_misses += 1
-                            entry, tlat = mmu.translate_miss(
-                                asid, vpn, is_write, miss_lat)
-                            tlb_hit = False
-                    line = (vaddr >> 6) & 63
-                    pte = entry.pte
-                    in_overlay = (pte.overlays_enabled
-                                  and (entry.obitvector._bits >> line) & 1)
-                    if not is_write:
-                        reads += 1
-                        if in_overlay:
-                            overlay_hits += 1
-                            tag = ((opn_base | vpn) << 6) | line
-                        else:
-                            tag = (pte.ppn << 6) | line
-                        # Data assembly (lookup_data) is side-effect-free
-                        # and its result is discarded by _issue — skipped.
-                        # The L1 probe is MemoryHierarchy.access_fast
-                        # inlined for the read path (no write handling).
-                        hierarchy._now = time + tlat
-                        where = l1_where_get(tag)
-                        if where is not None:
-                            set_index, way = where
-                            line_obj = l1_lines[set_index][way]
-                            if l1_policy_lru:
-                                l1_policy._clock += 1
-                                l1_policy._last_use[set_index][way] = \
-                                    l1_policy._clock
-                            else:
-                                l1_policy.on_hit(set_index, way)
-                            l1_cache_stats.hits += 1
-                            if line_obj.prefetched:
-                                l1_cache_stats.prefetch_hits += 1
-                                line_obj.prefetched = False
-                            latency = tlat + l1_hit_lat
-                        else:
-                            l1_cache_stats.misses += 1
-                            below, _level = below_l1(tag, False, None)
-                            latency = tlat + l1_miss_lat + below
-                    elif not in_overlay and pte.cow:
-                        # CoW trigger: the pluggable policy hook runs the
-                        # full scalar path (overlaying write or baseline
-                        # page copy), which may recurse into the system.
-                        writes += 1
-                        fstats.cow_triggers += 1
-                        if system.cow_handler is None:
-                            raise CowWriteFault(
-                                f"CoW write at {vaddr:#x} with no handler")
-                        sim_clock.seek(time)
-                        fstats.reads = reads
-                        fstats.writes = writes
-                        fstats.overlay_hits = overlay_hits
-                        fstats.simple_overlay_writes = simple_ov
-                        tlb_stats.l1_hits = tlb_l1_hits
-                        tlb_stats.l2_hits = tlb_l2_hits
-                        tlb_stats.misses = tlb_misses
-                        latency = tlat + system.cow_handler(
-                            system, asid, vaddr, data, self.core_id,
-                            TranslationResult(entry, tlat, tlb_hit))
-                        reads = fstats.reads
-                        writes = fstats.writes
-                        overlay_hits = fstats.overlay_hits
-                        simple_ov = fstats.simple_overlay_writes
-                        tlb_l1_hits = tlb_stats.l1_hits
-                        tlb_l2_hits = tlb_stats.l2_hits
-                        tlb_misses = tlb_stats.misses
-                    else:
-                        writes += 1
-                        if in_overlay:
-                            simple_ov += 1
-                            tag = ((opn_base | vpn) << 6) | line
-                        else:
-                            tag = (pte.ppn << 6) | line
-                        offset = vaddr & 63
-                        now = time + tlat
-                        if offset == 0 and len(data) == 64:
-                            latency = tlat + access_fast(tag, True, data, now)
-                        else:
-                            # Partial store: read-modify-write, as in
-                            # OverlaySystem._store_line.
-                            fetch_lat = access_fast(tag, False, None, now)
-                            current = lookup_data(tag) or ZERO_LINE
-                            patched = (current[:offset] + data
-                                       + current[offset + len(data):])
-                            latency = tlat + fetch_lat + access_fast(
-                                tag, True, patched, now + fetch_lat)
-
-                if system._serializing_event:
-                    system._serializing_event = False
-                    for _, completion in inflight:
-                        if completion > time:
-                            stall += completion - time
-                            time = completion
-                    inflight.clear()
-                    stall += latency
-                    time += latency
-                    faults += 1
-                else:
-                    inflight.append((instr_index, time + latency))
-                mem_accesses += 1
-        finally:
-            state.instr_index = instr_index
-            stats.window_stall_cycles = stall
-            stats.memory_accesses = mem_accesses
-            stats.faults_served = faults
-            fstats.reads = reads
-            fstats.writes = writes
-            fstats.overlay_hits = overlay_hits
-            fstats.simple_overlay_writes = simple_ov
-            tlb_stats.l1_hits = tlb_l1_hits
-            tlb_stats.l2_hits = tlb_l2_hits
-            tlb_stats.misses = tlb_misses
-            cursor.advance_to(time)
-            sim_clock.seek(time)
-
-    def _issue(self, access: MemoryAccess) -> int:
-        if access.write:
-            data = access.data if access.data is not None else b"\xAB" * access.size
-            return self.system.write(self.asid, access.vaddr, data,
-                                     core=self.core_id)
-        _, latency = self.system.read(self.asid, access.vaddr, access.size,
-                                      core=self.core_id)
-        return latency

@@ -37,8 +37,8 @@ class TraceParseError(ValueError):
 class MemoryAccess:
     """One load or store in a trace.
 
-    A slotted value type — traces hold millions of these, and the
-    batched engine reads their fields in its innermost loop.  Equality
+    A slotted value type — traces hold millions of these, and
+    :meth:`~repro.cpu.core.Core.step` reads their fields per access.  Equality
     and hashing follow the old frozen-dataclass semantics (field
     tuples); treat instances as immutable.
     """

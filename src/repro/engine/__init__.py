@@ -25,16 +25,13 @@ this repository needs and previously reimplemented by hand:
   engine structure publishes events through (free when no sink is
   installed; the recorder lives in :mod:`repro.obs`);
 * :mod:`~repro.engine.process_state` — the registry of every
-  process-wide mutable (hook slots, engine-mode/watchdog defaults,
+  process-wide mutable (hook slots, the watchdog default,
   workload caches) with ``snapshot_all``/``reset_all``/``fork_guard``,
   so worker processes start deterministic by construction (simlint
   SL007 enforces registration).
 """
 
 from . import process_state, tracing
-from .batch import (AccessBatch, BatchEngine, DEFAULT_BATCH_SIZE,
-                    default_engine_mode, iter_batches, resolve_engine_mode,
-                    set_default_engine_mode)
 from .clock import (ClockCursor, ClockError, SimClock, SimulationHangError,
                     default_max_cycles, set_default_max_cycles)
 from .component import Component
@@ -46,9 +43,6 @@ from .rng import derive_rng, resolve_seed
 from .tracing import CycleSampler, FaultHook, TraceError, TraceSink
 
 __all__ = [
-    "AccessBatch", "BatchEngine", "DEFAULT_BATCH_SIZE",
-    "default_engine_mode", "iter_batches", "resolve_engine_mode",
-    "set_default_engine_mode",
     "ClockCursor", "ClockError", "SimClock", "SimulationHangError",
     "default_max_cycles", "set_default_max_cycles",
     "Component",

@@ -3,8 +3,7 @@
 The simulator is designed so that a run is a pure function of its
 ``SystemConfig`` — but a handful of process-wide knobs necessarily live
 outside any one run: the engine hook slots (``tracing.HOOKS``), the
-default engine mode (``batch._DEFAULT_ENGINE_MODE``), the default
-watchdog limit (``clock._DEFAULT_MAX_CYCLES``) and caches such as the
+default watchdog limit (``clock._DEFAULT_MAX_CYCLES``) and caches such as the
 workload trace memo (``workloads.spec_like._TRACE_MEMO``).  Left
 unmanaged, that state makes *worker processes diverge from serial
 runs*: a forked worker inherits whatever the parent had armed or

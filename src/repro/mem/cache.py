@@ -81,8 +81,8 @@ class SetAssociativeCache(Component):
         self.data_latency = data_latency
         self.serial_tag_data = serial_tag_data
         self._policy = make_policy(policy, self.num_sets, ways)
-        # The batched fast path inlines LRU bookkeeping; any other policy
-        # goes through the policy object's methods.
+        # The hot paths inline LRU bookkeeping; any other policy goes
+        # through the policy object's methods.
         self._policy_is_lru = type(self._policy) is LRUPolicy
         self._lines: List[List[Optional[CacheLine]]] = [
             [None] * ways for _ in range(self.num_sets)]
@@ -165,20 +165,13 @@ class SetAssociativeCache(Component):
         if occupancy[set_index] < self.ways:
             way = bucket.index(None)  # first free way, as victim() picks
             occupancy[set_index] += 1
-            bucket[way] = CacheLine(tag=tag, dirty=dirty, data=data,
-                                    prefetched=prefetch)
+            bucket[way] = CacheLine(tag, dirty, data, prefetch)
         else:
             if is_lru:
                 # Inlined LRUPolicy.victim_full: oldest stamp,
-                # first-of-equals (matching min()'s tie-break).
+                # first-of-equals.
                 stamps = policy._last_use[set_index]
-                way = 0
-                best = stamps[0]
-                for i in range(1, self.ways):
-                    stamp = stamps[i]
-                    if stamp < best:
-                        best = stamp
-                        way = i
+                way = stamps.index(min(stamps))
             else:
                 way = policy.victim_full(set_index)
             victim = bucket[way]
@@ -186,8 +179,7 @@ class SetAssociativeCache(Component):
             stats.evictions += 1
             if victim.dirty:
                 stats.dirty_evictions += 1
-            evicted = EvictedLine(tag=victim.tag, dirty=victim.dirty,
-                                  data=victim.data)
+            evicted = EvictedLine(victim.tag, victim.dirty, victim.data)
             # Reuse the victim's CacheLine object for the incoming line.
             victim.tag = tag
             victim.dirty = dirty

@@ -172,12 +172,13 @@ class MemoryHierarchy(Component):
     def access_fast(self, tag: int, write: bool = False,
                     data: Optional[bytes] = None,
                     now: Optional[int] = None) -> int:
-        """Latency-only twin of :meth:`access` for the batched engine.
+        """Latency-only twin of :meth:`access`, the per-access path.
 
-        Inlines the L1 probe (dict lookup, LRU touch, stats) so the
-        overwhelmingly common L1 hit costs no method dispatch; everything
-        below the L1 is the exact same code path :meth:`access` takes, so
-        stats and cache state stay byte-identical between the two.
+        Inlines the L1 probe (dict lookup, LRU touch, stats) so an L1
+        hit costs no method dispatch and no :class:`AccessResult`;
+        everything below the L1 is the exact same code path
+        :meth:`access` takes, so stats and cache state stay
+        byte-identical between the two.
         """
         if now is not None:
             self._now = now

@@ -77,15 +77,9 @@ class LRUPolicy(ReplacementPolicy):
         return self.victim_full(set_index)
 
     def victim_full(self, set_index: int) -> int:
+        # Oldest stamp; ``index`` breaks ties towards the first way.
         stamps = self._last_use[set_index]
-        best_way = 0
-        best = stamps[0]
-        for way in range(1, self.ways):
-            stamp = stamps[way]
-            if stamp < best:
-                best = stamp
-                best_way = way
-        return best_way
+        return stamps.index(min(stamps))
 
 
 class DRRIPPolicy(ReplacementPolicy):
@@ -165,15 +159,14 @@ class DRRIPPolicy(ReplacementPolicy):
         return self.victim_full(set_index)
 
     def victim_full(self, set_index: int) -> int:
+        # RRIP ages the whole set until some way reaches MAX_RRPV and
+        # evicts the first such way.  RRPVs never exceed MAX_RRPV, so
+        # that is one aging step of MAX_RRPV - max(rrpvs), done in place.
         rrpvs = self._rrpv[set_index]
-        ways = self.ways
-        max_rrpv = self.MAX_RRPV
-        while True:
-            for way in range(ways):
-                if rrpvs[way] >= max_rrpv:
-                    return way
-            for way in range(ways):
-                rrpvs[way] += 1
+        age = self.MAX_RRPV - max(rrpvs)
+        if age:
+            rrpvs[:] = [rrpv + age for rrpv in rrpvs]
+        return rrpvs.index(self.MAX_RRPV)
 
 
 def make_policy(name: str, num_sets: int, ways: int) -> ReplacementPolicy:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import platform as _platform
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Dict, Optional
 
 from ..config import DEFAULT_CONFIG, SystemConfig
@@ -33,19 +33,6 @@ from ..engine.rng import resolve_seed
 #: Manifest layout version, bumped on incompatible shape changes so
 #: downstream consumers (the CI validator, trajectory tooling) can gate.
 MANIFEST_FORMAT = 1
-
-
-def _config_dict(config: SystemConfig) -> Dict[str, Any]:
-    """The full Table 2 as a flat JSON-ready mapping.
-
-    Harness knobs (``SystemConfig._HARNESS_FIELDS``, e.g. the engine
-    mode) do not affect simulated behaviour and are excluded so a
-    scalar and a batched run of the same workload emit byte-identical
-    manifests.
-    """
-    harness = getattr(type(config), "_HARNESS_FIELDS", ())
-    return {spec.name: getattr(config, spec.name)
-            for spec in fields(config) if spec.name not in harness}
 
 
 @dataclass
@@ -81,7 +68,7 @@ class RunManifest:
             run=run,
             version=__version__,
             rng_seed=resolve_seed(seed, config=config),
-            config=_config_dict(config),
+            config=asdict(config),
             python=_platform.python_version(),
             platform=f"{sys.platform}/{_platform.machine()}",
             started_at=time.strftime(               # simlint: disable=SL001

@@ -132,7 +132,7 @@ class InvariantChecker(Component):
 
         Both directions test for a *dirty* copy under the wrong tag.
         Clean copies under the wrong tag are architecturally harmless —
-        reads route through ``_target_tag`` so they are never consumed,
+        reads route through ``access_line`` so they are never consumed,
         and the prefetcher (or a copy-on-write sharer of the frame)
         legitimately leaves them behind.  A dirty copy, by contrast,
         means a store landed on the side the mapping says is dead:

@@ -5,6 +5,7 @@ import pytest
 from repro.core.address import (LINE_SIZE, PAGE_SIZE, line_tag_of,
                                 overlay_page_number)
 from repro.core.framework import OverlaySystem
+from repro.core.oms import ZERO_LINE
 from repro.core.page_table import PageTableError
 
 
@@ -96,6 +97,35 @@ class TestCopyEdges:
         system.main_memory.write_line(0x42, 0, b"m" * 64)
         system.copy_page_via_dram(0x42, 0x78)
         assert system.main_memory.read_line(0x78, 0) == b"m" * 64
+
+
+def prefetch_stale_line(system, ppn, line=0):
+    """Leave a zero-filled prefetched line of frame *ppn* in the L3, as
+    the stream prefetcher does for a frame not yet allocated."""
+    tag = line_tag_of(ppn, line)
+    system.hierarchy.l3.fill(tag, data=ZERO_LINE, prefetch=True)
+    assert system.hierarchy.lookup_data(tag) == ZERO_LINE
+
+
+class TestCopyDestinationStaleLines:
+    """A copy that writes a whole frame behind the caches must not leave
+    a stale cached line of that frame visible."""
+
+    def test_copy_and_commit_into_frame_with_prefetched_line(self, system):
+        system.map_page(1, 0x10, 0x42)
+        system.main_memory.write_page(0x42, b"p" * PAGE_SIZE)
+        system.install_overlay_line(1, 0x10, 5, b"o" * 64)
+        prefetch_stale_line(system, 0x90)
+        system.promote(1, 0x10, "copy-and-commit", new_ppn=0x90)
+        expected = b"p" * (5 * LINE_SIZE) + b"o" * 64 + b"p" * (58 * LINE_SIZE)
+        assert system.page_bytes(1, 0x10) == expected
+
+    def test_copy_via_dram_into_frame_with_prefetched_line(self, system):
+        system.main_memory.write_page(0x42, b"m" * PAGE_SIZE)
+        prefetch_stale_line(system, 0x78)
+        system.copy_page_via_dram(0x42, 0x78)
+        system.map_page(1, 0x20, 0x78)
+        assert system.page_bytes(1, 0x20) == b"m" * PAGE_SIZE
 
 
 class TestOverlayHitAccounting:

@@ -110,3 +110,70 @@ class TestDRAMProperties:
             dram.read(address * 64, i * 1000)
         assert (dram.stats.row_hits + dram.stats.row_misses
                 == len(addresses))
+
+
+def reference_lru_victim(stamps):
+    """The LRU victim scan as it was written before ``stamps.index(min(
+    stamps))``: oldest stamp, first of equals."""
+    best_way = 0
+    best = stamps[0]
+    for way in range(1, len(stamps)):
+        if stamps[way] < best:
+            best = stamps[way]
+            best_way = way
+    return best_way
+
+
+def reference_drrip_victim(rrpvs, max_rrpv):
+    """The DRRIP victim loop as it was written before the single aging
+    step: age the whole set by one until some way reaches *max_rrpv*,
+    then evict the first such way.  Ages *rrpvs* in place."""
+    while True:
+        for way in range(len(rrpvs)):
+            if rrpvs[way] >= max_rrpv:
+                return way
+        for way in range(len(rrpvs)):
+            rrpvs[way] += 1
+
+
+class TestVictimSelection:
+    """The replacement policies' victim choices match the reference
+    loops they replaced, way for way and (DRRIP) RRPV for RRPV."""
+
+    @slow
+    @given(st.lists(st.integers(0, 6), min_size=1, max_size=16))
+    def test_lru_victim_matches_reference(self, stamps):
+        from repro.mem.replacement import LRUPolicy
+        policy = LRUPolicy(num_sets=1, ways=len(stamps))
+        policy._last_use[0] = list(stamps)
+        assert policy.victim_full(0) == reference_lru_victim(stamps)
+
+    @slow
+    @given(st.lists(st.integers(0, 3), min_size=1, max_size=16))
+    def test_drrip_victim_matches_reference(self, rrpvs):
+        from repro.mem.replacement import DRRIPPolicy
+        policy = DRRIPPolicy(num_sets=1, ways=len(rrpvs))
+        row = policy._rrpv[0]
+        row[:] = rrpvs
+        expected = list(rrpvs)
+        way = reference_drrip_victim(expected, DRRIPPolicy.MAX_RRPV)
+        assert policy.victim_full(0) == way
+        assert policy._rrpv[0] is row
+        assert row == expected
+
+    @slow
+    @given(st.lists(st.integers(0, 1000), min_size=1, max_size=120),
+           st.sampled_from([2, 4, 8, 16]))
+    def test_lru_fill_evicts_reference_victim(self, tags, ways):
+        """The cache's inlined LRU scan in fill() picks the same victim."""
+        cache = SetAssociativeCache("V", size_bytes=ways * 64, ways=ways)
+        for tag in tags:
+            if tag in cache:
+                cache.access(tag)
+                continue
+            full = len(cache) == ways
+            stamps = list(cache._policy._last_use[0])
+            victim_tag = (cache._lines[0][reference_lru_victim(stamps)].tag
+                          if full else None)
+            evicted = cache.fill(tag)
+            assert (evicted.tag if evicted else None) == victim_tag

@@ -198,7 +198,7 @@ class TestOnRealRepo:
                  for registrations in graph.registrations.values()
                  for registration in registrations}
         assert "repro.engine.tracing.HOOKS" in names
-        assert "repro.engine.batch._DEFAULT_ENGINE_MODE" in names
+        assert "repro.engine.clock._DEFAULT_MAX_CYCLES" in names
         assert "repro.workloads.spec_like._TRACE_MEMO" in names
 
     def test_every_real_hook_site_is_guarded(self, real):
