@@ -20,7 +20,7 @@ super-page technique (Section 5.3.5) has a substrate to build on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 
 #: Levels of the hierarchical table (PML4, PDPT, PD, PT).
@@ -97,6 +97,18 @@ class PageTable:
         pte = PTE(ppn=ppn, writable=writable, cow=cow,
                   overlays_enabled=overlays_enabled)
         self._entries[vpn] = pte
+        return pte
+
+    def map_shared(self, vpns: Iterable[int], ppn: int, *, writable: bool,
+                   cow: bool, overlays_enabled: bool) -> PTE:
+        """Map every VPN in *vpns* to the one frame *ppn*.
+
+        A PTE is frozen, so a single entry serves every VPN: the result
+        equals one :meth:`map` call per VPN with the same flags.
+        """
+        pte = PTE(ppn=ppn, writable=writable, cow=cow,
+                  overlays_enabled=overlays_enabled)
+        self._entries.update(dict.fromkeys(vpns, pte))
         return pte
 
     def map_superpage(self, base_vpn: int, base_ppn: int, *,

@@ -11,7 +11,8 @@ which copy-on-write policy runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from itertools import repeat
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .physalloc import FrameAllocator
 from .process import Process
@@ -93,6 +94,30 @@ class Kernel:
                 self.system.main_memory.write_page(ppn, page)
             frames.append(ppn)
         return frames
+
+    def map_shared(self, process: Process, vpns: Sequence[int], ppn: int, *,
+                   writable: bool = False, cow: bool = True) -> None:
+        """Map every VPN in *vpns* to the one allocated frame *ppn*.
+
+        The overlay sparse matrix maps its whole dense layout to a
+        single zero page this way (Section 5.2).  As after a fork, the
+        frame holds one allocator reference per mapping: the first
+        mapping of a freshly allocated frame takes over the reference
+        :meth:`FrameAllocator.allocate` gave it.
+        """
+        if not vpns:
+            return
+        clash = process.mappings.keys() & vpns
+        if clash:
+            raise ValueError(f"VPN {min(clash):#x} already mapped in "
+                             f"pid {process.pid}")
+        process.page_table.map_shared(
+            vpns, ppn, writable=writable, cow=cow,
+            overlays_enabled=self.system.overlays_enabled)
+        process.mappings.update(dict.fromkeys(vpns, ppn))
+        users = self.frame_users.setdefault(ppn, set())
+        self.allocator.share(ppn, len(vpns) - (0 if users else 1))
+        users.update(zip(repeat(process.asid), vpns))
 
     def munmap(self, process: Process, start_vpn: int, npages: int) -> None:
         for i in range(npages):

@@ -63,11 +63,12 @@ class FrameAllocator:
             self._refcounts[ppn] = 1
         return frames
 
-    def share(self, ppn: int) -> int:
-        """Bump the refcount of *ppn* (fork sharing); returns new count."""
+    def share(self, ppn: int, count: int = 1) -> int:
+        """Add *count* references to *ppn* (fork sharing, or a frame
+        mapped at many pages); returns the new refcount."""
         if ppn not in self._refcounts:
             raise KeyError(f"frame {ppn:#x} is not allocated")
-        self._refcounts[ppn] += 1
+        self._refcounts[ppn] += count
         return self._refcounts[ppn]
 
     def release(self, ppn: int) -> int:

@@ -8,7 +8,6 @@ cache line whether or not it holds non-zero data.
 
 from __future__ import annotations
 
-import struct
 import numpy as np
 
 from .pattern import MatrixPattern, VALUE_BYTES, VALUES_PER_LINE
@@ -54,7 +53,7 @@ class DenseMatrix:
         for page_index, ppn in enumerate(frames):
             start = page_index * (PAGE_SIZE // VALUE_BYTES)
             chunk = flat[start:start + PAGE_SIZE // VALUE_BYTES]
-            raw = struct.pack(f"<{len(chunk)}d", *chunk)
+            raw = chunk.astype("<f8").tobytes()
             raw += bytes(PAGE_SIZE - len(raw))
             kernel.system.main_memory.write_page(ppn, raw)
         self.base_vaddr = base_vpn * PAGE_SIZE

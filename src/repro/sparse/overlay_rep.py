@@ -91,13 +91,8 @@ class OverlaySparseMatrix:
         """Map all pages to one zero frame and install non-zero overlays."""
         system = kernel.system
         self.zero_ppn = kernel.allocator.allocate()  # the shared zero page
-        for page_index in range(self.npages):
-            vpn = base_vpn + page_index
-            system.map_page(process.asid, vpn, self.zero_ppn,
-                            writable=False, cow=True)
-            process.mappings[vpn] = self.zero_ppn
-            kernel.frame_users.setdefault(self.zero_ppn, set()).add(
-                (process.asid, vpn))
+        kernel.map_shared(process, range(base_vpn, base_vpn + self.npages),
+                          self.zero_ppn)
         for flat_line in self.pattern.nonzero_lines():
             vpn = base_vpn + flat_line // LINES_PER_PAGE
             line = flat_line % LINES_PER_PAGE

@@ -7,7 +7,6 @@ sorted by L) and the Section 5.2 sparsity sweep (overlay vs dense).
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Optional
 
@@ -58,9 +57,12 @@ def _build_vectors(kernel: Kernel, process, cols: int, rows: int,
     """Map and fill the x (input) and y (output) vector regions."""
     x_pages = (cols * VALUE_BYTES + PAGE_SIZE - 1) // PAGE_SIZE
     y_pages = (rows * VALUE_BYTES + PAGE_SIZE - 1) // PAGE_SIZE
+    raw = np.ascontiguousarray(x, dtype="<f8").tobytes()
+    if len(raw) != cols * VALUE_BYTES:
+        raise ValueError(f"x has {len(raw) // VALUE_BYTES} values, "
+                         f"the matrix has {cols} columns")
     x_frames = kernel.mmap(process, X_BASE_VPN, x_pages)
     kernel.mmap(process, Y_BASE_VPN, y_pages)
-    raw = struct.pack(f"<{cols}d", *x)
     for page_index, ppn in enumerate(x_frames):
         chunk = raw[page_index * PAGE_SIZE:(page_index + 1) * PAGE_SIZE]
         kernel.system.main_memory.write_page(

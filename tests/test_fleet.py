@@ -23,6 +23,7 @@ import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +37,8 @@ from repro.fleet import (FALLBACK_WORKERS, FLEET_FORMAT, MISS, Shard,
                          set_default_fleet, shard_cache_path,
                          store_shard_result)
 from repro.robust.campaign import run_campaign
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def _shard(index=0, fraction=0.5, seed=11):
@@ -299,15 +302,16 @@ class TestResumeAfterKill:
     def test_killed_mid_campaign_resumes_byte_identically(self, tmp_path):
         """SIGKILL a 2-worker fleet once its first shard artifact lands;
         a resumed run reuses the survivors and matches the
-        uninterrupted artifact byte for byte."""
+        uninterrupted artifact byte for byte.  The campaign runs in its
+        own process group, so the kill takes its pool workers too."""
         golden = self._uninterrupted(tmp_path)
         results = tmp_path / "killed"
         cache = results / "fleet" / "kill"
         env = dict(os.environ, PYTHONPATH="src")
         child = subprocess.Popen(
             [sys.executable, "-c", _KILL_SCRIPT, str(results)],
-            env=env, cwd="/root/repo", stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL)
+            env=env, cwd=REPO_ROOT, stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL, start_new_session=True)
         try:
             deadline = time.time() + 60
             while time.time() < deadline:
@@ -315,7 +319,7 @@ class TestResumeAfterKill:
                     break
                 time.sleep(0.01)
         finally:
-            child.send_signal(signal.SIGKILL)
+            os.killpg(child.pid, signal.SIGKILL)
             child.wait()
         survivors = len(list(scan_cache(cache)))
         summary = {}

@@ -18,6 +18,7 @@ import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +30,8 @@ from repro.obs import RunManifest, SchemaError, validate_manifest
 from repro.obs.__main__ import main as obs_cli
 from repro.obs.export import write_json
 from repro.__main__ import main as repro_cli
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestConfigValidation:
@@ -155,7 +158,7 @@ class TestCrashSafeWriteJson:
         )
         env = dict(os.environ, PYTHONPATH="src")
         child = subprocess.Popen([sys.executable, "-c", script, str(target)],
-                                 env=env, cwd="/root/repo",
+                                 env=env, cwd=REPO_ROOT,
                                  stdout=subprocess.DEVNULL,
                                  stderr=subprocess.DEVNULL)
         try:

@@ -1,5 +1,7 @@
 """Tests for the three sparse representations: dense, CSR, overlay."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,8 @@ from repro.sparse.dense import DenseMatrix
 from repro.sparse.matrix_gen import generate_with_locality, random_uniform
 from repro.sparse.overlay_rep import OverlaySparseMatrix
 from repro.sparse.pattern import MatrixPattern
-from repro.sparse.spmv import MATRIX_BASE_VPN, ideal_memory_bytes, run_spmv
+from repro.sparse.spmv import (MATRIX_BASE_VPN, X_BASE_VPN, _build_vectors,
+                               ideal_memory_bytes, run_spmv)
 
 
 @pytest.fixture
@@ -187,3 +190,153 @@ class TestSpMVHarness:
         assert result.cpi > 0
         assert result.nnz == matrix.nnz
         assert result.locality == pytest.approx(matrix.locality)
+
+
+def _two_row_matrix():
+    """2x1024 doubles = 4 pages; non-zeros on the first and last page."""
+    m = MatrixPattern(rows=2, cols=1024)
+    m.set(0, 3, 1.5)
+    m.set(1, 900, 2.0)
+    return m
+
+
+class TestSharedZeroFrame:
+    """``Kernel.map_shared`` maps the overlay matrix onto its zero frame
+    in one call; the per-page loop it replaced is the reference."""
+
+    @staticmethod
+    def reference_map(kernel, process, vpns, ppn):
+        for vpn in vpns:
+            kernel.system.map_page(process.asid, vpn, ppn,
+                                   writable=False, cow=True)
+            process.mappings[vpn] = ppn
+            kernel.frame_users.setdefault(ppn, set()).add(
+                (process.asid, vpn))
+
+    @pytest.mark.parametrize("overlays_enabled", [True, False])
+    def test_bulk_build_matches_per_page_loop(self, matrix, overlays_enabled):
+        kernel = Kernel()
+        kernel.system.overlays_enabled = overlays_enabled
+        process = kernel.create_process()
+        rep = OverlaySparseMatrix(matrix)
+        rep.build(kernel, process, MATRIX_BASE_VPN)
+        vpns = range(MATRIX_BASE_VPN, MATRIX_BASE_VPN + rep.npages)
+
+        ref_kernel = Kernel()
+        ref_kernel.system.overlays_enabled = overlays_enabled
+        ref_process = ref_kernel.create_process()
+        zero = ref_kernel.allocator.allocate()
+        self.reference_map(ref_kernel, ref_process, vpns, zero)
+
+        assert rep.zero_ppn == zero
+        for vpn in vpns:
+            assert (process.page_table.entry(vpn)
+                    == ref_process.page_table.entry(vpn))
+        assert (process.page_table.entry(vpns[-1]).overlays_enabled
+                is overlays_enabled)
+        assert process.mappings == ref_process.mappings
+        assert kernel.frame_users == ref_kernel.frame_users
+
+    def test_map_shared_rejects_an_overlapping_range(self):
+        kernel = Kernel()
+        process = kernel.create_process()
+        kernel.mmap(process, 0x102, 1)
+        zero = kernel.allocator.allocate()
+        mappings = dict(process.mappings)
+        users = {ppn: set(u) for ppn, u in kernel.frame_users.items()}
+        with pytest.raises(ValueError, match="0x102 already mapped"):
+            kernel.map_shared(process, range(0x100, 0x104), zero)
+        assert process.mappings == mappings
+        assert kernel.frame_users == users
+        assert process.page_table.entry(0x100) is None
+        assert kernel.allocator.refcount(zero) == 1
+
+    def test_map_shared_of_no_pages_changes_nothing(self):
+        kernel = Kernel()
+        process = kernel.create_process()
+        zero = kernel.allocator.allocate()
+        kernel.map_shared(process, range(0x100, 0x100), zero)
+        assert kernel.allocator.refcount(zero) == 1
+        assert zero not in kernel.frame_users
+        assert not process.mappings
+
+    def test_refcount_equals_mapped_pages(self, matrix):
+        kernel = Kernel()
+        process = kernel.create_process()
+        rep = OverlaySparseMatrix(matrix)
+        rep.build(kernel, process, MATRIX_BASE_VPN)
+        assert kernel.allocator.refcount(rep.zero_ppn) == rep.npages
+        # A second mapping range of the same frame adds its own pages.
+        kernel.map_shared(process, range(0x9000, 0x9003), rep.zero_ppn)
+        assert kernel.allocator.refcount(rep.zero_ppn) == rep.npages + 3
+        assert (len(kernel.frame_users[rep.zero_ppn])
+                == rep.npages + 3)
+
+    def test_degradation_keeps_zero_pages_zero(self):
+        """Promoting the two overlay pages releases two references.  With
+        a single reference the first promotion freed the zero frame and
+        the second got it back as its new frame, so the untouched pages
+        read the last row's values."""
+        kernel = Kernel()
+        process = kernel.create_process()
+        rep = OverlaySparseMatrix(_two_row_matrix())
+        rep.build(kernel, process, 0x1000)
+        assert rep.npages == 4
+        kernel.degrade_to_full_page_cow()
+        assert kernel.allocator.refcount(rep.zero_ppn) == 2
+        for vpn in (0x1001, 0x1002):
+            assert process.mappings[vpn] == rep.zero_ppn
+            data, _ = kernel.system.read(process.asid, vpn * PAGE_SIZE,
+                                         PAGE_SIZE)
+            assert data == bytes(PAGE_SIZE), hex(vpn)
+        data, _ = kernel.system.read(process.asid, 0x1003 * PAGE_SIZE
+                                     + 388 * 8, 8)
+        assert struct.unpack("<d", data) == (2.0,)
+
+    def test_exit_releases_every_reference(self):
+        kernel = Kernel()
+        process = kernel.create_process()
+        rep = OverlaySparseMatrix(_two_row_matrix())
+        rep.build(kernel, process, 0x1000)
+        kernel.exit_process(process)
+        assert kernel.allocator.refcount(rep.zero_ppn) == 0
+        assert rep.zero_ppn not in kernel.frame_users
+
+
+class TestNumpyPacking:
+    """The vector and dense packers write the bytes ``struct.pack`` does."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64, np.float32])
+    def test_x_vector_bytes_match_struct(self, dtype):
+        cols = 1000  # two pages, the last one partial
+        x = ((np.arange(cols) - 700.25) * 3).astype(dtype)
+        kernel = Kernel()
+        process = kernel.create_process()
+        _build_vectors(kernel, process, cols, 4, x)
+        expected = struct.pack(f"<{cols}d", *x)
+        expected += bytes(-len(expected) % PAGE_SIZE)
+        written = b"".join(
+            kernel.system.main_memory.read_page(process.mappings[vpn])
+            for vpn in (X_BASE_VPN, X_BASE_VPN + 1))
+        assert written == expected
+
+    def test_x_vector_length_must_match_columns(self):
+        kernel = Kernel()
+        process = kernel.create_process()
+        with pytest.raises(ValueError, match="columns"):
+            _build_vectors(kernel, process, 16, 4, np.ones(15))
+        assert not process.mappings
+
+    def test_dense_bytes_match_struct(self):
+        matrix = generate_with_locality(3, 200, nnz=90, locality=2.0,
+                                        seed=4)  # 600 doubles, 2 pages
+        kernel = Kernel()
+        process = kernel.create_process()
+        DenseMatrix(matrix).build(kernel, process, MATRIX_BASE_VPN)
+        flat = matrix.to_numpy().reshape(-1)
+        expected = struct.pack(f"<{flat.size}d", *flat)
+        expected += bytes(-len(expected) % PAGE_SIZE)
+        written = b"".join(
+            kernel.system.main_memory.read_page(process.mappings[vpn])
+            for vpn in (MATRIX_BASE_VPN, MATRIX_BASE_VPN + 1))
+        assert written == expected
