@@ -19,10 +19,11 @@ All timings are host wall clock by design; simulated time is asserted
 untouched (the hot loops are deterministic under the stock seed).
 
 ``--gate BASE HEAD`` is the CI perf gate instead: *BASE* and *HEAD* hold
-the last output line of ``benchmarks/perf/run.py --workload fork-type1
+the last output line of one ``benchmarks/perf/run.py --workload W
 --trace 0`` run on the base commit and on HEAD in the same job, and the
 gate fails unless HEAD's run is correct and its ``pass_cpu_s`` is at
-most the base's times ``1 + GATE_BOUND``.
+most the base's times ``1 + GATE_BOUND``.  CI applies it to each of the
+benchmark's four workloads in turn.
 """
 
 import json

@@ -587,7 +587,9 @@ class OverlaySystem(Component):
             src_tag = line_tag_of(src_ppn, line)
             dst_tag = line_tag_of(dst_ppn, line)
             read = hierarchy.access_fast(src_tag, False, None, issue)
-            data = (hierarchy.lookup_data(src_tag)
+            # The load has just filled the source line into the L1.
+            cached = hierarchy.l1.lookup(src_tag)
+            data = ((cached and cached.data) or hierarchy.lookup_data(src_tag)
                     or self.main_memory.read_line(src_ppn, line))
             write = hierarchy.access_fast(dst_tag, True, data, issue)
             # Keep the destination frame in sync line by line: the copy

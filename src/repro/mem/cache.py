@@ -25,16 +25,23 @@ from ..engine.component import Component
 
 
 class CacheLine:
-    """One resident line: tag, dirtiness, and optional payload."""
+    """One resident line: tag, dirtiness, optional payload, and its slot.
 
-    __slots__ = ("tag", "dirty", "data", "prefetched")
+    ``set_index`` and ``way`` never change while the object lives: a fill
+    that evicts reuses the victim's object for the incoming tag, in place.
+    """
+
+    __slots__ = ("tag", "dirty", "data", "prefetched", "set_index", "way")
 
     def __init__(self, tag: int, dirty: bool = False,
-                 data: Optional[bytes] = None, prefetched: bool = False):
+                 data: Optional[bytes] = None, prefetched: bool = False,
+                 set_index: int = 0, way: int = 0):
         self.tag = tag
         self.dirty = dirty
         self.data = data
         self.prefetched = prefetched
+        self.set_index = set_index
+        self.way = way
 
     def __repr__(self) -> str:
         return (f"CacheLine(tag={self.tag}, dirty={self.dirty}, "
@@ -42,7 +49,7 @@ class CacheLine:
 
 
 class EvictedLine:
-    """What falls out of a cache on a fill."""
+    """What leaves a cache: a fill's dirty victim, or an invalidated line."""
 
     __slots__ = ("tag", "dirty", "data")
 
@@ -86,7 +93,8 @@ class SetAssociativeCache(Component):
         self._policy_is_lru = type(self._policy) is LRUPolicy
         self._lines: List[List[Optional[CacheLine]]] = [
             [None] * ways for _ in range(self.num_sets)]
-        self._where: Dict[int, Tuple[int, int]] = {}
+        # The resident map: tag -> its CacheLine, which knows its slot.
+        self._where: Dict[int, CacheLine] = {}
         # Lines resident per set: lets fill() skip the free-way scan once
         # a set is full (the steady state), going straight to eviction.
         self._occupancy: List[int] = [0] * self.num_sets
@@ -101,16 +109,9 @@ class SetAssociativeCache(Component):
 
     # -- core operations -------------------------------------------------------
 
-    def _set_index(self, tag: int) -> int:
-        return tag % self.num_sets
-
     def lookup(self, tag: int) -> Optional[CacheLine]:
         """Probe without any side effects (no stats, no LRU update)."""
-        where = self._where.get(tag)
-        if where is None:
-            return None
-        set_index, way = where
-        return self._lines[set_index][way]
+        return self._where.get(tag)
 
     def access(self, tag: int, write: bool = False,
                data: Optional[bytes] = None) -> Tuple[bool, int]:
@@ -120,18 +121,16 @@ class SetAssociativeCache(Component):
         when *data* is given.  Misses cost only the tag latency here; the
         hierarchy adds the lower levels' time and then calls :meth:`fill`.
         """
-        where = self._where.get(tag)
-        if where is None:
+        line = self._where.get(tag)
+        if line is None:
             self.stats.misses += 1
             return False, self.miss_latency
-        set_index, way = where
-        line = self._lines[set_index][way]
         if self._policy_is_lru:
             policy = self._policy
             policy._clock += 1
-            policy._last_use[set_index][way] = policy._clock
+            policy._last_use[line.set_index][line.way] = policy._clock
         else:
-            self._policy.on_hit(set_index, way)
+            self._policy.on_hit(line.set_index, line.way)
         self.stats.hits += 1
         if line.prefetched:
             self.stats.prefetch_hits += 1
@@ -144,28 +143,31 @@ class SetAssociativeCache(Component):
 
     def fill(self, tag: int, data: Optional[bytes] = None,
              dirty: bool = False, prefetch: bool = False) -> Optional[EvictedLine]:
-        """Install *tag*, returning the evicted line if one fell out."""
-        where_map = self._where
-        where = where_map.get(tag)
-        if where is not None:
+        """Install *tag*; return the victim only if a *dirty* line fell out.
+
+        A clean victim is counted in ``stats.evictions`` and dropped.
+        """
+        where = self._where
+        line = where.get(tag)
+        if line is not None:
             # Refill of a resident line (e.g. prefetch raced demand): merge.
-            line = self._lines[where[0]][where[1]]
             if dirty:
                 line.dirty = True
             if data is not None:
                 line.data = data
             return None
         set_index = tag % self.num_sets
-        bucket = self._lines[set_index]
         policy = self._policy
         stats = self.stats
         is_lru = self._policy_is_lru
         evicted = None
         occupancy = self._occupancy
         if occupancy[set_index] < self.ways:
+            bucket = self._lines[set_index]
             way = bucket.index(None)  # first free way, as victim() picks
             occupancy[set_index] += 1
-            bucket[way] = CacheLine(tag, dirty, data, prefetch)
+            line = bucket[way] = CacheLine(tag, dirty, data, prefetch,
+                                           set_index, way)
         else:
             if is_lru:
                 # Inlined LRUPolicy.victim_full: oldest stamp,
@@ -174,18 +176,18 @@ class SetAssociativeCache(Component):
                 way = stamps.index(min(stamps))
             else:
                 way = policy.victim_full(set_index)
-            victim = bucket[way]
-            del where_map[victim.tag]
+            line = self._lines[set_index][way]
+            del where[line.tag]
             stats.evictions += 1
-            if victim.dirty:
+            if line.dirty:
                 stats.dirty_evictions += 1
-            evicted = EvictedLine(victim.tag, victim.dirty, victim.data)
+                evicted = EvictedLine(line.tag, True, line.data)
             # Reuse the victim's CacheLine object for the incoming line.
-            victim.tag = tag
-            victim.dirty = dirty
-            victim.data = data
-            victim.prefetched = prefetch
-        where_map[tag] = (set_index, way)
+            line.tag = tag
+            line.dirty = dirty
+            line.data = data
+            line.prefetched = prefetch
+        where[tag] = line
         if is_lru:
             policy._clock += 1
             policy._last_use[set_index][way] = policy._clock
@@ -198,13 +200,11 @@ class SetAssociativeCache(Component):
 
     def invalidate(self, tag: int) -> Optional[EvictedLine]:
         """Remove *tag*; returns the line (with dirtiness) if present."""
-        where = self._where.pop(tag, None)
-        if where is None:
+        line = self._where.pop(tag, None)
+        if line is None:
             return None
-        set_index, way = where
-        line = self._lines[set_index][way]
-        self._lines[set_index][way] = None
-        self._occupancy[set_index] -= 1
+        self._lines[line.set_index][line.way] = None
+        self._occupancy[line.set_index] -= 1
         self.stats.invalidations += 1
         return EvictedLine(tag=line.tag, dirty=line.dirty, data=line.data)
 
@@ -217,21 +217,22 @@ class SetAssociativeCache(Component):
         different sets the line is physically moved (hardware would make
         an explicit copy in that case — Section 4.3.3).
         """
-        where = self._where.get(old_tag)
-        if where is None or new_tag in self._where:
+        where = self._where
+        line = where.get(old_tag)
+        if line is None or new_tag in where:
             return False
-        set_index, way = where
-        line = self._lines[set_index][way]
-        new_set = self._set_index(new_tag)
+        del where[old_tag]
         line.tag = new_tag
-        if new_set == set_index:
-            del self._where[old_tag]
-            self._where[new_tag] = (set_index, way)
+        set_index = line.set_index
+        if new_tag % self.num_sets == set_index:
+            where[new_tag] = line
             return True
         # Cross-set move: evict from the old slot, fill into the new set.
-        self._lines[set_index][way] = None
+        # Known bug, kept until the results are regenerated: a dirty
+        # victim of this fill is dropped, never spilled (pinned by a
+        # strict xfail in tests/test_mem_hierarchy.py).
+        self._lines[set_index][line.way] = None
         self._occupancy[set_index] -= 1
-        del self._where[old_tag]
         self.fill(new_tag, data=line.data, dirty=line.dirty)
         return True
 

@@ -124,32 +124,20 @@ class MemoryHierarchy(Component):
 
     # -- eviction plumbing ---------------------------------------------------------
 
-    def _spill(self, level: SetAssociativeCache,
-               evicted: Optional[EvictedLine]) -> None:
-        """Push a dirty eviction one level down (non-inclusive hierarchy)."""
-        if evicted is None or not evicted.dirty:
-            return
+    def _spill(self, level: SetAssociativeCache, evicted: EvictedLine) -> None:
+        """Push a dirty victim of *level* down the non-inclusive hierarchy:
+        each fill's own dirty victim carries on down, out of the L3 to
+        the writeback port."""
         if level is self.l1:
-            victim = self.l2.fill(evicted.tag, data=evicted.data, dirty=True)
-            self._spill(self.l2, victim)
-        elif level is self.l2:
-            victim = self.l3.fill(evicted.tag, data=evicted.data, dirty=True)
-            self._spill(self.l3, victim)
-        else:
-            self.writeback_port.writeback(evicted.tag, evicted.data)
-
-    def _fill_upward(self, tag: int, data: Optional[bytes],
-                     dirty: bool = False) -> None:
-        """Install a fetched line into L3, L2 and L1, spilling victims."""
-        evicted = self.l3.fill(tag, data=data, dirty=False)
-        if evicted is not None and evicted.dirty:
-            self._spill(self.l3, evicted)
-        evicted = self.l2.fill(tag, data=data, dirty=False)
-        if evicted is not None and evicted.dirty:
-            self._spill(self.l2, evicted)
-        evicted = self.l1.fill(tag, data=data, dirty=dirty)
-        if evicted is not None and evicted.dirty:
-            self._spill(self.l1, evicted)
+            evicted = self.l2.fill(evicted.tag, data=evicted.data, dirty=True)
+            if evicted is None:
+                return
+            level = self.l2
+        if level is self.l2:
+            evicted = self.l3.fill(evicted.tag, data=evicted.data, dirty=True)
+            if evicted is None:
+                return
+        self.writeback_port.writeback(evicted.tag, evicted.data)
 
     # -- the demand path --------------------------------------------------------
 
@@ -183,16 +171,14 @@ class MemoryHierarchy(Component):
         if now is not None:
             self._now = now
         l1 = self.l1
-        where = l1._where.get(tag)
-        if where is not None:
-            set_index, way = where
-            line = l1._lines[set_index][way]
+        line = l1._where.get(tag)
+        if line is not None:
             if l1._policy_is_lru:
                 policy = l1._policy
                 policy._clock += 1
-                policy._last_use[set_index][way] = policy._clock
+                policy._last_use[line.set_index][line.way] = policy._clock
             else:
-                l1._policy.on_hit(set_index, way)
+                l1._policy.on_hit(line.set_index, line.way)
             stats = l1.stats
             stats.hits += 1
             if line.prefetched:
@@ -216,20 +202,21 @@ class MemoryHierarchy(Component):
         exactly the operations (stats, LRU touches, hook emissions) the
         un-inlined calls would.
         """
+        l1 = self.l1
         l2 = self.l2
-        if l2._where.get(tag) is not None:
+        line = l2._where.get(tag)
+        if line is not None:
             _hit, latency = l2.access(tag, write=False)
-            line = l2.lookup(tag)
             # Dirty ownership moves *up* with the data: leaving the L2
             # copy dirty would create a stale dirty duplicate that a
             # later flush or eviction writes back over fresher data.
             promoted_dirty = write or line.dirty
             line.dirty = False
-            evicted = self.l1.fill(tag, data=line.data, dirty=promoted_dirty)
-            if evicted is not None and evicted.dirty:
-                self._spill(self.l1, evicted)
+            evicted = l1.fill(tag, data=line.data, dirty=promoted_dirty)
+            if evicted is not None:
+                self._spill(l1, evicted)
             if data is not None and write:
-                self.l1.access(tag, write=True, data=data)
+                l1.access(tag, write=True, data=data)
             return latency, "L2"
         l2.stats.misses += 1
         latency = l2.miss_latency
@@ -239,20 +226,20 @@ class MemoryHierarchy(Component):
             self._prefetch(pf_tag)
 
         l3 = self.l3
-        if l3._where.get(tag) is not None:
+        line = l3._where.get(tag)
+        if line is not None:
             _hit, cycles = l3.access(tag, write=False)
             latency += cycles
-            line = l3.lookup(tag)
             promoted_dirty = write or line.dirty
             line.dirty = False
             evicted = l2.fill(tag, data=line.data, dirty=False)
-            if evicted is not None and evicted.dirty:
+            if evicted is not None:
                 self._spill(l2, evicted)
-            evicted = self.l1.fill(tag, data=line.data, dirty=promoted_dirty)
-            if evicted is not None and evicted.dirty:
-                self._spill(self.l1, evicted)
+            evicted = l1.fill(tag, data=line.data, dirty=promoted_dirty)
+            if evicted is not None:
+                self._spill(l1, evicted)
             if data is not None and write:
-                self.l1.access(tag, write=True, data=data)
+                l1.access(tag, write=True, data=data)
             return latency, "L3"
         l3.stats.misses += 1
         latency += l3.miss_latency
@@ -281,10 +268,19 @@ class MemoryHierarchy(Component):
             HOOKS.active.emit(None, "port", fetch_port.name,
                               {"op": "fetch", "tag": tag})
         fetch_port._requests.value += 1
+        # Fill L3, L2, L1 in turn, spilling each dirty victim at once.
         fill_data = fetch_port._handler(tag)
-        self._fill_upward(tag, data=fill_data, dirty=write)
+        evicted = l3.fill(tag, data=fill_data)
+        if evicted is not None:
+            self._spill(l3, evicted)
+        evicted = l2.fill(tag, data=fill_data)
+        if evicted is not None:
+            self._spill(l2, evicted)
+        evicted = l1.fill(tag, data=fill_data, dirty=write)
+        if evicted is not None:
+            self._spill(l1, evicted)
         if data is not None and write:
-            self.l1.access(tag, write=True, data=data)
+            l1.access(tag, write=True, data=data)
         return latency, "MEM"
 
     def _prefetch(self, tag: int) -> None:
@@ -292,7 +288,7 @@ class MemoryHierarchy(Component):
         if tag < 0:
             return
         l3 = self.l3
-        if l3._where.get(tag) is not None:
+        if tag in l3._where:
             return
         # Inlined MissPort.resolve / FetchPort.fetch (as in
         # _access_below_l1): same counters, handlers, hook emissions.
@@ -316,7 +312,7 @@ class MemoryHierarchy(Component):
                               {"op": "fetch", "tag": tag})
         fetch_port._requests.value += 1
         evicted = l3.fill(tag, data=fetch_port._handler(tag), prefetch=True)
-        if evicted is not None and evicted.dirty:
+        if evicted is not None:
             self._spill(l3, evicted)
 
     # -- maintenance operations ----------------------------------------------------

@@ -55,23 +55,21 @@ class StreamPrefetcher:
         self._clock = 0
         self.stats = PrefetcherStats()
 
-    def _find_stream(self, line: int) -> _Stream:
+    def on_miss(self, line: int) -> List[int]:
+        """Train on an L2 demand miss at *line*; return lines to prefetch."""
+        self._clock += 1
+        # The first stream *line* falls near (within the training window)
+        # or ahead of (within the prefetch distance, in its direction).
         window = self.train_window
         distance = self.distance
         for stream in self._streams:
             delta = line - stream.last_line
             if -window <= delta <= window:
-                return stream
+                break
             direction = stream.direction
             if direction and 0 <= delta * direction <= distance:
-                return stream
-        return None
-
-    def on_miss(self, line: int) -> List[int]:
-        """Train on an L2 demand miss at *line*; return lines to prefetch."""
-        self._clock += 1
-        stream = self._find_stream(line)
-        if stream is None:
+                break
+        else:
             if len(self._streams) >= self.entries:
                 victim = self._streams[0]
                 best = victim.lru
@@ -80,14 +78,12 @@ class StreamPrefetcher:
                         best = candidate.lru
                         victim = candidate
                 self._streams.remove(victim)
-            stream = _Stream(last_line=line, lru=self._clock)
-            self._streams.append(stream)
+            self._streams.append(_Stream(last_line=line, lru=self._clock))
             self.stats.allocations += 1
             return []
 
         self.stats.trainings += 1
         stream.lru = self._clock
-        delta = line - stream.last_line
         if delta == 0:
             return []
         direction = 1 if delta > 0 else -1
@@ -104,7 +100,7 @@ class StreamPrefetcher:
         # Issue up to `degree` prefetches, never farther than `distance`
         # lines ahead of the demand miss.
         prefetches = []
-        limit = line + direction * self.distance
+        limit = line + direction * distance
         candidate = max(stream.next_prefetch * direction, (line + direction) * direction) * direction
         for _ in range(self.degree):
             if (limit - candidate) * direction < 0:

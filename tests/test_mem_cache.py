@@ -50,9 +50,9 @@ class TestFillAndEvict:
         # Tags 0, 2, 4 all map to set 0.
         cache.fill(0)
         cache.fill(2)
-        evicted = cache.fill(4)
-        assert evicted is not None
-        assert evicted.tag == 0  # LRU
+        assert cache.fill(4) is None  # a clean victim is not reported
+        assert 0 not in cache  # LRU
+        assert 2 in cache and 4 in cache
         assert cache.stats.evictions == 1
 
     def test_dirty_eviction_reports_data(self):
@@ -75,8 +75,10 @@ class TestFillAndEvict:
         cache.fill(0)
         cache.fill(2)
         cache.access(0)          # 0 is MRU; 2 is LRU
-        evicted = cache.fill(4)
-        assert evicted.tag == 2
+        assert cache.fill(4) is None
+        assert 2 not in cache
+        assert 0 in cache and 4 in cache
+        assert cache.stats.evictions == 1
 
     def test_len_and_contains(self):
         cache = make()

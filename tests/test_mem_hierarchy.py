@@ -154,3 +154,46 @@ class TestPrefetcherIntegration:
         for tag in pf_tags:
             line = hierarchy.l3.lookup(tag)
             assert line.data == bytes([tag % 64]) * 64
+
+
+class TestKnownBugs:
+    """Defects whose fixes change committed results.  Each test asserts
+    the intended behaviour and fails today; a fix turns it into an XPASS,
+    which strict mode reports, so the fix must land with the regenerated
+    results and without the marker."""
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="a cross-set retag drops the dirty victim "
+                              "of its fill: no writeback, data lost")
+    def test_cross_set_retag_keeps_dirty_victim(self):
+        backend = RecordingBackend()
+        hierarchy = MemoryHierarchy(
+            resolve_miss=backend.resolve, handle_writeback=backend.writeback,
+            fetch_data=backend.fetch,
+            l1_kwargs=dict(size_bytes=2 * 64, ways=1))  # 2 sets, 1 way
+        data = b"v" * 64
+        hierarchy.access(1, write=True, data=data)  # dirty only in L1 set 1
+        hierarchy.access(0)                          # L1 set 0
+        assert hierarchy.l1.lookup(1).dirty
+        assert hierarchy.retag(0, 3)  # L1 set 0 -> set 1, evicting tag 1
+        assert 1 not in hierarchy.l1
+        hierarchy.flush_dirty()
+        assert (1, data) in backend.writebacks
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the DRAM read is issued l1.miss_latency "
+                              "cycles before the L3 miss is known")
+    def test_dram_read_issues_after_all_three_tag_probes(self):
+        hierarchy, _ = make()
+        issued = []
+        read = hierarchy.dram.read
+
+        def spy(address, now=0):
+            issued.append(now)
+            return read(address, now)
+
+        hierarchy.dram.read = spy
+        hierarchy.access(100, now=1000)
+        assert issued == [1000 + hierarchy.l1.miss_latency
+                          + hierarchy.l2.miss_latency
+                          + hierarchy.l3.miss_latency]

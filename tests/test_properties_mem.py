@@ -51,6 +51,52 @@ class TestCacheModelEquivalence:
             assert len(cache) <= 8
 
 
+cache_ops = st.lists(
+    st.tuples(st.sampled_from(["fill", "access", "invalidate", "retag"]),
+              st.integers(0, 63), st.integers(0, 63), st.booleans(),
+              st.integers(0, 255)),
+    min_size=1, max_size=150)
+
+
+class TestResidentMap:
+    @slow
+    @given(cache_ops, st.sampled_from(["lru", "drrip"]))
+    def test_map_matches_slots_and_fill_reports_dirty_victims(
+            self, sequence, policy):
+        """The resident map holds the very line object in each slot, and
+        a line leaving through fill() is returned iff it was dirty."""
+        cache = SetAssociativeCache("R", size_bytes=8 * 64 * 2, ways=2,
+                                    policy=policy)
+        for op, tag, other, flag, value in sequence:
+            data = bytes([value]) * 64
+            if op == "fill":
+                before = {t: (line.dirty, line.data)
+                          for t, line in cache._where.items()}
+                evictions = cache.stats.evictions
+                evicted = cache.fill(tag, data=data if flag else None,
+                                     dirty=flag)
+                gone = set(before) - set(cache._where)
+                assert len(gone) == cache.stats.evictions - evictions <= 1
+                if gone and before[next(iter(gone))][0]:
+                    victim = next(iter(gone))
+                    assert evicted is not None
+                    assert (evicted.tag, evicted.dirty, evicted.data) == (
+                        victim, True, before[victim][1])
+                else:
+                    assert evicted is None
+            elif op == "access":
+                cache.access(tag, write=flag, data=data if flag else None)
+            elif op == "invalidate":
+                cache.invalidate(tag)
+            else:
+                cache.retag(tag, other)
+            for resident, line in cache._where.items():
+                assert line.tag == resident
+                assert cache._lines[line.set_index][line.way] is line
+                assert line.set_index == resident % cache.num_sets
+            assert len(cache._where) == sum(cache._occupancy)
+
+
 class TestHierarchyEquivalence:
     @slow
     @given(ops)
@@ -175,5 +221,8 @@ class TestVictimSelection:
             stamps = list(cache._policy._last_use[0])
             victim_tag = (cache._lines[0][reference_lru_victim(stamps)].tag
                           if full else None)
-            evicted = cache.fill(tag)
-            assert (evicted.tag if evicted else None) == victim_tag
+            before = set(cache.resident_tags())
+            evictions = cache.stats.evictions
+            assert cache.fill(tag) is None  # clean victims are dropped
+            assert set(cache.resident_tags()) == before - {victim_tag} | {tag}
+            assert cache.stats.evictions == evictions + full
