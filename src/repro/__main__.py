@@ -103,7 +103,8 @@ def _run_figure11():
 
 def _run_sparsity():
     from .eval.sparsity_sweep import format_sweep, run_sparsity_sweep
-    from .fleet.runner import default_fleet_resume, default_fleet_workers
+    from .fleet.runner import (FleetSummary, default_fleet_resume,
+                               default_fleet_workers)
     workers = default_fleet_workers()
     fleet_summary = {} if workers is not None else None
     points = run_sparsity_sweep(fleet_workers=workers,
@@ -111,13 +112,7 @@ def _run_sparsity():
                                 fleet_summary=fleet_summary)
     print(format_sweep(points))
     if fleet_summary:
-        corrupt = fleet_summary.get("corrupt", 0)
-        print(f"[fleet: {fleet_summary['shards']} shard(s): "
-              f"{fleet_summary['hits']} cached, "
-              f"{fleet_summary['misses']} executed, "
-              f"{fleet_summary['workers']} worker(s)"
-              + (f", {corrupt} corrupt artifact(s) recomputed"
-                 if corrupt else "") + "]")
+        print(f"[fleet: {FleetSummary(**fleet_summary).describe()}]")
     return {"points": [asdict(point) for point in points]}
 
 

@@ -39,7 +39,6 @@ LAYER_RANKS: Dict[str, int] = {
     "mem": 1, "core": 1, "cpu": 1, "osmodel": 1, "obs": 1,
     "techniques": 2,
     "eval": 3, "workloads": 3, "sparse": 3, "robust": 3, "fleet": 3,
-    "serve": 4,
 }
 
 

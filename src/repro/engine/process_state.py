@@ -155,21 +155,6 @@ def guarded() -> bool:
     return _GUARDED
 
 
-def ensure_guarded() -> Tuple[str, ...]:
-    """Run :func:`fork_guard` unless it already ran in this process.
-
-    Worker entry points call this first thing: a pool worker whose
-    initializer already guarded it skips the double reset (which would
-    wipe state the attempt just armed), while a bare
-    ``multiprocessing.Process`` body — the job service's per-attempt
-    workers — gets the same fresh-interpreter guarantee the fleet's
-    initializer provides.  Returns the slot names in effect.
-    """
-    if _GUARDED:
-        return registered()
-    return fork_guard()
-
-
 def _reset_guard_marker() -> None:
     global _GUARDED
     _GUARDED = False

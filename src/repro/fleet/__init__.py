@@ -1,12 +1,11 @@
 """repro.fleet — sharded campaign execution: parallel, resumable, cached.
 
-The "heavy traffic" substrate of ROADMAP item 1 (rank 3, next to the
-sweeps it decomposes).  Every sweep in the repo is a pure function of
-its seeds and its :class:`~repro.config.SystemConfig`, which makes it
-decomposable into independent **shards** — one fault-campaign trial,
-one sparsity point — that can run on any worker, in any order, at any
-time, and still merge into the byte-identical serial artifact.  Three
-pieces:
+Rank 3 in the layer DAG, next to the sweeps it decomposes.  Every
+sweep in the repo is a pure function of its seeds and its
+:class:`~repro.config.SystemConfig`, which makes it decomposable into
+independent **shards** — one fault-campaign trial, one sparsity point —
+that can run on any worker, in any order, at any time, and still merge
+into the byte-identical serial artifact.  Three pieces:
 
 * :mod:`repro.fleet.shards` — the :class:`Shard` work unit (kind +
   params + deterministic manifest half) and its SHA-256 content
@@ -14,7 +13,7 @@ pieces:
 * :mod:`repro.fleet.cache` — one crash-safe artifact per executed
   shard under ``results/fleet/<name>/<key>.json``; complete-or-absent
   by construction, validated on every read;
-* :mod:`repro.fleet.runner` — :func:`run_fleet`: cache scan, then a
+* :mod:`repro.fleet.runner` — :func:`run_fleet`: cache lookup, then a
   ``ProcessPoolExecutor`` whose workers start behind
   :func:`repro.engine.process_state.fork_guard`, then an in-order
   merge; :class:`FleetSummary` reports shard-level hit/miss counters.
@@ -24,9 +23,8 @@ N)`` and ``repro.eval.sparsity_sweep.run_sparsity_sweep(fleet_workers=
 N)``; the CLIs expose ``--fleet-workers N`` / ``--resume``.
 """
 
-from .cache import (MISS, SHARD_CACHE_SCHEMA, CacheScan, load_shard_result,
-                    probe_shard_result, scan_cache, shard_cache_path,
-                    store_shard_result)
+from .cache import (MISS, SHARD_CACHE_SCHEMA, probe_shard_result,
+                    shard_cache_path, store_shard_result)
 from .runner import (FALLBACK_WORKERS, WORKERS_ENV, FleetResult,
                      FleetSummary, default_fleet_resume,
                      default_fleet_workers, resolve_worker_count, run_fleet,
@@ -35,7 +33,6 @@ from .shards import (FLEET_FORMAT, SHARD_RUNNERS, Shard, ShardError,
                      execute_shard)
 
 __all__ = [
-    "CacheScan",
     "FALLBACK_WORKERS",
     "FLEET_FORMAT",
     "FleetResult",
@@ -49,11 +46,9 @@ __all__ = [
     "default_fleet_resume",
     "default_fleet_workers",
     "execute_shard",
-    "load_shard_result",
     "probe_shard_result",
     "resolve_worker_count",
     "run_fleet",
-    "scan_cache",
     "set_default_fleet",
     "shard_cache_path",
     "store_shard_result",

@@ -4,8 +4,8 @@ Each executed shard leaves one artifact at
 ``<cache_dir>/<shard.key()>.json`` holding the shard's identity (kind,
 key, params, deterministic manifest) plus its payload, written through
 the crash-safe :func:`repro.obs.export.write_json` — a worker killed
-mid-write can never leave a torn entry, so every file the resume scan
-finds is complete.
+mid-write can never leave a torn entry, so every file a resume finds
+is complete.
 
 A cache *hit* requires the stored document to validate against
 :data:`SHARD_CACHE_SCHEMA`, carry the current :data:`~repro.fleet.
@@ -18,9 +18,8 @@ but can never corrupt a merged result.
 from __future__ import annotations
 
 import json
-import sys
 from pathlib import Path
-from typing import Any, Iterator, List, Optional, Tuple, Union
+from typing import Any, Tuple, Union
 
 from ..obs.export import write_json
 from ..obs.schema import schema_errors
@@ -65,35 +64,6 @@ def store_shard_result(cache_dir: Union[str, Path], shard: Shard,
     return write_json(shard_cache_path(cache_dir, shard), doc)
 
 
-def _read_artifact(path: Path,
-                   expected_key: str) -> Tuple[Optional[dict], List[str]]:
-    """``(document, problems)`` for the artifact at *path*.
-
-    A valid entry returns ``(doc, [])``.  A missing file reports
-    ``(None, ["absent"])`` so callers can distinguish "never computed"
-    from "computed but mangled" (truncated by something other than the
-    atomic writer, hand-edited, foreign format...).
-    """
-    try:
-        text = path.read_text()
-    except FileNotFoundError:
-        return None, ["absent"]
-    except OSError as error:
-        return None, [f"unreadable: {error}"]
-    try:
-        doc = json.loads(text)
-    except ValueError as error:
-        return None, [f"not JSON: {error}"]
-    problems = schema_errors(doc, SHARD_CACHE_SCHEMA)
-    if problems:
-        return None, problems
-    if doc["fleet_format"] != FLEET_FORMAT:
-        return None, [f"foreign fleet_format {doc['fleet_format']!r}"]
-    if doc["key"] != expected_key:
-        return None, [f"embedded key {doc['key']!r} != {expected_key!r}"]
-    return doc, []
-
-
 def probe_shard_result(cache_dir: Union[str, Path],
                        shard: Shard) -> Tuple[Any, bool]:
     """``(payload, corrupt)`` for *shard*'s cache entry.
@@ -106,67 +76,18 @@ def probe_shard_result(cache_dir: Union[str, Path],
     and overwritten; the flag only feeds the
     :class:`~repro.fleet.runner.FleetSummary` ``corrupt`` counter.
     """
-    path = shard_cache_path(cache_dir, shard)
-    doc, problems = _read_artifact(path, shard.key())
-    if doc is not None:
-        if doc["kind"] != shard.kind:
-            return MISS, True
-        return doc["payload"], False
-    return MISS, problems != ["absent"]
-
-
-def load_shard_result(cache_dir: Union[str, Path], shard: Shard) -> Any:
-    """The cached payload for *shard*, or :data:`MISS`.
-
-    Only a complete, schema-valid document whose embedded key matches
-    the shard's own content address counts as a hit; a missing,
-    corrupt, foreign-format or mismatched entry is a miss (the runner
-    recomputes and overwrites it).
-    """
-    payload, _ = probe_shard_result(cache_dir, shard)
-    return payload
-
-
-class CacheScan:
-    """Iterator over the valid shard keys under a cache directory.
-
-    Corrupt artifacts — files a crash or a stray editor left behind
-    that no longer parse, validate, or match their own filename — are
-    *skipped*, tallied on :attr:`corrupt`, and reported in one warning
-    line, instead of aborting the scan: a resume must never be blocked
-    by the debris of the crash it is resuming from.
-    """
-
-    def __init__(self, cache_dir: Union[str, Path]):
-        self._directory = Path(cache_dir)
-        self.corrupt = 0
-        self.scanned = 0
-
-    def __iter__(self) -> Iterator[str]:
-        if not self._directory.is_dir():
-            return
-        bad: List[str] = []
-        for entry in sorted(self._directory.glob("*.json")):
-            self.scanned += 1
-            doc, _ = _read_artifact(entry, entry.stem)
-            if doc is None:
-                self.corrupt += 1
-                bad.append(entry.name)
-                continue
-            yield entry.stem
-        if bad:
-            print(f"[fleet cache: skipped {len(bad)} corrupt artifact(s) "
-                  f"under {self._directory}: {', '.join(bad)}]",
-                  file=sys.stderr)
-
-
-def scan_cache(cache_dir: Union[str, Path]) -> CacheScan:
-    """The shard keys with a *valid* artifact present under *cache_dir*.
-
-    This is the resume-after-kill primitive: a fresh fleet run scans
-    the directory a killed run left behind and skips every key found
-    here (subject to the per-shard validation in
-    :func:`load_shard_result`).  The returned :class:`CacheScan`
-    iterates the keys and counts the corrupt entries it skipped.
-    """
-    return CacheScan(cache_dir)
+    try:
+        text = shard_cache_path(cache_dir, shard).read_text()
+    except FileNotFoundError:
+        return MISS, False
+    except OSError:
+        return MISS, True
+    try:
+        doc = json.loads(text)
+    except ValueError:
+        return MISS, True
+    if (schema_errors(doc, SHARD_CACHE_SCHEMA)
+            or doc["fleet_format"] != FLEET_FORMAT
+            or doc["key"] != shard.key() or doc["kind"] != shard.kind):
+        return MISS, True
+    return doc["payload"], False

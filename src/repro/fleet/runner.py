@@ -7,7 +7,7 @@ Shard`\\ s and returns their payloads in shard order, plus a
 * with ``resume=True`` every shard is first looked up in the
   content-addressed cache (:mod:`repro.fleet.cache`); hits skip
   simulation entirely — a killed run's surviving artifacts are found by
-  exactly this scan, which is all "resume-after-kill" is;
+  exactly this lookup, which is all "resume-after-kill" is;
 * misses execute on a ``concurrent.futures.ProcessPoolExecutor`` whose
   workers are initialised with :func:`repro.engine.process_state.
   fork_guard`, so each worker starts from import-time process state and
@@ -25,7 +25,7 @@ explicit value, then ``$REPRO_FLEET_WORKERS``, then ``os.cpu_count()``
 the fast path for tests.
 
 The CLI's ``--fleet-workers`` / ``--resume`` flags set process-wide
-defaults here (mirroring the engine-mode and watchdog patterns), and
+defaults here (mirroring the watchdog's ``--max-cycles`` default), and
 both defaults are registered with :mod:`repro.engine.process_state` so
 ``reset_all``/``fork_guard`` restore them in workers.
 """

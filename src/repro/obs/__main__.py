@@ -11,10 +11,9 @@ Usage::
 ``validate`` routes each file by suffix — ``*.trace.json`` to the
 Chrome-trace shape, ``*.metrics.json`` to the time-series schema,
 ``*.profile.json`` to the cycle-accounting schema, ``*.faults.json``
-to the fault-campaign schema, ``*.queue.json`` / ``*.stats.json`` /
-``*.endpoint.json`` to the job-service schemas, everything else to the
-full run-document schema — and exits nonzero if any artifact fails;
-this is the CI gate for uploaded artifacts.
+to the fault-campaign schema, everything else to the full run-document
+schema — and exits nonzero if any artifact fails; this is the CI gate
+for uploaded artifacts.
 
 ``compare`` prints a differential report of two documents' numeric
 leaves (environment sections excluded) and exits nonzero when any
@@ -39,9 +38,7 @@ from .compare import (compare_files, flatten_document, format_compare,
 from .metrics import format_metrics
 from .profile import format_profile
 from .schema import (FAULTS_SCHEMA, METRICS_SCHEMA, PROFILE_SCHEMA,
-                     RUN_SCHEMA, SERVICE_ENDPOINT_SCHEMA,
-                     SERVICE_QUEUE_SCHEMA, SERVICE_STATS_SCHEMA,
-                     schema_errors)
+                     RUN_SCHEMA, schema_errors)
 
 _CHROME_TRACE_SCHEMA = {
     "type": "object",
@@ -75,12 +72,6 @@ def schema_for(path: Path):
         return PROFILE_SCHEMA
     if path.name.endswith(".faults.json"):
         return FAULTS_SCHEMA
-    if path.name.endswith(".queue.json"):
-        return SERVICE_QUEUE_SCHEMA
-    if path.name.endswith(".stats.json"):
-        return SERVICE_STATS_SCHEMA
-    if path.name.endswith(".endpoint.json"):
-        return SERVICE_ENDPOINT_SCHEMA
     return RUN_SCHEMA
 
 

@@ -37,6 +37,7 @@ from __future__ import annotations
 import sys
 from typing import List, Optional
 
+from ..fleet.runner import FleetSummary
 from .campaign import OUTCOMES, run_campaign
 from .faults import ECC_MODES
 
@@ -164,13 +165,7 @@ def main(argv=None) -> int:
                        fleet_summary=fleet_summary)
     print(_format_summary(doc))
     if fleet_summary:
-        corrupt = fleet_summary.get("corrupt", 0)
-        print(f"[fleet: {fleet_summary['shards']} shard(s): "
-              f"{fleet_summary['hits']} cached, "
-              f"{fleet_summary['misses']} executed, "
-              f"{fleet_summary['workers']} worker(s)"
-              + (f", {corrupt} corrupt artifact(s) recomputed"
-                 if corrupt else "") + "]")
+        print(f"[fleet: {FleetSummary(**fleet_summary).describe()}]")
     print(f"[wrote {(results_dir or 'results')}/{name}.faults.json]")
     return 0
 

@@ -1,6 +1,6 @@
-"""End-to-end job-service suites (``pytest -m integration``).
+"""End-to-end checks over whole paper experiments (``pytest -m integration``).
 
-These drive the real HTTP surface — sockets, worker child processes,
-SIGTERM'd subprocesses — so they live behind the ``integration``
-marker, out of the default fast tier; CI's ``service`` job runs them.
+Each case runs a full experiment at the paper's settings, so the tier
+lives behind the ``integration`` marker, out of the default fast tier;
+CI's ``full`` job runs it.
 """

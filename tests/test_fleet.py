@@ -32,9 +32,8 @@ from repro.eval.sparsity_sweep import run_sparsity_sweep, sparsity_shards
 from repro.fleet import (FALLBACK_WORKERS, FLEET_FORMAT, MISS, Shard,
                          ShardError, WORKERS_ENV, default_fleet_resume,
                          default_fleet_workers, execute_shard,
-                         load_shard_result, probe_shard_result,
-                         resolve_worker_count, run_fleet, scan_cache,
-                         set_default_fleet, shard_cache_path,
+                         probe_shard_result, resolve_worker_count,
+                         run_fleet, set_default_fleet, shard_cache_path,
                          store_shard_result)
 from repro.robust.campaign import run_campaign
 
@@ -119,15 +118,14 @@ class TestCache:
         payload = {"value": 42, "nested": [1, 2]}
         path = store_shard_result(tmp_path, shard, payload)
         assert path == shard_cache_path(tmp_path, shard)
-        assert load_shard_result(tmp_path, shard) == payload
-        assert list(scan_cache(tmp_path)) == [shard.key()]
+        assert probe_shard_result(tmp_path, shard) == (payload, False)
 
     def test_absent_and_corrupt_entries_miss(self, tmp_path):
         shard = _shard()
-        assert load_shard_result(tmp_path, shard) is MISS
+        assert probe_shard_result(tmp_path, shard)[0] is MISS
         shard_cache_path(tmp_path, shard).parent.mkdir(exist_ok=True)
         shard_cache_path(tmp_path, shard).write_text("{ torn")
-        assert load_shard_result(tmp_path, shard) is MISS
+        assert probe_shard_result(tmp_path, shard)[0] is MISS
 
     def test_schema_invalid_and_foreign_format_miss(self, tmp_path):
         shard = _shard()
@@ -135,11 +133,11 @@ class TestCache:
         doc = json.loads(path.read_text())
         doc["extra"] = True
         path.write_text(json.dumps(doc))
-        assert load_shard_result(tmp_path, shard) is MISS
+        assert probe_shard_result(tmp_path, shard)[0] is MISS
         del doc["extra"]
         doc["fleet_format"] = FLEET_FORMAT + 1
         path.write_text(json.dumps(doc))
-        assert load_shard_result(tmp_path, shard) is MISS
+        assert probe_shard_result(tmp_path, shard)[0] is MISS
 
     def test_key_mismatch_misses(self, tmp_path):
         """A tampered or hand-moved entry never supplies a payload."""
@@ -148,10 +146,7 @@ class TestCache:
         doc = json.loads(path.read_text())
         doc["key"] = "0" * 64
         path.write_text(json.dumps(doc))
-        assert load_shard_result(tmp_path, shard) is MISS
-
-    def test_scan_cache_on_missing_directory(self, tmp_path):
-        assert list(scan_cache(tmp_path / "nowhere")) == []
+        assert probe_shard_result(tmp_path, shard)[0] is MISS
 
     def test_probe_distinguishes_absent_from_corrupt(self, tmp_path):
         shard = _shard()
@@ -160,18 +155,6 @@ class TestCache:
         shard_cache_path(tmp_path, shard).write_text("{ torn")
         payload, corrupt = probe_shard_result(tmp_path, shard)
         assert payload is MISS and corrupt
-
-    def test_scan_skips_and_counts_corrupt_artifacts(self, tmp_path,
-                                                     capsys):
-        shard = _shard()
-        store_shard_result(tmp_path, shard, {"v": 1})
-        (tmp_path / ("0" * 64 + ".json")).write_text("{ torn")
-        (tmp_path / ("1" * 64 + ".json")).write_text('{"not": "a shard"}')
-        scan = scan_cache(tmp_path)
-        assert list(scan) == [shard.key()]
-        assert scan.corrupt == 2 and scan.scanned == 3
-        err = capsys.readouterr().err
-        assert err.count("corrupt artifact") == 1
 
     def test_run_fleet_recomputes_corrupt_entries(self, tmp_path):
         shards = sparsity_shards(16, 16, [0.0, 0.5], 21)
@@ -321,7 +304,7 @@ class TestResumeAfterKill:
         finally:
             os.killpg(child.pid, signal.SIGKILL)
             child.wait()
-        survivors = len(list(scan_cache(cache)))
+        survivors = len(list(cache.glob("*.json")))
         summary = {}
         resumed = run_campaign("kill", rates=(0.0, 0.01, 0.05), trials=2,
                                ops=40, pages=2, seed=9,

@@ -5,6 +5,8 @@ The contract under test (DESIGN.md "Robustness"):
 * ``SystemConfig`` rejects impossible machines at construction;
 * the ``max_sim_cycles`` watchdog turns a hung simulation into a
   diagnosable :class:`SimulationHangError`;
+* that error survives ``pickle`` and a process-pool round trip, as the
+  fleet's worker pools need;
 * ``write_json`` is crash-safe — a killed writer never leaves a torn
   artifact, a failed serialisation never destroys the previous one;
 * malformed textual traces fail loudly at parse time;
@@ -14,10 +16,12 @@ The contract under test (DESIGN.md "Robustness"):
 
 import json
 import os
+import pickle
 import signal
 import subprocess
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -128,6 +132,32 @@ class TestWatchdog:
         finally:
             set_default_max_cycles(None)
         capsys.readouterr()
+
+
+
+
+class TestHangErrorPickling:
+    def test_roundtrip_preserves_diagnosis(self):
+        error = SimulationHangError(10, {"cycles": 10, "pc": 4})
+        clone = pickle.loads(pickle.dumps(error))
+        assert isinstance(clone, SimulationHangError)
+        assert clone.limit == 10
+        assert clone.snapshot == {"cycles": 10, "pc": 4}
+        assert str(clone) == str(error)
+
+    def test_survives_a_process_pool(self):
+        """The original failure mode: a hang raised inside a pool
+        worker must arrive in the parent as itself, not as the opaque
+        unpickling crash it used to be."""
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            future = pool.submit(_raise_hang)
+            with pytest.raises(SimulationHangError) as caught:
+                future.result(timeout=60)
+        assert caught.value.limit == 3
+
+
+def _raise_hang():
+    raise SimulationHangError(3, {"cycles": 3})
 
 
 class TestCrashSafeWriteJson:

@@ -9,8 +9,7 @@ import pytest
 
 PACKAGES = ["repro", "repro.core", "repro.mem", "repro.cpu",
             "repro.osmodel", "repro.techniques", "repro.sparse",
-            "repro.workloads", "repro.eval", "repro.robust", "repro.fleet",
-            "repro.serve"]
+            "repro.workloads", "repro.eval", "repro.robust", "repro.fleet"]
 
 
 class TestExports:
