@@ -1,37 +1,13 @@
-"""Design ablations called out in DESIGN.md.
+"""Design ablations called out in DESIGN.md (`repro.eval.ablations`).
 
-1. **OMT-cache size** (Section 4.4.4): overlay-heavy SpMV with 0..256
-   OMT-cache entries — every entry removed turns overlay misses into OMT
-   walks.
-2. **Segment-size ladder** (Section 4.4.2): overlay memory with the full
-   256B..4KB ladder vs only-4KB segments — the ladder is what delivers
-   the capacity benefit for sparse overlays.
-3. **Remap mechanism** (Section 4.3.3): overlaying writes whose TLB
-   update uses the coherence message vs a full TLB shootdown — the
-   coherence-based remap is what keeps overlay-on-write off the critical
-   path.
-
-``python benchmarks/bench_ablations.py`` prints all three tables.
+``pytest benchmarks/bench_ablations.py --benchmark-only`` times a short
+run of each ablation and asserts its direction; ``python -m repro
+ablations`` prints all four tables.
 """
 
-from repro.core.address import LINES_PER_PAGE, PAGE_SIZE
-from repro.core.oms import smallest_segment_for
-from repro.obs import benchmark_run
-from repro.osmodel.kernel import Kernel
-from repro.sparse.matrix_gen import generate_with_locality
-from repro.sparse.spmv import run_spmv
-from repro.techniques.overlay_on_write import OverlayOnWritePolicy
-
-ROWS, COLS, NNZ = 64, 262144, 4000
-OMT_SIZES = (0, 8, 64, 256)
-
-
-# -- ablation 1: OMT cache size -------------------------------------------------
-
-def omt_cache_sweep(sizes=OMT_SIZES, locality=2.0):
-    matrix = generate_with_locality(ROWS, COLS, NNZ, locality, seed=9)
-    return {size: run_spmv(matrix, "overlay", omt_cache_entries=size).cycles
-            for size in sizes}
+from repro.eval.ablations import (omt_cache_sweep, remap_mechanism_comparison,
+                                  segment_ladder_comparison,
+                                  tlb_fill_cost_comparison)
 
 
 def test_ablation_omt_cache(benchmark):
@@ -41,73 +17,16 @@ def test_ablation_omt_cache(benchmark):
     assert cycles[0] > cycles[64]
 
 
-# -- ablation 2: segment-size ladder ----------------------------------------------
-
-def segment_ladder_comparison(lines_per_overlay=(1, 3, 7, 15, 31, 64),
-                              overlays_per_class=100):
-    """Memory for a population of overlays, ladder vs only-4KB segments."""
-    ladder = sum(smallest_segment_for(count) * overlays_per_class
-                 for count in lines_per_overlay)
-    only_4k = PAGE_SIZE * overlays_per_class * len(lines_per_overlay)
-    return ladder, only_4k
-
-
 def test_ablation_segment_ladder(benchmark):
     ladder, only_4k = benchmark(segment_ladder_comparison)
     # The ladder saves a large fraction for sparse overlays.
     assert ladder < 0.5 * only_4k
 
 
-# -- ablation 3: shootdown-based vs coherence-based remap --------------------------
-
-def remap_mechanism_comparison(writes=64):
-    """Total latency of N overlaying writes under each TLB-update cost."""
-    results = {}
-    for mechanism in ("coherence", "shootdown"):
-        kernel = Kernel()
-        parent = kernel.create_process()
-        kernel.mmap(parent, 0x100, writes, fill=b"ab")
-        kernel.install_cow_policy(OverlayOnWritePolicy(kernel))
-        if mechanism == "shootdown":
-            kernel.system.coherence.message_latency = (
-                kernel.system.coherence.shootdown_latency)
-        kernel.fork(parent)
-        total = 0
-        for page in range(writes):
-            vaddr = (0x100 + page) * PAGE_SIZE
-            total += kernel.system.write(parent.asid, vaddr, b"x" * 8)
-        results[mechanism] = total
-    return results
-
-
 def test_ablation_remap_mechanism(benchmark):
     results = benchmark.pedantic(remap_mechanism_comparison, args=(16,),
                                  rounds=1, iterations=1)
     assert results["coherence"] < results["shootdown"]
-
-
-# -- ablation 4: the extra TLB-fill cost of fetching the OBitVector -----------------
-
-def tlb_fill_cost_comparison(pages=512, accesses=2000):
-    """Section 4.3: overlay-enabled mappings fetch the OBitVector from
-    the OMT on every TLB fill.  Measure a TLB-thrashing workload with
-    overlays on vs off to expose that (small) cost."""
-    from repro.cpu.core import Core
-    from repro.cpu.trace import Trace
-
-    results = {}
-    for overlays in (True, False):
-        kernel = Kernel()
-        kernel.system.overlays_enabled = overlays
-        process = kernel.create_process()
-        kernel.mmap(process, 0x100, pages, fill=b"tl")
-        core = Core(kernel.system, process.asid)
-        trace = Trace.random_in_region(0x100 * PAGE_SIZE,
-                                       pages * PAGE_SIZE, accesses,
-                                       write_fraction=0.0, seed=6)
-        stats = core.run(trace)
-        results[overlays] = stats.cycles
-    return results
 
 
 def test_ablation_tlb_fill_cost(benchmark):
@@ -119,43 +38,3 @@ def test_ablation_tlb_fill_cost(benchmark):
     # Real workloads amortize it — the paper's claim is that overlay
     # benefits "more than offset this additional TLB fill latency".
     assert 0.0 <= overhead < 0.5
-
-
-def main():
-    with benchmark_run("ablations") as run:
-        omt_cycles = omt_cache_sweep()
-        print("Ablation 1: OMT cache size (overlay SpMV cycles, L=2)")
-        for size, cycles in omt_cycles.items():
-            print(f"  {size:>3d} entries: {cycles:>9d} cycles")
-
-        ladder, only_4k = segment_ladder_comparison()
-        print("\nAblation 2: segment ladder vs only-4KB segments")
-        print(f"  full ladder : {ladder / 1024:8.0f} KB")
-        print(f"  only 4KB    : {only_4k / 1024:8.0f} KB "
-              f"({only_4k / ladder:.1f}x more)")
-
-        print("\nAblation 3: remap TLB-update mechanism "
-              "(64 overlaying writes, total latency)")
-        remap_cycles = remap_mechanism_comparison()
-        for mechanism, cycles in remap_cycles.items():
-            print(f"  {mechanism:<10}: {cycles:>9d} cycles")
-
-        print("\nAblation 4: TLB-fill OBitVector fetch cost "
-              "(TLB-thrashing reads)")
-        results = tlb_fill_cost_comparison()
-        overhead = results[True] / results[False] - 1.0
-        print(f"  overlays off: {results[False]:>9d} cycles")
-        print(f"  overlays on : {results[True]:>9d} cycles "
-              f"(+{overhead:.1%} — the Section 4.3 TLB-fill cost)")
-
-        run.record(
-            omt_cache_cycles=omt_cycles,
-            segment_ladder={"ladder_bytes": ladder,
-                            "only_4k_bytes": only_4k},
-            remap_mechanism_cycles=remap_cycles,
-            tlb_fill_cycles={"overlays_on": results[True],
-                             "overlays_off": results[False]})
-
-
-if __name__ == "__main__":
-    main()

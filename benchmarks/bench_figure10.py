@@ -2,16 +2,9 @@
 
 ``pytest benchmarks/bench_figure10.py --benchmark-only`` times the two
 representations at the L extremes and asserts the crossover shape;
-``python benchmarks/bench_figure10.py`` regenerates the full series.
+``python -m repro figure10`` regenerates the full series.
 """
 
-from dataclasses import asdict
-
-import pytest
-
-from repro.eval.spmv_experiment import (crossover_locality, format_figure10,
-                                        run_figure10)
-from repro.obs import benchmark_run
 from repro.sparse.matrix_gen import generate_with_locality
 from repro.sparse.spmv import run_spmv
 
@@ -39,19 +32,3 @@ def test_figure10_high_locality(benchmark):
                                       rounds=1, iterations=1)
     assert overlay.cycles < csr.cycles
     assert overlay.memory_bytes < csr.memory_bytes
-
-
-def main():
-    with benchmark_run("figure10") as run:
-        points = run_figure10(matrix_count=16)
-        print(format_figure10(points))
-        cross = crossover_locality(points)
-        if cross is not None:
-            print(f"[paper: crossover at L ~ 4.5; overlays beat CSR on "
-                  f"34/87 = 39% of matrices]")
-        run.record(points=[asdict(point) for point in points],
-                   crossover_locality=cross)
-
-
-if __name__ == "__main__":
-    main()

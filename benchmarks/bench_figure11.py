@@ -1,15 +1,12 @@
 """Figure 11: memory overhead vs management granularity (16B..4KB, CSR).
 
 ``pytest benchmarks/bench_figure11.py --benchmark-only`` times the
-capacity analysis and asserts its shape; ``python
-benchmarks/bench_figure11.py`` regenerates the full series.
+capacity analysis and asserts its shape; ``python -m repro
+figure11`` regenerates the full series.
 """
 
-from dataclasses import asdict
-
-from repro.eval.granularity_experiment import (BLOCK_SIZES, format_figure11,
-                                               mean_overhead, run_figure11)
-from repro.obs import benchmark_run
+from repro.eval.granularity_experiment import (BLOCK_SIZES, mean_overhead,
+                                               run_figure11)
 
 
 def test_figure11_shape(benchmark):
@@ -31,18 +28,3 @@ def test_figure11_finer_beats_csr_more_often(benchmark):
     beats_64 = sum(1 for p in points
                    if p.block_overheads[64] < p.csr_overhead)
     assert beats_16 >= beats_64
-
-
-def main():
-    with benchmark_run("figure11") as run:
-        points = run_figure11(matrix_count=16)
-        print(format_figure11(points))
-        print(f"[paper: 4KB pages cost ~53x Ideal on average; 64B close to "
-              f"CSR; finer granularities beat CSR on more matrices]")
-        run.record(points=[asdict(point) for point in points],
-                   mean_overheads={size: mean_overhead(points, size)
-                                   for size in BLOCK_SIZES})
-
-
-if __name__ == "__main__":
-    main()

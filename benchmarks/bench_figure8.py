@@ -2,17 +2,13 @@
 
 ``pytest benchmarks/bench_figure8.py --benchmark-only`` times one
 benchmark per write-working-set type and asserts the figure's shape;
-``python benchmarks/bench_figure8.py`` regenerates the full 15-benchmark
+``python -m repro figure8`` regenerates the full 15-benchmark
 series the paper plots.
 """
 
-from dataclasses import asdict
-
 import pytest
 
-from repro.eval.fork_experiment import (format_figure8, run_benchmark,
-                                        run_suite, summarize)
-from repro.obs import benchmark_run
+from repro.eval.fork_experiment import run_benchmark
 
 REPRESENTATIVES = ["hmmer", "lbm", "mcf"]  # one per type
 
@@ -32,18 +28,3 @@ def test_figure8_memory(benchmark, name):
     else:
         # Type 3: overlays save the bulk of the memory.
         assert result.memory_reduction > 0.5
-
-
-def main():
-    with benchmark_run("figure8") as run:
-        results = run_suite()
-        print(format_figure8(results))
-        stats = summarize(results)
-        print(f"\nmean memory reduction (overlay-on-write vs copy-on-write): "
-              f"{stats['memory_reduction']:.0%}  [paper: 53%]")
-        run.record(benchmarks=[asdict(result) for result in results],
-                   summary=stats)
-
-
-if __name__ == "__main__":
-    main()

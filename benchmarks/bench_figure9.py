@@ -1,17 +1,13 @@
 """Figure 9: performance (CPI) after a fork, CoW vs OoW (lower is better).
 
 ``pytest benchmarks/bench_figure9.py --benchmark-only`` times one
-benchmark per type and asserts the performance shape; ``python
-benchmarks/bench_figure9.py`` regenerates the full series.
+benchmark per type and asserts the performance shape; ``python -m repro
+figure9`` regenerates the full series.
 """
-
-from dataclasses import asdict
 
 import pytest
 
-from repro.eval.fork_experiment import (format_figure9, run_benchmark,
-                                        run_suite, summarize)
-from repro.obs import benchmark_run
+from repro.eval.fork_experiment import run_benchmark
 
 REPRESENTATIVES = ["sphinx3", "soplex", "omnet"]  # one per type
 
@@ -26,19 +22,3 @@ def test_figure9_cpi(benchmark, name):
     else:
         # Types 2 and 3: overlay-on-write is faster.
         assert result.oow.cpi < result.cow.cpi
-
-
-def main():
-    with benchmark_run("figure9") as run:
-        results = run_suite()
-        print(format_figure9(results))
-        stats = summarize(results)
-        print(f"\nmean performance improvement (overlay-on-write vs "
-              f"copy-on-write): {stats['performance_improvement']:.0%}  "
-              f"[paper: 15%]")
-        run.record(benchmarks=[asdict(result) for result in results],
-                   summary=stats)
-
-
-if __name__ == "__main__":
-    main()

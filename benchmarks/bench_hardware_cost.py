@@ -1,10 +1,7 @@
 """Section 4.5: hardware storage cost (OMT cache 4KB, TLB +8.5KB,
 tags +82KB, total 94.5KB)."""
 
-from dataclasses import asdict
-
-from repro.eval.hardware_cost import compute_hardware_cost, format_hardware_cost
-from repro.obs import benchmark_run
+from repro.eval.hardware_cost import compute_hardware_cost
 
 
 def test_hardware_cost_matches_paper(benchmark):
@@ -13,15 +10,3 @@ def test_hardware_cost_matches_paper(benchmark):
     assert cost.tlb_extension_bytes == int(8.5 * 1024)
     assert cost.cache_tag_extension_bytes == 82 * 1024
     assert abs(cost.total_bytes - 94.5 * 1024) < 1
-
-
-def main():
-    with benchmark_run("hardware_cost") as run:
-        cost = compute_hardware_cost()
-        print(format_hardware_cost(cost))
-        print("[paper: 4KB + 8.5KB + 82KB = 94.5KB]")
-        run.record(cost=asdict(cost))
-
-
-if __name__ == "__main__":
-    main()

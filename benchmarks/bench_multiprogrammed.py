@@ -1,48 +1,10 @@
-"""Extension bench: multiprogrammed interference on the shared memory
-system (DESIGN.md addition; the paper's platform is a multi-core
-simulator, though its evaluation is single-programmed).
+"""Multiprogrammed interference (`repro.eval.multiprogrammed`): the
+soplex fork study with a streaming co-runner on a second core.
 
-Measures how a co-running memory-intensive neighbour slows down the fork
-experiment's two mechanisms.  Overlay-on-write's advantage should
-persist under contention: the baseline's page copies consume the very
-DRAM bandwidth the neighbour is fighting for.
+``python -m repro multiprogrammed`` prints the full study.
 """
 
-from repro.core.address import PAGE_SIZE
-from repro.cpu.core import Core
-from repro.obs import benchmark_run
-from repro.cpu.multicore import MultiCoreScheduler
-from repro.cpu.trace import Trace
-from repro.osmodel.cow import CopyOnWritePolicy
-from repro.osmodel.kernel import Kernel
-from repro.techniques.overlay_on_write import OverlayOnWritePolicy
-from repro.workloads.spec_like import BENCHMARKS, measurement_trace
-
-PROFILE = BENCHMARKS["soplex"]
-BASE_VPN = 0x400
-NEIGHBOUR_VPN = 0x4000
-
-
-def corun(policy, neighbour=True):
-    kernel = Kernel(num_cores=2)
-    victim = kernel.create_process()
-    kernel.mmap(victim, BASE_VPN, PROFILE.footprint_pages, fill=b"v")
-    if policy == "copy":
-        kernel.install_cow_policy(CopyOnWritePolicy(kernel))
-    else:
-        kernel.install_cow_policy(OverlayOnWritePolicy(kernel))
-    kernel.fork(victim)
-
-    jobs = [(Core(kernel.system, victim.asid, core_id=0),
-             measurement_trace(PROFILE, BASE_VPN, scale=0.5, seed=2))]
-    if neighbour:
-        streamer = kernel.create_process()
-        kernel.mmap(streamer, NEIGHBOUR_VPN, 512, fill=b"n")
-        jobs.append((Core(kernel.system, streamer.asid, core_id=1),
-                     Trace.sequential(NEIGHBOUR_VPN * PAGE_SIZE, 4000,
-                                      stride=64, gap=1)))
-    stats = MultiCoreScheduler(kernel.system).run(jobs)
-    return stats[0].cpi
+from repro.eval.multiprogrammed import corun
 
 
 def test_overlay_advantage_survives_contention(benchmark):
@@ -50,19 +12,3 @@ def test_overlay_advantage_survives_contention(benchmark):
         return corun("copy"), corun("overlay")
     cow_cpi, oow_cpi = benchmark.pedantic(run_pair, rounds=1, iterations=1)
     assert oow_cpi < cow_cpi
-
-
-def main():
-    with benchmark_run("multiprogrammed") as run:
-        print("soplex fork study with a streaming co-runner (CPI):")
-        for policy in ("copy", "overlay"):
-            solo = corun(policy, neighbour=False)
-            shared = corun(policy, neighbour=True)
-            print(f"  {policy:>7}: solo {solo:6.2f}   with neighbour "
-                  f"{shared:6.2f}   (slowdown {shared / solo:4.2f}x)")
-            run.record(**{policy: {"solo_cpi": solo, "shared_cpi": shared,
-                                   "slowdown": shared / solo}})
-
-
-if __name__ == "__main__":
-    main()

@@ -1,10 +1,7 @@
 """Sections 2.2 / 4.3.3: critical-path latency of the first write to a
 copy-on-write page (page copy + shootdown vs line move + coherence)."""
 
-from dataclasses import asdict
-
-from repro.eval.remap_latency import format_remap_latency, measure_remap_latency
-from repro.obs import benchmark_run
+from repro.eval.remap_latency import measure_remap_latency
 
 
 def test_remap_latency_overlay_wins(benchmark):
@@ -13,14 +10,3 @@ def test_remap_latency_overlay_wins(benchmark):
     # The paper's qualitative claim: removing the copy and the shootdown
     # from the critical path is a multi-x latency win.
     assert result.speedup > 2.0
-
-
-def main():
-    with benchmark_run("remap_latency") as run:
-        result = measure_remap_latency()
-        print(format_remap_latency(result))
-        run.record(latency=asdict(result))
-
-
-if __name__ == "__main__":
-    main()

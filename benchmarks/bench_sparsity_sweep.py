@@ -2,14 +2,11 @@
 
 ``pytest benchmarks/bench_sparsity_sweep.py --benchmark-only`` times a
 short sweep and asserts the paper's claim (overlays win at every
-sparsity level, gap grows with the zero-line fraction); ``python
-benchmarks/bench_sparsity_sweep.py`` prints the full series.
+sparsity level, gap grows with the zero-line fraction); ``python -m repro
+sparsity_sweep`` prints the full series.
 """
 
-from dataclasses import asdict
-
-from repro.eval.sparsity_sweep import format_sweep, run_sparsity_sweep
-from repro.obs import benchmark_run
+from repro.eval.sparsity_sweep import run_sparsity_sweep
 
 
 def test_sparsity_sweep_overlay_always_wins(benchmark):
@@ -22,17 +19,3 @@ def test_sparsity_sweep_overlay_always_wins(benchmark):
             f"{point.zero_line_fraction}")
     # The gap grows with sparsity.
     assert points[-1].speedup > points[0].speedup
-
-
-def main():
-    with benchmark_run("sparsity_sweep") as run:
-        points = run_sparsity_sweep()
-        print(format_sweep(points))
-        print("[paper: overlays outperform the dense representation at all "
-              "sparsity levels; the gap grows linearly with the fraction of "
-              "zero cache lines]")
-        run.record(points=[asdict(point) for point in points])
-
-
-if __name__ == "__main__":
-    main()

@@ -1,52 +1,18 @@
-"""Micro-benchmarks for the five non-quantified Table 1 techniques, so
-every row of the paper's Table 1 has a regenerable measurement.
+"""Micro-benchmarks for the five non-quantified Table 1 techniques
+(`repro.eval.techniques_experiment`), so every row of the paper's
+Table 1 has a regenerable measurement.
 
-``python benchmarks/bench_techniques.py`` prints a per-technique summary
-with the baseline each one beats.
+``python -m repro techniques`` prints a per-technique summary with the
+baseline each one beats.
 """
 
-import random
-
-from repro.core.address import LINE_SIZE, PAGE_SIZE
-from repro.obs import benchmark_run
-from repro.osmodel.kernel import Kernel
-from repro.techniques.checkpoint import CheckpointManager
-from repro.techniques.dedup import DeduplicationManager
-from repro.techniques.metadata import MetadataManager
-from repro.techniques.speculation import SpeculationContext
-from repro.techniques.superpage import PAGES_PER_SEGMENT, SuperpageManager
-
-BASE_VPN = 0x100
-BASE = BASE_VPN * PAGE_SIZE
-
-
-# -- dedup (Section 5.3.1) ----------------------------------------------------
-
-def dedup_vm_fleet(vms=6, pages=16, diff_lines=2):
-    kernel = Kernel()
-    rng = random.Random(3)
-    image = [bytes([rng.randrange(1, 255)]) * PAGE_SIZE
-             for _ in range(pages)]
-    processes = []
-    for vm in range(vms):
-        process = kernel.create_process()
-        kernel.mmap(process, BASE_VPN, pages)
-        for page, content in enumerate(image):
-            patched = bytearray(content)
-            for d in range(diff_lines):
-                # avoid the dedup manager's sampled signature lines so
-                # similarity clustering groups the fleet together
-                line = 1 + (vm * 7 + d * 13) % 19
-                tag = f"vm{vm:02d}d{d:02d}".encode().ljust(8, b"_")
-                patched[line * 64:line * 64 + 8] = tag
-            kernel.system.main_memory.write_page(
-                process.mappings[BASE_VPN + page], bytes(patched))
-        processes.append(process)
-    before = kernel.allocator.bytes_in_use
-    manager = DeduplicationManager(kernel, max_diff_lines=8)
-    manager.deduplicate([(p.asid, BASE_VPN + page)
-                         for page in range(pages) for p in processes])
-    return before, kernel.allocator.bytes_in_use, manager
+from repro.core.address import PAGE_SIZE
+from repro.eval.techniques_experiment import (BASE, BASE_VPN,
+                                              checkpoint_epochs,
+                                              dedup_vm_fleet, metadata_sweep,
+                                              speculation_round,
+                                              superpage_divergence)
+from repro.techniques.superpage import PAGES_PER_SEGMENT
 
 
 def test_dedup_halves_memory(benchmark):
@@ -54,24 +20,6 @@ def test_dedup_halves_memory(benchmark):
                                                 iterations=1)
     assert after < 0.45 * before
     assert manager.stats.pages_deduplicated > 0
-
-
-# -- checkpointing (Section 5.3.2) ----------------------------------------------
-
-def checkpoint_epochs(epochs=4, pages=16, lines_per_epoch=10):
-    kernel = Kernel()
-    process = kernel.create_process()
-    kernel.mmap(process, BASE_VPN, pages, fill=b"ck")
-    manager = CheckpointManager(kernel, process)
-    rng = random.Random(5)
-    manager.begin()
-    for epoch in range(epochs):
-        for _ in range(lines_per_epoch):
-            vaddr = (BASE + rng.randrange(pages) * PAGE_SIZE
-                     + rng.randrange(64) * LINE_SIZE)
-            kernel.system.write(process.asid, vaddr, b"e%d" % epoch)
-        manager.take_checkpoint()
-    return manager
 
 
 def test_checkpoint_bandwidth_reduction(benchmark):
@@ -84,41 +32,12 @@ def test_checkpoint_bandwidth_reduction(benchmark):
     assert recovered == live
 
 
-# -- speculation (Section 5.3.3) --------------------------------------------------
-
-def speculation_round(lines=200):
-    kernel = Kernel()
-    process = kernel.create_process()
-    kernel.mmap(process, BASE_VPN, 32, fill=b"sp")
-    spec = SpeculationContext(kernel, process)
-    spec.begin()
-    for i in range(lines):
-        spec.write(BASE + (i % 32) * PAGE_SIZE + (i // 32) * LINE_SIZE,
-                   bytes([i % 251]) * 8)
-    kernel.system.hierarchy.flush_dirty()  # speculative lines evicted
-    spilled = kernel.system.overlay_memory_allocated
-    abort_latency = spec.abort()
-    return spilled, abort_latency, kernel, process
-
-
 def test_speculation_unbounded_and_abortable(benchmark):
     spilled, _, kernel, process = benchmark.pedantic(speculation_round,
                                                      rounds=1, iterations=1)
     assert spilled > 0  # speculation outlived the caches
     assert kernel.system.page_bytes(process.asid, BASE_VPN) == (
         b"sp" * (PAGE_SIZE // 2))  # rollback exact
-
-
-# -- metadata (Section 5.3.4) --------------------------------------------------------
-
-def metadata_sweep(words=500):
-    kernel = Kernel()
-    process = kernel.create_process()
-    kernel.mmap(process, BASE_VPN, 8, fill=b"md")
-    manager = MetadataManager(kernel, process)
-    for i in range(words):
-        manager.metadata_store(BASE + i * 8, (i % 255) + 1)
-    return manager
 
 
 def test_metadata_cost_is_line_granular(benchmark):
@@ -129,68 +48,8 @@ def test_metadata_cost_is_line_granular(benchmark):
     assert manager.metadata_load(BASE) == 1
 
 
-# -- flexible super-pages (Section 5.3.5) -----------------------------------------------
-
-def superpage_divergence(writes=6):
-    kernel = Kernel()
-    manager = SuperpageManager(kernel)
-    parent = kernel.create_process()
-    child = kernel.create_process()
-    manager.map_superpage(parent, 0)
-    manager.share_cow(parent, child, 0)
-    rng = random.Random(9)
-    for _ in range(writes):
-        manager.write_page(child, rng.randrange(512))
-    return manager
-
-
 def test_superpage_segment_copies_beat_full_copy(benchmark):
     manager = benchmark.pedantic(superpage_divergence, rounds=1,
                                  iterations=1)
     assert manager.stats.pages_copied <= 6 * PAGES_PER_SEGMENT
     assert manager.stats.pages_copied < 512  # vs one full 2MB copy
-
-
-def main():
-    with benchmark_run("techniques") as run:
-        before, after, dedup = dedup_vm_fleet()
-        print(f"dedup      : {before / 1024:.0f} KB -> {after / 1024:.0f} KB "
-              f"({dedup.stats.pages_deduplicated} pages merged, "
-              f"{dedup.stats.overlay_lines_created} diff lines kept)")
-
-        ck = checkpoint_epochs()
-        print(f"checkpoint : wrote {ck.total_bytes_written} B vs "
-              f"{ck.total_page_granularity_bytes} B page-granularity "
-              f"({ck.bandwidth_reduction:.0%} bandwidth saved)")
-
-        spilled, abort_latency, _, _ = speculation_round()
-        print(f"speculation: {spilled / 1024:.0f} KB of speculative state "
-              f"survived eviction; abort rolled back in {abort_latency} cycles")
-
-        md = metadata_sweep()
-        print(f"metadata   : 500 tagged words cost {md.shadow_bytes} B of "
-              f"shadow (page-granularity shadow: {8 * PAGE_SIZE} B)")
-
-        sp = superpage_divergence()
-        print(f"super-pages: {sp.stats.segment_copies} segment copies = "
-              f"{sp.stats.pages_copied} pages copied "
-              f"(full-copy baseline: 512 pages; shatter baseline: 512 PTEs)")
-
-        run.record(
-            dedup={"bytes_before": before, "bytes_after": after,
-                   "pages_deduplicated": dedup.stats.pages_deduplicated,
-                   "overlay_lines_created": dedup.stats.overlay_lines_created},
-            checkpoint={"bytes_written": ck.total_bytes_written,
-                        "page_granularity_bytes":
-                            ck.total_page_granularity_bytes,
-                        "bandwidth_reduction": ck.bandwidth_reduction},
-            speculation={"spilled_bytes": spilled,
-                         "abort_latency_cycles": abort_latency},
-            metadata={"shadow_bytes": md.shadow_bytes,
-                      "page_granularity_bytes": 8 * PAGE_SIZE},
-            superpage={"segment_copies": sp.stats.segment_copies,
-                       "pages_copied": sp.stats.pages_copied})
-
-
-if __name__ == "__main__":
-    main()

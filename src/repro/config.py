@@ -2,7 +2,7 @@
 
 A single source of truth for every timing parameter, matching the
 paper's Table 2.  The structural components read their defaults from the
-same values this table reports; the ``bench_table2`` benchmark prints it
+same values this table reports; ``python -m repro table2`` prints it
 in the paper's layout, and ablations override single fields.
 """
 

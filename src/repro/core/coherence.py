@@ -15,7 +15,7 @@ OBitVector bit, and the memory controller updates the OMT entry.
 
 :class:`CoherenceNetwork` is that broadcast fabric.  It also implements
 the baseline shootdown so experiments can compare both (the
-``bench_ablations`` remap-latency ablation).
+remap-mechanism ablation of ``python -m repro ablations``).
 """
 
 from __future__ import annotations

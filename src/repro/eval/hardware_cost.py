@@ -12,7 +12,7 @@ The paper's accounting:
 * total: 94.5KB.
 
 This module recomputes those numbers from the same structural
-parameters, so the ``bench_hardware_cost`` target regenerates the
+parameters, so ``python -m repro hardware_cost`` regenerates the
 section's arithmetic and ablations can vary structure sizes.
 """
 

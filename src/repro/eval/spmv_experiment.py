@@ -46,44 +46,24 @@ class Figure10Point:
 
 def run_figure10(matrix_count: int = 16, rows: int = DEFAULT_ROWS,
                  cols: int = DEFAULT_COLS, nnz: int = DEFAULT_NNZ,
-                 seed: int = 7, repeats: int = 1,
+                 seed: int = 7,
                  matrices: Optional[List[MatrixPattern]] = None) -> List[Figure10Point]:
-    """Run the Figure 10 sweep; points are ordered by increasing L.
-
-    ``repeats`` > 1 averages each point over several independently
-    generated matrices at the same L (the paper has 87 real matrices to
-    smooth its curve; averaging seeds plays the same role here).
-    """
-    if matrices is not None:
-        groups = [[m] for m in sorted(matrices, key=lambda m: m.locality)]
-    else:
-        sweeps = [locality_sweep(matrix_count, rows=rows, cols=cols,
-                                 nnz=nnz, seed=seed + 101 * r)
-                  for r in range(max(1, repeats))]
-        groups = [[sweep[i] for sweep in sweeps]
-                  for i in range(matrix_count)]
+    """Run the Figure 10 sweep; points are ordered by increasing L."""
+    if matrices is None:
+        matrices = locality_sweep(matrix_count, rows=rows, cols=cols,
+                                  nnz=nnz, seed=seed)
     points = []
-    for group in groups:
-        csr_cycles = overlay_cycles = 0
-        perf_sum = memory_sum = 0.0
-        for pattern in group:
-            csr = run_spmv(pattern, "csr")
-            overlay = run_spmv(pattern, "overlay")
-            csr_cycles += csr.cycles
-            overlay_cycles += overlay.cycles
-            perf_sum += csr.cycles / overlay.cycles
-            memory_sum += overlay.memory_bytes / csr.memory_bytes
-        first = group[0]
-        count = len(group)
+    for pattern in sorted(matrices, key=lambda m: m.locality):
+        csr = run_spmv(pattern, "csr")
+        overlay = run_spmv(pattern, "overlay")
         points.append(Figure10Point(
-            matrix=first.name,
-            locality=sum(m.locality for m in group) / count,
-            nnz=first.nnz,
-            relative_performance=perf_sum / count,
-            relative_memory=memory_sum / count,
-            csr_cycles=csr_cycles // count,
-            overlay_cycles=overlay_cycles // count))
-    points.sort(key=lambda p: p.locality)
+            matrix=pattern.name,
+            locality=pattern.locality,
+            nnz=pattern.nnz,
+            relative_performance=csr.cycles / overlay.cycles,
+            relative_memory=overlay.memory_bytes / csr.memory_bytes,
+            csr_cycles=csr.cycles,
+            overlay_cycles=overlay.cycles))
     return points
 
 

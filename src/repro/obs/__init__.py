@@ -13,8 +13,7 @@ the profiler's explicitly-labelled host section):
   TLB/OMS/coherence events), exported as JSONL or Chrome trace format
   for ``chrome://tracing``;
 * **Stats export** (:func:`~repro.obs.export.stats_to_dict`,
-  :func:`~repro.obs.export.emit_run`,
-  :func:`~repro.obs.export.benchmark_run`) — the engine's hierarchical
+  :func:`~repro.obs.export.emit_run`) — the engine's hierarchical
   stats registry serialised to ``results/*.json`` next to the ASCII
   outputs, validated against :data:`~repro.obs.schema.RUN_SCHEMA` by
   ``python -m repro.obs validate``;
@@ -41,8 +40,8 @@ and zero allocations to the hot path (asserted by ``tests/test_obs.py``).
 from .compare import (CompareResult, MetricDelta, compare_documents,
                       compare_files, flatten_document, format_compare,
                       parse_threshold_specs)
-from .export import (BenchmarkRun, benchmark_run, default_results_dir,
-                     emit_run, run_document, stats_to_dict, write_json)
+from .export import (default_results_dir, emit_run, run_document,
+                     stats_to_dict, write_json)
 from .manifest import MANIFEST_FORMAT, RunManifest
 from .metrics import (DEFAULT_INTERVAL, MetricsSample, MetricsSampler,
                       MetricsSegment, format_metrics, metrics_document,
@@ -58,8 +57,8 @@ from .trace import DEFAULT_CAPACITY, TraceEvent, Tracer, tracing_session
 __all__ = [
     "CompareResult", "MetricDelta", "compare_documents", "compare_files",
     "flatten_document", "format_compare", "parse_threshold_specs",
-    "BenchmarkRun", "benchmark_run", "default_results_dir",
-    "emit_run", "run_document", "stats_to_dict", "write_json",
+    "default_results_dir", "emit_run", "run_document", "stats_to_dict",
+    "write_json",
     "MANIFEST_FORMAT", "RunManifest",
     "DEFAULT_INTERVAL", "MetricsSample", "MetricsSampler", "MetricsSegment",
     "format_metrics", "metrics_document", "metrics_session", "write_metrics",

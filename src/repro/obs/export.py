@@ -6,32 +6,26 @@ JSON sibling: ``results/<run>.json`` holding ``{"manifest", "data",
 "stats"}`` and — when tracing is armed — ``results/<run>.trace.json``
 in Chrome trace format.
 
-Two entry points:
-
-* :func:`emit_run` — the one-shot writer the CLI uses;
-* :func:`benchmark_run` — a context manager wrapping a benchmark's
-  ``main()``: it opens a manifest, arms a tracer when ``REPRO_TRACE``
-  is set in the environment, and writes the artifacts on exit.  The
-  results directory defaults to ``./results`` (benchmarks run from the
-  repository root) and is overridable via ``REPRO_RESULTS_DIR``.
+The writer is :func:`emit_run`, which ``python -m repro --json`` calls
+once per experiment.  The results directory defaults to ``./results``
+(the CLI runs from the repository root) and is overridable via
+``REPRO_RESULTS_DIR``.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Dict, Optional
 
 from ..config import SystemConfig
 from ..engine.stats import StatsRegistry
 from .manifest import RunManifest
-from .trace import DEFAULT_CAPACITY, Tracer, tracing_session
+from .trace import Tracer
 
-#: Environment knobs benchmarks honour (the CLI has real flags).
+#: Environment override for the default results directory.
 RESULTS_DIR_ENV = "REPRO_RESULTS_DIR"
-TRACE_ENV = "REPRO_TRACE"
 
 
 def default_results_dir() -> Path:
@@ -146,49 +140,3 @@ def emit_run(name: str, data: Any, *, stats: Any = None,
         tracer.write_chrome_trace(results_dir / f"{name}.trace.json")
     return path
 
-
-class BenchmarkRun:
-    """The handle :func:`benchmark_run` yields to a benchmark body."""
-
-    def __init__(self, name: str, manifest: RunManifest,
-                 tracer: Optional[Tracer]):
-        self.name = name
-        self.manifest = manifest
-        self.tracer = tracer
-        self.data: Dict[str, Any] = {}
-        self._stats_source = None
-
-    def record(self, **values: Any) -> "BenchmarkRun":
-        """Merge structured result values into the run's data payload."""
-        self.data.update(values)
-        return self
-
-    def attach_stats(self, source) -> "BenchmarkRun":
-        """Snapshot *source*'s stats tree into the document on exit."""
-        self._stats_source = source
-        return self
-
-
-@contextmanager
-def benchmark_run(name: str, *, config: Optional[SystemConfig] = None,
-                  seed: Optional[int] = None, results_dir=None,
-                  capacity: int = DEFAULT_CAPACITY):
-    """Wrap a benchmark ``main()``: manifest in, artifacts out.
-
-    Tracing is armed for the block iff ``REPRO_TRACE`` is set (to
-    anything non-empty); the event stream then lands in
-    ``results/<name>.trace.json``.  The JSON document is only written
-    when the body completes — a crashed run must not overwrite a good
-    artifact.
-    """
-    manifest = RunManifest.create(name, config=config, seed=seed)
-    run: BenchmarkRun
-    if os.environ.get(TRACE_ENV):
-        with tracing_session(capacity) as tracer:
-            run = BenchmarkRun(name, manifest, tracer)
-            yield run
-    else:
-        run = BenchmarkRun(name, manifest, None)
-        yield run
-    emit_run(name, run.data, stats=run._stats_source, manifest=manifest,
-             tracer=run.tracer, results_dir=results_dir)

@@ -1,5 +1,8 @@
 """Tests for the ASCII reporting helpers and the CLI runner."""
 
+import json
+import re
+
 import pytest
 
 from repro.__main__ import EXPERIMENTS, main as cli_main
@@ -111,7 +114,7 @@ class TestCLI:
         assert "unknown" in capsys.readouterr().out
 
     def test_runs_cheap_experiments(self, capsys):
-        assert cli_main(["table2", "hardware-cost", "remap-latency"]) == 0
+        assert cli_main(["table2", "hardware_cost", "remap_latency"]) == 0
         out = capsys.readouterr().out
         assert "Processor" in out
         assert "94.5" in out.replace(" ", "")
@@ -123,20 +126,18 @@ class TestCLI:
             assert description
 
     def test_json_flag_writes_validated_artifact(self, tmp_path, capsys):
-        import json
         from repro.obs import validate_run
         assert cli_main(["--json", "--results-dir", str(tmp_path),
-                         "hardware-cost"]) == 0
-        doc = json.loads((tmp_path / "hardware-cost.json").read_text())
+                         "hardware_cost"]) == 0
+        doc = json.loads((tmp_path / "hardware_cost.json").read_text())
         validate_run(doc)
         assert doc["data"]["cost"]["omt_cache_bytes"] > 0
 
     def test_trace_flag_writes_trace_sibling(self, tmp_path, capsys):
-        import json
         assert cli_main(["--trace", "--results-dir", str(tmp_path),
-                         "remap-latency"]) == 0
+                         "remap_latency"]) == 0
         trace = json.loads(
-            (tmp_path / "remap-latency.trace.json").read_text())
+            (tmp_path / "remap_latency.trace.json").read_text())
         assert trace["traceEvents"]
 
     def test_unknown_option_rejected(self, capsys):
@@ -145,3 +146,53 @@ class TestCLI:
 
     def test_results_dir_requires_argument(self, capsys):
         assert cli_main(["--results-dir"]) == 2
+
+
+#: The CLI's per-run bookkeeping lines, which vary from run to run.
+_BOOKKEEPING = re.compile(r"^\[(wrote .*|\S+ done in [\d.]+s)\]\n", re.M)
+
+
+class TestForkSuiteSharing:
+    """Figures 8 and 9 plot one fork suite: an invocation simulates it
+    once, unless an observability flag asks each figure for its own run."""
+
+    @pytest.fixture
+    def suite_calls(self, monkeypatch):
+        from repro.eval import fork_experiment
+        real = fork_experiment.run_suite
+        calls = []
+
+        def small_suite():
+            calls.append(1)
+            return real(["hmmer"], scale=0.25)
+
+        monkeypatch.setattr(fork_experiment, "run_suite", small_suite)
+        return calls
+
+    def test_one_invocation_runs_the_suite_once(self, suite_calls, tmp_path,
+                                                capsys):
+        both_dir = tmp_path / "both"
+        assert cli_main(["--json", "--results-dir", str(both_dir),
+                         "figure8", "figure9"]) == 0
+        both = _BOOKKEEPING.sub("", capsys.readouterr().out)
+        assert len(suite_calls) == 1
+        for name in ("figure8", "figure9"):
+            alone_dir = tmp_path / name
+            assert cli_main(["--json", "--results-dir", str(alone_dir),
+                             name]) == 0
+            alone = _BOOKKEEPING.sub("", capsys.readouterr().out)
+            assert alone in both
+            shared_doc = json.loads((both_dir / f"{name}.json").read_text())
+            alone_doc = json.loads((alone_dir / f"{name}.json").read_text())
+            assert shared_doc["data"] == alone_doc["data"]
+        assert len(suite_calls) == 3
+
+    @pytest.mark.parametrize("flag", ["--trace", "--metrics", "--profile"])
+    def test_observed_figures_each_simulate(self, suite_calls, tmp_path,
+                                            capsys, flag):
+        assert cli_main([flag, "--results-dir", str(tmp_path),
+                         "figure8", "figure9"]) == 0
+        capsys.readouterr()
+        assert len(suite_calls) == 2
+        for name in ("figure8", "figure9"):
+            assert (tmp_path / f"{name}.{flag[2:]}.json").exists()

@@ -22,7 +22,7 @@ from repro.engine import tracing
 from repro.engine.stats import StatsRegistry
 from repro.engine.tracing import TraceError
 from repro.obs import (DEFAULT_CAPACITY, RunManifest, SchemaError, Tracer,
-                       benchmark_run, emit_run, run_document, stats_to_dict,
+                       emit_run, run_document, stats_to_dict,
                        tracing_session, validate_manifest, validate_run)
 from repro.obs.__main__ import main as obs_cli
 from repro.osmodel.kernel import Kernel
@@ -220,29 +220,6 @@ class TestEmitRun:
         emit_run("unit", {}, tracer=tracer, results_dir=tmp_path)
         trace_doc = json.loads((tmp_path / "unit.trace.json").read_text())
         assert len(trace_doc["traceEvents"]) == len(tracer)
-
-    def test_benchmark_run_writes_on_success_only(self, tmp_path,
-                                                  monkeypatch):
-        monkeypatch.delenv("REPRO_TRACE", raising=False)
-        with benchmark_run("unit", results_dir=tmp_path) as run:
-            run.record(answer=42)
-        doc = json.loads((tmp_path / "unit.json").read_text())
-        validate_run(doc)
-        assert doc["data"] == {"answer": 42}
-
-        with pytest.raises(RuntimeError):
-            with benchmark_run("crashed", results_dir=tmp_path):
-                raise RuntimeError("boom")
-        assert not (tmp_path / "crashed.json").exists()
-
-    def test_benchmark_run_arms_tracer_from_env(self, tmp_path,
-                                                monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE", "1")
-        with benchmark_run("traced", results_dir=tmp_path) as run:
-            _small_fork_run()
-            assert tracing.active() is run.tracer
-        assert (tmp_path / "traced.trace.json").exists()
-        assert tracing.active() is None
 
     def test_run_document_shape(self):
         manifest = RunManifest.create("unit")
