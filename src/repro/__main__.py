@@ -31,14 +31,6 @@ Options:
                        N cycles (raises SimulationHangError with a
                        last-progress snapshot) — a watchdog against
                        runaway simulations
-    --fleet-workers N  run shardable experiments (currently:
-                       sparsity_sweep) through the repro.fleet worker
-                       pool with N processes (0 = auto:
-                       $REPRO_FLEET_WORKERS, then the CPU count); the
-                       merged output is identical to the serial path
-    --resume           reuse content-addressed shard artifacts under
-                       <results-dir>/fleet/ from earlier fleet runs,
-                       so repeated or killed sweeps skip finished work
 
 Figures 8 and 9 plot one fork suite, so an invocation running both
 simulates it once, unless ``--trace``, ``--metrics`` or ``--profile``
@@ -113,19 +105,11 @@ def _run_figure11():
 
 def _run_sparsity_sweep():
     from .eval.sparsity_sweep import format_sweep, run_sparsity_sweep
-    from .fleet.runner import (FleetSummary, default_fleet_resume,
-                               default_fleet_workers)
-    workers = default_fleet_workers()
-    fleet_summary = {} if workers is not None else None
-    points = run_sparsity_sweep(fleet_workers=workers,
-                                resume=default_fleet_resume(),
-                                fleet_summary=fleet_summary)
+    points = run_sparsity_sweep()
     print(format_sweep(points))
     print("[paper: overlays outperform the dense representation at all "
           "sparsity levels; the gap grows linearly with the fraction of "
           "zero cache lines]")
-    if fleet_summary:
-        print(f"[fleet: {FleetSummary(**fleet_summary).describe()}]")
     return {"points": [asdict(point) for point in points]}
 
 
@@ -298,24 +282,6 @@ def main(argv=None):
                 return 2
             from .engine.clock import set_default_max_cycles
             set_default_max_cycles(max_cycles)
-        elif arg == "--fleet-workers":
-            i += 1
-            if i >= len(args):
-                print("--fleet-workers requires a worker count")
-                return 2
-            try:
-                fleet_workers = int(args[i])
-            except ValueError:
-                print(f"--fleet-workers needs an integer, got {args[i]!r}")
-                return 2
-            if fleet_workers < 0:
-                print("--fleet-workers must be >= 0 (0 = auto)")
-                return 2
-            from .fleet.runner import default_fleet_resume, set_default_fleet
-            set_default_fleet(fleet_workers, resume=default_fleet_resume())
-        elif arg == "--resume":
-            from .fleet.runner import default_fleet_workers, set_default_fleet
-            set_default_fleet(default_fleet_workers(), resume=True)
         elif arg.startswith("-"):
             print(f"unknown option {arg}; try `python -m repro list`")
             return 2

@@ -24,27 +24,20 @@ simulator-specific rules:
   ``sim_clock``.
 * **SL006 hot-path memory** — classes in ``# simlint: hot-path``
   modules declare ``__slots__``.
-* **SL007 process-state safety** *(whole-program)* — every
-  module-level global in a ranked layer that is mutated from function
-  scope anywhere in the project must be registered with
-  :mod:`repro.engine.process_state`.
 * **SL008 hook-contract coverage** *(whole-program)* — every
   ``HOOKS.<slot>`` call sits under an armed-check, and every
   architectural-state module keeps a guarded hook site reachable from
   its class methods.
-* **SL009 schema drift** *(whole-program)* — results payload keys,
-  mirrored literals and profiler stat names stay in sync with the
-  ``repro.obs`` schemas.
 
-The whole-program rules run on a project symbol table
-(:mod:`~repro.analysis.symbols`) and a call/mutation/hook-site graph
+The whole-program rule runs on a project symbol table
+(:mod:`~repro.analysis.symbols`) and a call/hook-site graph
 (:mod:`~repro.analysis.callgraph`) built lazily over every collected
 module — still ASTs only, nothing imported or executed.
 
 Run it with ``python -m repro.analysis src benchmarks examples`` (or the
 ``simlint`` console script).  ``--explain SLxxx`` prints a rule's
-rationale and a worked fix; ``--format sarif`` emits SARIF 2.1.0 for
-code-scanning UIs.  Escape hatches: a per-line
+rationale and a worked fix; ``--format json`` emits the findings as
+JSON.  Escape hatches: a per-line
 ``# simlint: disable=SLxxx`` pragma, and a checked-in baseline file for
 grandfathered findings (``simlint.baseline.json``).
 
@@ -60,12 +53,11 @@ from .symbols import SymbolTable
 from .callgraph import CallGraph
 from .explain import EXPLANATIONS
 from .rules import ALL_CODES, RULES, RuleSpec, Project
-from .sarif import sarif_document
 from .cli import lint_paths, main
 
 __all__ = [
     "ALL_CODES", "Baseline", "CallGraph", "EXPLANATIONS", "Finding",
     "LAYER_RANKS", "Project", "RULES", "RuleSpec", "SourceModule",
     "SymbolTable", "build_import_graph", "collect_modules", "lint_paths",
-    "main", "sarif_document",
+    "main",
 ]

@@ -1,7 +1,7 @@
 """Call graph + attribute-use graph over the project symbol table.
 
 Built once per lint run on top of :class:`~repro.analysis.symbols.
-SymbolTable`, this module gives the whole-program rules their three
+SymbolTable`, this module gives the whole-program rule SL008 its two
 views of the code:
 
 * **call edges** — ``module:Class.method`` / ``module:func`` nodes with
@@ -10,14 +10,6 @@ views of the code:
   and ``ClassName()`` constructor calls; :meth:`CallGraph.reachable`
   answers interprocedural reachability (SL008's "hook site on the
   mutation path").
-* **global mutations** — every site *inside a function* that mutates a
-  module-level object: ``global`` rebinds, attribute stores
-  (``HOOKS.active = sink``), subscript stores/deletes
-  (``_TRACE_MEMO[key] = v``), and mutating method calls
-  (``cache.clear()``), resolved through import aliases to the module
-  that owns the global (SL007's process-state census).  Module-scope
-  mutation during initialisation (building a constant in steps) is
-  deliberately *not* counted.
 * **hook sites** — every call through an engine hook slot
   (``HOOKS.active.emit(...)``), annotated with whether it sits under an
   armed-check guard (``if HOOKS.active is not None:`` — directly or via
@@ -31,39 +23,15 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set
 
 from .symbols import (ClassSymbol, FunctionSymbol, ModuleSymbols,
                       QualifiedRef, SymbolTable, attribute_chain)
-
-#: Methods that mutate the receiver in place (dict/list/set/deque).
-MUTATOR_METHODS = {
-    "append", "extend", "insert", "remove", "pop", "clear", "sort",
-    "reverse", "add", "discard", "update", "setdefault", "popitem",
-    "appendleft", "popleft", "rotate",
-}
 
 #: The engine hook holder and its slots (see ``repro.engine.tracing``).
 HOOKS_MODULE = "repro.engine.tracing"
 HOOKS_GLOBAL = "HOOKS"
 HOOK_SLOTS = ("active", "sampler", "faults")
-
-#: The process-state registration entry point (see SL007).
-PROCESS_STATE_MODULE = "repro.engine.process_state"
-REGISTER_FUNC = "register"
-
-
-@dataclass(frozen=True)
-class GlobalMutation:
-    """One function-scope mutation of a module-level object."""
-
-    owner_module: str       # dotted module that defines the global
-    name: str               # the global's name in its owner module
-    kind: str               # global-rebind | attr-store | subscript-store
-    #                       # | mutating-call | delete
-    path: str               # display path of the mutating file
-    lineno: int
-    func: str               # node id of the mutating function
 
 
 @dataclass(frozen=True)
@@ -79,26 +47,14 @@ class HookSite:
     func: str               # node id of the containing function
 
 
-@dataclass(frozen=True)
-class Registration:
-    """One resolved ``process_state.register(...)`` call."""
-
-    name: Optional[str]     # the registered dotted name (None: dynamic)
-    path: str
-    lineno: int
-
-
 class CallGraph:
-    """Call edges, global mutations and hook sites, project-wide."""
+    """Call edges and hook sites, project-wide."""
 
     def __init__(self, table: SymbolTable) -> None:
         self.table = table
         self.nodes: Dict[str, FunctionSymbol] = {}
         self.edges: Dict[str, Set[str]] = {}
-        self.mutations: List[GlobalMutation] = []
         self.hook_sites: List[HookSite] = []
-        #: display path -> registrations made anywhere in that file.
-        self.registrations: Dict[str, List[Registration]] = {}
         for symbols in table.modules():
             self._build_module(symbols)
 
@@ -114,43 +70,11 @@ class CallGraph:
     # -- construction --------------------------------------------------------
 
     def _build_module(self, symbols: ModuleSymbols) -> None:
-        self.registrations[symbols.source.display_path] = \
-            list(self._find_registrations(symbols))
         for func in symbols.functions.values():
             self._build_function(symbols, func, enclosing=None)
         for klass in symbols.classes.values():
             for method in klass.methods.values():
                 self._build_function(symbols, method, enclosing=klass)
-
-    def _find_registrations(self, symbols: ModuleSymbols
-                            ) -> Iterator[Registration]:
-        for node in ast.walk(symbols.source.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            chain = attribute_chain(node.func)
-            if not chain:
-                continue
-            ref = self.table.resolve(symbols, chain)
-            is_register = False
-            if ref is not None and not ref.attrs:
-                is_register = (ref.module == PROCESS_STATE_MODULE
-                               and ref.symbol == REGISTER_FUNC)
-            elif ref is not None and len(ref.attrs) == 1:
-                is_register = (f"{ref.module}.{ref.symbol}"
-                               == PROCESS_STATE_MODULE
-                               and ref.attrs[0] == REGISTER_FUNC)
-            if not is_register:
-                continue
-            name: Optional[str] = None
-            candidates = list(node.args[:1]) + \
-                [kw.value for kw in node.keywords if kw.arg == "name"]
-            for arg in candidates:
-                if isinstance(arg, ast.Constant) and \
-                        isinstance(arg.value, str):
-                    name = arg.value
-            yield Registration(name=name,
-                               path=symbols.source.display_path,
-                               lineno=node.lineno)
 
     def _build_function(self, symbols: ModuleSymbols, func: FunctionSymbol,
                         enclosing: Optional[ClassSymbol]) -> None:
@@ -170,68 +94,12 @@ class CallGraph:
                                     base.attrs + tuple(chain[1:]))
             return self.table.resolve(symbols, chain)
 
-        globals_declared: Set[str] = set()
-        for sub in ast.walk(func.node):
-            if isinstance(sub, ast.Global):
-                globals_declared.update(sub.names)
-
         for sub in ast.walk(func.node):
             if isinstance(sub, ast.Call):
                 self._visit_call(symbols, sub, chain_ref=resolve_chain,
                                  enclosing=enclosing, edges=edges,
                                  parents=parents, aliases=aliases,
                                  node_id=node_id, path=path)
-            elif isinstance(sub, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                targets = (sub.targets if isinstance(sub, ast.Assign)
-                           else [sub.target])
-                for target in targets:
-                    self._visit_store(target, sub, resolve_chain,
-                                      globals_declared, symbols,
-                                      node_id, path)
-            elif isinstance(sub, ast.Delete):
-                for target in sub.targets:
-                    if isinstance(target, ast.Subscript):
-                        ref = resolve_chain(attribute_chain(target.value))
-                        self._record_mutation(ref, "delete", target.lineno,
-                                              node_id, path)
-
-    def _visit_store(self, target: ast.expr, stmt: ast.stmt, resolve_chain,
-                     globals_declared: Set[str], symbols: ModuleSymbols,
-                     node_id: str, path: str) -> None:
-        lineno = stmt.lineno
-        if isinstance(target, ast.Name):
-            if target.id in globals_declared and \
-                    target.id in symbols.globals:
-                self.mutations.append(GlobalMutation(
-                    owner_module=self.module_key(symbols),
-                    name=target.id, kind="global-rebind",
-                    path=path, lineno=lineno, func=node_id))
-        elif isinstance(target, ast.Attribute):
-            chain = attribute_chain(target)
-            if chain and chain[0] != "self":
-                ref = resolve_chain(chain[:-1])
-                self._record_mutation(ref, "attr-store", lineno,
-                                      node_id, path)
-        elif isinstance(target, ast.Subscript):
-            chain = attribute_chain(target.value)
-            if chain and chain[0] != "self":
-                ref = resolve_chain(chain)
-                self._record_mutation(ref, "subscript-store", lineno,
-                                      node_id, path)
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            for element in target.elts:
-                self._visit_store(element, stmt, resolve_chain,
-                                  globals_declared, symbols, node_id, path)
-
-    def _record_mutation(self, ref: Optional[QualifiedRef], kind: str,
-                         lineno: int, node_id: str, path: str) -> None:
-        if ref is None:
-            return
-        if self.table.lookup_global(ref) is None:
-            return
-        self.mutations.append(GlobalMutation(
-            owner_module=ref.module, name=ref.symbol, kind=kind,
-            path=path, lineno=lineno, func=node_id))
 
     def _visit_call(self, symbols: ModuleSymbols, call: ast.Call,
                     chain_ref, enclosing: Optional[ClassSymbol],
@@ -317,10 +185,6 @@ class CallGraph:
                 if succ not in seen:
                     frontier.append(succ)
         return seen
-
-    def mutated_globals(self) -> Set[Tuple[str, str]]:
-        """``(owner_module, name)`` of every function-scope-mutated global."""
-        return {(m.owner_module, m.name) for m in self.mutations}
 
 
 def _parent_map(root: ast.AST) -> Dict[ast.AST, ast.AST]:

@@ -18,7 +18,6 @@ from .findings import Baseline, Finding, suppressed
 from .imports import check_layering
 from .modules import collect_modules
 from .rules import ALL_CODES, RULES, Project
-from .sarif import sarif_document
 
 DEFAULT_PATHS = ("src", "benchmarks", "examples")
 DEFAULT_BASELINE = "simlint.baseline.json"
@@ -62,8 +61,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="simlint",
         description="Architectural lint for the page-overlays simulator "
                     "(determinism, layering, config-owned latencies, "
-                    "stats discipline, component protocol, process-state "
-                    "safety, hook-contract coverage, schema drift).")
+                    "stats discipline, component protocol, hot-path "
+                    "memory, hook-contract coverage).")
     parser.add_argument("paths", nargs="*", default=None,
                         help="files or directories to lint "
                              f"(default: {' '.join(DEFAULT_PATHS)})")
@@ -79,7 +78,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--write-baseline", action="store_true",
                         help="rewrite the baseline from current findings "
                              "and exit 0")
-    parser.add_argument("--format", choices=("text", "json", "sarif"),
+    parser.add_argument("--format", choices=("text", "json"),
                         default=None,
                         help="output format (default: text)")
     parser.add_argument("--json", action="store_true", dest="as_json",
@@ -143,9 +142,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
     new, old = _split_baseline(findings, baseline)
 
-    if output == "sarif":
-        print(json.dumps(sarif_document(findings, baseline), indent=2))
-    elif output == "json":
+    if output == "json":
         payload = {
             "version": 1,
             "counts": {"total": len(findings), "new": len(new),

@@ -77,7 +77,7 @@ _explain(
 Counters kept as bare self attributes (self.hits += 1) are invisible to
 StatsRegistry.snapshot()/reset()/merge(), so they leak across phases
 (warm-up counts pollute measurement), vanish from results/*.json, and
-cannot be merged across sharded campaign workers.  Any Component
+cannot be merged across runs.  Any Component
 counter that is ever incremented must be registered — either as a named
 counter or wholesale via own_block()/register_block().
 """,
@@ -152,35 +152,6 @@ dict).
 """)
 
 _explain(
-    "SL007",
-    """
-The sharded campaign fleet runs workers under multiprocessing; any
-module-level mutable that functions write to (hook slots, the
-watchdog default, workload caches) is process-wide state a forked or spawned
-worker inherits — or misses — unpredictably, so two workers can
-disagree with a serial run while every manifest claims the same seed.
-repro.engine.process_state is the registry that makes such state
-enumerable and resettable (snapshot_all/reset_all/fork_guard); this
-rule proves the registry is *complete* by finding every module-level
-global in a ranked layer that is mutated from function scope and
-demanding a register() call with its dotted name.  Constants built in
-steps at module scope are exempt — only post-import mutation makes
-process state.
-""",
-    """
-    # before (repro/engine/clock.py)
-    _DEFAULT_MAX_CYCLES = None
-    def set_default_max_cycles(limit):
-        global _DEFAULT_MAX_CYCLES
-        _DEFAULT_MAX_CYCLES = limit
-    # after: same, plus the registration
-    register_process_state(
-        "repro.engine.clock._DEFAULT_MAX_CYCLES",
-        snapshot=lambda: _DEFAULT_MAX_CYCLES,
-        reset=_reset_default_max_cycles)
-""")
-
-_explain(
     "SL008",
     """
 repro.engine.tracing promises zero overhead when tracing is off: an
@@ -204,27 +175,4 @@ paper's mechanisms mutate.
     sink = HOOKS.active
     if sink is not None:
         sink.emit("tlb_fill", vpn=vpn)
-""")
-
-_explain(
-    "SL009",
-    """
-Results documents are validated against the JSON schemas in
-repro.obs.schema — but only at runtime, only on exercised paths.
-Three drifts survive that: a producer emits a key the schema never
-validates (or loses a required key, failing every run); a deliberately
-duplicated literal (campaign.OUTCOMES vs schema.FAULT_OUTCOMES —
-duplicated because layering forbids obs importing robust) drifts; or
-the profiler reads a stats scalar by a name no component registers,
-silently attributing zero cycles.  This rule cross-checks all three
-statically, resolving producers and schemas through the project symbol
-table so renames break loudly.
-""",
-    """
-    # before: producer gained a key the schema doesn't know
-    doc = {"manifest": ..., "data": ..., "extra": 1}
-    # after: declare it (or drop it)
-    RUN_SCHEMA["properties"]["extra"] = {"type": "integer"}
-    # stats drift: fix whichever side renamed —
-    scalars.get("row_hits", 0)   # must match DRAMStats.row_hits
 """)

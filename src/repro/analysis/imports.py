@@ -7,8 +7,8 @@ The simulator's layers, bottom to top::
                                        the observability layer on the
                                        engine's hook points)
     techniques                        (rank 2: Table 1 techniques)
-    eval, workloads, sparse,          (rank 3: experiments, inputs, and
-    robust, fleet                      the sharded sweep substrate)
+    eval, workloads, sparse, robust   (rank 3: experiments, inputs, and
+                                       fault-injection campaigns)
 
 A module may import its own tier or below, never above, and the
 module-level import graph must be acyclic.  Only *import-time* edges
@@ -38,7 +38,7 @@ LAYER_RANKS: Dict[str, int] = {
     "config": 0, "engine": 0,
     "mem": 1, "core": 1, "cpu": 1, "osmodel": 1, "obs": 1,
     "techniques": 2,
-    "eval": 3, "workloads": 3, "sparse": 3, "robust": 3, "fleet": 3,
+    "eval": 3, "workloads": 3, "sparse": 3, "robust": 3,
 }
 
 

@@ -4,14 +4,13 @@ Each rule is a generator ``rule(module, project) -> Iterator[Finding]``
 registered under its ``SLxxx`` code.  ``project`` is the
 :class:`Project` built from every collected module, which is what lets
 class-level rules (SL003/SL005) see ``Component`` subclasses whose base
-class lives in another file, and gives the whole-program rules
-(SL007-SL009) their lazily built :class:`~repro.analysis.symbols.
-SymbolTable` and :class:`~repro.analysis.callgraph.CallGraph`.
+class lives in another file, and gives the whole-program rule SL008 its
+lazily built :class:`~repro.analysis.symbols.SymbolTable` and
+:class:`~repro.analysis.callgraph.CallGraph`.
 
 SL004 (layering) is graph-global rather than per-module and lives in
-:mod:`repro.analysis.imports`; SL007-SL009 live in their own modules
-(:mod:`~repro.analysis.rules_state`, :mod:`~repro.analysis.rules_hooks`,
-:mod:`~repro.analysis.rules_schema`).  All are registered here so
+:mod:`repro.analysis.imports`; SL008 lives in
+:mod:`~repro.analysis.rules_hooks`.  All are registered here so
 ``--select`` and ``--list-rules`` treat every rule uniformly.
 """
 
@@ -27,8 +26,6 @@ from .findings import Finding
 from .imports import check_layering
 from .modules import SourceModule
 from .rules_hooks import check_hook_contract
-from .rules_schema import check_schema_drift
-from .rules_state import check_process_state
 from .symbols import SymbolTable
 
 
@@ -50,7 +47,7 @@ class Project:
 
     @property
     def callgraph(self) -> CallGraph:
-        """The project call/mutation/hook-site graph, built on first use."""
+        """The project call/hook-site graph, built on first use."""
         if self._callgraph is None:
             self._callgraph = CallGraph(self.symbols)
         return self._callgraph
@@ -517,22 +514,12 @@ RULES["SL004"] = RuleSpec(
 
 check_layering_project = check_layering
 
-# The whole-program rules live in their own modules; register their
-# checks here so the registry stays the single list of every rule.
-RULES["SL007"] = RuleSpec(
-    "SL007",
-    "process state: function-scope-mutated module globals in sim layers "
-    "must be registered with repro.engine.process_state",
-    check_process_state)
+# The whole-program rule lives in its own module; register its check
+# here so the registry stays the single list of every rule.
 RULES["SL008"] = RuleSpec(
     "SL008",
     "hook contract: every HOOKS call sits under an armed-check, and every "
     "architectural-state module has a reachable hook site",
     check_hook_contract)
-RULES["SL009"] = RuleSpec(
-    "SL009",
-    "schema drift: results payload keys, mirrored literals and profiler "
-    "stat names stay in sync with repro.obs schemas",
-    check_schema_drift)
 
 ALL_CODES = tuple(sorted(RULES))

@@ -1,7 +1,7 @@
 """Project symbol table: name resolution across every collected module.
 
 The per-file rules (SL001-SL006) only ever look at one AST at a time;
-the whole-program rules (SL007-SL009) need to answer questions like
+the whole-program rule SL008 needs to answer questions like
 "``HOOKS.active`` in ``cpu/core.py`` — which module-level object is
 that?" and "which class does ``self.fill`` resolve to on this
 ``Component`` subclass?".  This module builds the table that answers

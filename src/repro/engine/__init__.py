@@ -26,9 +26,8 @@ this repository needs and previously reimplemented by hand:
   installed; the recorder lives in :mod:`repro.obs`);
 * :mod:`~repro.engine.process_state` — the registry of every
   process-wide mutable (hook slots, the watchdog default,
-  workload caches) with ``snapshot_all``/``reset_all``/``fork_guard``,
-  so worker processes start deterministic by construction (simlint
-  SL007 enforces registration).
+  workload caches) with ``snapshot_all``/``reset_all``, so an
+  in-process rerun matches a fresh interpreter.
 """
 
 from . import process_state, tracing

@@ -69,9 +69,9 @@ def _reset_default_max_cycles() -> None:
     _DEFAULT_MAX_CYCLES = None
 
 
-# The default watchdog limit is process-wide mutable state: a worker
-# inheriting a parent's ``--max-cycles`` would abort runs a fresh
-# process completes.  Registered so reset_all/fork_guard restore it.
+# The default watchdog limit is process-wide mutable state: a run
+# inheriting an earlier ``--max-cycles`` would abort work a fresh
+# process completes.  Registered so reset_all restores it.
 register_process_state(
     "repro.engine.clock._DEFAULT_MAX_CYCLES",
     snapshot=lambda: _DEFAULT_MAX_CYCLES,

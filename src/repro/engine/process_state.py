@@ -5,38 +5,23 @@ The simulator is designed so that a run is a pure function of its
 outside any one run: the engine hook slots (``tracing.HOOKS``), the
 default watchdog limit (``clock._DEFAULT_MAX_CYCLES``) and caches such as the
 workload trace memo (``workloads.spec_like._TRACE_MEMO``).  Left
-unmanaged, that state makes *worker processes diverge from serial
-runs*: a forked worker inherits whatever the parent had armed or
-cached, a spawned worker starts pristine, and neither matches a fresh
-interpreter unless someone resets everything by hand.
+unmanaged, that state makes a run depend on what ran before it in the
+same interpreter.
 
-This module is that someone.  Each owner of process-wide mutable state
-registers a :class:`StateSlot` at import time — a ``snapshot`` callable
-returning a cheap, equality-comparable summary, and a ``reset``
-callable restoring the import-time value.  The harness then has three
-levers:
+Each owner of process-wide mutable state registers a
+:class:`StateSlot` at import time — a ``snapshot`` callable returning a
+cheap, equality-comparable summary, and a ``reset`` callable restoring
+the import-time value.  The harness then has two levers:
 
-* :func:`snapshot_all` — summarise every slot (divergence detection:
-  compare a worker's snapshot to a fresh process's).
+* :func:`snapshot_all` — summarise every slot (compare a snapshot taken
+  after a run to a fresh process's to spot leaked state).
 * :func:`reset_all` — restore every slot to its import-time value, so
   an in-process rerun is byte-identical to a fresh-process run
   (``tests/test_process_state.py`` proves this against a real
   subprocess).
-* :func:`fork_guard` — the ``multiprocessing`` worker initializer:
-  resets everything and records that the guard ran, making worker
-  spawn deterministic by construction (pass it as
-  ``Pool(initializer=process_state.fork_guard)``).
 
-simlint's SL007 closes the loop statically: any module-level mutable in
-a ranked sim layer that is mutated from function scope must carry a
-``register()`` call naming it, so unregistered process state cannot be
-added without failing lint.  Registration names are the full dotted
-path of the global (``"repro.engine.tracing.HOOKS"``), which is what
-SL007 matches against.
-
-This registry is itself process-wide mutable state — the one module
-SL007 exempts, for the same reason the baseline file is not itself
-baselined.
+Registration names are the full dotted path of the global
+(``"repro.engine.tracing.HOOKS"``).
 """
 
 from __future__ import annotations
@@ -67,9 +52,6 @@ class StateSlot:
 #: slot manages; insertion order is registration (= import) order,
 #: which is what makes reset_all deterministic.
 _SLOTS: Dict[str, StateSlot] = {}
-
-#: Whether :func:`fork_guard` has run in this process (worker marker).
-_GUARDED: bool = False
 
 
 def register(name: str, *, snapshot: Callable[[], Any],
@@ -130,38 +112,7 @@ def reset_all() -> None:
     """Restore every slot to its import-time value.
 
     After this, an in-process run is byte-identical to one in a fresh
-    interpreter (the fork-readiness property the campaign fleet needs).
+    interpreter.
     """
     for slot in _SLOTS.values():
         slot.reset()
-
-
-def fork_guard() -> Tuple[str, ...]:
-    """Worker-process initializer: reset everything inherited on fork.
-
-    Pass as ``multiprocessing.Pool(initializer=process_state.fork_guard)``
-    (it also works after ``fork`` start-method inheritance and as a
-    belt-and-braces call under ``spawn``).  Returns the names it reset
-    so callers can log coverage.
-    """
-    global _GUARDED
-    reset_all()
-    _GUARDED = True
-    return registered()
-
-
-def guarded() -> bool:
-    """Whether :func:`fork_guard` has run in this process."""
-    return _GUARDED
-
-
-def _reset_guard_marker() -> None:
-    global _GUARDED
-    _GUARDED = False
-
-
-# The registry's own bookkeeping is process state too; the guard marker
-# participates so snapshot_all/reset_all see it.  (The slot table
-# itself is append-only registration metadata, not run state.)
-register("repro.engine.process_state._GUARDED",
-         snapshot=lambda: _GUARDED, reset=_reset_guard_marker)

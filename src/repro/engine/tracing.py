@@ -162,10 +162,10 @@ def _reset_hooks() -> None:
     HOOKS.faults = None
 
 
-# The hook slots are process-wide mutable state: a forked worker that
-# inherits an armed tracer/sampler/fault hook silently diverges from a
-# fresh process.  Registering them makes ``process_state.reset_all()``
-# (and the multiprocessing ``fork_guard``) disarm everything.
+# The hook slots are process-wide mutable state: a run that starts with
+# an armed tracer/sampler/fault hook left over from an earlier one
+# diverges from a fresh process.  Registering them makes
+# ``process_state.reset_all()`` disarm everything.
 register_process_state(
     "repro.engine.tracing.HOOKS",
     snapshot=lambda: (HOOKS.active is not None,

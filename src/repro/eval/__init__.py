@@ -16,9 +16,7 @@ from .hardware_cost import (HardwareCost, compute_hardware_cost,
 from .multiprogrammed import format_multiprogrammed, run_multiprogrammed
 from .remap_latency import (RemapLatency, format_remap_latency,
                             measure_remap_latency)
-from .sparsity_sweep import (SparsityPoint, format_sweep,
-                             run_sparsity_point_shard, run_sparsity_sweep,
-                             sparsity_shards)
+from .sparsity_sweep import SparsityPoint, format_sweep, run_sparsity_sweep
 from .spmv_experiment import (Figure10Point, crossover_locality,
                               format_figure10, run_figure10)
 from .techniques_experiment import format_techniques, run_techniques
@@ -32,5 +30,5 @@ __all__ = ["BLOCK_SIZES", "BenchmarkComparison", "DEFAULT_CONFIG",
            "format_remap_latency", "format_sweep", "format_techniques",
            "mean_overhead", "run_ablations", "run_benchmark", "run_figure10",
            "run_figure11", "run_multiprogrammed", "run_policy",
-           "run_sparsity_point_shard", "run_sparsity_sweep", "run_suite",
-           "run_techniques", "sparsity_shards", "summarize"]
+           "run_sparsity_sweep", "run_suite", "run_techniques",
+           "summarize"]

@@ -1,12 +1,10 @@
-"""Plain-text reporting helpers: ASCII bar charts and series plots for
-the figure harnesses (everything prints to a terminal; no plotting
-dependencies), plus stats aggregation built on the engine registry."""
+"""Plain-text reporting helpers: a unicode sparkline and an aligned
+text table (everything prints to a terminal; no plotting
+dependencies)."""
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
-
-BAR_WIDTH = 40
+from typing import Optional, Sequence
 
 #: Eight-level block ramp used by :func:`sparkline`.
 SPARK_TICKS = "▁▂▃▄▅▆▇█"
@@ -48,110 +46,6 @@ def sparkline(values: Sequence[float], width: Optional[int] = None) -> str:
         level = int((value - low) / span * (len(SPARK_TICKS) - 1))
         ticks.append(SPARK_TICKS[level])
     return "".join(ticks)
-
-
-def aggregate_core_stats(runs: Sequence) -> "object":
-    """Merge per-core/per-run :class:`~repro.cpu.core.CoreStats` into one
-    combined block (raw counters sum; CPI/IPC stay derived)."""
-    from ..cpu.core import CoreStats
-    total = CoreStats()
-    for stats in runs:
-        total.merge(stats)
-    return total
-
-
-def stats_report(system, indent: str = "  ") -> str:
-    """The whole machine's statistics as an indented component tree
-    (one traversal of the system's engine registry)."""
-    return system.stats_scope.format_tree(indent)
-
-
-def bar_chart(rows: Sequence[Tuple[str, float]], title: str = "",
-              unit: str = "", width: int = BAR_WIDTH) -> str:
-    """Horizontal bar chart: one (label, value) per row."""
-    if not rows:
-        return title
-    # A non-positive peak (all-zero or all-negative rows) must not flip
-    # or explode the bar scaling; bars for values <= 0 render empty.
-    peak = max(value for _, value in rows)
-    if peak <= 0:
-        peak = 1.0
-    label_width = max(len(label) for label, _ in rows)
-    lines = [title] if title else []
-    for label, value in rows:
-        bar = "#" * max(1 if value > 0 else 0,
-                        round(width * value / peak) if value > 0 else 0)
-        lines.append(f"{label:<{label_width}} |{bar:<{width}} "
-                     f"{value:,.2f}{unit}")
-    return "\n".join(lines)
-
-
-def grouped_bar_chart(rows: Sequence[Tuple[str, float, float]],
-                      series: Tuple[str, str], title: str = "",
-                      unit: str = "", width: int = BAR_WIDTH) -> str:
-    """Two-series bar chart: (label, value_a, value_b) per row."""
-    if not rows:
-        return title
-    peak = max(max(a, b) for _, a, b in rows)
-    if peak <= 0:
-        peak = 1.0
-    label_width = max(len(label) for label, _, _ in rows)
-    lines = [title] if title else []
-    lines.append(f"{'':<{label_width}}  # = {series[0]}, = = {series[1]}")
-    for label, a, b in rows:
-        bar_a = "#" * max(1 if a > 0 else 0,
-                          round(width * a / peak) if a > 0 else 0)
-        bar_b = "=" * max(1 if b > 0 else 0,
-                          round(width * b / peak) if b > 0 else 0)
-        lines.append(f"{label:<{label_width}} |{bar_a:<{width}} {a:,.2f}{unit}")
-        lines.append(f"{'':<{label_width}} |{bar_b:<{width}} {b:,.2f}{unit}")
-    return "\n".join(lines)
-
-
-def series_plot(points: Sequence[Tuple[float, float]], title: str = "",
-                x_label: str = "x", y_label: str = "y",
-                height: int = 12, width: int = 60,
-                y_reference: Optional[float] = None) -> str:
-    """A scatter/line plot in ASCII, with an optional horizontal
-    reference line (e.g. the y=1.0 crossover of Figure 10)."""
-    if not points:
-        return title
-    # Degenerate canvases (height < 2 rows, or a width too narrow for
-    # the axis caption) would divide by zero / feed negative widths to
-    # the format spec; clamp instead of crashing.
-    height = max(2, height)
-    width = max(18, width)
-    xs = [x for x, _ in points]
-    ys = [y for _, y in points]
-    y_min = min(ys + ([y_reference] if y_reference is not None else []))
-    y_max = max(ys + ([y_reference] if y_reference is not None else []))
-    if y_max == y_min:
-        y_max = y_min + 1.0
-    x_min, x_max = min(xs), max(xs)
-    if x_max == x_min:
-        x_max = x_min + 1.0
-
-    grid = [[" "] * width for _ in range(height)]
-    def to_col(x):
-        return round((x - x_min) / (x_max - x_min) * (width - 1))
-    def to_row(y):
-        return (height - 1) - round((y - y_min) / (y_max - y_min)
-                                    * (height - 1))
-    if y_reference is not None:
-        ref_row = to_row(y_reference)
-        for col in range(width):
-            grid[ref_row][col] = "-"
-    for x, y in points:
-        grid[to_row(y)][to_col(x)] = "*"
-
-    lines = [title] if title else []
-    for i, row in enumerate(grid):
-        y_val = y_max - i * (y_max - y_min) / (height - 1)
-        lines.append(f"{y_val:8.2f} |{''.join(row)}")
-    lines.append(" " * 9 + "+" + "-" * width)
-    lines.append(f"{'':9}{x_min:<8.2f}{x_label:^{width - 16}}{x_max:>8.2f}")
-    lines.append(f"y: {y_label}")
-    return "\n".join(lines)
 
 
 def table(headers: Sequence[str], rows: Sequence[Sequence[object]],

@@ -8,22 +8,14 @@ lines in the matrix."
 
 This harness sweeps the zero-line fraction on square matrices and
 simulates one SpMV iteration of the overlay and dense representations.
-
-Each point is seeded independently (``seed + index``), so the sweep
-decomposes into per-point shards: pass ``fleet_workers`` to run them
-through :func:`repro.fleet.run_fleet` with content-addressed caching
-and ``resume`` support; the merged point list is identical to the
-serial path's.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Any, Dict, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
 from ..engine.rng import resolve_seed
-from ..fleet.runner import run_fleet
-from ..fleet.shards import Shard
 from ..sparse.matrix_gen import generate_with_locality
 from ..sparse.pattern import MatrixPattern, VALUES_PER_LINE
 from ..sparse.spmv import run_spmv
@@ -62,75 +54,31 @@ def _matrix_with_zero_fraction(rows: int, cols: int, zero_fraction: float,
                                   name=f"zf{zero_fraction:.2f}")
 
 
-def _point(rows: int, cols: int, fraction: float,
-           matrix_seed: int) -> SparsityPoint:
-    """Simulate one sweep point (shared by the serial and fleet paths)."""
-    pattern = _matrix_with_zero_fraction(rows, cols, fraction,
-                                         seed=matrix_seed)
-    dense = run_spmv(pattern, "dense")
-    overlay = run_spmv(pattern, "overlay")
-    return SparsityPoint(
-        zero_line_fraction=fraction,
-        dense_cycles=dense.cycles,
-        overlay_cycles=overlay.cycles,
-        dense_memory=dense.memory_bytes,
-        overlay_memory=overlay.memory_bytes)
-
-
-def sparsity_shards(rows: int, cols: int, fractions: List[float],
-                    resolved_seed: int) -> List[Shard]:
-    """One ``sparsity_point`` shard per zero-line fraction."""
-    from ..obs.manifest import RunManifest
-    manifest = RunManifest.create(
-        "sparsity_sweep", seed=resolved_seed).deterministic_dict()
-    return [Shard(kind="sparsity_point", index=index,
-                  params={"rows": rows, "cols": cols, "fraction": fraction,
-                          "matrix_seed": resolved_seed + index},
-                  manifest=manifest)
-            for index, fraction in enumerate(fractions)]
-
-
-def run_sparsity_point_shard(shard: Shard) -> Dict[str, Any]:
-    """Execute one sweep shard (the ``sparsity_point`` fleet runner)."""
-    params = shard.params
-    return asdict(_point(params["rows"], params["cols"],
-                         params["fraction"], params["matrix_seed"]))
-
-
 def run_sparsity_sweep(rows: int = 128, cols: int = 128,
                        fractions: Optional[List[float]] = None,
-                       seed: Optional[int] = None,
-                       fleet_workers: Optional[int] = None,
-                       resume: bool = False, cache_dir=None,
-                       fleet_summary: Optional[Dict[str, Any]] = None
-                       ) -> List[SparsityPoint]:
+                       seed: Optional[int] = None) -> List[SparsityPoint]:
     """Sweep the zero-line fraction from dense (0.0) to very sparse.
 
     Point *i* uses a matrix seeded ``seed + i`` (default base:
     ``SystemConfig.rng_seed + 5``, the sweep's historical stream), so
     repeated sweeps are byte-identical.
-
-    With *fleet_workers* set (``0`` = auto-resolve), points shard
-    through :func:`repro.fleet.run_fleet` — cached under *cache_dir*
-    (default ``<results>/fleet/sparsity_sweep``), reused when *resume*
-    is set — and merge into the identical point list; pass a dict as
-    *fleet_summary* to receive the hit/miss counters.
     """
     seed = resolve_seed(seed, stream=5)
     if fractions is None:
         fractions = [0.0, 0.25, 0.5, 0.75, 0.9, 0.97]
-    if fleet_workers is None:
-        return [_point(rows, cols, fraction, seed + index)
-                for index, fraction in enumerate(fractions)]
-    if cache_dir is None:
-        from ..obs.export import default_results_dir
-        cache_dir = default_results_dir() / "fleet" / "sparsity_sweep"
-    shards = sparsity_shards(rows, cols, list(fractions), seed)
-    result = run_fleet(shards, workers=fleet_workers, resume=resume,
-                       cache_dir=cache_dir)
-    if fleet_summary is not None:
-        fleet_summary.update(result.summary.to_dict())
-    return [SparsityPoint(**payload) for payload in result.payloads]
+    points = []
+    for index, fraction in enumerate(fractions):
+        pattern = _matrix_with_zero_fraction(rows, cols, fraction,
+                                             seed=seed + index)
+        dense = run_spmv(pattern, "dense")
+        overlay = run_spmv(pattern, "overlay")
+        points.append(SparsityPoint(
+            zero_line_fraction=fraction,
+            dense_cycles=dense.cycles,
+            overlay_cycles=overlay.cycles,
+            dense_memory=dense.memory_bytes,
+            overlay_memory=overlay.memory_bytes))
+    return points
 
 
 def format_sweep(points: List[SparsityPoint]) -> str:

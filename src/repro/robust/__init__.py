@@ -14,14 +14,11 @@ every lower layer, nothing imports it).  Three pieces:
   consistency, TLB coherence, OMS free-list integrity);
 * :mod:`repro.robust.campaign` — the campaign runner
   (``python -m repro.robust``) sweeping fault rates and classifying
-  trial outcomes into ``results/<name>.faults.json``; it decomposes
-  into per-(rate, trial) shards for :mod:`repro.fleet`
-  (``--fleet-workers`` / ``--resume``).
+  trial outcomes into ``results/<name>.faults.json``.
 """
 
-from .campaign import (DEFAULT_BASE_PLAN, OUTCOMES, campaign_shards,
-                       fault_seed_grid, run_campaign, run_fault_trial_shard,
-                       run_trial, synthesize_workload)
+from .campaign import (DEFAULT_BASE_PLAN, OUTCOMES, fault_seed_grid,
+                       run_campaign, run_trial, synthesize_workload)
 from .faults import (ECC_MODES, FaultInjector, FaultPlan, FaultStats,
                      fault_session)
 from .invariants import RULES, InvariantChecker, InvariantStats, Violation
@@ -37,11 +34,9 @@ __all__ = [
     "OUTCOMES",
     "RULES",
     "Violation",
-    "campaign_shards",
     "fault_seed_grid",
     "fault_session",
     "run_campaign",
-    "run_fault_trial_shard",
     "run_trial",
     "synthesize_workload",
 ]

@@ -7,7 +7,6 @@ Usage::
                            [--cores N] [--ecc secded|parity|none]
                            [--check-interval CYCLES] [--no-recover]
                            [--seed N] [--results-dir DIR]
-                           [--fleet-workers N] [--resume]
 
 Runs a deterministic fault-injection campaign over the page-overlay
 machine: for each rate multiplier, ``--trials`` seeded trials execute a
@@ -20,16 +19,6 @@ validates against the ``repro.obs`` fault-campaign schema.
 
 Same ``--seed`` + same plan => byte-identical artifact (the CI
 robustness job runs the smoke campaign twice and diffs the files).
-
-``--fleet-workers N`` shards the campaign per (rate, trial) through
-``repro.fleet`` and runs the shards on N worker processes (``0`` =
-auto: ``$REPRO_FLEET_WORKERS``, then the CPU count); the merged
-document is byte-identical to the serial run (the CI fleet job diffs
-them).  Each shard leaves a content-addressed artifact under
-``<results-dir>/fleet/<name>/``; ``--resume`` reuses those artifacts,
-so a killed run continues where it stopped and a second identical
-invocation performs zero simulation work (the summary line reports the
-shard-level cached/executed split).
 """
 
 from __future__ import annotations
@@ -37,7 +26,6 @@ from __future__ import annotations
 import sys
 from typing import List, Optional
 
-from ..fleet.runner import FleetSummary
 from .campaign import OUTCOMES, run_campaign
 from .faults import ECC_MODES
 
@@ -71,8 +59,6 @@ def main(argv=None) -> int:
     recover = True
     seed: Optional[int] = None
     results_dir = None
-    fleet_workers: Optional[int] = None
-    resume = False
 
     def _take(flag: str) -> Optional[str]:
         nonlocal i
@@ -103,7 +89,7 @@ def main(argv=None) -> int:
                 print(f"--rates needs comma-separated numbers, got {value!r}")
                 return 2
         elif arg in ("--trials", "--ops", "--pages", "--cores",
-                     "--check-interval", "--seed", "--fleet-workers"):
+                     "--check-interval", "--seed"):
             value = _take(arg)
             if value is None:
                 return 2
@@ -122,11 +108,6 @@ def main(argv=None) -> int:
                 cores = number
             elif arg == "--check-interval":
                 check_interval = number
-            elif arg == "--fleet-workers":
-                if number < 0:
-                    print("--fleet-workers must be >= 0 (0 = auto)")
-                    return 2
-                fleet_workers = number
             else:
                 seed = number
         elif arg == "--ecc":
@@ -139,8 +120,6 @@ def main(argv=None) -> int:
             ecc = value
         elif arg == "--no-recover":
             recover = False
-        elif arg == "--resume":
-            resume = True
         elif arg == "--results-dir":
             value = _take(arg)
             if value is None:
@@ -155,17 +134,12 @@ def main(argv=None) -> int:
         print("--trials/--ops/--pages/--cores must be positive and "
               "--check-interval non-negative")
         return 2
-    fleet_summary = {} if fleet_workers is not None else None
     doc = run_campaign(name, rates if rates is not None else DEFAULT_RATES,
                        trials=trials, ops=ops, pages=pages, cores=cores,
                        ecc=ecc, check_interval=check_interval,
                        recover=recover, seed=seed,
-                       results_dir=results_dir,
-                       fleet_workers=fleet_workers, resume=resume,
-                       fleet_summary=fleet_summary)
+                       results_dir=results_dir)
     print(_format_summary(doc))
-    if fleet_summary:
-        print(f"[fleet: {FleetSummary(**fleet_summary).describe()}]")
     print(f"[wrote {(results_dir or 'results')}/{name}.faults.json]")
     return 0
 

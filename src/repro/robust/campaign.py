@@ -32,13 +32,6 @@ plan, tallies outcomes per rate, and writes
 *deterministic* manifest half only, so the same ``rng_seed`` plus the
 same plan reproduce the artifact byte for byte (the CI robustness job
 asserts exactly this).
-
-Because every trial builds its own machines and derives its own RNG
-streams, a campaign decomposes into per-(rate, trial) shards: pass
-``fleet_workers`` to run them through :func:`repro.fleet.run_fleet`
-(content-addressed caching, ``resume=True`` to reuse a previous —
-possibly killed — run's shard artifacts).  The merged document is
-byte-identical to the serial path's; the CI fleet job asserts this.
 """
 
 from __future__ import annotations
@@ -49,8 +42,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..config import DEFAULT_CONFIG, SystemConfig
 from ..core.address import PAGE_SIZE
 from ..engine.rng import derive_rng, resolve_seed
-from ..fleet.runner import run_fleet
-from ..fleet.shards import Shard
 from ..obs.export import default_results_dir, write_json
 from ..obs.manifest import RunManifest
 from ..obs.schema import FAULTS_SCHEMA, validate
@@ -287,80 +278,19 @@ def run_trial(plan: FaultPlan, *, ops: int = 160, pages: int = 4,
     return record
 
 
-def campaign_shards(rates: Sequence[float], seed_grid: List[List[int]],
-                    base: FaultPlan, manifest: Dict[str, Any], *,
-                    trials: int, ops: int, pages: int, cores: int,
-                    check_interval: int, recover: bool,
-                    workload_seed: int) -> List[Shard]:
-    """One ``fault_trial`` shard per (rate, trial) grid cell.
-
-    Each shard is self-contained: the scaled per-site rates, the derived
-    fault seed, the workload parameters, and the deterministic manifest
-    half (whose ``config`` the worker rebuilds its
-    :class:`~repro.config.SystemConfig` from).
-    """
-    shards: List[Shard] = []
-    for rate_index, rate in enumerate(rates):
-        scaled = base.scaled(rate)
-        for trial in range(trials):
-            params = {
-                "plan_rates": dict(sorted(scaled.rates().items())),
-                "ecc": scaled.ecc,
-                "stream": scaled.stream,
-                "fault_seed": seed_grid[rate_index][trial],
-                "ops": ops, "pages": pages, "cores": cores,
-                "workload_seed": workload_seed,
-                "check_interval": check_interval,
-                "recover": recover,
-            }
-            shards.append(Shard(kind="fault_trial", index=len(shards),
-                                params=params, manifest=manifest))
-    return shards
-
-
-def run_fault_trial_shard(shard: Shard) -> Dict[str, Any]:
-    """Execute one campaign shard (the ``fault_trial`` fleet runner).
-
-    Reconstructs the config and plan from the shard's JSON-ready data
-    and produces exactly the trial record the serial loop would.
-    """
-    params = shard.params
-    config = SystemConfig(**shard.manifest["config"])
-    plan = FaultPlan(ecc=params["ecc"], seed=params["fault_seed"],
-                     stream=params["stream"], **params["plan_rates"])
-    record = run_trial(plan, ops=params["ops"], pages=params["pages"],
-                       cores=params["cores"],
-                       workload_seed=params["workload_seed"],
-                       check_interval=params["check_interval"],
-                       recover=params["recover"], config=config)
-    record["fault_seed"] = params["fault_seed"]
-    return record
-
-
 def run_campaign(name: str, rates: Sequence[float], *, trials: int = 4,
                  ops: int = 160, pages: int = 4, cores: int = 2,
                  ecc: str = "secded", check_interval: int = 0,
                  recover: bool = True, seed: Optional[int] = None,
                  base_plan: Optional[FaultPlan] = None,
                  config: Optional[SystemConfig] = None,
-                 results_dir=None, fleet_workers: Optional[int] = None,
-                 resume: bool = False,
-                 fleet_summary: Optional[Dict[str, Any]] = None
-                 ) -> Dict[str, Any]:
+                 results_dir=None) -> Dict[str, Any]:
     """Sweep *rates* over the base plan; write ``<name>.faults.json``.
 
     Returns the validated document (already written).  *rates* are
     multipliers applied to :data:`DEFAULT_BASE_PLAN`'s per-site weights;
     *seed* overrides the config's base RNG seed for both the workload
     and the fault streams.
-
-    With *fleet_workers* set (``0`` = auto-resolve), trials shard
-    through :func:`repro.fleet.run_fleet` — run in parallel, each
-    leaving a content-addressed artifact under
-    ``<results_dir>/fleet/<name>/`` — and merge into the byte-identical
-    serial document.  *resume* reuses artifacts a previous run (killed
-    or complete) left in that cache; pass a dict as *fleet_summary* to
-    receive the shard/hit/miss/worker counters.
     """
     config = config or DEFAULT_CONFIG
     base = base_plan or DEFAULT_BASE_PLAN
@@ -371,41 +301,22 @@ def run_campaign(name: str, rates: Sequence[float], *, trials: int = 4,
     fault_base_seed = resolve_seed(seed, stream=base.stream, config=config)
     seed_grid = fault_seed_grid(fault_base_seed, len(rates), trials)
     manifest = RunManifest.create(name, config=config, seed=seed)
-    results = (default_results_dir() if results_dir is None
-               else Path(results_dir))
-    if fleet_workers is None:
-        records: List[Dict[str, Any]] = []
-        for rate_index, rate in enumerate(rates):
-            scaled = base.scaled(rate)
-            for trial in range(trials):
-                fault_seed = seed_grid[rate_index][trial]
-                plan = FaultPlan(ecc=scaled.ecc, seed=fault_seed,
-                                 stream=scaled.stream, **scaled.rates())
-                record = run_trial(plan, ops=ops, pages=pages, cores=cores,
-                                   workload_seed=workload_seed,
-                                   check_interval=check_interval,
-                                   recover=recover, config=config)
-                record["fault_seed"] = fault_seed
-                records.append(record)
-    else:
-        shards = campaign_shards(
-            rates, seed_grid, base, manifest.deterministic_dict(),
-            trials=trials, ops=ops, pages=pages, cores=cores,
-            check_interval=check_interval, recover=recover,
-            workload_seed=workload_seed)
-        result = run_fleet(shards, workers=fleet_workers, resume=resume,
-                           cache_dir=results / "fleet" / name)
-        if fleet_summary is not None:
-            fleet_summary.update(result.summary.to_dict())
-        records = result.payloads
     sweep: List[Dict[str, Any]] = []
     totals = {outcome: 0 for outcome in OUTCOMES}
-    position = 0
-    for rate in rates:
-        trial_records = records[position:position + trials]
-        position += trials
+    for rate_index, rate in enumerate(rates):
+        scaled = base.scaled(rate)
         tally = {outcome: 0 for outcome in OUTCOMES}
-        for record in trial_records:
+        trial_records: List[Dict[str, Any]] = []
+        for trial in range(trials):
+            fault_seed = seed_grid[rate_index][trial]
+            plan = FaultPlan(ecc=scaled.ecc, seed=fault_seed,
+                             stream=scaled.stream, **scaled.rates())
+            record = run_trial(plan, ops=ops, pages=pages, cores=cores,
+                               workload_seed=workload_seed,
+                               check_interval=check_interval,
+                               recover=recover, config=config)
+            record["fault_seed"] = fault_seed
+            trial_records.append(record)
             tally[record["outcome"]] += 1
             totals[record["outcome"]] += 1
         sweep.append({"rate": rate, "outcomes": tally,
@@ -423,5 +334,7 @@ def run_campaign(name: str, rates: Sequence[float], *, trials: int = 4,
         "outcome_totals": totals,
     }
     validate(doc, FAULTS_SCHEMA, f"{name} fault campaign")
+    results = (default_results_dir() if results_dir is None
+               else Path(results_dir))
     write_json(results / f"{name}.faults.json", doc)
     return doc

@@ -116,7 +116,7 @@ def _memoized(key: tuple, build) -> Trace:
 
 # The memo is a process-wide cache: a cleared (or differently warmed)
 # memo must never change results — only rebuild cost.  Registering it
-# lets reset_all/fork_guard drop it, and tests prove a reset-then-rerun
+# lets reset_all drop it, and tests prove a reset-then-rerun
 # is byte-identical to a fresh-process run.
 process_state.register(
     "repro.workloads.spec_like._TRACE_MEMO",

@@ -1,4 +1,4 @@
-"""Tests for the ASCII reporting helpers and the CLI runner."""
+"""Tests for the text table helper and the CLI runner."""
 
 import json
 import re
@@ -6,79 +6,7 @@ import re
 import pytest
 
 from repro.__main__ import EXPERIMENTS, main as cli_main
-from repro.eval.reporting import (bar_chart, grouped_bar_chart, series_plot,
-                                  table)
-
-
-class TestBarCharts:
-    def test_bars_scale_with_values(self):
-        text = bar_chart([("a", 10.0), ("b", 5.0)], title="T")
-        lines = text.splitlines()
-        assert lines[0] == "T"
-        assert lines[1].count("#") == 2 * lines[2].count("#")
-
-    def test_zero_value_has_no_bar(self):
-        text = bar_chart([("a", 10.0), ("zero", 0.0)])
-        assert "#" not in text.splitlines()[1].split("|")[1].split()[0:1] or True
-        zero_line = [l for l in text.splitlines() if l.startswith("zero")][0]
-        assert "#" not in zero_line
-
-    def test_empty_rows(self):
-        assert bar_chart([], title="nothing") == "nothing"
-
-    def test_unit_suffix(self):
-        assert "2.00x" in bar_chart([("r", 2.0)], unit="x")
-
-    def test_grouped_chart_has_both_series(self):
-        text = grouped_bar_chart([("bench", 4.0, 2.0)],
-                                 series=("cow", "oow"))
-        assert "#" in text and "=" in text
-        assert "cow" in text and "oow" in text
-
-    def test_all_zero_rows_render_without_bars(self):
-        text = bar_chart([("a", 0.0), ("b", 0.0)])
-        assert "#" not in text
-        assert "0.00" in text
-
-    def test_all_negative_rows_render_without_bars(self):
-        # A negative peak must not flip the scaling into full-width bars.
-        text = bar_chart([("a", -3.0), ("b", -1.0)])
-        assert "#" not in text
-
-    def test_grouped_chart_all_zero_rows(self):
-        text = grouped_bar_chart([("bench", 0.0, 0.0)], series=("x", "y"))
-        bar_lines = [line for line in text.splitlines() if "|" in line]
-        assert bar_lines
-        assert all("#" not in line and "=" not in line
-                   for line in bar_lines)
-
-
-class TestSeriesPlot:
-    def test_plot_contains_points_and_reference(self):
-        points = [(1.0, 0.5), (4.0, 1.0), (8.0, 2.0)]
-        text = series_plot(points, title="fig", x_label="L",
-                           y_label="ratio", y_reference=1.0)
-        assert "fig" in text
-        assert text.count("*") == 3
-        assert "-" in text  # the reference line
-        assert "L" in text and "ratio" in text
-
-    def test_single_point(self):
-        text = series_plot([(1.0, 1.0)])
-        assert "*" in text
-
-    def test_single_point_with_reference_outside_range(self):
-        text = series_plot([(2.0, 5.0)], y_reference=1.0)
-        assert "*" in text and "-" in text
-
-    def test_degenerate_canvas_is_clamped(self):
-        # height=1 used to divide by zero; tiny widths fed negative
-        # widths into the format spec.
-        text = series_plot([(0.0, 1.0), (1.0, 2.0)], height=1, width=2)
-        assert "*" in text
-
-    def test_empty_points(self):
-        assert series_plot([], title="t") == "t"
+from repro.eval.reporting import table
 
 
 class TestTable:
@@ -142,6 +70,12 @@ class TestCLI:
 
     def test_unknown_option_rejected(self, capsys):
         assert cli_main(["--bogus"]) == 2
+        assert "unknown option" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags", [["--fleet-workers", "2"],
+                                       ["--resume"]])
+    def test_sweep_has_no_worker_or_resume_flags(self, flags, capsys):
+        assert cli_main(flags + ["sparsity_sweep"]) == 2
         assert "unknown option" in capsys.readouterr().out
 
     def test_results_dir_requires_argument(self, capsys):

@@ -5,8 +5,8 @@ The contract under test (DESIGN.md "Robustness"):
 * ``SystemConfig`` rejects impossible machines at construction;
 * the ``max_sim_cycles`` watchdog turns a hung simulation into a
   diagnosable :class:`SimulationHangError`;
-* that error survives ``pickle`` and a process-pool round trip, as the
-  fleet's worker pools need;
+* that error survives ``pickle`` and a process-pool round trip, so it
+  can cross a process boundary intact;
 * ``write_json`` is crash-safe — a killed writer never leaves a torn
   artifact, a failed serialisation never destroys the previous one;
 * malformed textual traces fail loudly at parse time;

@@ -8,24 +8,35 @@ The contract under test (DESIGN.md "Observability"):
 * ``StatsRegistry.to_dict`` carries exactly the scalars the ASCII
   ``format_tree`` view prints;
 * a disabled tracer costs the hot path zero simulated cycles and zero
-  allocations in the tracing/obs modules.
+  allocations in the tracing/obs modules;
+* every document the producers build carries exactly the keys its
+  schema declares, and the profiler reads only stats its components
+  register.
 """
 
 import json
 import tracemalloc
+from dataclasses import fields
+from fnmatch import fnmatchcase
 
 import pytest
 
-from repro.config import SystemConfig
+from repro.config import DEFAULT_CONFIG, SystemConfig
 from repro.core.address import PAGE_SIZE
+from repro.cpu.core import CoreStats
 from repro.engine import tracing
 from repro.engine.stats import StatsRegistry
 from repro.engine.tracing import TraceError
 from repro.obs import (DEFAULT_CAPACITY, RunManifest, SchemaError, Tracer,
-                       emit_run, run_document, stats_to_dict,
-                       tracing_session, validate_manifest, validate_run)
+                       WallClockProfiler, emit_run, metrics_document,
+                       metrics_session, profile_document, profile_stats,
+                       run_document, stats_to_dict, tracing_session,
+                       validate_manifest, validate_run)
+from repro.obs import schema
 from repro.obs.__main__ import main as obs_cli
+from repro.obs.profile import SCOPE_RULES
 from repro.osmodel.kernel import Kernel
+from repro.robust import campaign
 from repro.techniques.overlay_on_write import OverlayOnWritePolicy
 
 BASE_VPN = 0x100
@@ -317,3 +328,118 @@ class TestDefaultCapacity:
     def test_session_default_is_bounded(self):
         with tracing_session() as tracer:
             assert tracer.capacity == DEFAULT_CAPACITY
+
+
+def _manifest_document(tmp_path):
+    manifest = RunManifest.create("unit", seed=7)
+    manifest.finish()
+    return manifest.to_dict(), schema.MANIFEST_SCHEMA
+
+
+def _run_document(tmp_path):
+    with tracing_session(capacity=8) as tracer:
+        kernel, total = _small_fork_run()
+    doc = run_document(RunManifest.create("unit"), {"total": total},
+                       stats=kernel.system, tracer=tracer)
+    return doc, schema.RUN_SCHEMA
+
+
+def _metrics_document(tmp_path):
+    with metrics_session(interval=50) as sampler:
+        _small_fork_run()
+    return metrics_document("unit", sampler), schema.METRICS_SCHEMA
+
+
+def _profile_document(tmp_path):
+    kernel, _ = _small_fork_run()
+    wall = WallClockProfiler()
+    with wall.section("simulate"):
+        pass
+    doc = profile_document("unit", profile_stats(kernel.system), wall=wall)
+    return doc, schema.PROFILE_SCHEMA
+
+
+def _faults_document(tmp_path):
+    doc = campaign.run_campaign("unit", [0.0, 0.05], trials=1, ops=40,
+                                pages=2, seed=7, results_dir=tmp_path)
+    return doc, schema.FAULTS_SCHEMA
+
+
+def _key_drift(doc, spec, path="$"):
+    """Keys a document lacks (required) or adds (undeclared), recursively.
+
+    Checks every object whose schema lists ``properties``, whether or not
+    that schema sets ``additionalProperties: false``.
+    """
+    drift = []
+    if isinstance(doc, dict) and "properties" in spec:
+        declared = spec["properties"]
+        drift += [f"{path}.{key}: missing" for key in spec.get("required", ())
+                  if key not in doc]
+        drift += [f"{path}.{key}: undeclared" for key in doc
+                  if key not in declared]
+        for key, value in doc.items():
+            if key in declared:
+                drift += _key_drift(value, declared[key], f"{path}.{key}")
+    elif isinstance(doc, list) and "items" in spec:
+        for index, item in enumerate(doc):
+            drift += _key_drift(item, spec["items"], f"{path}[{index}]")
+    return drift
+
+
+class TestProducersMatchSchemas:
+    """The runtime form of the schema-drift contract: producer output,
+    mirrored literals and profiler stat names stay in sync."""
+
+    @pytest.mark.parametrize("build", [
+        _manifest_document, _run_document, _metrics_document,
+        _profile_document, _faults_document,
+    ], ids=["manifest", "run", "metrics", "profile", "faults"])
+    def test_document_validates_with_exactly_its_keys(self, build,
+                                                      tmp_path):
+        doc, spec = build(tmp_path)
+        schema.validate(doc, spec, build.__name__)
+        assert _key_drift(doc, spec) == []
+
+    def test_campaign_outcomes_mirror_the_schema(self):
+        assert tuple(campaign.OUTCOMES) == tuple(schema.FAULT_OUTCOMES)
+
+    def test_profiler_reads_only_registered_stats(self):
+        """Each attribution rule reads only stats its component exports.
+
+        A misspelt name would silently attribute zero cycles.  The
+        scopes and blocks of a real machine give each rule's registered
+        names; the core rule reads :class:`CoreStats`, which the core
+        returns rather than registering in the tree.
+        """
+        registered = {"core*": {spec.name for spec in fields(CoreStats)}}
+
+        def collect(scope):
+            named = [(scope["name"], scope["scalars"])]
+            named += list(scope["blocks"].items())
+            for name, values in named:
+                for pattern, _ in SCOPE_RULES:
+                    if fnmatchcase(name, pattern):
+                        registered.setdefault(pattern, set()).update(values)
+            for child in scope["children"]:
+                collect(child)
+
+        kernel, _ = _small_fork_run()
+        collect(stats_to_dict(kernel.system))
+
+        class Recorder(dict):
+            def __init__(self):
+                super().__init__()
+                self.read = set()
+
+            def get(self, key, default=None):
+                self.read.add(key)
+                return default
+
+        for pattern, rule in SCOPE_RULES:
+            scalars = Recorder()
+            rule(scalars, DEFAULT_CONFIG)
+            assert scalars.read, pattern
+            assert pattern in registered, f"no scope matches {pattern!r}"
+            unknown = scalars.read - registered[pattern]
+            assert not unknown, (pattern, sorted(unknown))

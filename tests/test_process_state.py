@@ -1,8 +1,8 @@
-"""Tests for the process-state registry and its fork-readiness promise.
+"""Tests for the process-state registry and its reset-to-fresh promise.
 
 Three layers:
 
-* the registry API itself (register/snapshot/reset/fork_guard);
+* the registry API itself (register/snapshot/reset);
 * the migrated slots (hook holder, watchdog default, workload trace
   memo — including the memo's LRU bound);
 * the acceptance property: after perturbing every registered slot and
@@ -85,32 +85,13 @@ class TestRegistryApi:
         process_state.reset("tests.scratch.box")
         assert box["value"] == 0
 
-    def test_fork_guard_resets_and_marks(self, scratch_slot):
-        box = {"value": 0}
-        scratch_slot("tests.scratch.guarded",
-                     snapshot=lambda: box["value"],
-                     reset=lambda: box.update(value=0))
-        box["value"] = 3
-        assert not process_state.guarded()
-        names = process_state.fork_guard()
-        assert box["value"] == 0
-        assert process_state.guarded()
-        assert "tests.scratch.guarded" in names
-        # The guard marker is itself a slot, visible in snapshots...
-        assert process_state.snapshot_all()[
-            "repro.engine.process_state._GUARDED"] is True
-        # ...and reset_all clears it again.
-        process_state.reset_all()
-        assert not process_state.guarded()
-
 
 class TestMigratedSlots:
     def test_expected_slots_registered(self):
         names = process_state.registered()
         for expected in ("repro.engine.tracing.HOOKS",
                          "repro.engine.clock._DEFAULT_MAX_CYCLES",
-                         "repro.workloads.spec_like._TRACE_MEMO",
-                         "repro.engine.process_state._GUARDED"):
+                         "repro.workloads.spec_like._TRACE_MEMO"):
             assert expected in names, expected
 
     def test_hooks_slot_round_trip(self):
@@ -212,4 +193,3 @@ class TestForkReadiness:
         assert snap["repro.engine.tracing.HOOKS"] == (False, False, False)
         assert snap["repro.engine.clock._DEFAULT_MAX_CYCLES"] is None
         assert snap["repro.workloads.spec_like._TRACE_MEMO"] == ()
-        assert snap["repro.engine.process_state._GUARDED"] is False

@@ -9,7 +9,7 @@ import pytest
 
 PACKAGES = ["repro", "repro.core", "repro.mem", "repro.cpu",
             "repro.osmodel", "repro.techniques", "repro.sparse",
-            "repro.workloads", "repro.eval", "repro.robust", "repro.fleet"]
+            "repro.workloads", "repro.eval", "repro.robust"]
 
 
 class TestExports:

@@ -194,27 +194,11 @@ class TestCli:
         assert "clismoke" in out and "masked" in out
         assert (tmp_path / "clismoke.faults.json").exists()
 
-    def test_fleet_flags_produce_the_identical_artifact(self, tmp_path,
-                                                        capsys):
-        base = ["--name", "flt", "--rates", "0.0,0.02", "--trials", "1",
-                "--ops", "40", "--pages", "2", "--seed", "7"]
-        assert robust_cli(base + ["--results-dir",
-                                  str(tmp_path / "s")]) == 0
-        assert robust_cli(base + ["--results-dir", str(tmp_path / "f"),
-                                  "--fleet-workers", "1", "--resume"]) == 0
-        out = capsys.readouterr().out
-        assert "[fleet: 2 shard(s): 0 cached, 2 executed" in out
-        assert ((tmp_path / "s" / "flt.faults.json").read_bytes()
-                == (tmp_path / "f" / "flt.faults.json").read_bytes())
-
     def test_bad_arguments(self, capsys):
         assert robust_cli(["--rates", "a,b"]) == 2
         assert robust_cli(["--trials", "x"]) == 2
         assert robust_cli(["--trials", "0"]) == 2
         assert robust_cli(["--ecc", "bogus"]) == 2
-        assert robust_cli(["--fleet-workers", "-1"]) == 2
-        assert robust_cli(["--fleet-workers", "x"]) == 2
-        assert robust_cli(["--fleet-workers"]) == 2
         assert robust_cli(["--wat"]) == 2
         capsys.readouterr()
 

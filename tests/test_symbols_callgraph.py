@@ -2,9 +2,8 @@
 
 Covers the project symbol table (import aliasing, ``from x import y``,
 method resolution through Component-style base classes) and the call
-graph (edges, reachability, the global-mutation census and hook-site
-guard detection) — both over synthetic in-memory trees and over the
-real repository source.
+graph (edges, reachability and hook-site guard detection) — both over
+synthetic in-memory trees and over the real repository source.
 """
 
 import ast
@@ -160,20 +159,6 @@ class TestCallGraph:
         reached = graph.reachable({"repro.core.tlb:TLB.fill"})
         assert "repro.engine.component:Component.trace_event" in reached
 
-    def test_mutation_census(self, graph):
-        mutated = graph.mutated_globals()
-        assert ("repro.core.tlb", "CACHE") in mutated
-        kinds = {(m.kind, m.owner_module, m.name) for m in graph.mutations}
-        # Subscript store in TLB.fill and in driver.tweak (via the
-        # module alias), plus the mutating .clear() call in driver.run.
-        assert ("subscript-store", "repro.core.tlb", "CACHE") in kinds
-
-    def test_cross_module_mutation_attributed_to_owner(self, graph):
-        sites = [m for m in graph.mutations
-                 if m.name == "CACHE" and "driver" in m.path]
-        assert sites, "driver.py mutations of CACHE must be recorded"
-        assert all(m.owner_module == "repro.core.tlb" for m in sites)
-
     def test_hook_sites_and_guards(self, graph):
         by_func = {site.func: site for site in graph.hook_sites}
         aliased = by_func["repro.engine.component:Component.trace_event"]
@@ -192,15 +177,6 @@ class TestOnRealRepo:
         table = SymbolTable(modules)
         return table, CallGraph(table)
 
-    def test_known_process_state_registrations(self, real):
-        _, graph = real
-        names = {registration.name
-                 for registrations in graph.registrations.values()
-                 for registration in registrations}
-        assert "repro.engine.tracing.HOOKS" in names
-        assert "repro.engine.clock._DEFAULT_MAX_CYCLES" in names
-        assert "repro.workloads.spec_like._TRACE_MEMO" in names
-
     def test_every_real_hook_site_is_guarded(self, real):
         _, graph = real
         unguarded = [site for site in graph.hook_sites if not site.guarded]
@@ -213,16 +189,3 @@ class TestOnRealRepo:
         tlb_classes = [klass for klass in tlb_module.classes.values()
                        if table.resolve_method(klass, "trace_event")]
         assert tlb_classes, "some TLB class must inherit trace_event"
-
-    def test_mutated_globals_are_the_registered_set(self, real):
-        table, graph = real
-        ranked_prefixes = ("repro.engine.", "repro.core.", "repro.mem.",
-                          "repro.workloads.")
-        mutated = {f"{owner}.{name}"
-                   for owner, name in graph.mutated_globals()
-                   if owner.startswith(ranked_prefixes)
-                   and owner != "repro.engine.process_state"}
-        registered = {registration.name
-                      for registrations in graph.registrations.values()
-                      for registration in registrations}
-        assert mutated <= registered, mutated - registered
