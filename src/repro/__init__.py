@@ -5,7 +5,7 @@ al., ISCA 2015).
 The package layers:
 
 * :mod:`repro.engine` — the simulation substrate (component tree,
-  hierarchical stats registry, shared clock, typed ports, and the
+  hierarchical stats registry, shared clock, and the
   config-driven :class:`~repro.engine.SystemBuilder`).
 * :mod:`repro.core` — the page-overlay framework itself (address spaces,
   OBitVector, OMT, Overlay Memory Store, TLB/OMT coherence, the

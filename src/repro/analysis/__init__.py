@@ -24,15 +24,6 @@ simulator-specific rules:
   ``sim_clock``.
 * **SL006 hot-path memory** — classes in ``# simlint: hot-path``
   modules declare ``__slots__``.
-* **SL008 hook-contract coverage** *(whole-program)* — every
-  ``HOOKS.<slot>`` call sits under an armed-check, and every
-  architectural-state module keeps a guarded hook site reachable from
-  its class methods.
-
-The whole-program rule runs on a project symbol table
-(:mod:`~repro.analysis.symbols`) and a call/hook-site graph
-(:mod:`~repro.analysis.callgraph`) built lazily over every collected
-module — still ASTs only, nothing imported or executed.
 
 Run it with ``python -m repro.analysis src benchmarks examples`` (or the
 ``simlint`` console script).  ``--explain SLxxx`` prints a rule's
@@ -49,15 +40,12 @@ executing any of it.
 from .findings import Baseline, Finding
 from .modules import SourceModule, collect_modules
 from .imports import LAYER_RANKS, build_import_graph
-from .symbols import SymbolTable
-from .callgraph import CallGraph
 from .explain import EXPLANATIONS
 from .rules import ALL_CODES, RULES, RuleSpec, Project
 from .cli import lint_paths, main
 
 __all__ = [
-    "ALL_CODES", "Baseline", "CallGraph", "EXPLANATIONS", "Finding",
-    "LAYER_RANKS", "Project", "RULES", "RuleSpec", "SourceModule",
-    "SymbolTable", "build_import_graph", "collect_modules", "lint_paths",
-    "main",
+    "ALL_CODES", "Baseline", "EXPLANATIONS", "Finding", "LAYER_RANKS",
+    "Project", "RULES", "RuleSpec", "SourceModule", "build_import_graph",
+    "collect_modules", "lint_paths", "main",
 ]

@@ -166,7 +166,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def run() -> int:
     """Console entry point: ``main`` plus a quiet exit when the reader
-    closes the pipe early (``simlint --explain SL008 | head``)."""
+    closes the pipe early (``simlint --explain SL004 | head``)."""
     try:
         return main()
     except BrokenPipeError:

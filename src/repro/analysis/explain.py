@@ -150,29 +150,3 @@ dict).
         __slots__ = ("dirty",)
         def __init__(self): self.dirty = False
 """)
-
-_explain(
-    "SL008",
-    """
-repro.engine.tracing promises zero overhead when tracing is off: an
-unarmed slot must cost one 'is not None' test and nothing else.  A
-call through HOOKS.active/sampler/faults that is not dominated by an
-armed-check builds event payloads on every hot-path operation even
-with tracing disabled — the exact overhead the slot design exists to
-avoid.  The rule also checks the other direction: the architectural-
-state modules (OMT, overlay bit vectors, TLB, coherence, OMS, DRAM,
-hierarchy) must each have at least one guarded hook site reachable
-from their class methods, or the tracer is blind to the state the
-paper's mechanisms mutate.
-""",
-    """
-    # before
-    HOOKS.active.emit("tlb_fill", vpn=vpn)
-    # after (guard directly...)
-    if HOOKS.active is not None:
-        HOOKS.active.emit("tlb_fill", vpn=vpn)
-    # ...or alias once per method with several emits)
-    sink = HOOKS.active
-    if sink is not None:
-        sink.emit("tlb_fill", vpn=vpn)
-""")

@@ -4,13 +4,10 @@ Each rule is a generator ``rule(module, project) -> Iterator[Finding]``
 registered under its ``SLxxx`` code.  ``project`` is the
 :class:`Project` built from every collected module, which is what lets
 class-level rules (SL003/SL005) see ``Component`` subclasses whose base
-class lives in another file, and gives the whole-program rule SL008 its
-lazily built :class:`~repro.analysis.symbols.SymbolTable` and
-:class:`~repro.analysis.callgraph.CallGraph`.
+class lives in another file.
 
 SL004 (layering) is graph-global rather than per-module and lives in
-:mod:`repro.analysis.imports`; SL008 lives in
-:mod:`~repro.analysis.rules_hooks`.  All are registered here so
+:mod:`repro.analysis.imports`.  It is registered here too, so
 ``--select`` and ``--list-rules`` treat every rule uniformly.
 """
 
@@ -21,12 +18,9 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
-from .callgraph import CallGraph
 from .findings import Finding
 from .imports import check_layering
 from .modules import SourceModule
-from .rules_hooks import check_hook_contract
-from .symbols import SymbolTable
 
 
 @dataclass
@@ -35,22 +29,6 @@ class Project:
 
     modules: List[SourceModule]
     _component_classes: Optional[Set[str]] = field(default=None, repr=False)
-    _symbols: Optional[SymbolTable] = field(default=None, repr=False)
-    _callgraph: Optional[CallGraph] = field(default=None, repr=False)
-
-    @property
-    def symbols(self) -> SymbolTable:
-        """The project symbol table, built on first use."""
-        if self._symbols is None:
-            self._symbols = SymbolTable(self.modules)
-        return self._symbols
-
-    @property
-    def callgraph(self) -> CallGraph:
-        """The project call/hook-site graph, built on first use."""
-        if self._callgraph is None:
-            self._callgraph = CallGraph(self.symbols)
-        return self._callgraph
 
     @property
     def component_classes(self) -> Set[str]:
@@ -513,13 +491,5 @@ RULES["SL004"] = RuleSpec(
     None)
 
 check_layering_project = check_layering
-
-# The whole-program rule lives in its own module; register its check
-# here so the registry stays the single list of every rule.
-RULES["SL008"] = RuleSpec(
-    "SL008",
-    "hook contract: every HOOKS call sits under an armed-check, and every "
-    "architectural-state module has a reachable hook site",
-    check_hook_contract)
 
 ALL_CODES = tuple(sorted(RULES))

@@ -10,7 +10,7 @@ from .address import (LINE_SIZE, LINES_PER_PAGE, PAGE_SIZE, AddressError,
 from .coherence import CoherenceNetwork
 from .framework import (CowWriteFault, OverlaySystem, default_cow_handler,
                         PROMOTE_ACTIONS)
-from .mmu import MMU, MemoryController, TranslationResult
+from .mmu import MMU, MemoryController
 from .obitvector import OBitVector
 from .omt import OMTCache, OMTEntry, OverlayMappingTable
 from .oms import (OverlayMemoryStore, OutOfOverlayMemory, Segment,
@@ -23,7 +23,7 @@ __all__ = [
     "OMTEntry", "OutOfOverlayMemory", "OverlayMappingTable",
     "OverlayMemoryStore", "OverlaySystem", "PAGE_SIZE", "PROMOTE_ACTIONS",
     "PTE", "PageFault", "PageTable", "PageTableError", "PhysicalLocation",
-    "SEGMENT_SIZES", "Segment", "TranslationResult", "compose",
+    "SEGMENT_SIZES", "Segment", "compose",
     "data_slot_capacity", "decompose_overlay_address", "default_cow_handler",
     "is_overlay_address", "line_address", "line_index", "line_offset",
     "line_tag_of", "overlay_address", "overlay_page_number", "page_address",

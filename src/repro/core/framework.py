@@ -34,7 +34,7 @@ from .address import (LINE_SIZE, LINES_PER_PAGE, OVERLAY_BIT_MASK, PAGE_SIZE,
                       VIRTUAL_ADDRESS_BITS, line_index, line_offset,
                       line_tag_of, overlay_page_number, page_number)
 from .coherence import CoherenceNetwork
-from .mmu import MemoryController, MMU, TranslationResult
+from .mmu import MemoryController, MMU
 from .oms import OverlayMemoryStore, ZERO_LINE
 from .page_table import PTE, PageFault, PageTable
 from .tlb import TLB, TLBEntry
@@ -56,10 +56,9 @@ _OPN_ASID_SHIFT = VIRTUAL_ADDRESS_BITS - 12
 PROMOTE_ACTIONS = ("copy-and-commit", "commit", "discard")
 
 #: Signature of a copy-on-write policy hook: called on a write to a CoW
-#: page whose target line is not in the overlay; must perform the store
-#: and return the latency of doing so.
-CowHandler = Callable[["OverlaySystem", int, int, bytes, int,
-                       TranslationResult], int]
+#: page whose target line is not in the overlay, with the page's TLB
+#: entry; must perform the store and return the latency of doing so.
+CowHandler = Callable[["OverlaySystem", int, int, bytes, int, TLBEntry], int]
 
 
 class CowWriteFault(RuntimeError):
@@ -80,11 +79,9 @@ class FrameworkStats:
 
 
 def default_cow_handler(system: "OverlaySystem", asid: int, vaddr: int,
-                        data: bytes, core: int,
-                        translation: TranslationResult) -> int:
+                        data: bytes, core: int, entry: TLBEntry) -> int:
     """Overlay-on-write: the framework's native CoW response (Section 2.2)."""
-    return system.overlaying_write(asid, vaddr, data, core=core,
-                                   translation=translation)
+    return system.overlaying_write(asid, vaddr, data, core=core, entry=entry)
 
 
 class OverlaySystem(Component):
@@ -236,9 +233,8 @@ class OverlaySystem(Component):
         counters (``reads``/``writes``) are the caller's.
         """
         latency = 0
-        tlb_hit = True
         if entry is None:
-            entry, latency, tlb_hit = self.mmus[core].lookup(
+            entry, latency = self.mmus[core].translate(
                 asid, vaddr >> 12, data is not None)
         # Tag arithmetic inlined (line_tag_of, overlay_page_number and
         # OBitVector.is_set); the TLB fill validated (asid, vpn) already.
@@ -253,8 +249,8 @@ class OverlaySystem(Component):
         if data is None:
             if in_overlay:
                 self.stats.overlay_hits += 1
-            latency += self.hierarchy.access_fast(tag, False, None,
-                                                  now + latency)
+            latency += self.hierarchy.access(tag, False, None,
+                                             now + latency)
             if out is not None:
                 out.append(self.hierarchy.lookup_data(tag) or ZERO_LINE)
             return latency
@@ -262,9 +258,8 @@ class OverlaySystem(Component):
             self.stats.cow_triggers += 1
             if self.cow_handler is None:
                 raise CowWriteFault(f"CoW write at {vaddr:#x} with no handler")
-            return latency + self.cow_handler(
-                self, asid, vaddr, data, core,
-                TranslationResult(entry, latency, tlb_hit))
+            return latency + self.cow_handler(self, asid, vaddr, data,
+                                              core, entry)
         if in_overlay:
             self.stats.simple_overlay_writes += 1
         return latency + self._store_line(tag, vaddr, data, now + latency)
@@ -288,7 +283,7 @@ class OverlaySystem(Component):
             take = min(remaining, LINE_SIZE - offset)
             vpn = page_number(cursor)
             if vpn != last_vpn:
-                entry, translate_latency, _hit = self.mmus[core].lookup(
+                entry, translate_latency = self.mmus[core].translate(
                     asid, vpn)
                 latency += translate_latency
                 last_vpn = vpn
@@ -326,19 +321,19 @@ class OverlaySystem(Component):
         """Store *chunk* into the line holding *vaddr* (read-modify-write
         when the store covers only part of the line)."""
         offset = line_offset(vaddr)
-        access_fast = self.hierarchy.access_fast
+        access = self.hierarchy.access
         if len(chunk) == LINE_SIZE and offset == 0:
-            return access_fast(tag, True, chunk, now)
-        fetch = access_fast(tag, False, None, now)
+            return access(tag, True, chunk, now)
+        fetch = access(tag, False, None, now)
         current = self.hierarchy.lookup_data(tag) or ZERO_LINE
         patched = current[:offset] + chunk + current[offset + len(chunk):]
-        return fetch + access_fast(tag, True, patched, now + fetch)
+        return fetch + access(tag, True, patched, now + fetch)
 
     # -- the overlaying write (Section 4.3.3) -----------------------------------
 
     def overlaying_write(self, asid: int, vaddr: int, chunk: bytes,
                          core: int = 0,
-                         translation: Optional[TranslationResult] = None) -> int:
+                         entry: Optional[TLBEntry] = None) -> int:
         """Remap one line into the overlay and perform the store.
 
         The three steps of Section 4.3.3: (1) move the physical line's
@@ -348,13 +343,14 @@ class OverlaySystem(Component):
         of a TLB shootdown; (3) process the write as a simple write.
         Overlay memory is NOT allocated here — that happens lazily when
         the dirty line is evicted (the controller's writeback path).
+        *entry* is the page's TLB entry when the caller has translated.
         """
-        if translation is None:
-            translation = self.mmus[core].translate(
+        if entry is None:
+            entry, _latency = self.mmus[core].translate(
                 asid, page_number(vaddr), write=True)
         vpn = page_number(vaddr)
         line = line_index(vaddr)
-        pte = translation.entry.pte
+        pte = entry.pte
         if not pte.overlays_enabled:
             raise CowWriteFault("overlays are disabled for this mapping")
         opn = overlay_page_number(asid, vpn)
@@ -372,9 +368,8 @@ class OverlaySystem(Component):
             self.dram.write(phys_tag * LINE_SIZE, self.clock)
             self.hierarchy.clean(phys_tag)
         if not self.hierarchy.retag(phys_tag, ov_tag):
-            fetch = self.hierarchy.access(phys_tag, write=False,
-                                          now=self.clock + latency)
-            latency += fetch.latency
+            latency += self.hierarchy.access(phys_tag, write=False,
+                                             now=self.clock + latency)
             self.hierarchy.retag(phys_tag, ov_tag)
 
         # Step 2: one coherence message updates every TLB and the OMT.
@@ -586,12 +581,12 @@ class OverlaySystem(Component):
         for line in range(LINES_PER_PAGE):
             src_tag = line_tag_of(src_ppn, line)
             dst_tag = line_tag_of(dst_ppn, line)
-            read = hierarchy.access_fast(src_tag, False, None, issue)
+            read = hierarchy.access(src_tag, False, None, issue)
             # The load has just filled the source line into the L1.
             cached = hierarchy.l1.lookup(src_tag)
             data = ((cached and cached.data) or hierarchy.lookup_data(src_tag)
                     or self.main_memory.read_line(src_ppn, line))
-            write = hierarchy.access_fast(dst_tag, True, data, issue)
+            write = hierarchy.access(dst_tag, True, data, issue)
             # Keep the destination frame in sync line by line: the copy
             # must carry dirty cached source data, never the (possibly
             # stale) source frame.

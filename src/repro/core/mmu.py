@@ -182,28 +182,6 @@ class MemoryController(Component):
             self.oms.free_segment(entry.segment)
 
 
-class TranslationResult:
-    """What the MMU hands back to the load/store pipeline."""
-
-    __slots__ = ("entry", "latency", "tlb_hit")
-
-    def __init__(self, entry: TLBEntry, latency: int, tlb_hit: bool):
-        self.entry = entry
-        self.latency = latency
-        self.tlb_hit = tlb_hit
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, TranslationResult):
-            return (self.entry == other.entry
-                    and self.latency == other.latency
-                    and self.tlb_hit == other.tlb_hit)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return (f"TranslationResult(entry={self.entry!r}, "
-                f"latency={self.latency}, tlb_hit={self.tlb_hit})")
-
-
 class MMU:
     """Per-core address translation: TLB + page walk + OBitVector fill."""
 
@@ -215,33 +193,18 @@ class MMU:
         self.page_tables = page_tables
         self.controller = controller
 
-    def translate(self, asid: int, vpn: int, write: bool = False) -> TranslationResult:
-        """Translate (*asid*, *vpn*); may raise
+    def translate(self, asid: int, vpn: int,
+                  write: bool = False) -> Tuple[TLBEntry, int]:
+        """Translate (*asid*, *vpn*) to ``(entry, latency)``; may raise
         :class:`~repro.core.page_table.PageFault`.
 
         A TLB miss costs the Table 2 miss penalty (page walk) plus, for
         overlay-enabled mappings, the OMT lookup that fetches the
         OBitVector into the new TLB entry (Section 4.3, change Ì).
         """
-        return TranslationResult(*self.lookup(asid, vpn, write))
-
-    def lookup(self, asid: int, vpn: int,
-               write: bool = False) -> Tuple[TLBEntry, int, bool]:
-        """:meth:`translate` as a plain ``(entry, latency, tlb_hit)``
-        tuple — the per-access path builds no :class:`TranslationResult`."""
         entry, latency = self.tlb.lookup(asid, vpn)
         if entry is not None:
-            return entry, latency, True
-        entry, latency = self.translate_miss(asid, vpn, write, latency)
-        return entry, latency, False
-
-    def translate_miss(self, asid: int, vpn: int, write: bool,
-                       latency: int) -> Tuple[TLBEntry, int]:
-        """The TLB-miss half of :meth:`lookup`: walk, OMT fetch, fill.
-
-        *latency* is the cycles already charged by the failed TLB lookup;
-        returns ``(entry, total_latency)``.
-        """
+            return entry, latency
         table = self.page_tables.get(asid)
         if table is None:
             raise KeyError(f"no page table registered for ASID {asid}")

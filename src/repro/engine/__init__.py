@@ -1,7 +1,7 @@
 """``repro.engine`` — the component kernel the simulator is built on.
 
-The engine owns the four cross-cutting concerns every hardware model in
-this repository needs and previously reimplemented by hand:
+The engine owns the cross-cutting concerns every hardware model in
+this repository needs:
 
 * :class:`~repro.engine.component.Component` — a named node in the
   machine's component tree, carrying a stats scope and the shared clock;
@@ -11,9 +11,6 @@ this repository needs and previously reimplemented by hand:
 * :class:`~repro.engine.stats.StatsRegistry` — a hierarchical registry
   of named counters/gauges and adopted stat blocks, with ``snapshot()``,
   ``reset()``, ``merge()`` and a tree-formatted dump;
-* :class:`~repro.engine.port.Port` — typed request/response channels
-  (with latency accounting) between components, replacing bare
-  callables;
 * :class:`~repro.engine.builder.SystemBuilder` — config-driven wiring:
   the whole machine (hierarchy, TLBs, DRAM, cores) is derived from one
   :class:`~repro.config.SystemConfig`, so Table 2 lives in exactly one
@@ -34,8 +31,6 @@ from . import process_state, tracing
 from .clock import (ClockCursor, ClockError, SimClock, SimulationHangError,
                     default_max_cycles, set_default_max_cycles)
 from .component import Component
-from .port import (FetchPort, MissPort, MissResolution, Port, PortError,
-                   WritebackPort)
 from .stats import Counter, Gauge, StatsError, StatsRegistry, merge_blocks, snapshot_block
 from .builder import SystemBuilder
 from .rng import derive_rng, resolve_seed
@@ -45,8 +40,6 @@ __all__ = [
     "ClockCursor", "ClockError", "SimClock", "SimulationHangError",
     "default_max_cycles", "set_default_max_cycles",
     "Component",
-    "FetchPort", "MissPort", "MissResolution", "Port", "PortError",
-    "WritebackPort",
     "Counter", "Gauge", "StatsError", "StatsRegistry",
     "merge_blocks", "snapshot_block",
     "SystemBuilder",

@@ -2,13 +2,13 @@
 
 from .cache import CacheLine, EvictedLine, SetAssociativeCache
 from .dram import DRAM
-from .hierarchy import AccessResult, MemoryHierarchy
+from .hierarchy import MemoryHierarchy
 from .mainmemory import MainMemory
 from .prefetcher import StreamPrefetcher
 from .replacement import DRRIPPolicy, LRUPolicy, make_policy
 from .stats import CacheStats, DRAMStats, StatRegistry
 
-__all__ = ["AccessResult", "CacheLine", "CacheStats", "DRAM", "DRAMStats",
-           "DRRIPPolicy", "EvictedLine", "LRUPolicy", "MainMemory",
-           "MemoryHierarchy", "SetAssociativeCache", "StatRegistry",
-           "StreamPrefetcher", "make_policy"]
+__all__ = ["CacheLine", "CacheStats", "DRAM", "DRAMStats", "DRRIPPolicy",
+           "EvictedLine", "LRUPolicy", "MainMemory", "MemoryHierarchy",
+           "SetAssociativeCache", "StatRegistry", "StreamPrefetcher",
+           "make_policy"]

@@ -14,12 +14,13 @@ override individual fields (ablations, small test hierarchies).
 
 The hierarchy works on line *tags*.  Regular physical tags resolve to a
 DRAM byte address as ``tag * 64``; overlay tags carry the overlay marker
-bit and are resolved by the memory controller through the OMT — the
-controller serves the hierarchy's three typed ports
-(:attr:`MemoryHierarchy.miss_port`, :attr:`~MemoryHierarchy.fetch_port`,
-:attr:`~MemoryHierarchy.writeback_port`) for that (Section 4.3.1: the
+bit and are resolved by the memory controller through the OMT.  The
+hierarchy is built with the controller's three entry points
+(``resolve_miss``, ``fetch_data``, ``handle_writeback``) and calls them
+directly on a full miss and on a dirty L3 eviction (Section 4.3.1: the
 Overlay Memory Store is accessed only when an access misses the entire
-hierarchy).
+hierarchy).  It counts the requests and latency of each call in its own
+stats scope.
 """
 
 # simlint: hot-path
@@ -31,11 +32,9 @@ from .cache import EvictedLine, SetAssociativeCache
 from .dram import DRAM
 from .prefetcher import StreamPrefetcher
 from ..engine.component import Component
-from ..engine.port import FetchPort, MissPort, MissResolution, WritebackPort
 from ..engine.tracing import HOOKS
 
 #: Hook resolving a line tag to ``(dram_byte_address, extra_latency)``.
-#: (Legacy alias — handlers now connect to :attr:`MemoryHierarchy.miss_port`.)
 MissResolver = Callable[[int], Tuple[Optional[int], int]]
 #: Hook returning the backing bytes for a line tag on a full miss.
 DataFetcher = Callable[[int], Optional[bytes]]
@@ -44,31 +43,8 @@ DataFetcher = Callable[[int], Optional[bytes]]
 WritebackHandler = Callable[[int, Optional[bytes]], int]
 
 
-class AccessResult:
-    """Outcome of one hierarchy access."""
-
-    __slots__ = ("latency", "level")
-
-    def __init__(self, latency: int, level: str):
-        self.latency = latency
-        self.level = level  # "L1", "L2", "L3", or "MEM"
-
-    @property
-    def hit_in_cache(self) -> bool:
-        return self.level != "MEM"
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, AccessResult):
-            return (self.latency == other.latency
-                    and self.level == other.level)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"AccessResult(latency={self.latency}, level={self.level!r})"
-
-
 class MemoryHierarchy(Component):
-    """L1/L2/L3 + prefetcher + DRAM, with overlay-aware miss ports."""
+    """L1/L2/L3 + prefetcher + DRAM, backed by the memory controller."""
 
     def __init__(self, dram: Optional[DRAM] = None,
                  resolve_miss: Optional[MissResolver] = None,
@@ -96,38 +72,75 @@ class MemoryHierarchy(Component):
         self.dram = dram if dram is not None else builder.build_dram()
         self.prefetcher = prefetcher or builder.build_prefetcher()
         self.stats_scope.register_block("prefetcher", self.prefetcher.stats)
-        #: Typed channels to the memory controller (or whatever backs the
-        #: hierarchy); unconnected ports fall back to a flat physical
-        #: address space over ``self.dram``.
-        self.miss_port = MissPort("resolve_miss",
-                                  resolve_miss or self._default_resolve,
-                                  scope=self.stats_scope)
-        self.fetch_port = FetchPort("fetch_data",
-                                    fetch_data or (lambda tag: None),
-                                    scope=self.stats_scope)
-        self.writeback_port = WritebackPort(
-            "writeback", handle_writeback or self._default_writeback,
-            scope=self.stats_scope)
+        #: The memory controller's entry points; unwired, the hierarchy
+        #: falls back to a flat physical address space over ``self.dram``.
+        self.resolve_miss: MissResolver = resolve_miss or self._default_resolve
+        self.fetch_data: DataFetcher = fetch_data or self._default_fetch
+        self.handle_writeback: WritebackHandler = (handle_writeback
+                                                   or self._default_writeback)
+        scope = self.stats_scope
+        self._resolve_requests = scope.counter("resolve_miss_requests")
+        self._resolve_latency = scope.counter("resolve_miss_latency")
+        self._fetch_requests = scope.counter("fetch_data_requests")
+        self._writeback_requests = scope.counter("writeback_requests")
+        self._writeback_latency = scope.counter("writeback_latency")
         self._now = 0
 
     # -- default handlers: plain physical address space ------------------------
 
     @staticmethod
-    def _default_resolve(tag: int) -> MissResolution:
-        return MissResolution(address=tag * 64, latency=0)
+    def _default_resolve(tag: int) -> Tuple[Optional[int], int]:
+        return tag * 64, 0
+
+    @staticmethod
+    def _default_fetch(tag: int) -> Optional[bytes]:
+        return None
 
     def _default_writeback(self, tag: int, data: Optional[bytes]) -> int:
-        address, extra = self.miss_port.resolve(tag)
+        address, extra = self._resolve(tag)
         if address is None:
             return extra
         return extra + self.dram.write(address, self._now)
+
+    # -- calls to the memory controller, counted and traced -------------------
+
+    def _resolve(self, tag: int) -> Tuple[Optional[int], int]:
+        """Where *tag* lives: ``(dram_byte_address, lookup_latency)``."""
+        self._resolve_requests.value += 1
+        address, latency = self.resolve_miss(tag)
+        self._resolve_latency.value += latency
+        if HOOKS.active is not None:
+            HOOKS.active.emit(None, "port", "resolve_miss",
+                              {"op": "resolve", "tag": tag,
+                               "latency": latency})
+        return address, latency
+
+    def _fetch(self, tag: int) -> Optional[bytes]:
+        """The backing bytes of *tag* on a full miss."""
+        if HOOKS.active is not None:
+            HOOKS.active.emit(None, "port", "fetch_data",
+                              {"op": "fetch", "tag": tag})
+        self._fetch_requests.value += 1
+        return self.fetch_data(tag)
+
+    def _writeback(self, tag: int, data: Optional[bytes]) -> int:
+        """Hand a dirty line leaving the hierarchy to the controller;
+        returns the background-traffic latency it charged."""
+        self._writeback_requests.value += 1
+        latency = self.handle_writeback(tag, data)
+        self._writeback_latency.value += latency
+        if HOOKS.active is not None:
+            HOOKS.active.emit(None, "port", "writeback",
+                              {"op": "writeback", "tag": tag,
+                               "latency": latency})
+        return latency
 
     # -- eviction plumbing ---------------------------------------------------------
 
     def _spill(self, level: SetAssociativeCache, evicted: EvictedLine) -> None:
         """Push a dirty victim of *level* down the non-inclusive hierarchy:
         each fill's own dirty victim carries on down, out of the L3 to
-        the writeback port."""
+        the controller."""
         if level is self.l1:
             evicted = self.l2.fill(evicted.tag, data=evicted.data, dirty=True)
             if evicted is None:
@@ -137,36 +150,18 @@ class MemoryHierarchy(Component):
             evicted = self.l3.fill(evicted.tag, data=evicted.data, dirty=True)
             if evicted is None:
                 return
-        self.writeback_port.writeback(evicted.tag, evicted.data)
+        self._writeback(evicted.tag, evicted.data)
 
     # -- the demand path --------------------------------------------------------
 
     def access(self, tag: int, write: bool = False,
-               data: Optional[bytes] = None, now: Optional[int] = None) -> AccessResult:
-        """Perform one demand access for line *tag*.
+               data: Optional[bytes] = None,
+               now: Optional[int] = None) -> int:
+        """Perform one demand access for line *tag*; returns its latency.
 
         Writes are write-back/write-allocate: a write miss fetches the
-        line and dirties it in the L1.
-        """
-        if now is not None:
-            self._now = now
-
-        hit, cycles = self.l1.access(tag, write=write, data=data)
-        if hit:
-            return AccessResult(latency=cycles, level="L1")
-        below, level = self._access_below_l1(tag, write, data)
-        return AccessResult(latency=cycles + below, level=level)
-
-    def access_fast(self, tag: int, write: bool = False,
-                    data: Optional[bytes] = None,
-                    now: Optional[int] = None) -> int:
-        """Latency-only twin of :meth:`access`, the per-access path.
-
-        Inlines the L1 probe (dict lookup, LRU touch, stats) so an L1
-        hit costs no method dispatch and no :class:`AccessResult`;
-        everything below the L1 is the exact same code path
-        :meth:`access` takes, so stats and cache state stay
-        byte-identical between the two.
+        line and dirties it in the L1.  The L1 probe (dict lookup, LRU
+        touch, stats) is inlined, so an L1 hit costs no method dispatch.
         """
         if now is not None:
             self._now = now
@@ -190,16 +185,14 @@ class MemoryHierarchy(Component):
                     line.data = data
             return l1.hit_latency
         l1.stats.misses += 1
-        below, _level = self._access_below_l1(tag, write, data)
-        return l1.miss_latency + below
+        return l1.miss_latency + self._access_below_l1(tag, write, data)
 
     def _access_below_l1(self, tag: int, write: bool,
-                         data: Optional[bytes]) -> Tuple[int, str]:
-        """The shared post-L1-miss demand path: L2, L3, then memory.
+                         data: Optional[bytes]) -> int:
+        """The post-L1-miss demand path: L2, L3, then memory.
 
-        The common all-levels-miss case is inlined: the L2/L3 miss probes
-        and the port dispatch avoid method-call layers while performing
-        exactly the operations (stats, LRU touches, hook emissions) the
+        The L2/L3 miss probes are inlined: they avoid method-call layers
+        while performing exactly the operations (stats, LRU touches) the
         un-inlined calls would.
         """
         l1 = self.l1
@@ -217,7 +210,7 @@ class MemoryHierarchy(Component):
                 self._spill(l1, evicted)
             if data is not None and write:
                 l1.access(tag, write=True, data=data)
-            return latency, "L2"
+            return latency
         l2.stats.misses += 1
         latency = l2.miss_latency
 
@@ -240,36 +233,18 @@ class MemoryHierarchy(Component):
                 self._spill(l1, evicted)
             if data is not None and write:
                 l1.access(tag, write=True, data=data)
-            return latency, "L3"
+            return latency
         l3.stats.misses += 1
         latency += l3.miss_latency
 
         # Full-hierarchy miss: resolve (possibly via the OMT) and go to
-        # DRAM.  The port round-trips are inlined (request/latency
-        # counters, handler call, hook emission — MissPort.resolve and
-        # FetchPort.fetch verbatim, minus the response wrapper).
-        miss_port = self.miss_port
-        miss_port._requests.value += 1
-        response = miss_port._handler(tag)
-        if isinstance(response, MissResolution):
-            address, extra = response.address, response.latency
-        else:
-            address, extra = response
-        miss_port._latency.value += extra
-        if HOOKS.active is not None:
-            HOOKS.active.emit(None, "port", miss_port.name,
-                              {"op": "resolve", "tag": tag,
-                               "latency": extra})
+        # DRAM.
+        address, extra = self._resolve(tag)
         latency += extra
         if address is not None:
             latency += self.dram.read(address, self._now + latency)
-        fetch_port = self.fetch_port
-        if HOOKS.active is not None:
-            HOOKS.active.emit(None, "port", fetch_port.name,
-                              {"op": "fetch", "tag": tag})
-        fetch_port._requests.value += 1
         # Fill L3, L2, L1 in turn, spilling each dirty victim at once.
-        fill_data = fetch_port._handler(tag)
+        fill_data = self._fetch(tag)
         evicted = l3.fill(tag, data=fill_data)
         if evicted is not None:
             self._spill(l3, evicted)
@@ -281,7 +256,7 @@ class MemoryHierarchy(Component):
             self._spill(l1, evicted)
         if data is not None and write:
             l1.access(tag, write=True, data=data)
-        return latency, "MEM"
+        return latency
 
     def _prefetch(self, tag: int) -> None:
         """Fetch *tag* into the L3 off the demand path."""
@@ -290,28 +265,10 @@ class MemoryHierarchy(Component):
         l3 = self.l3
         if tag in l3._where:
             return
-        # Inlined MissPort.resolve / FetchPort.fetch (as in
-        # _access_below_l1): same counters, handlers, hook emissions.
-        miss_port = self.miss_port
-        miss_port._requests.value += 1
-        response = miss_port._handler(tag)
-        if isinstance(response, MissResolution):
-            address, extra = response.address, response.latency
-        else:
-            address, extra = response
-        miss_port._latency.value += extra
-        if HOOKS.active is not None:
-            HOOKS.active.emit(None, "port", miss_port.name,
-                              {"op": "resolve", "tag": tag,
-                               "latency": extra})
+        address, _extra = self._resolve(tag)
         if address is not None:
             self.dram.read(address, self._now)
-        fetch_port = self.fetch_port
-        if HOOKS.active is not None:
-            HOOKS.active.emit(None, "port", fetch_port.name,
-                              {"op": "fetch", "tag": tag})
-        fetch_port._requests.value += 1
-        evicted = l3.fill(tag, data=fetch_port._handler(tag), prefetch=True)
+        evicted = l3.fill(tag, data=self._fetch(tag), prefetch=True)
         if evicted is not None:
             self._spill(l3, evicted)
 
@@ -329,14 +286,14 @@ class MemoryHierarchy(Component):
         for level in (self.l1, self.l2, self.l3):
             evicted = level.invalidate(tag)
             if evicted is not None and evicted.dirty and writeback:
-                self.writeback_port.writeback(evicted.tag, evicted.data)
+                self._writeback(evicted.tag, evicted.data)
 
     def flush_dirty(self) -> int:
         """Write back every dirty line (checkpoint barrier); returns count."""
         flushed = 0
         for level in (self.l1, self.l2, self.l3):
             for line in level.dirty_lines():
-                self.writeback_port.writeback(line.tag, line.data)
+                self._writeback(line.tag, line.data)
                 line.dirty = False
                 flushed += 1
         return flushed

@@ -9,8 +9,8 @@ the profiler's explicitly-labelled host section):
   Table 2 configuration, the base RNG seed, and wall/duration metadata;
 * **Event tracing** (:class:`~repro.obs.trace.Tracer`,
   :func:`~repro.obs.trace.tracing_session`) — a bounded ring buffer fed
-  by the engine's hook points (clock advances, port transactions,
-  TLB/OMS/coherence events), exported as JSONL or Chrome trace format
+  by the engine's hook points (clock advances, hierarchy-to-controller
+  calls, TLB/OMS/coherence events), exported as JSONL or Chrome trace format
   for ``chrome://tracing``;
 * **Stats export** (:func:`~repro.obs.export.stats_to_dict`,
   :func:`~repro.obs.export.emit_run`) — the engine's hierarchical

@@ -171,11 +171,10 @@ def _cache_rule(level: str) -> AttributionRule:
 
 def _rule_hierarchy(scalars: Dict[str, Number],
                     config: SystemConfig) -> Dict[str, float]:
-    # These three scalars are *measured* latency sums, not counts.
+    # These two scalars are *measured* latency sums, not counts.
     return {
         "miss resolution (controller)":
             scalars.get("resolve_miss_latency", 0),
-        "line fetches": scalars.get("fetch_data_latency", 0),
         "writebacks (copy traffic)": scalars.get("writeback_latency", 0),
     }
 

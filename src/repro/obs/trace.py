@@ -4,10 +4,10 @@
 a bounded ring buffer (a ``deque(maxlen=...)``): tracing a long run
 keeps the **last** *capacity* events and counts what it dropped, so an
 armed tracer can never grow without bound.  Events are timestamped with
-the simulated cycle (hooks that have no clock access — ports, component
-events — are back-filled with the last clock time the sink observed),
-which keeps a traced run byte-identical across reruns with the same
-seed.
+the simulated cycle (hooks that have no clock access — calls from the
+hierarchy to the memory controller, component events — are back-filled
+with the last clock time the sink observed), which keeps a traced run
+byte-identical across reruns with the same seed.
 
 Two export formats:
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.framework import OverlaySystem
-from ..core.mmu import TranslationResult
+from ..core.tlb import TLBEntry
 from ..core.address import page_number
 
 
@@ -36,10 +36,9 @@ class CopyOnWritePolicy:
         self.stats = CowStats()
 
     def __call__(self, system: OverlaySystem, asid: int, vaddr: int,
-                 chunk: bytes, core: int,
-                 translation: TranslationResult) -> int:
+                 chunk: bytes, core: int, entry: TLBEntry) -> int:
         vpn = page_number(vaddr)
-        old_ppn = translation.entry.pte.ppn
+        old_ppn = entry.pte.ppn
 
         # The write traps into the kernel's fault handler: the pipeline is
         # flushed and nothing overlaps the handler's work.

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from ..core.address import LINES_PER_PAGE, page_number
 from ..core.framework import OverlaySystem
-from ..core.mmu import TranslationResult
+from ..core.tlb import TLBEntry
 
 
 @dataclass
@@ -51,16 +51,14 @@ class OverlayOnWritePolicy:
         self.stats = OverlayOnWriteStats()
 
     def __call__(self, system: OverlaySystem, asid: int, vaddr: int,
-                 chunk: bytes, core: int,
-                 translation: TranslationResult) -> int:
+                 chunk: bytes, core: int, entry: TLBEntry) -> int:
         latency = system.overlaying_write(asid, vaddr, chunk, core=core,
-                                          translation=translation)
+                                          entry=entry)
         self.stats.overlaying_writes += 1
         if self.promote_threshold is not None and self.kernel is not None:
             vpn = page_number(vaddr)
             if system.overlay_line_count(asid, vpn) >= self.promote_threshold:
-                latency += self._promote(system, asid, vpn,
-                                         translation.entry.pte.ppn)
+                latency += self._promote(system, asid, vpn, entry.pte.ppn)
         return latency
 
     def _promote(self, system: OverlaySystem, asid: int, vpn: int,

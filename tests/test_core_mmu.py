@@ -126,20 +126,20 @@ class TestMMU:
 
     def test_translate_hit_after_miss(self):
         mmu, _, _ = self.make_mmu()
-        first = mmu.translate(1, 0x10)
-        assert not first.tlb_hit
-        assert first.latency >= mmu.tlb.miss_latency
-        second = mmu.translate(1, 0x10)
-        assert second.tlb_hit
-        assert second.latency == mmu.tlb.l1_latency
+        _entry, latency = mmu.translate(1, 0x10)
+        assert mmu.tlb.stats.misses == 1
+        assert latency >= mmu.tlb.miss_latency
+        _entry, latency = mmu.translate(1, 0x10)
+        assert (mmu.tlb.stats.misses, mmu.tlb.stats.l1_hits) == (1, 1)
+        assert latency == mmu.tlb.l1_latency
 
     def test_miss_fetches_obitvector_from_omt(self):
         mmu, _, controller = self.make_mmu()
         opn = overlay_page_number(1, 0x10)
         entry = controller.omt.ensure(opn)
         entry.obitvector.set(9)
-        result = mmu.translate(1, 0x10)
-        assert result.entry.obitvector.is_set(9)
+        entry, _latency = mmu.translate(1, 0x10)
+        assert entry.obitvector.is_set(9)
 
     def test_overlay_disabled_mapping_skips_omt(self):
         mmu, table, controller = self.make_mmu()
@@ -162,4 +162,5 @@ class TestMMU:
         mmu, _, _ = self.make_mmu()
         mmu.translate(1, 0x10)
         mmu.refresh(1, 0x10)
-        assert not mmu.translate(1, 0x10).tlb_hit
+        mmu.translate(1, 0x10)
+        assert mmu.tlb.stats.misses == 2

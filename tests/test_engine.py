@@ -1,4 +1,4 @@
-"""Unit tests for the simulation engine (clock, stats, ports, builder)
+"""Unit tests for the simulation engine (clock, stats, builder)
 plus the regression that engine-built and hand-wired systems are
 behaviourally identical."""
 
@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 
 from repro.config import DEFAULT_CONFIG, SystemConfig
 from repro.core.framework import OverlaySystem
-from repro.engine import (ClockError, Component, MissResolution, Port,
-                          PortError, SimClock, StatsError, StatsRegistry,
-                          SystemBuilder)
-from repro.engine.port import MissPort, WritebackPort
+from repro.engine import (ClockError, Component, SimClock, StatsError,
+                          StatsRegistry, SystemBuilder)
 from repro.mem.hierarchy import MemoryHierarchy
 
 
@@ -207,37 +205,6 @@ class TestSimClock:
         clock.release(a)  # double release is safe
 
 
-class TestPorts:
-    def test_unconnected_port_raises(self):
-        port = Port("req")
-        with pytest.raises(PortError):
-            port.request()
-
-    def test_miss_port_counts_requests_and_latency(self):
-        scope = StatsRegistry("hierarchy")
-        port = MissPort("resolve_miss", lambda tag: (tag * 64, 7),
-                        scope=scope)
-        address, extra = port.resolve(3)
-        assert (address, extra) == (192, 7)
-        resolution = port.resolve(1)
-        assert isinstance(resolution, MissResolution)
-        assert scope.scalars()["resolve_miss_requests"] == 2
-        assert scope.scalars()["resolve_miss_latency"] == 14
-
-    def test_writeback_port_accumulates_latency(self):
-        port = WritebackPort("writeback", lambda tag, data: 11)
-        port.writeback(1, None)
-        port.writeback(2, b"x")
-        assert port.requests == 2
-        assert port.latency_cycles == 22
-
-    def test_reconnect_swaps_handler(self):
-        port = Port("req")
-        port.connect(lambda: 1)
-        assert port.request() == 1
-        assert port.connected
-
-
 class TestComponentTree:
     def test_children_share_clock_and_stats(self):
         root = Component("system")
@@ -368,7 +335,8 @@ class TestEngineLegacyEquivalence:
     @settings(max_examples=40, deadline=None)
     def test_builder_hierarchy_matches_hand_wired(self, stream):
         """SystemBuilder-built and explicitly hand-wired hierarchies
-        must produce identical AccessResult sequences."""
+        must report identical latencies, and serve each access from
+        the same level."""
         config = DEFAULT_CONFIG
         built = SystemBuilder(config).build_hierarchy(
             l1_kwargs=dict(size_bytes=4 * 64 * 2, ways=2),
@@ -387,10 +355,15 @@ class TestEngineLegacyEquivalence:
                            tag_latency=config.l3_tag_latency,
                            data_latency=config.l3_data_latency,
                            policy=config.l3_policy))
+
+        def levels(hierarchy):
+            return [(cache.stats.hits, cache.stats.misses)
+                    for cache in hierarchy.caches()]
+
         for tag, write in stream:
-            a = built.access(tag, write=write)
-            b = wired.access(tag, write=write)
-            assert (a.latency, a.level) == (b.latency, b.level)
+            assert (built.access(tag, write=write)
+                    == wired.access(tag, write=write))
+            assert levels(built) == levels(wired)
 
     @given(ops=st.lists(
         st.tuples(st.integers(min_value=0, max_value=0x1ff0),  # offset

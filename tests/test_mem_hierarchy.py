@@ -36,11 +36,22 @@ def make():
     return hierarchy, backend
 
 
+def hits(hierarchy):
+    """Hit count of each level, L1 first."""
+    return [cache.stats.hits for cache in hierarchy.caches()]
+
+
+def misses(hierarchy):
+    """Miss count of each level, L1 first."""
+    return [cache.stats.misses for cache in hierarchy.caches()]
+
+
 class TestDemandPath:
     def test_miss_fills_all_levels(self):
         hierarchy, _ = make()
-        result = hierarchy.access(100)
-        assert result.level == "MEM"
+        hierarchy.access(100)
+        assert hits(hierarchy) == [0, 0, 0]
+        assert misses(hierarchy) == [1, 1, 1]
         assert 100 in hierarchy.l1
         assert 100 in hierarchy.l2
         assert 100 in hierarchy.l3
@@ -48,22 +59,22 @@ class TestDemandPath:
     def test_l1_hit_is_fast(self):
         hierarchy, _ = make()
         hierarchy.access(100)
-        result = hierarchy.access(100)
-        assert result.level == "L1"
-        assert result.latency <= hierarchy.l1.hit_latency
+        latency = hierarchy.access(100)
+        assert hits(hierarchy) == [1, 0, 0]
+        assert latency <= hierarchy.l1.hit_latency
 
     def test_latency_ordering(self):
         hierarchy, _ = make()
-        mem = hierarchy.access(100).latency
-        l1 = hierarchy.access(100).latency
+        mem = hierarchy.access(100)
+        l1 = hierarchy.access(100)
         assert mem > l1
 
     def test_l2_hit_refills_l1(self):
         hierarchy, _ = make()
         hierarchy.access(100)
         hierarchy.l1.invalidate(100)
-        result = hierarchy.access(100)
-        assert result.level == "L2"
+        hierarchy.access(100)
+        assert hits(hierarchy) == [0, 1, 0]
         assert 100 in hierarchy.l1
 
     def test_l3_hit_refills_upper_levels(self):
@@ -71,8 +82,8 @@ class TestDemandPath:
         hierarchy.access(100)
         hierarchy.l1.invalidate(100)
         hierarchy.l2.invalidate(100)
-        result = hierarchy.access(100)
-        assert result.level == "L3"
+        hierarchy.access(100)
+        assert hits(hierarchy) == [0, 0, 1]
         assert 100 in hierarchy.l1 and 100 in hierarchy.l2
 
     def test_miss_carries_backing_data(self):
@@ -119,6 +130,33 @@ class TestWritebackChain:
         hierarchy.access(100, write=True, data=b"i" * 64)
         hierarchy.invalidate(100, writeback=False)
         assert not backend.writebacks
+
+
+class TestControllerCalls:
+    def test_counts_requests_and_latency_of_each_call(self):
+        """A full miss resolves and fetches the line once, a dirty line
+        leaving the hierarchy is written back once, and the hierarchy
+        counts each call and its latency in its own stats scope."""
+        class StubController:
+            def resolve_miss(self, tag):
+                return tag * 64, 7
+
+            def fetch_data(self, tag):
+                return None
+
+            def handle_writeback(self, tag, data):
+                return 11
+
+        stub = StubController()
+        hierarchy = MemoryHierarchy(resolve_miss=stub.resolve_miss,
+                                    fetch_data=stub.fetch_data,
+                                    handle_writeback=stub.handle_writeback)
+        hierarchy.access(100, write=True, data=b"c" * 64)
+        hierarchy.invalidate(100)
+        assert hierarchy.stats_scope.scalars() == {
+            "resolve_miss_requests": 1, "resolve_miss_latency": 7,
+            "fetch_data_requests": 1,
+            "writeback_requests": 1, "writeback_latency": 11}
 
 
 class TestRetag:

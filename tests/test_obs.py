@@ -16,6 +16,7 @@ The contract under test (DESIGN.md "Observability"):
 
 import json
 import tracemalloc
+from collections import Counter
 from dataclasses import fields
 from fnmatch import fnmatchcase
 
@@ -57,6 +58,26 @@ def _small_fork_run():
     # (segment allocation) runs too.
     kernel.system.hierarchy.flush_dirty()
     return kernel, total
+
+
+class CountingFaultHook(tracing.FaultHook):
+    """Counts every fault-site opportunity and injects nothing."""
+
+    def __init__(self):
+        self.calls = Counter()
+
+    def on_omt_walk(self, entry):
+        self.calls["on_omt_walk"] += 1
+
+    def on_obitvector_copy(self, vector):
+        self.calls["on_obitvector_copy"] += 1
+
+    def on_tlb_fill(self, entry):
+        self.calls["on_tlb_fill"] += 1
+
+    def on_dram_read(self, address):
+        self.calls["on_dram_read"] += 1
+        return 0
 
 
 class TestRunManifest:
@@ -130,12 +151,20 @@ class TestTraceExports:
         return tracer
 
     def test_hooks_capture_engine_and_core_events(self):
-        tracer = self._traced_run()
+        """Every module owning architectural state publishes: the TLB,
+        coherence, OMS and hierarchy through trace events, and the OMT,
+        OBitVector, DRAM and TLB fill through the fault-hook sites."""
+        sites = CountingFaultHook()
+        tracing.install_faults(sites)
+        try:
+            tracer = self._traced_run()
+        finally:
+            tracing.uninstall_faults()
         categories = {event.category for event in tracer}
-        assert "port" in categories
-        assert "tlb" in categories
-        assert "coherence" in categories
-        assert "oms" in categories
+        assert {"tlb", "coherence", "oms", "port"} <= categories
+        for site in ("on_omt_walk", "on_obitvector_copy", "on_dram_read",
+                     "on_tlb_fill"):
+            assert sites.calls[site] > 0, site
 
     def test_jsonl_is_one_valid_object_per_line(self):
         tracer = self._traced_run()
