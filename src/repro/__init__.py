@@ -4,9 +4,10 @@ al., ISCA 2015).
 
 The package layers:
 
-* :mod:`repro.engine` — the simulation substrate (component tree,
-  hierarchical stats registry, shared clock, and the
-  config-driven :class:`~repro.engine.SystemBuilder`).
+* :mod:`repro.engine` — the simulation substrate (components, the
+  hierarchical stats registry, the shared clock).  Every component reads
+  its parameters from one :class:`~repro.config.SystemConfig`:
+  ``OverlaySystem(config=...)`` builds the whole machine from it.
 * :mod:`repro.core` — the page-overlay framework itself (address spaces,
   OBitVector, OMT, Overlay Memory Store, TLB/OMT coherence, the
   :class:`~repro.core.OverlaySystem` facade).
@@ -25,10 +26,9 @@ The package layers:
 
 from .core import OverlaySystem, OBitVector, PAGE_SIZE, LINE_SIZE, LINES_PER_PAGE
 from .config import DEFAULT_CONFIG, SystemConfig
-from .engine import SystemBuilder
 
 __version__ = "1.0.0"
 
 __all__ = ["OverlaySystem", "OBitVector", "PAGE_SIZE", "LINE_SIZE",
-           "LINES_PER_PAGE", "SystemBuilder", "SystemConfig",
+           "LINES_PER_PAGE", "SystemConfig",
            "DEFAULT_CONFIG", "__version__"]

@@ -46,7 +46,7 @@ from functools import lru_cache
 
 
 def _run_table2():
-    from .eval.config import DEFAULT_CONFIG
+    from .config import DEFAULT_CONFIG
     print("Table 2: Main parameters of our simulated system")
     print(DEFAULT_CONFIG.format_table())
     return {"config": asdict(DEFAULT_CONFIG)}

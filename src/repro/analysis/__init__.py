@@ -1,7 +1,7 @@
 """``repro.analysis`` — *simlint*, the simulator's architectural linter.
 
-The engine contract introduced with :mod:`repro.engine` (one component
-tree, one clock, one stats registry, Table 2 owned by
+The engine contract introduced with :mod:`repro.engine` (one stats
+tree, one clock, Table 2 owned by
 :class:`repro.config.SystemConfig`) only stays true if it is
 machine-checked.  This package is a small AST/import-graph linter with
 simulator-specific rules:
@@ -19,9 +19,6 @@ simulator-specific rules:
 * **SL004 layering** — the layer DAG ``engine -> {mem, core, cpu,
   osmodel} -> techniques -> {eval, workloads, sparse}`` admits no upward
   *import-time* imports and no module cycles.
-* **SL005 component protocol** — every Component subclass runs
-  ``init_component`` / ``super().__init__`` and never rebinds
-  ``sim_clock``.
 * **SL006 hot-path memory** — classes in ``# simlint: hot-path``
   modules declare ``__slots__``.
 

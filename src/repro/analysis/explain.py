@@ -75,19 +75,22 @@ _explain(
     "SL003",
     """
 Counters kept as bare self attributes (self.hits += 1) are invisible to
-StatsRegistry.snapshot()/reset()/merge(), so they leak across phases
-(warm-up counts pollute measurement), vanish from results/*.json, and
-cannot be merged across runs.  Any Component
-counter that is ever incremented must be registered — either as a named
-counter or wholesale via own_block()/register_block().
+the StatsRegistry, so they vanish from to_dict()/flat_paths(), the
+profiler and results/*.json.  Any Component counter that is ever
+incremented must live in a stats dataclass registered with
+own_block() (the component's own counters) or register_block() (those
+of a non-component it holds).
 """,
     """
     # before
     self.hits = 0 ... self.hits += 1
     # after
-    self._hits = self.stats_scope.counter("hits")
-    ... self._hits.add(1)
-    # or adopt a dataclass block: self.own_block("tlb", self.stats)
+    @dataclass
+    class TLBStats:
+        hits: int = 0
+    self.stats = TLBStats()
+    self.stats_scope.own_block(self.stats)
+    ... self.stats.hits += 1
 """)
 
 _explain(
@@ -106,28 +109,6 @@ imports inside functions are exempt — the rule checks import time.
     from ..techniques.dedup import DedupController
     # after: invert the dependency — techniques call into the engine,
     # or the shared type moves down into the engine/core layer.
-""")
-
-_explain(
-    "SL005",
-    """
-Component.init_component wires the three invariants every model node
-relies on: membership in the component tree (teardown, traversal), a
-stats scope under the parent's, and the shared SimClock.  A subclass
-whose __init__ skips it (and never calls super().__init__) is a node
-the machine cannot see: its stats never export and its clock cursor
-free-runs.  Rebinding sim_clock after wiring forks the timeline the
-same way.
-""",
-    """
-    # before
-    class MyTLB(Component):
-        def __init__(self, cfg): self.cfg = cfg
-    # after
-    class MyTLB(Component):
-        def __init__(self, cfg):
-            super().__init__()     # or self.init_component(...)
-            self.cfg = cfg
 """)
 
 _explain(

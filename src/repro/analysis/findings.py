@@ -37,7 +37,7 @@ def parse_pragmas(lines: Iterable[str]) -> Dict[int, Set[str]]:
 class Finding:
     """One rule violation at one source location."""
 
-    code: str          # "SL001" .. "SL005"
+    code: str          # "SL001" .. "SL006"
     path: str          # repo-relative, forward slashes
     line: int          # 1-based
     col: int           # 0-based (ast convention)

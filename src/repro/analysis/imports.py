@@ -15,9 +15,8 @@ module-level import graph must be acyclic.  Only *import-time* edges
 count: statements at module (or class) scope, excluding ``if
 TYPE_CHECKING:`` blocks.  Deferred imports inside function bodies are
 the sanctioned dependency-inversion mechanism — that is how
-``engine/builder.py`` builds upper-layer components without the engine
-package depending on them, and how ``techniques/sparse.py`` re-exports
-the sparse substrate without importing the upper tier at import time.
+``techniques/sparse.py`` re-exports the sparse substrate without
+importing the upper tier at import time.
 
 Top-level package modules (``repro``, ``repro.__main__``) and the
 analysis package itself are unranked: they orchestrate every layer by

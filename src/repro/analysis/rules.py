@@ -3,7 +3,7 @@
 Each rule is a generator ``rule(module, project) -> Iterator[Finding]``
 registered under its ``SLxxx`` code.  ``project`` is the
 :class:`Project` built from every collected module, which is what lets
-class-level rules (SL003/SL005) see ``Component`` subclasses whose base
+class-level rules (SL003/SL006) see ``Component`` subclasses whose base
 class lives in another file.
 
 SL004 (layering) is graph-global rather than per-module and lives in
@@ -248,8 +248,7 @@ def check_latency_literals(module: SourceModule,
 # SL003 — stats discipline
 # ---------------------------------------------------------------------------
 
-_INIT_METHODS = {"__init__", "__post_init__", "init_component"}
-_REGISTRATION_CALLS = {"counter", "gauge", "register_block", "own_block"}
+_REGISTRATION_CALLS = {"register_block", "own_block"}
 
 
 def _self_attr(node: ast.expr) -> Optional[str]:
@@ -315,65 +314,9 @@ def check_stats_discipline(module: SourceModule,
                 line=aug.lineno, col=aug.col_offset,
                 message=(f"ad-hoc counter self.{attr} on Component "
                          f"{node.name!r} never reaches the StatsRegistry; "
-                         f"use stats_scope.counter()/own_block() so "
-                         f"snapshot/reset/merge see it"),
+                         f"count it in a stats dataclass registered with "
+                         f"stats_scope.own_block()/register_block()"),
                 symbol=f"{node.name}:{attr}")
-
-
-# ---------------------------------------------------------------------------
-# SL005 — component protocol
-# ---------------------------------------------------------------------------
-
-def _calls_component_init(func: ast.AST) -> bool:
-    for node in ast.walk(func):
-        if not isinstance(node, ast.Call):
-            continue
-        if (isinstance(node.func, ast.Attribute)
-                and node.func.attr == "init_component"):
-            return True
-        if (isinstance(node.func, ast.Attribute)
-                and node.func.attr == "__init__"
-                and isinstance(node.func.value, ast.Call)
-                and isinstance(node.func.value.func, ast.Name)
-                and node.func.value.func.id == "super"):
-            return True
-    return False
-
-
-@rule("SL005", "component protocol: subclasses run init_component and "
-               "never rebind sim_clock")
-def check_component_protocol(module: SourceModule,
-                             project: Project) -> Iterator[Finding]:
-    components = project.component_classes
-    owner = module.module == "repro.engine.component"
-    for node, symbol in _walk_with_symbols(module.tree):
-        if (not owner and isinstance(node, (ast.Assign, ast.AugAssign))):
-            targets = (node.targets if isinstance(node, ast.Assign)
-                       else [node.target])
-            for target in targets:
-                if (isinstance(target, ast.Attribute)
-                        and target.attr == "sim_clock"):
-                    yield Finding(
-                        code="SL005", path=module.display_path,
-                        line=node.lineno, col=node.col_offset,
-                        message=("sim_clock is wired once by "
-                                 "init_component/attach_child; rebinding it "
-                                 "forks the machine's timeline"),
-                        symbol=f"{symbol}:sim_clock")
-        if not isinstance(node, ast.ClassDef) or node.name not in components:
-            continue
-        inits = [child for child in node.body
-                 if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-                 and child.name in ("__init__", "__post_init__")]
-        if inits and not any(_calls_component_init(init) for init in inits):
-            yield Finding(
-                code="SL005", path=module.display_path,
-                line=node.lineno, col=node.col_offset,
-                message=(f"Component subclass {node.name!r} defines "
-                         f"__init__/__post_init__ without calling "
-                         f"init_component or super().__init__; it never "
-                         f"joins the component tree"),
-                symbol=f"{node.name}:init")
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +401,7 @@ def check_hot_path_slots(module: SourceModule,
     ``__slots__``.  Exempt: dataclasses (Python 3.9 cannot combine the
     decorator with ``__slots__`` and field defaults, and the stats
     blocks' ``vars()``-based snapshots need the instance dict),
-    ``Component`` subclasses (the component tree relies on the instance
+    ``Component`` subclasses (components rely on the instance
     dict), and exception classes.
     """
     if not _module_is_hot_path(module):

@@ -20,26 +20,15 @@ remap-mechanism ablation of ``python -m repro ablations``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from .address import decompose_overlay_address, page_address
 from .omt import OMTEntry
 from .tlb import TLB
-from ..config import DEFAULT_CONFIG
+from ..config import DEFAULT_CONFIG, SystemConfig
 from ..engine.component import Component
 from ..engine.tracing import HOOKS
-
-#: Cycles for the *overlaying read exclusive* round trip: the store
-#: cannot commit until the single-line remap is globally visible, so the
-#: broadcast plus the farthest acknowledgement land on the critical path.
-#: A cache-to-cache-transfer-class latency — still 40x cheaper than the
-#: IPI-based shootdown it replaces.  Owned by Table 2's SystemConfig.
-OVERLAYING_READ_EXCLUSIVE_LATENCY = DEFAULT_CONFIG.overlay_read_exclusive_latency
-
-#: Cycles for an IPI-based TLB shootdown; prior work measures several
-#: thousand cycles per shootdown [40, 54].  Owned by SystemConfig.
-TLB_SHOOTDOWN_LATENCY = DEFAULT_CONFIG.tlb_shootdown_latency
 
 
 @dataclass
@@ -50,7 +39,6 @@ class CoherenceStats:
     tlb_entries_updated: int = 0
 
 
-@dataclass
 class CoherenceNetwork(Component):
     """Broadcast fabric connecting the per-core TLBs and the OMT.
 
@@ -58,19 +46,30 @@ class CoherenceNetwork(Component):
     itself implicitly by passing OMT entries into the broadcast calls.
     """
 
-    tlbs: List[TLB] = field(default_factory=list)
-    message_latency: int = OVERLAYING_READ_EXCLUSIVE_LATENCY
-    shootdown_latency: int = TLB_SHOOTDOWN_LATENCY
-    stats: CoherenceStats = field(default_factory=CoherenceStats)
-    #: The remap port at the memory controller handles one remap at a
-    #: time; back-to-back remaps queue here (a structural hazard that
-    #: limits the MLP of bursts of overlaying writes — part of why
-    #: clustered writers like cactus slightly favour the bulk page copy).
-    _port_busy_until: int = 0
-
-    def __post_init__(self):
-        self.init_component("coherence")
+    def __init__(self, tlbs: Optional[List[TLB]] = None,
+                 config: Optional[SystemConfig] = None,
+                 parent: Optional[Component] = None):
+        super().__init__("coherence", parent=parent)
+        config = config or DEFAULT_CONFIG
+        self.tlbs: List[TLB] = tlbs if tlbs is not None else []
+        #: Cycles for the *overlaying read exclusive* round trip: the
+        #: store cannot commit until the single-line remap is globally
+        #: visible, so the broadcast plus the farthest acknowledgement
+        #: land on the critical path.  A cache-to-cache-transfer-class
+        #: latency — still 40x cheaper than the IPI-based shootdown it
+        #: replaces.
+        self.message_latency = config.overlay_read_exclusive_latency
+        #: Cycles for an IPI-based TLB shootdown; prior work measures
+        #: several thousand cycles per shootdown [40, 54].
+        self.shootdown_latency = config.tlb_shootdown_latency
+        self.stats = CoherenceStats()
         self.stats_scope.own_block(self.stats)
+        #: The remap port at the memory controller handles one remap at
+        #: a time; back-to-back remaps queue here (a structural hazard
+        #: that limits the MLP of bursts of overlaying writes — part of
+        #: why clustered writers like cactus slightly favour the bulk
+        #: page copy).
+        self._port_busy_until = 0
 
     def attach(self, tlb: TLB) -> None:
         self.tlbs.append(tlb)

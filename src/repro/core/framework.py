@@ -38,8 +38,11 @@ from .mmu import MemoryController, MMU
 from .oms import OverlayMemoryStore, ZERO_LINE
 from .page_table import PTE, PageFault, PageTable
 from .tlb import TLB, TLBEntry
-from ..engine.builder import SystemBuilder
+from ..config import DEFAULT_CONFIG, SystemConfig
+from ..engine.clock import SimClock
 from ..engine.component import Component
+from ..mem.dram import DRAM
+from ..mem.hierarchy import MemoryHierarchy
 from ..mem.mainmemory import MainMemory
 
 #: Frame number where the default OMS page pool begins — far above any
@@ -87,55 +90,55 @@ def default_cow_handler(system: "OverlaySystem", asid: int, vaddr: int,
 class OverlaySystem(Component):
     """A complete simulated machine with page-overlay support.
 
-    The system is the root of the engine's component tree: every hardware
+    The system is the root of the machine's stats tree: every hardware
     structure below it (hierarchy, caches, DRAM, controller, OMS, TLBs,
-    coherence network) shares its :class:`~repro.engine.clock.SimClock`
-    and registers its statistics once, at construction, in the system's
-    :class:`~repro.engine.stats.StatsRegistry`.  Construction itself is
-    delegated to :class:`~repro.engine.builder.SystemBuilder`, so every
-    Table 2 default comes from one :class:`~repro.config.SystemConfig`.
+    coherence network) is built from the system's
+    :class:`~repro.config.SystemConfig` and registers its statistics
+    once, at construction, in the system's
+    :class:`~repro.engine.stats.StatsRegistry`.  The system owns the
+    machine's one :class:`~repro.engine.clock.SimClock`.
     """
 
     def __init__(self, num_cores: int = 1,
                  cow_handler: Optional[CowHandler] = None,
                  oms_request_pages: Optional[Callable[[int], List[int]]] = None,
                  oms_initial_pages: int = 16,
-                 omt_cache_entries: Optional[int] = None,
                  overlays_enabled: bool = True,
                  oms_page_per_overlay: bool = False,
-                 config=None):
+                 config: Optional[SystemConfig] = None):
         if num_cores < 1:
             raise ValueError("need at least one core")
         super().__init__("system")
-        if config is None:
-            from ..config import DEFAULT_CONFIG
-            config = DEFAULT_CONFIG
+        config = config or DEFAULT_CONFIG
         self.config = config
-        self.builder = SystemBuilder(config)
-        if omt_cache_entries is None:
-            omt_cache_entries = config.omt_cache_entries
+        self.sim_clock = SimClock()
         self.main_memory = MainMemory()
-        self.dram = self.attach_child(self.builder.build_dram())
+        self.dram = DRAM(config, parent=self)
         self._oms_next_frame = DEFAULT_OMS_FRAME_BASE
         self.oms = OverlayMemoryStore(
             request_pages=oms_request_pages or self._default_oms_pages,
             initial_pages=oms_initial_pages,
             page_per_overlay=oms_page_per_overlay)
         self.controller = MemoryController(
-            self.main_memory, self.dram, self.oms,
-            omt_cache_entries=omt_cache_entries, parent=self)
-        self.hierarchy = self.builder.build_hierarchy(
+            self.main_memory, self.dram, self.oms, config=config,
+            parent=self)
+        self.hierarchy = MemoryHierarchy(
             dram=self.dram,
             resolve_miss=self.controller.resolve_miss,
             handle_writeback=self.controller.handle_writeback,
             fetch_data=self.controller.fetch_data,
-            parent=self)
+            config=config, parent=self)
         self.page_tables: Dict[int, PageTable] = {}
-        self.tlbs = [TLB(name=f"tlb{index}", parent=self,
-                         **self.builder.tlb_params())
+        self.tlbs = [TLB(l1_entries=config.l1_tlb_entries,
+                         l1_ways=config.l1_tlb_ways,
+                         l2_entries=config.l2_tlb_entries,
+                         l1_latency=config.l1_tlb_latency,
+                         l2_latency=config.l2_tlb_latency,
+                         miss_latency=config.tlb_miss_latency,
+                         name=f"tlb{index}", parent=self)
                      for index in range(num_cores)]
-        self.coherence = self.attach_child(
-            CoherenceNetwork(tlbs=list(self.tlbs)))
+        self.coherence = CoherenceNetwork(tlbs=list(self.tlbs), config=config,
+                                          parent=self)
         self.mmus = [MMU(tlb, self.page_tables, self.controller)
                      for tlb in self.tlbs]
         self.cow_handler: CowHandler = cow_handler or default_cow_handler
@@ -654,23 +657,6 @@ class OverlaySystem(Component):
     def overlay_memory_allocated(self) -> int:
         """Main-memory bytes held by live overlay segments."""
         return self.oms.allocated_bytes
-
-    def stats_snapshot(self) -> Dict[str, Dict[str, float]]:
-        """Every counter in the machine, grouped by component — the
-        whole-system telemetry view used by experiment reports.
-
-        The counters live in the engine's hierarchical registry, wired
-        once at construction; this is its flattened (legacy-shaped) view.
-        """
-        return self.stats_scope.flat()
-
-    def stats_tree(self, indent: str = "  ") -> str:
-        """Human-readable dump of the whole stats tree (debug/reports)."""
-        return self.stats_scope.format_tree(indent)
-
-    def reset_stats(self) -> None:
-        """Zero every counter in the machine in one traversal."""
-        self.stats_scope.reset()
 
     def overlay_line_count(self, asid: int, vpn: int) -> int:
         entry = self.controller.omt.lookup(overlay_page_number(asid, vpn))

@@ -30,14 +30,10 @@ from .omt import OMTCache, OMTEntry, OverlayMappingTable
 from .oms import OverlayMemoryStore, ZERO_LINE
 from .page_table import PageTable
 from .tlb import TLB, TLBEntry
-from ..config import DEFAULT_CONFIG
+from ..config import DEFAULT_CONFIG, SystemConfig
 from ..mem.dram import DRAM
 from ..mem.mainmemory import MainMemory
 from ..engine.component import Component
-
-#: Cycles per table-walk memory access (an uncontended row-miss DRAM
-#: read).  Owned by Table 2's SystemConfig.
-MEMORY_ACCESS_CYCLES = DEFAULT_CONFIG.table_walk_access_cycles
 
 #: The overlay bit's position within a line *tag* (a tag is the line
 #: address shifted right by 6) — ``tag & _OVERLAY_TAG_BIT`` is
@@ -63,19 +59,23 @@ class MemoryController(Component):
     def __init__(self, main_memory: MainMemory, dram: DRAM,
                  oms: OverlayMemoryStore,
                  omt: Optional[OverlayMappingTable] = None,
-                 omt_cache_entries: int = 64,
+                 config: Optional[SystemConfig] = None,
                  parent: Optional[Component] = None):
         super().__init__("controller", parent=parent)
+        config = config or DEFAULT_CONFIG
         self.main_memory = main_memory
         self.dram = dram
         self.oms = oms
         self.omt = omt or OverlayMappingTable()
-        self.omt_cache = OMTCache(self.omt, capacity=omt_cache_entries)
+        self.omt_cache = OMTCache(self.omt,
+                                  capacity=config.omt_cache_entries)
+        #: Cycles per table-walk memory access (an uncontended row-miss
+        #: DRAM read).
+        self.walk_access_cycles = config.table_walk_access_cycles
         self.stats = ControllerStats()
         self.stats_scope.own_block(self.stats)
         self.stats_scope.register_block("omt_cache", self.omt_cache.stats)
-        if isinstance(oms, Component) and oms.parent is None:
-            self.attach_child(oms)
+        self.attach_child(oms)
         self._now = 0
 
     # -- tag decomposition ---------------------------------------------------
@@ -101,7 +101,7 @@ class MemoryController(Component):
             return tag * LINE_SIZE, 0
         opn, line = tag >> 6, tag & 63
         entry, accesses = self.omt_cache.lookup(opn)
-        latency = accesses * MEMORY_ACCESS_CYCLES
+        latency = accesses * self.walk_access_cycles
         if entry is None or entry.segment is None or not entry.segment.has_line(line):
             return None, latency
         self.stats.overlay_reads += 1
@@ -146,7 +146,7 @@ class MemoryController(Component):
             self.stats.physical_writebacks += 1
             return self.dram.write(tag * LINE_SIZE, self._now)
         entry, accesses = self.omt_cache.lookup(page, create=True)
-        latency = accesses * MEMORY_ACCESS_CYCLES
+        latency = accesses * self.walk_access_cycles
         if entry.segment is None:
             entry.segment = self.oms.allocate_segment(1)
         entry.segment = self.oms.write_line(entry.segment, line, payload)
@@ -172,7 +172,7 @@ class MemoryController(Component):
             entry = self.omt.ensure(opn) if create else self.omt.lookup(opn)
             return entry, 0
         entry, accesses = self.omt_cache.lookup(opn, create=create)
-        return entry, accesses * MEMORY_ACCESS_CYCLES
+        return entry, accesses * self.walk_access_cycles
 
     def drop_overlay(self, opn: int) -> None:
         """Free an overlay's segment and OMT entry (commit/discard)."""

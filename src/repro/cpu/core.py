@@ -107,7 +107,8 @@ class Core:
     core_id:
         Which of the system's TLBs/MMUs to use.
     window:
-        Instruction-window (ROB) size; Table 2 uses 64 entries.
+        Instruction-window (ROB) size; defaults to the system config's
+        ``instruction_window`` (Table 2: 64 entries).
     mshrs:
         Maximum outstanding memory requests.
     """
@@ -115,11 +116,12 @@ class Core:
     __slots__ = ("system", "asid", "core_id", "window", "mshrs")
 
     def __init__(self, system: OverlaySystem, asid: int, core_id: int = 0,
-                 window: int = 64, mshrs: int = 16):
+                 window: Optional[int] = None, mshrs: int = 16):
         self.system = system
         self.asid = asid
         self.core_id = core_id
-        self.window = window
+        self.window = (system.config.instruction_window if window is None
+                       else window)
         self.mshrs = mshrs
 
     # -- the window model, one access at a time ------------------------------

@@ -18,12 +18,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from .core import Core, CoreStats, WindowState
+from .core import Core, CoreStats
 from .trace import Trace
-
-#: Backwards-compatible alias — the per-core run state now lives beside
-#: the window model it belongs to.
-_RunState = WindowState
 
 
 class MultiCoreScheduler:

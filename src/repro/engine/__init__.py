@@ -3,18 +3,14 @@
 The engine owns the cross-cutting concerns every hardware model in
 this repository needs:
 
-* :class:`~repro.engine.component.Component` — a named node in the
-  machine's component tree, carrying a stats scope and the shared clock;
+* :class:`~repro.engine.component.Component` — a named node of the
+  machine: a name plus a stats scope;
 * :class:`~repro.engine.clock.SimClock` — the single simulation
-  timeline, with per-component :class:`~repro.engine.clock.ClockCursor`
+  timeline, with per-core :class:`~repro.engine.clock.ClockCursor`
   views for event-driven interleaving;
-* :class:`~repro.engine.stats.StatsRegistry` — a hierarchical registry
-  of named counters/gauges and adopted stat blocks, with ``snapshot()``,
-  ``reset()``, ``merge()`` and a tree-formatted dump;
-* :class:`~repro.engine.builder.SystemBuilder` — config-driven wiring:
-  the whole machine (hierarchy, TLBs, DRAM, cores) is derived from one
-  :class:`~repro.config.SystemConfig`, so Table 2 lives in exactly one
-  place;
+* :class:`~repro.engine.stats.StatsRegistry` — the machine's one tree:
+  stats dataclass blocks registered once per scope, viewed through
+  ``to_dict()`` and ``flat_paths()``;
 * :func:`~repro.engine.rng.derive_rng` — seeded-RNG derivation, so
   every synthetic-input generator draws from an explicit
   ``random.Random`` rooted at ``SystemConfig.rng_seed`` (simlint SL001);
@@ -31,8 +27,7 @@ from . import process_state, tracing
 from .clock import (ClockCursor, ClockError, SimClock, SimulationHangError,
                     default_max_cycles, set_default_max_cycles)
 from .component import Component
-from .stats import Counter, Gauge, StatsError, StatsRegistry, merge_blocks, snapshot_block
-from .builder import SystemBuilder
+from .stats import StatsError, StatsRegistry, merge_blocks, snapshot_block
 from .rng import derive_rng, resolve_seed
 from .tracing import CycleSampler, FaultHook, TraceError, TraceSink
 
@@ -40,9 +35,8 @@ __all__ = [
     "ClockCursor", "ClockError", "SimClock", "SimulationHangError",
     "default_max_cycles", "set_default_max_cycles",
     "Component",
-    "Counter", "Gauge", "StatsError", "StatsRegistry",
+    "StatsError", "StatsRegistry",
     "merge_blocks", "snapshot_block",
-    "SystemBuilder",
     "derive_rng", "resolve_seed",
     "process_state",
     "tracing", "CycleSampler", "FaultHook", "TraceError", "TraceSink",

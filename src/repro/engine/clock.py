@@ -1,19 +1,17 @@
-"""The simulation clock — one timeline shared by every component.
+"""The simulation clock — one timeline for the whole machine.
 
-The machine previously kept several clocks: ``OverlaySystem.clock`` (a
-bare integer), a local ``cycle`` variable inside
-:meth:`repro.cpu.core.Core.run`, and a per-core ``cycle`` field in the
-multi-core scheduler's run states.  :class:`SimClock` unifies them:
+:class:`~repro.core.framework.OverlaySystem` creates and owns the one
+:class:`SimClock`:
 
 * the clock's ``now`` is the single current simulation time that DRAM
   bank state, write-buffer drains and coherence-port queueing observe;
-* each event-driven component (a core, a background engine) holds a
-  :class:`ClockCursor` — its own strictly monotonic position on the
-  timeline.  An event scheduler repeatedly *focuses* the clock on the
-  cursor with the earliest next event (:meth:`SimClock.focus`), which
-  may move ``now`` backwards across components while each component's
-  own history stays monotonic; ``peak`` records the furthest point any
-  component has reached.
+* each core holds a :class:`ClockCursor` — its own strictly monotonic
+  position on the timeline.  The multi-core scheduler steps the core
+  whose cursor is earliest, and :meth:`~repro.cpu.core.Core.step`
+  calls :meth:`SimClock.seek` with that core's time, which may
+  move ``now`` backwards across cores while each core's own history
+  stays monotonic; ``peak`` records the furthest point any core has
+  reached.
 """
 
 from __future__ import annotations
@@ -47,16 +45,6 @@ class SimulationHangError(RuntimeError):
             f"SimClock(max_cycles=...) if the run is legitimately long")
         self.limit = limit
         self.snapshot = snapshot
-
-    def __reduce__(self):
-        # Default exception pickling replays ``args`` — here the
-        # formatted *message* — into ``__init__``, which expects
-        # ``(limit, snapshot)`` and blows up during unpickling.  A
-        # worker raising the watchdog error across a process pool would
-        # then surface as an opaque BrokenProcessPool instead of the
-        # diagnosis it carries.  Rebuild from the real constructor
-        # arguments so limit, snapshot and message all survive.
-        return (type(self), (self.limit, self.snapshot))
 
 
 #: Process-wide default watchdog limit new clocks adopt (None: no limit).
@@ -130,12 +118,6 @@ class ClockCursor:
             HOOKS.active.emit(self._time, "cursor", self.name, None)
         return self._time
 
-    def catch_up_to(self, cycle: int) -> int:
-        """Advance to *cycle* if it is ahead; no-op (no error) otherwise."""
-        if cycle > self._time:
-            self.advance_to(cycle)
-        return self._time
-
     def __repr__(self) -> str:
         return f"ClockCursor({self.name}@{self._time})"
 
@@ -143,10 +125,9 @@ class ClockCursor:
 class SimClock:
     """The shared simulation timeline.
 
-    ``advance``/``advance_to`` move the global time monotonically — the
-    single-threaded case.  Event-driven schedulers instead keep one
-    :class:`ClockCursor` per component and :meth:`focus` the clock on
-    whichever cursor acts next; ``peak`` never decreases.
+    Each core keeps one :class:`ClockCursor`, and the clock is
+    :meth:`seek`-ed to the cursor's time as the core acts; ``peak``
+    never decreases.
     """
 
     def __init__(self, start: int = 0, max_cycles=None):
@@ -161,7 +142,7 @@ class SimClock:
             raise ValueError(
                 f"max_cycles must be positive, got {self._max_cycles}")
 
-    # -- global time --------------------------------------------------------
+    # -- time ---------------------------------------------------------------
 
     @property
     def now(self) -> int:
@@ -171,22 +152,6 @@ class SimClock:
     def peak(self) -> int:
         """The furthest cycle any component has reached."""
         return self._peak
-
-    def advance(self, cycles: int) -> int:
-        """Move the global time forward by *cycles* (>= 0)."""
-        if cycles < 0:
-            raise ClockError(f"clock cannot advance by {cycles}")
-        return self.advance_to(self._now + cycles)
-
-    def advance_to(self, cycle: int) -> int:
-        """Move the global time forward to *cycle*; backwards raises."""
-        if cycle < self._now:
-            raise ClockError(f"clock at {self._now} cannot rewind to {cycle}")
-        self._now = cycle
-        self._observe(cycle)
-        if HOOKS.active is not None:
-            HOOKS.active.emit(cycle, "clock", "advance", None)
-        return self._now
 
     def _observe(self, cycle: int) -> None:
         if cycle > self._peak:
@@ -200,13 +165,13 @@ class SimClock:
                     "now": self._now, "peak": self._peak,
                     "cursors": [(cursor.name, cursor.time)
                                 for cursor in self._cursors]})
-        # Sampling hook site: every observed time movement (global
-        # advances, cursor advances, event-driven seeks) funnels through
+        # Sampling hook site: every observed time movement (cursor
+        # advances and event-driven seeks) funnels through
         # here, so one disarmed check covers the whole timeline.
         if HOOKS.sampler is not None:
             HOOKS.sampler.on_cycle(cycle)
 
-    # -- event-driven views --------------------------------------------------
+    # -- cursors --------------------------------------------------------------
 
     def cursor(self, name: str, start: int = None) -> ClockCursor:
         """Create a component cursor starting at *start* (default: now)."""
@@ -216,18 +181,13 @@ class SimClock:
         self._observe(cursor.time)
         return cursor
 
-    def focus(self, cursor: ClockCursor) -> int:
-        """Reposition the global time at *cursor* (event-driven switch).
-
-        Switching focus to an earlier component is the one sanctioned
-        way ``now`` moves backwards: the scheduler is replaying the
-        timeline in event order, and each component's own cursor is
-        still monotonic.
-        """
-        return self.seek(cursor.time)
-
     def seek(self, cycle: int) -> int:
-        """Reposition the global time at *cycle* (see :meth:`focus`)."""
+        """Reposition the global time at *cycle*.
+
+        The one way ``now`` moves, backwards included: the scheduler
+        replays the timeline in event order, and each core's own cursor
+        is still monotonic.
+        """
         if cycle < 0:
             raise ClockError(f"cannot seek to negative cycle {cycle}")
         self._now = cycle
@@ -243,13 +203,6 @@ class SimClock:
             self._cursors.remove(cursor)
         except ValueError:
             pass
-
-    def earliest(self, cursors=None) -> ClockCursor:
-        """The cursor with the smallest current time (scheduling order)."""
-        pool = list(cursors) if cursors is not None else self._cursors
-        if not pool:
-            raise ClockError("no cursors to schedule")
-        return min(pool, key=lambda cursor: cursor.time)
 
     def __repr__(self) -> str:
         return f"SimClock(now={self._now}, peak={self._peak})"

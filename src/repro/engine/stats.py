@@ -1,35 +1,34 @@
 """Hierarchical statistics registry for the simulated machine.
 
 Every component registers its statistics exactly once, under its own
-scope in the machine's registry tree.  Two kinds of entries coexist:
+scope in the machine's registry tree.  Counters are the numeric fields
+of plain dataclass instances ("blocks"), registered in one of two ways:
 
-* **scalars** — :class:`Counter` and :class:`Gauge` objects created
-  through :meth:`StatsRegistry.counter` / :meth:`StatsRegistry.gauge`;
-* **blocks** — plain dataclass instances whose numeric fields are the
-  counters (:class:`~repro.mem.stats.CacheStats` and friends predate the
-  engine and are adopted wholesale via
-  :meth:`StatsRegistry.register_block`).
+* :meth:`StatsRegistry.own_block` — the component's own counters, which
+  appear directly in its scope;
+* :meth:`StatsRegistry.register_block` — the counters of a
+  non-component the component holds (the hierarchy's prefetcher, the
+  controller's OMT cache), under the block's name.
 
-The registry offers whole-machine ``snapshot()``, ``reset()`` and
-``merge()`` (for aggregating repeated experiment runs) plus
-``format_tree()``, an indented human-readable dump of the component
-tree.  Names are unique within a scope; re-registering raises
+The registry is the machine's one tree.  :meth:`StatsRegistry.to_dict`
+is its structural view and :meth:`StatsRegistry.flat_paths` its flat
+view.  Names are unique within a scope; re-registering raises
 :class:`StatsError` — stats are wired once, at construction.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, Optional, Tuple, Union
 
 Number = Union[int, float]
 
 
 class StatsError(ValueError):
-    """Raised on duplicate registration or merging mismatched registries."""
+    """Raised on a duplicate registration."""
 
 
 def snapshot_block(block: object) -> Dict[str, Number]:
-    """Numeric fields of a stats block (the legacy snapshot convention)."""
+    """Numeric fields of a stats block."""
     return {key: value for key, value in vars(block).items()
             if isinstance(value, (int, float)) and not isinstance(value, bool)}
 
@@ -40,62 +39,16 @@ def merge_blocks(target: object, source: object) -> None:
         setattr(target, key, getattr(target, key, 0) + value)
 
 
-class Counter:
-    """A monotonically growing named count."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str, value: int = 0):
-        self.name = name
-        self.value = value
-
-    def increment(self, amount: Number = 1) -> None:
-        if amount < 0:
-            raise ValueError(f"counter {self.name!r} cannot decrease")
-        self.value += amount
-
-    def reset(self) -> None:
-        self.value = 0
-
-    def __repr__(self) -> str:
-        return f"Counter({self.name}={self.value})"
-
-
-class Gauge:
-    """A named level that moves both ways (e.g. queue occupancy)."""
-
-    __slots__ = ("name", "value", "_initial")
-
-    def __init__(self, name: str, value: Number = 0):
-        self.name = name
-        self.value = value
-        self._initial = value
-
-    def set(self, value: Number) -> None:
-        self.value = value
-
-    def adjust(self, delta: Number) -> None:
-        self.value += delta
-
-    def reset(self) -> None:
-        self.value = self._initial
-
-    def __repr__(self) -> str:
-        return f"Gauge({self.name}={self.value})"
-
-
 class StatsRegistry:
     """One scope of the machine's statistics tree.
 
-    A scope holds scalars (counters/gauges), adopted blocks, and child
+    A scope holds at most one own block, named blocks, and child
     scopes — one per sub-component.  The root scope therefore mirrors
-    the component tree: ``system -> hierarchy -> l1`` and so on.
+    the machine: ``system -> hierarchy -> l1`` and so on.
     """
 
     def __init__(self, name: str = "root"):
         self.name = name
-        self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
         self._blocks: Dict[str, object] = {}
         self._children: Dict[str, "StatsRegistry"] = {}
         self._own_block: Optional[object] = None
@@ -103,23 +56,8 @@ class StatsRegistry:
     # -- registration (once, at construction) ------------------------------
 
     def _check_free(self, name: str) -> None:
-        if (name in self._counters or name in self._gauges
-                or name in self._blocks or name in self._children):
+        if name in self._blocks or name in self._children:
             raise StatsError(f"{self.name!r} already registers {name!r}")
-
-    def counter(self, name: str) -> Counter:
-        """Create and register a named counter; duplicate names raise."""
-        self._check_free(name)
-        counter = Counter(name)
-        self._counters[name] = counter
-        return counter
-
-    def gauge(self, name: str, value: Number = 0) -> Gauge:
-        """Create and register a named gauge; duplicate names raise."""
-        self._check_free(name)
-        gauge = Gauge(name, value)
-        self._gauges[name] = gauge
-        return gauge
 
     def register_block(self, name: str, block: object) -> object:
         """Adopt a stats dataclass under *name*; duplicate names raise."""
@@ -130,9 +68,8 @@ class StatsRegistry:
     def own_block(self, block: object) -> object:
         """Adopt a stats dataclass as this scope's *own* counters.
 
-        Its fields appear directly in the scope (snapshot inlines them;
-        the flat view emits them under the scope's name).  A scope owns
-        at most one block.
+        Its fields appear directly in the scope (the flat view emits
+        them under the scope's path).  A scope owns at most one block.
         """
         if self._own_block is not None:
             raise StatsError(f"{self.name!r} already owns a stats block")
@@ -152,10 +89,7 @@ class StatsRegistry:
         self._children[node.name] = node
         return node
 
-    # -- traversal ----------------------------------------------------------
-
-    def children(self) -> List["StatsRegistry"]:
-        return list(self._children.values())
+    # -- views --------------------------------------------------------------
 
     def walk(self, prefix: str = "") -> Iterator[Tuple[str, "StatsRegistry"]]:
         """Yield ``(dotted_path, scope)`` for this scope and descendants."""
@@ -164,38 +98,20 @@ class StatsRegistry:
         for node in self._children.values():
             yield from node.walk(path)
 
-    # -- whole-tree operations ---------------------------------------------
-
     def scalars(self) -> Dict[str, Number]:
-        """This scope's own values: counters, gauges, and the fields of
-        the own block (no named blocks, no children)."""
-        out: Dict[str, Number] = {}
-        if self._own_block is not None:
-            out.update(snapshot_block(self._own_block))
-        for name, counter in self._counters.items():
-            out[name] = counter.value
-        for name, gauge in self._gauges.items():
-            out[name] = gauge.value
-        return out
-
-    def snapshot(self) -> Dict[str, object]:
-        """A nested dict of every value under this scope."""
-        out: Dict[str, object] = dict(self.scalars())
-        for name, block in self._blocks.items():
-            out[name] = snapshot_block(block)
-        for name, node in self._children.items():
-            out[name] = node.snapshot()
-        return out
+        """This scope's own values: the fields of its own block (no
+        named blocks, no children)."""
+        if self._own_block is None:
+            return {}
+        return snapshot_block(self._own_block)
 
     def to_dict(self) -> Dict[str, object]:
         """A JSON-ready structural view of this scope and its subtree.
 
-        Unlike :meth:`snapshot` (which inlines everything into one
-        nested mapping), ``to_dict`` keeps the scope structure explicit
-        — ``{"name", "scalars", "blocks", "children"}`` — so exporters
-        can round-trip the tree shape and machine-readable consumers
-        can tell a child scope from an adopted block.  The total of all
-        numeric values equals the total :meth:`format_tree` prints.
+        ``{"name", "scalars", "blocks", "children"}`` keeps the scope
+        structure explicit, so exporters can round-trip the tree shape
+        and machine-readable consumers can tell a child scope from a
+        named block.
         """
         return {
             "name": self.name,
@@ -209,9 +125,8 @@ class StatsRegistry:
     def flat_paths(self, prefix: str = "") -> Dict[str, Number]:
         """Every numeric value in the subtree, keyed by full dotted path.
 
-        Scalars (counters, gauges, own-block fields) appear as
-        ``scope.path.name``; adopted blocks contribute
-        ``scope.path.block_name.field``.  Unlike :meth:`flat`, paths are
+        Own-block fields appear as ``scope.path.name``; named blocks
+        contribute ``scope.path.block_name.field``.  Paths are
         unambiguous: duplicate leaf scope names in different subtrees
         stay distinct.  This is the shape the time-series sampler and
         the run-comparison tooling key their metrics by.
@@ -225,93 +140,7 @@ class StatsRegistry:
                     out[f"{path}.{block_name}.{key}"] = value
         return out
 
-    def flat(self) -> Dict[str, Dict[str, Number]]:
-        """Legacy whole-system shape: ``{scope_name: {field: value}}``.
-
-        Every scope that holds any scalars contributes one entry under
-        its (leaf) name; every adopted block contributes one entry under
-        the block's registered name.  This is the shape
-        :meth:`repro.core.framework.OverlaySystem.stats_snapshot` has
-        always returned.
-        """
-        out: Dict[str, Dict[str, Number]] = {}
-        for _, node in self.walk():
-            scalars = node.scalars()
-            if scalars:
-                out.setdefault(node.name, {}).update(scalars)
-            for name, block in node._blocks.items():
-                out.setdefault(name, {}).update(snapshot_block(block))
-        return out
-
-    @staticmethod
-    def _reset_block(block: object) -> None:
-        for key, value in vars(block).items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                continue
-            setattr(block, key, 0 if isinstance(value, int) else 0.0)
-
-    def reset(self) -> None:
-        """Zero every scalar and block field in this scope and below."""
-        for counter in self._counters.values():
-            counter.reset()
-        for gauge in self._gauges.values():
-            gauge.reset()
-        if self._own_block is not None:
-            self._reset_block(self._own_block)
-        for block in self._blocks.values():
-            self._reset_block(block)
-        for node in self._children.values():
-            node.reset()
-
-    def merge(self, other: "StatsRegistry") -> None:
-        """Sum *other*'s values into this registry, scope by scope.
-
-        Used to aggregate the registries of repeated experiment runs
-        (e.g. per-seed machines in a sweep).  The trees must have the
-        same shape where they overlap; scopes present only in *other*
-        raise, so aggregation bugs surface instead of dropping data.
-        """
-        for name, counter in other._counters.items():
-            if name not in self._counters:
-                raise StatsError(f"{self.name!r} has no counter {name!r}")
-            self._counters[name].value += counter.value
-        for name, gauge in other._gauges.items():
-            if name not in self._gauges:
-                raise StatsError(f"{self.name!r} has no gauge {name!r}")
-            self._gauges[name].value += gauge.value
-        if other._own_block is not None:
-            if self._own_block is None:
-                raise StatsError(f"{self.name!r} owns no stats block")
-            merge_blocks(self._own_block, other._own_block)
-        for name, block in other._blocks.items():
-            if name not in self._blocks:
-                raise StatsError(f"{self.name!r} has no block {name!r}")
-            merge_blocks(self._blocks[name], block)
-        for name, node in other._children.items():
-            if name not in self._children:
-                raise StatsError(f"{self.name!r} has no child scope {name!r}")
-            self._children[name].merge(node)
-
-    def format_tree(self, indent: str = "  ") -> str:
-        """An indented, human-readable dump of the whole tree."""
-        lines: List[str] = []
-        self._format_into(lines, 0, indent)
-        return "\n".join(lines)
-
-    def _format_into(self, lines: List[str], depth: int, indent: str) -> None:
-        pad = indent * depth
-        lines.append(f"{pad}{self.name}")
-        for name, value in sorted(self.scalars().items()):
-            lines.append(f"{pad}{indent}{name} = {value}")
-        for name, block in sorted(self._blocks.items()):
-            lines.append(f"{pad}{indent}[{name}]")
-            for key, value in sorted(snapshot_block(block).items()):
-                lines.append(f"{pad}{indent * 2}{key} = {value}")
-        for node in self._children.values():
-            node._format_into(lines, depth + 1, indent)
-
     def __repr__(self) -> str:
         return (f"StatsRegistry({self.name!r}, "
-                f"{len(self._counters) + len(self._gauges)} scalars, "
                 f"{len(self._blocks)} blocks, "
                 f"{len(self._children)} children)")

@@ -11,9 +11,9 @@ pattern::
 A second, independent slot (:data:`HOOKS`\ ``.sampler``) carries the
 *cycle sampler* interface for time-series metrics: the clock notifies
 the sampler whenever simulated time moves
-(:meth:`~repro.engine.clock.SimClock._observe`), and the component tree
-notifies it whenever a new root component — a fresh machine — is built
-(:meth:`~repro.engine.component.Component.init_component`).  The
+(:meth:`~repro.engine.clock.SimClock._observe`), and a component
+notifies it whenever it is built without a parent — a fresh machine
+root (:class:`~repro.engine.component.Component`).  The
 recorder (:class:`repro.obs.metrics.MetricsSampler`) decides what to
 snapshot at which epoch; the engine only publishes.
 
@@ -64,7 +64,7 @@ class CycleSampler:
     """Interface a time-series sampler implements.
 
     ``on_cycle(cycle)`` fires whenever simulated time is observed moving
-    (clock/cursor advances and event-driven seeks); ``on_root(component)``
+    (cursor advances and event-driven seeks); ``on_root(component)``
     fires when a new root component — a freshly built machine — joins
     the process, so the sampler can bind its statistics registry without
     the harness threading it through every layer.

@@ -4,7 +4,6 @@ technique measurements and multiprogrammed study of DESIGN.md.
 ``python -m repro`` runs each of them by name."""
 
 from .ablations import format_ablations, run_ablations
-from .config import DEFAULT_CONFIG, SystemConfig
 from .fork_experiment import (BenchmarkComparison, PolicyRun, format_figure8,
                               format_figure9, run_benchmark, run_policy,
                               run_suite, summarize)
@@ -21,9 +20,9 @@ from .spmv_experiment import (Figure10Point, crossover_locality,
                               format_figure10, run_figure10)
 from .techniques_experiment import format_techniques, run_techniques
 
-__all__ = ["BLOCK_SIZES", "BenchmarkComparison", "DEFAULT_CONFIG",
+__all__ = ["BLOCK_SIZES", "BenchmarkComparison",
            "Figure10Point", "Figure11Point", "HardwareCost", "PolicyRun",
-           "RemapLatency", "SparsityPoint", "SystemConfig",
+           "RemapLatency", "SparsityPoint",
            "compute_hardware_cost", "crossover_locality", "format_ablations",
            "format_figure10", "format_figure11", "format_figure8",
            "format_figure9", "format_hardware_cost", "format_multiprogrammed",

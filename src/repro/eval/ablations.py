@@ -16,8 +16,10 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Dict
 
+from ..config import DEFAULT_CONFIG
 from ..core.address import PAGE_SIZE
 from ..core.oms import smallest_segment_for
 from ..cpu.core import Core
@@ -34,7 +36,9 @@ OMT_SIZES = (0, 8, 64, 256)
 def omt_cache_sweep(sizes=OMT_SIZES, locality=2.0) -> Dict[int, int]:
     """Overlay SpMV cycles at each OMT-cache size."""
     matrix = generate_with_locality(ROWS, COLS, NNZ, locality, seed=9)
-    return {size: run_spmv(matrix, "overlay", omt_cache_entries=size).cycles
+    return {size: run_spmv(matrix, "overlay",
+                           config=replace(DEFAULT_CONFIG,
+                                          omt_cache_entries=size)).cycles
             for size in sizes}
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from .config import DEFAULT_CONFIG, SystemConfig
+from ..config import DEFAULT_CONFIG, SystemConfig
 from ..core.obitvector import OBitVector
 from ..core.omt import OMT_ENTRY_BITS
 

@@ -6,9 +6,9 @@ from .hierarchy import MemoryHierarchy
 from .mainmemory import MainMemory
 from .prefetcher import StreamPrefetcher
 from .replacement import DRRIPPolicy, LRUPolicy, make_policy
-from .stats import CacheStats, DRAMStats, StatRegistry
+from .stats import CacheStats, DRAMStats
 
 __all__ = ["CacheLine", "CacheStats", "DRAM", "DRAMStats", "DRRIPPolicy",
            "EvictedLine", "LRUPolicy", "MainMemory", "MemoryHierarchy",
-           "SetAssociativeCache", "StatRegistry", "StreamPrefetcher",
+           "SetAssociativeCache", "StreamPrefetcher",
            "make_policy"]

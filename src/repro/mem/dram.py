@@ -11,7 +11,9 @@ command clock at 533 MHz (tCK = 1.875 ns ≈ 5 CPU cycles); with 7-7-7
 timings, tCAS = tRCD = tRP = 7 tCK ≈ 35 CPU cycles, and a BL8 burst on
 the 8B bus takes 4 tCK ≈ 20 CPU cycles.
 
-The model is first-order: per-bank open-row state plus a per-bank
+The tCK-based timings scale with the machine config's
+``cpu_cycles_per_tck`` and are kept as per-instance ints.  The model is
+first-order: per-bank open-row state plus a per-bank
 ``ready_at`` cycle capturing queueing, which is what the paper's
 copy-bandwidth argument (copies consume bandwidth other accesses need)
 requires.
@@ -19,26 +21,13 @@ requires.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .stats import DRAMStats
-from ..config import DEFAULT_CONFIG
+from ..config import DEFAULT_CONFIG, SystemConfig
 from ..engine.component import Component
 from ..engine.tracing import HOOKS
 
-#: CPU cycles per DRAM command-clock cycle (2.67 GHz / 533 MHz).
-#: Owned by Table 2's SystemConfig.
-CPU_CYCLES_PER_TCK = DEFAULT_CONFIG.cpu_cycles_per_tck
-
-#: Column-access strobe latency (7 tCK).
-T_CAS = 7 * CPU_CYCLES_PER_TCK
-#: Row-to-column delay (7 tCK).
-T_RCD = 7 * CPU_CYCLES_PER_TCK
-#: Row precharge (7 tCK).
-T_RP = 7 * CPU_CYCLES_PER_TCK
-#: BL8 burst on the 8B-wide bus: 4 tCK for 64 bytes.
-T_BURST = 4 * CPU_CYCLES_PER_TCK
 #: Fixed controller pipeline overhead per request.
 T_CONTROLLER = 10
 
@@ -54,18 +43,27 @@ class _Bank:
         self.ready_at = ready_at
 
 
-@dataclass
 class DRAM(Component):
     """One channel of DDR3-1066 with open-row policy and a write buffer."""
 
-    write_buffer_capacity: int = 64
-    stats: DRAMStats = field(default_factory=DRAMStats)
-    _banks: List[_Bank] = field(default_factory=lambda: [_Bank() for _ in range(NUM_BANKS)])
-    _write_buffer: Dict[int, int] = field(default_factory=dict)  # line addr -> bank
-
-    def __post_init__(self):
-        self.init_component("dram")
+    def __init__(self, config: Optional[SystemConfig] = None,
+                 parent: Optional[Component] = None):
+        super().__init__("dram", parent=parent)
+        config = config or DEFAULT_CONFIG
+        self.write_buffer_capacity = config.write_buffer_entries
+        tck = config.cpu_cycles_per_tck
+        #: Column-access strobe latency (7 tCK).
+        self.t_cas = 7 * tck
+        #: Row-to-column delay (7 tCK).
+        self.t_rcd = 7 * tck
+        #: Row precharge (7 tCK).
+        self.t_rp = 7 * tck
+        #: BL8 burst on the 8B-wide bus: 4 tCK for 64 bytes.
+        self.t_burst = 4 * tck
+        self.stats = DRAMStats()
         self.stats_scope.own_block(self.stats)
+        self._banks: List[_Bank] = [_Bank() for _ in range(NUM_BANKS)]
+        self._write_buffer: Dict[int, int] = {}  # line addr -> bank
 
     # -- address mapping ----------------------------------------------------
 
@@ -89,17 +87,17 @@ class DRAM(Component):
         start = max(now, bank.ready_at)
         if bank.open_row == row:
             self.stats.row_hits += 1
-            occupancy = T_BURST
+            occupancy = self.t_burst
         elif bank.open_row == -1:
             self.stats.row_misses += 1
-            occupancy = T_RCD + T_BURST
+            occupancy = self.t_rcd + self.t_burst
         else:
             self.stats.row_misses += 1
-            occupancy = T_RP + T_RCD + T_BURST
+            occupancy = self.t_rp + self.t_rcd + self.t_burst
         bank.open_row = row
         bank.ready_at = start + occupancy
         self.stats.busy_cycles += occupancy
-        return start + occupancy + T_CAS
+        return start + occupancy + self.t_cas
 
     # -- public interface ------------------------------------------------------
 
@@ -123,17 +121,17 @@ class DRAM(Component):
         start = now if now > ready else ready
         if bank.open_row == row:
             stats.row_hits += 1
-            occupancy = T_BURST
+            occupancy = self.t_burst
         elif bank.open_row == -1:
             stats.row_misses += 1
-            occupancy = T_RCD + T_BURST
+            occupancy = self.t_rcd + self.t_burst
         else:
             stats.row_misses += 1
-            occupancy = T_RP + T_RCD + T_BURST
+            occupancy = self.t_rp + self.t_rcd + self.t_burst
         bank.open_row = row
         bank.ready_at = start + occupancy
         stats.busy_cycles += occupancy
-        done = start + occupancy + T_CAS
+        done = start + occupancy + self.t_cas
         # Fault-injection site: a transient bit error on the read burst.
         # The installed ECC model decides the outcome — SECDED corrects
         # in the controller pipeline, detect-only parity retries the

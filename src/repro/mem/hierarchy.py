@@ -6,11 +6,10 @@
 * Stream prefetcher monitoring L2 misses, prefetching into L3.
 * Inclusion is not enforced at any level (Section 5).
 
-Every Table 2 default above is *derived from*
-:class:`~repro.config.SystemConfig` through
-:class:`~repro.engine.builder.SystemBuilder` — this module holds no
-numeric configuration of its own.  Per-level ``l?_kwargs`` still
-override individual fields (ablations, small test hierarchies).
+The hierarchy builds its three levels, its prefetcher and (unless one
+is passed in) its DRAM from one :class:`~repro.config.SystemConfig` —
+this module holds no numeric configuration of its own.  Ablations and
+small test hierarchies pass a config with other values.
 
 The hierarchy works on line *tags*.  Regular physical tags resolve to a
 DRAM byte address as ``tag * 64``; overlay tags carry the overlay marker
@@ -20,17 +19,19 @@ hierarchy is built with the controller's three entry points
 directly on a full miss and on a dirty L3 eviction (Section 4.3.1: the
 Overlay Memory Store is accessed only when an access misses the entire
 hierarchy).  It counts the requests and latency of each call in its own
-stats scope.
+stats block, :class:`HierarchyStats`.
 """
 
 # simlint: hot-path
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from .cache import EvictedLine, SetAssociativeCache
 from .dram import DRAM
 from .prefetcher import StreamPrefetcher
+from ..config import DEFAULT_CONFIG, SystemConfig
 from ..engine.component import Component
 from ..engine.tracing import HOOKS
 
@@ -43,6 +44,17 @@ DataFetcher = Callable[[int], Optional[bytes]]
 WritebackHandler = Callable[[int, Optional[bytes]], int]
 
 
+@dataclass
+class HierarchyStats:
+    """Requests to, and latency charged by, the memory controller."""
+
+    resolve_miss_requests: int = 0
+    resolve_miss_latency: int = 0
+    fetch_data_requests: int = 0
+    writeback_requests: int = 0
+    writeback_latency: int = 0
+
+
 class MemoryHierarchy(Component):
     """L1/L2/L3 + prefetcher + DRAM, backed by the memory controller."""
 
@@ -50,27 +62,27 @@ class MemoryHierarchy(Component):
                  resolve_miss: Optional[MissResolver] = None,
                  handle_writeback: Optional[WritebackHandler] = None,
                  fetch_data: Optional[DataFetcher] = None,
-                 l1_kwargs: Optional[dict] = None,
-                 l2_kwargs: Optional[dict] = None,
-                 l3_kwargs: Optional[dict] = None,
-                 prefetcher: Optional[StreamPrefetcher] = None,
-                 config=None,
+                 config: Optional[SystemConfig] = None,
                  parent: Optional[Component] = None):
         super().__init__("hierarchy", parent=parent)
-        from ..engine.builder import SystemBuilder
-        builder = SystemBuilder(config)
-        levels = {}
-        for level, overrides in (("l1", l1_kwargs), ("l2", l2_kwargs),
-                                 ("l3", l3_kwargs)):
-            params = builder.cache_params(level)
-            params.update(overrides or {})
-            levels[level] = SetAssociativeCache(level.upper(), parent=self,
-                                                **params)
-        self.l1 = levels["l1"]
-        self.l2 = levels["l2"]
-        self.l3 = levels["l3"]
-        self.dram = dram if dram is not None else builder.build_dram()
-        self.prefetcher = prefetcher or builder.build_prefetcher()
+        config = config or DEFAULT_CONFIG
+        self.l1, self.l2, self.l3 = (
+            SetAssociativeCache(
+                level.upper(),
+                size_bytes=getattr(config, f"{level}_bytes"),
+                ways=getattr(config, f"{level}_ways"),
+                line_size=config.cache_line_bytes,
+                tag_latency=getattr(config, f"{level}_tag_latency"),
+                data_latency=getattr(config, f"{level}_data_latency"),
+                serial_tag_data=(level == "l3"),
+                policy=getattr(config, f"{level}_policy"),
+                parent=self)
+            for level in ("l1", "l2", "l3"))
+        self.dram = dram if dram is not None else DRAM(config)
+        self.prefetcher = StreamPrefetcher(
+            entries=config.prefetcher_entries,
+            degree=config.prefetcher_degree,
+            distance=config.prefetcher_distance)
         self.stats_scope.register_block("prefetcher", self.prefetcher.stats)
         #: The memory controller's entry points; unwired, the hierarchy
         #: falls back to a flat physical address space over ``self.dram``.
@@ -78,12 +90,8 @@ class MemoryHierarchy(Component):
         self.fetch_data: DataFetcher = fetch_data or self._default_fetch
         self.handle_writeback: WritebackHandler = (handle_writeback
                                                    or self._default_writeback)
-        scope = self.stats_scope
-        self._resolve_requests = scope.counter("resolve_miss_requests")
-        self._resolve_latency = scope.counter("resolve_miss_latency")
-        self._fetch_requests = scope.counter("fetch_data_requests")
-        self._writeback_requests = scope.counter("writeback_requests")
-        self._writeback_latency = scope.counter("writeback_latency")
+        self.stats = HierarchyStats()
+        self.stats_scope.own_block(self.stats)
         self._now = 0
 
     # -- default handlers: plain physical address space ------------------------
@@ -106,9 +114,10 @@ class MemoryHierarchy(Component):
 
     def _resolve(self, tag: int) -> Tuple[Optional[int], int]:
         """Where *tag* lives: ``(dram_byte_address, lookup_latency)``."""
-        self._resolve_requests.value += 1
+        stats = self.stats
+        stats.resolve_miss_requests += 1
         address, latency = self.resolve_miss(tag)
-        self._resolve_latency.value += latency
+        stats.resolve_miss_latency += latency
         if HOOKS.active is not None:
             HOOKS.active.emit(None, "port", "resolve_miss",
                               {"op": "resolve", "tag": tag,
@@ -120,15 +129,16 @@ class MemoryHierarchy(Component):
         if HOOKS.active is not None:
             HOOKS.active.emit(None, "port", "fetch_data",
                               {"op": "fetch", "tag": tag})
-        self._fetch_requests.value += 1
+        self.stats.fetch_data_requests += 1
         return self.fetch_data(tag)
 
     def _writeback(self, tag: int, data: Optional[bytes]) -> int:
         """Hand a dirty line leaving the hierarchy to the controller;
         returns the background-traffic latency it charged."""
-        self._writeback_requests.value += 1
+        stats = self.stats
+        stats.writeback_requests += 1
         latency = self.handle_writeback(tag, data)
-        self._writeback_latency.value += latency
+        stats.writeback_latency += latency
         if HOOKS.active is not None:
             HOOKS.active.emit(None, "port", "writeback",
                               {"op": "writeback", "tag": tag,

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict
+from dataclasses import dataclass
 
 
 @dataclass
@@ -55,33 +54,3 @@ class DRAMStats:
     def row_hit_rate(self) -> float:
         total = self.row_hits + self.row_misses
         return self.row_hits / total if total else 0.0
-
-
-@dataclass
-class StatRegistry:
-    """A bag of named statistics blocks, for whole-system reporting.
-
-    Legacy adapter: snapshotting, resetting and merging now delegate to
-    the engine (:mod:`repro.engine.stats`), which is also where the
-    live system keeps its hierarchical registry
-    (:attr:`repro.core.framework.OverlaySystem.stats_scope`).
-    """
-
-    blocks: Dict[str, object] = field(default_factory=dict)
-
-    def register(self, name: str, block: object) -> None:
-        self.blocks[name] = block
-
-    def snapshot(self) -> Dict[str, Dict[str, float]]:
-        from ..engine.stats import snapshot_block
-        return {name: snapshot_block(block)
-                for name, block in self.blocks.items()}
-
-    def merge(self, other: "StatRegistry") -> None:
-        """Sum *other*'s blocks into this registry's same-named blocks."""
-        from ..engine.stats import merge_blocks
-        for name, block in other.blocks.items():
-            if name in self.blocks:
-                merge_blocks(self.blocks[name], block)
-            else:
-                self.blocks[name] = block

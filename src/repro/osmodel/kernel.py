@@ -35,7 +35,6 @@ class Kernel:
     def __init__(self, system: Optional[OverlaySystem] = None,
                  total_frames: int = 1 << 20, num_cores: int = 1,
                  oms_initial_pages: int = 16,
-                 omt_cache_entries: Optional[int] = None,
                  oms_page_per_overlay: bool = False, config=None):
         self.allocator = FrameAllocator(total_frames=total_frames)
         if system is None:
@@ -43,7 +42,6 @@ class Kernel:
                 num_cores=num_cores,
                 oms_request_pages=self._grant_oms_pages,
                 oms_initial_pages=oms_initial_pages,
-                omt_cache_entries=omt_cache_entries,
                 oms_page_per_overlay=oms_page_per_overlay,
                 config=config)
         self.system = system

@@ -16,6 +16,7 @@ from .csr import CSRMatrix
 from .dense import DenseMatrix
 from .overlay_rep import OverlaySparseMatrix
 from .pattern import MatrixPattern, VALUE_BYTES
+from ..config import SystemConfig
 from ..core.address import PAGE_SIZE
 from ..cpu.core import Core, CoreStats
 from ..osmodel.kernel import Kernel
@@ -72,13 +73,14 @@ def _build_vectors(kernel: Kernel, process, cols: int, rows: int,
 def run_spmv(pattern: MatrixPattern, representation: str,
              x: Optional[np.ndarray] = None,
              check_result: bool = False,
-             omt_cache_entries: int = 64) -> SpMVResult:
+             config: Optional[SystemConfig] = None) -> SpMVResult:
     """Simulate one SpMV iteration of *pattern* under *representation*.
 
     A fresh machine is built per run so representations never share
     cache state.  With ``check_result`` the representation's functional
-    product is attached for verification.  ``omt_cache_entries``
-    parameterises the memory controller for the OMT-cache ablation.
+    product is attached for verification.  The machine is built from
+    *config* (default: Table 2); the OMT-cache ablation passes one with
+    another ``omt_cache_entries``.
     """
     rep_cls = REPRESENTATIONS.get(representation)
     if rep_cls is None:
@@ -87,7 +89,7 @@ def run_spmv(pattern: MatrixPattern, representation: str,
     if x is None:
         x = np.ones(pattern.cols)
 
-    kernel = Kernel(omt_cache_entries=omt_cache_entries)
+    kernel = Kernel(config=config)
     process = kernel.create_process()
     rep = rep_cls(pattern)
     rep.build(kernel, process, MATRIX_BASE_VPN)

@@ -1,15 +1,22 @@
-"""SL003 fixture (clean): counters registered with the StatsRegistry."""
+"""SL003 fixture (clean): counters live in registered stats blocks."""
+
+from dataclasses import dataclass
 
 from repro.engine.component import Component
 
 
+@dataclass
+class CacheCounters:
+    hits: int = 0
+
+
 class DisciplinedCache(Component):
-    def __init__(self):
+    def __init__(self, prefetcher):
         super().__init__("disciplined")
-        self.hits = self.stats_scope.counter("hits")
-        self.occupancy = 0
-        self.stats_scope.gauge("occupancy")
+        self.stats = CacheCounters()
+        self.stats_scope.own_block(self.stats)
+        self.stats_scope.register_block("prefetcher", prefetcher.stats)
 
     def access(self, tag):
-        self.hits.increment()
+        self.stats.hits += 1
         return tag

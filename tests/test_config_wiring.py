@@ -32,11 +32,6 @@ class TestWiring:
         entry, latency = system.tlbs[0].lookup(1, 0x10)
         assert entry is None and latency == 500
 
-    def test_explicit_omt_entries_override_config(self):
-        config = SystemConfig(omt_cache_entries=128)
-        system = OverlaySystem(config=config, omt_cache_entries=4)
-        assert system.controller.omt_cache.capacity == 4
-
     def test_kernel_passes_config(self):
         kernel = Kernel(config=SystemConfig(l2_bytes=256 * 1024))
         assert kernel.system.hierarchy.l2.num_sets * 8 * 64 == 256 * 1024
@@ -68,16 +63,17 @@ class TestStatsSnapshot:
         system = OverlaySystem(num_cores=2)
         system.map_page(1, 0x10, 0x42)
         system.write(1, 0x10 * 4096, b"snap")
-        snapshot = system.stats_snapshot()
-        for block in ("framework", "dram", "oms", "omt_cache", "controller",
-                      "coherence", "prefetcher", "l1", "l2", "l3", "tlb0",
-                      "tlb1"):
-            assert block in snapshot, block
-        assert snapshot["framework"]["writes"] == 1
-        assert snapshot["l1"]["fills"] >= 1
+        paths = system.stats_scope.flat_paths()
+        for scope in ("framework", "dram", "controller.oms",
+                      "controller.omt_cache", "controller", "coherence",
+                      "hierarchy.prefetcher", "hierarchy.l1", "hierarchy.l2",
+                      "hierarchy.l3", "tlb0", "tlb1"):
+            assert any(path.startswith(f"system.{scope}.")
+                       for path in paths), scope
+        assert paths["system.framework.writes"] == 1
+        assert paths["system.hierarchy.l1.fills"] >= 1
 
     def test_snapshot_values_are_numeric(self):
         system = OverlaySystem()
-        for block in system.stats_snapshot().values():
-            for value in block.values():
-                assert isinstance(value, (int, float))
+        for value in system.stats_scope.flat_paths().values():
+            assert isinstance(value, (int, float))

@@ -5,7 +5,7 @@ import pytest
 from repro.core.address import (LINE_SIZE, line_tag_of, overlay_page_number,
                                 tag_is_overlay)
 from repro.core.framework import OverlaySystem
-from repro.core.mmu import MEMORY_ACCESS_CYCLES, MMU, MemoryController
+from repro.core.mmu import MMU, MemoryController
 from repro.core.oms import OverlayMemoryStore, ZERO_LINE
 from repro.core.page_table import PageFault, PageTable
 from repro.core.tlb import TLB

@@ -37,7 +37,7 @@ def _full_system_snapshot() -> str:
     core.run(warmup_trace(profile, BASE_VPN, accesses=500))
     kernel.fork(parent)
     stats = core.run(measurement_trace(profile, BASE_VPN, scale=0.1))
-    snapshot = {"system": kernel.system.stats_snapshot(),
+    snapshot = {"system": kernel.system.stats_scope.flat_paths(),
                 "cpi": stats.cpi, "cycles": stats.cycles,
                 "instructions": stats.instructions}
     return json.dumps(snapshot, sort_keys=True)

@@ -5,7 +5,6 @@ import pytest
 from repro.eval.fork_experiment import BenchmarkComparison, PolicyRun
 from repro.eval.granularity_experiment import Figure11Point
 from repro.eval.spmv_experiment import Figure10Point, crossover_locality
-from repro.mem.stats import StatRegistry
 
 
 def run(policy, memory, cpi):
@@ -72,20 +71,6 @@ class TestFigure11Point:
         p = Figure11Point(matrix="m", locality=1.0, csr_overhead=1.0,
                           block_overheads={16: 2.0, 4096: 9.0})
         assert p.finest_block_beating_csr() is None
-
-
-class TestStatRegistry:
-    def test_snapshot_extracts_numeric_fields(self):
-        class Block:
-            def __init__(self):
-                self.hits = 3
-                self.rate = 0.5
-                self.name = "ignore-me"
-
-        registry = StatRegistry()
-        registry.register("block", Block())
-        snapshot = registry.snapshot()
-        assert snapshot["block"] == {"hits": 3, "rate": 0.5}
 
 
 class TestSpeedupGuards:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.eval.config import DEFAULT_CONFIG, SystemConfig
+from repro.config import DEFAULT_CONFIG, SystemConfig
 from repro.eval.fork_experiment import (format_figure8, format_figure9,
                                         run_benchmark, run_suite, summarize)
 from repro.eval.granularity_experiment import (BLOCK_SIZES, format_figure11,

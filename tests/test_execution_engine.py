@@ -6,7 +6,7 @@ tests pin the single per-access path down directly:
 * every benchmark in ``TYPE_ORDER`` reproduces its committed
   ``results/figure9.json`` entry exactly;
 * hooks observe and never steer: the full hierarchical stats export
-  (``stats_scope.flat()``) is the same with a tracer armed as without;
+  (``stats_scope.flat_paths()``) is the same with a tracer armed as without;
 * ``results/*.json`` documents, trace JSONL and the epoch-sampled
   metrics series are deterministic run to run;
 * per-access clock publication: the ``max_sim_cycles`` watchdog fires
@@ -60,7 +60,7 @@ def _machine_run(name, policy):
     stats = core.run(measurement_trace(profile, BASE_VPN,
                                        scale=SCALE, seed=2))
     kernel.system.hierarchy.flush_dirty()
-    flat = dict(kernel.system.stats_scope.flat())
+    flat = kernel.system.stats_scope.flat_paths()
     flat.update({f"core.{k}": v for k, v in vars(stats).items()})
     return flat
 

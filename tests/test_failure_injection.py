@@ -7,6 +7,7 @@ nothing.
 
 import pytest
 
+from repro.config import SystemConfig
 from repro.core.address import LINE_SIZE, PAGE_SIZE
 from repro.core.framework import OverlaySystem
 from repro.core.oms import OutOfOverlayMemory, OverlayMemoryStore
@@ -65,7 +66,8 @@ class TestDegradedConfigurations:
         """No OMT cache: every overlay access walks, data identical."""
         views = {}
         for entries in (0, 64):
-            system = OverlaySystem(omt_cache_entries=entries)
+            system = OverlaySystem(
+                config=SystemConfig(omt_cache_entries=entries))
             system.map_page(1, 0x10, 0x42, cow=True, writable=False)
             for line in range(16):
                 system.write(1, 0x10 * PAGE_SIZE + line * LINE_SIZE,
@@ -77,7 +79,8 @@ class TestDegradedConfigurations:
     def test_zero_omt_cache_is_slower(self):
         latencies = {}
         for entries in (0, 64):
-            system = OverlaySystem(omt_cache_entries=entries)
+            system = OverlaySystem(
+                config=SystemConfig(omt_cache_entries=entries))
             system.map_page(1, 0x10, 0x42, cow=True, writable=False)
             system.write(1, 0x10 * PAGE_SIZE, b"warm")
             system.hierarchy.flush_dirty()

@@ -145,7 +145,7 @@ class TestScenario:
 
     def test_stats_snapshot_is_sane(self, scenario):
         kernel, _, _, _ = scenario
-        snapshot = kernel.system.stats_snapshot()
-        assert snapshot["framework"]["overlaying_writes"] >= 8
-        assert snapshot["dram"]["reads"] > 0
-        assert snapshot["coherence"]["shootdowns"] >= 1  # the promotion
+        paths = kernel.system.stats_scope.flat_paths()
+        assert paths["system.framework.overlaying_writes"] >= 8
+        assert paths["system.dram.reads"] > 0
+        assert paths["system.coherence.shootdowns"] >= 1  # the promotion

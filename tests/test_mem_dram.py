@@ -1,9 +1,16 @@
 """Unit tests for the DDR3 DRAM timing model."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.mem.dram import (DRAM, NUM_BANKS, ROW_BUFFER_BYTES, T_BURST,
-                            T_CAS, T_CONTROLLER, T_RCD, T_RP)
+from repro.config import DEFAULT_CONFIG
+from repro.mem.dram import DRAM, NUM_BANKS, ROW_BUFFER_BYTES, T_CONTROLLER
+
+#: The tCK-based timings of a Table 2 DRAM.
+_TABLE2 = DRAM()
+T_CAS, T_RCD, T_RP, T_BURST = (_TABLE2.t_cas, _TABLE2.t_rcd, _TABLE2.t_rp,
+                               _TABLE2.t_burst)
 
 
 class TestRowBuffer:
@@ -70,7 +77,7 @@ class TestWriteBuffer:
         assert dram.read(130) == T_CONTROLLER  # same line, forwarded
 
     def test_drain_when_full(self):
-        dram = DRAM(write_buffer_capacity=4)
+        dram = DRAM(replace(DEFAULT_CONFIG, write_buffer_entries=4))
         for i in range(4):
             dram.write(i * 4096)
         assert dram.pending_writes == 0

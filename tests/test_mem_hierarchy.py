@@ -1,7 +1,10 @@
 """Unit tests for the three-level hierarchy and its overlay hooks."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.config import DEFAULT_CONFIG
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.mem.mainmemory import MainMemory
 
@@ -208,7 +211,8 @@ class TestKnownBugs:
         hierarchy = MemoryHierarchy(
             resolve_miss=backend.resolve, handle_writeback=backend.writeback,
             fetch_data=backend.fetch,
-            l1_kwargs=dict(size_bytes=2 * 64, ways=1))  # 2 sets, 1 way
+            config=replace(DEFAULT_CONFIG, l1_bytes=2 * 64,
+                           l1_ways=1))  # 2 sets, 1 way
         data = b"v" * 64
         hierarchy.access(1, write=True, data=data)  # dirty only in L1 set 1
         hierarchy.access(0)                          # L1 set 0

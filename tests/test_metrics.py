@@ -13,6 +13,7 @@ The contract under test (DESIGN.md "Observability"):
 """
 
 import json
+from dataclasses import dataclass
 
 import pytest
 
@@ -27,10 +28,20 @@ from repro.obs import (METRICS_SCHEMA, MetricsSampler, format_metrics,
 from repro.obs.__main__ import main as obs_cli
 
 
+@dataclass
+class _Ticks:
+    ticks: int = 0
+
+
+@dataclass
+class _Reads:
+    reads: int = 0
+
+
 def _registry():
     registry = StatsRegistry("system")
-    registry.counter("ticks")
-    registry.child("dram").counter("reads")
+    registry.own_block(_Ticks())
+    registry.child("dram").own_block(_Reads())
     return registry
 
 
@@ -44,11 +55,11 @@ class TestSampling:
     def test_samples_once_per_crossed_epoch(self):
         registry = _registry()
         sampler = MetricsSampler(interval=100, registry=registry)
-        ticks = registry._counters["ticks"]
+        block = registry._own_block
         for cycle in (10, 50, 99):          # all inside epoch 0: no sample
             sampler.on_cycle(cycle)
         assert sampler.total_samples == 0
-        ticks.increment(3)
+        block.ticks += 3
         sampler.on_cycle(120)               # crosses into epoch 1
         sampler.on_cycle(180)               # same epoch: no second sample
         sampler.on_cycle(350)               # skips epoch 2, lands in 3
@@ -82,12 +93,12 @@ class TestSampling:
 
 class TestEngineBinding:
     def test_clock_observation_drives_installed_sampler(self):
-        clock = SimClock()
+        cursor = SimClock().cursor("core0")
         with metrics_session(interval=50) as sampler:
             sampler.bind(_registry())
-            clock.advance(40)       # epoch 0
-            clock.advance(40)       # crosses 50
-            clock.advance_to(210)   # crosses 200
+            cursor.advance(40)       # epoch 0
+            cursor.advance(40)       # crosses 50
+            cursor.advance_to(210)   # crosses 200
         cycles = [s.cycle for s in sampler.segments[0].samples]
         assert cycles == [80, 210]
 
@@ -109,11 +120,11 @@ class TestEngineBinding:
 
     def test_sampling_leaves_simulated_time_untouched(self):
         plain = SimClock()
-        plain.advance(123)
+        plain.cursor("core0").advance(123)
         with metrics_session(interval=10) as sampler:
             sampler.bind(_registry())
             sampled = SimClock()
-            sampled.advance(123)
+            sampled.cursor("core0").advance(123)
         assert sampled.now == plain.now
         assert sampled.peak == plain.peak
         assert sampler.total_samples > 0
@@ -122,9 +133,9 @@ class TestEngineBinding:
 class TestArtifact:
     def _sampled(self):
         sampler = MetricsSampler(interval=10, registry=_registry())
-        registry_ticks = sampler._registry._counters["ticks"]
+        block = sampler._registry._own_block
         for cycle in range(10, 60, 10):
-            registry_ticks.increment(cycle)
+            block.ticks += cycle
             sampler.on_cycle(cycle)
         return sampler
 

@@ -5,8 +5,8 @@ The contract under test (DESIGN.md "Observability"):
 * manifests round-trip and split deterministic from environment fields;
 * the tracer is a bounded ring buffer whose exports are valid JSONL and
   valid Chrome trace format;
-* ``StatsRegistry.to_dict`` carries exactly the scalars the ASCII
-  ``format_tree`` view prints;
+* ``StatsRegistry.to_dict`` carries exactly the values, in the same
+  order, as the ``flat_paths`` view;
 * a disabled tracer costs the hot path zero simulated cycles and zero
   allocations in the tracing/obs modules;
 * every document the producers build carries exactly the keys its
@@ -192,29 +192,29 @@ class TestTraceExports:
 
 
 class TestStatsExport:
-    def test_to_dict_matches_format_tree_scalars(self):
+    def test_to_dict_matches_flat_paths(self):
         kernel, _ = _small_fork_run()
         scope = kernel.system.stats_scope
 
-        def collect(node):
-            yield node["name"], node["scalars"]
+        def collect(node, prefix):
+            path = f"{prefix}.{node['name']}" if prefix else node["name"]
+            for name, value in node["scalars"].items():
+                yield f"{path}.{name}", value
+            for block, fields in node["blocks"].items():
+                for name, value in fields.items():
+                    yield f"{path}.{block}.{name}", value
             for child in node["children"]:
-                yield from collect(child)
+                yield from collect(child, path)
 
-        exported = dict(collect(scope.to_dict()))
-        tree = scope.format_tree()
-        for name, scalars in exported.items():
-            assert name in tree
-            for stat_name, value in scalars.items():
-                assert scope.flat() != {}  # tree is populated
-                assert f"{stat_name}" in tree
-        # Every scalar the registry reports appears in the export.
-        assert exported[scope.name] == scope.scalars()
+        exported = list(collect(scope.to_dict(), ""))
+        assert exported
+        # The two views hold the same values, in the same order.
+        assert exported == list(scope.flat_paths().items())
 
     def test_stats_to_dict_accepts_registry_component_and_none(self):
         registry = StatsRegistry("unit")
-        registry.counter("hits").increment(3)
-        assert stats_to_dict(registry)["scalars"] == {"hits": 3}
+        registry.own_block(CoreStats(instructions=3))
+        assert stats_to_dict(registry)["scalars"]["instructions"] == 3
         kernel, _ = _small_fork_run()
         assert stats_to_dict(kernel.system)["name"] == \
             kernel.system.stats_scope.name
@@ -333,14 +333,14 @@ class TestZeroOverheadWhenOff:
         # attributable to clock.py.
         from repro.engine.clock import SimClock
         assert tracing.active_sampler() is None
-        clock = SimClock()
+        cursor = SimClock().cursor("core0")
         for _ in range(100):  # warm the advance/observe path
-            clock.advance(1)
+            cursor.advance(1)
         tracemalloc.start()
         try:
             before = tracemalloc.take_snapshot()
             for _ in range(100):
-                clock.advance(1)
+                cursor.advance(1)
             after = tracemalloc.take_snapshot()
         finally:
             tracemalloc.stop()

@@ -1,8 +1,11 @@
 """Hypothesis property tests for the memory-hierarchy layer."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.config import DEFAULT_CONFIG
 from repro.mem.cache import SetAssociativeCache
 from repro.mem.dram import DRAM
 from repro.mem.hierarchy import MemoryHierarchy
@@ -116,9 +119,10 @@ class TestHierarchyEquivalence:
         hierarchy = MemoryHierarchy(
             resolve_miss=lambda tag: (tag * 64, 0),
             handle_writeback=writeback, fetch_data=fetch,
-            l1_kwargs=dict(size_bytes=4 * 64 * 2, ways=2),
-            l2_kwargs=dict(size_bytes=8 * 64 * 2, ways=2),
-            l3_kwargs=dict(size_bytes=16 * 64 * 2, ways=2))
+            config=replace(DEFAULT_CONFIG,
+                           l1_bytes=4 * 64 * 2, l1_ways=2,
+                           l2_bytes=8 * 64 * 2, l2_ways=2,
+                           l3_bytes=16 * 64 * 2, l3_ways=2))
         reference = {}
         for tag, write, value in sequence:
             if write:

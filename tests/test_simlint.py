@@ -110,19 +110,6 @@ class TestSL004Layering:
         assert "techniques" in module.path.read_text()
 
 
-class TestSL005ComponentProtocol:
-    def test_violations_flagged(self):
-        findings = findings_for("sl005_violation.py", select=["SL005"])
-        assert len(findings) == 2
-        assert any("Orphan" in f.symbol for f in findings)
-        assert any("sim_clock" in f.message for f in findings)
-
-    def test_clean_file_passes(self):
-        # super().__init__, init_component in __post_init__, and an
-        # inherited __init__ are all acceptable.
-        assert findings_for("sl005_clean.py", select=["SL005"]) == []
-
-
 class TestSL006HotPathSlots:
     def test_unslotted_class_flagged(self):
         findings = findings_for("sl006_violation.py", select=["SL006"])
