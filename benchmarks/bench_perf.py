@@ -1,22 +1,19 @@
-"""Host-performance benchmark of the simulator's tier-1 hot loops.
+"""The speed record (``BENCH_perf.json``) and the CI perf gate.
 
-This is the *simulator-is-slow* gauge, not a simulated-cycle
-measurement: each hot loop is timed with the host clock (best and mean
-of N repeats) and the datapoints are **appended** to ``BENCH_perf.json``
-at the repository root, so the file accumulates a history CI can chart
-and ``python -m repro.obs compare`` can gate.
-
-The loops cover the paths the tier-1 suite leans on hardest:
-
-* ``remap_latency`` — the first-write critical path (COW fault, page
-  copy vs overlay line move) through two full machines;
-* ``fork_core_run`` — a scaled-down trace-driven core run through the
-  fork suite machinery (TLB, cache hierarchy, DRAM, OMT walks);
-* ``overlay_write_path`` — the framework's raw write path: translate,
-  overlay lookup, hierarchy access, no core in front.
-
-All timings are host wall clock by design; simulated time is asserted
-untouched (the hot loops are deterministic under the stock seed).
+``--record RUN [RUN ...] --workload W [--seed S [S ...]] [--commit SHA]``
+appends one entry to ``BENCH_perf.json`` at the repository root.  Each
+*RUN* file holds the output of one ``benchmarks/perf/run.py --workload
+W --seed S --trace 0`` run; its last line is the run's JSON result.
+``--seed`` gives each run's seed, in the order of the files, or one
+seed for all (default 0).  The entry keeps the result of the run whose
+``pass_cpu_s`` is the median (the lower one of an even count) with its
+seed, and the seed and ``pass_cpu_s`` of every run.  It carries the
+commit measured (the checkout's, with ``-dirty`` for uncommitted
+changes, unless ``--commit`` names another, e.g. the parent a change is
+compared against), the workload, the interpreter and the platform.
+Speed claims are recorded this way, before and after a change, on one
+machine.  ``python -m repro.obs validate BENCH_perf.json`` checks the
+file against its schema.
 
 ``--gate BASE HEAD`` is the CI perf gate instead: *BASE* and *HEAD* hold
 the last output line of one ``benchmarks/perf/run.py --workload W
@@ -26,77 +23,80 @@ most the base's times ``1 + GATE_BOUND``.  CI applies it to each of the
 benchmark's four workloads in turn.
 """
 
+import argparse
 import json
-import sys
-import time
+import subprocess
 from pathlib import Path
 
-from repro.eval.fork_experiment import run_benchmark
-from repro.eval.remap_latency import measure_remap_latency
 from repro.obs import RunManifest
+from repro.obs.schema import BENCH_PERF_SCHEMA, schema_errors
 
-DEFAULT_REPEATS = 3
 #: Largest allowed relative growth of ``pass_cpu_s``: the bound
 #: BENCHMARK.json sets on it.
 GATE_BOUND = 0.22
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_perf.json"
+ROOT = Path(__file__).resolve().parent.parent
+RESULTS_PATH = ROOT / "BENCH_perf.json"
+#: Format of the record document; 1 was the retired hot-loop timings.
+FORMAT = 2
 
 
-def _loop_remap_latency():
-    result = measure_remap_latency()
-    assert result.overlay_on_write_cycles < result.copy_on_write_cycles
+def last_json_line(path: Path) -> dict:
+    """The result line of a saved ``benchmarks/perf/run.py`` output."""
+    lines = [line for line in path.read_text().splitlines() if line.strip()]
+    if not lines:
+        raise ValueError(f"{path} is empty")
+    return json.loads(lines[-1])
 
 
-def _loop_fork_core_run():
-    comparison = run_benchmark("bwaves", scale=0.1)
-    assert comparison.cow.cpi > 0
+def head_commit() -> str:
+    """The checkout's commit, ``-dirty`` when the working tree has
+    uncommitted changes, or ``unknown`` outside a git checkout."""
+    try:
+        return subprocess.run(
+            # No tag is matched, so the name is the full hash.
+            ["git", "describe", "--always", "--dirty", "--abbrev=40",
+             "--exclude", "*"],
+            cwd=ROOT, capture_output=True, text=True,
+            check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
 
 
-def _loop_overlay_write_path():
-    from repro.core.framework import OverlaySystem
-    system = OverlaySystem()
-    system.register_address_space(1)
-    system.map_page(1, vpn=0, ppn=4, writable=True)
-    payload = b"\xa5" * 8
-    for i in range(512):
-        system.write(1, (i * 8) % 4096, payload)
-        system.read(1, ((i * 8) + 2048) % 4096, 8)
-
-
-HOT_LOOPS = [
-    ("remap_latency", _loop_remap_latency),
-    ("fork_core_run", _loop_fork_core_run),
-    ("overlay_write_path", _loop_overlay_write_path),
-]
-
-
-def time_loop(fn, repeats: int = DEFAULT_REPEATS):
-    """Per-repeat wall-clock samples of one hot loop (host time)."""
-    samples = []
-    for _ in range(repeats):
-        started = time.perf_counter()       # simlint: disable=SL001
-        fn()
-        samples.append(time.perf_counter()  # simlint: disable=SL001
-                       - started)
-    return samples
-
-
-def run_perf(repeats: int = DEFAULT_REPEATS, loops=None):
-    """One datapoint per hot loop, ready to append."""
+def record_entry(runs, seeds, workload: str, commit: str) -> dict:
+    """One record entry for *runs*, result lines of one workload at one
+    commit made with *seeds*: the median run, every run's seed and
+    ``pass_cpu_s``, and their provenance."""
+    ordered = sorted(
+        zip(runs, seeds),
+        key=lambda pair: pair[0]["metrics"]["pass_cpu_s"]["value"])
+    median, seed = ordered[(len(ordered) - 1) // 2]
     manifest = RunManifest.create("bench_perf")
-    entries = []
-    for name, fn in (loops or HOT_LOOPS):
-        samples = time_loop(fn, repeats)
-        entries.append({
-            "bench": name,
-            "best_seconds": round(min(samples), 6),
-            "mean_seconds": round(sum(samples) / len(samples), 6),
-            "repeats": len(samples),
-            "python": manifest.python,
-            "platform": manifest.platform,
-            "started_at": manifest.started_at,
-        })
-    return entries
+    return {
+        "commit": commit,
+        "workload": workload,
+        "seed": seed,
+        "runs": [{"seed": run_seed,
+                  "pass_cpu_s": run["metrics"]["pass_cpu_s"]["value"]}
+                 for run, run_seed in zip(runs, seeds)],
+        "python": manifest.python,
+        "platform": manifest.platform,
+        "recorded_at": manifest.started_at,
+        "result": median,
+    }
+
+
+def append_entry(entry: dict, path: Path = RESULTS_PATH) -> Path:
+    """Append *entry* to the record at *path*, refusing a document or an
+    entry that does not match the schema."""
+    doc = (json.loads(path.read_text()) if path.exists()
+           else {"format": FORMAT, "entries": []})
+    doc["entries"].append(entry)
+    errors = schema_errors(doc, BENCH_PERF_SCHEMA)
+    if errors:
+        raise ValueError(f"{path} would not match its schema:\n  "
+                         + "\n  ".join(errors))
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return path
 
 
 def gate(base: dict, head: dict, bound: float = GATE_BOUND) -> int:
@@ -116,75 +116,87 @@ def gate(base: dict, head: dict, bound: float = GATE_BOUND) -> int:
     return 0 if ok else 1
 
 
-def append_results(entries, path: Path = RESULTS_PATH) -> Path:
-    """Append *entries* to the running history document at *path*."""
-    if path.exists():
-        doc = json.loads(path.read_text())
-    else:
-        doc = {"format": 1, "entries": []}
-    doc["entries"].extend(entries)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return path
-
-
 def main(argv=None) -> int:
-    args = list(sys.argv[1:] if argv is None else argv)
-    repeats = DEFAULT_REPEATS
-    out = RESULTS_PATH
-    i = 0
-    while i < len(args):
-        if args[i] == "--repeats" and i + 1 < len(args):
-            repeats = int(args[i + 1])
-            i += 2
-        elif args[i] == "--out" and i + 1 < len(args):
-            out = Path(args[i + 1])
-            i += 2
-        elif args[i] == "--gate" and i + 2 < len(args):
-            base, head = (json.loads(Path(arg).read_text())
-                          for arg in args[i + 1:i + 3])
-            return gate(base, head)
-        else:
-            print("usage: bench_perf.py [--repeats N] [--out FILE] | "
-                  "--gate BASE_JSON HEAD_JSON")
-            return 2
-    entries = run_perf(repeats)
-    width = max(len(entry["bench"]) for entry in entries)
-    for entry in entries:
-        print(f"{entry['bench']:<{width}}  "
-              f"best {entry['best_seconds']:8.3f}s  "
-              f"mean {entry['mean_seconds']:8.3f}s  "
-              f"x{entry['repeats']}")
-    path = append_results(entries, out)
-    print(f"[appended {len(entries)} datapoint(s) to {path}]")
+    parser = argparse.ArgumentParser(
+        description="Record benchmarks/perf/run.py results in "
+                    "BENCH_perf.json, or gate HEAD against a base run.")
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--record", nargs="+", type=Path, metavar="RUN",
+                      help="saved outputs of run.py runs of one workload")
+    mode.add_argument("--gate", nargs=2, type=Path, metavar=("BASE", "HEAD"),
+                      help="result lines of a base and a HEAD run")
+    parser.add_argument("--workload", help="the workload the runs measured")
+    parser.add_argument("--seed", type=int, nargs="+", default=[0],
+                        help="each run's seed, or one for all (default 0)")
+    parser.add_argument("--commit", help="the commit the runs measured "
+                        "(default: this checkout's, -dirty if modified)")
+    parser.add_argument("--out", type=Path, default=RESULTS_PATH,
+                        help="the record to append to")
+    args = parser.parse_args(argv)
+    if args.gate:
+        base, head = (json.loads(path.read_text()) for path in args.gate)
+        return gate(base, head)
+    if not args.workload:
+        parser.error("--record needs --workload")
+    seeds = args.seed * len(args.record) if len(args.seed) == 1 else args.seed
+    if len(seeds) != len(args.record):
+        parser.error("--seed needs one seed, or one per run")
+    entry = record_entry([last_json_line(path) for path in args.record],
+                         seeds, args.workload, args.commit or head_commit())
+    path = append_entry(entry, args.out)
+    print(f"{entry['workload']} @ {entry['commit']}: median of "
+          f"{len(entry['runs'])} run(s), pass_cpu_s "
+          f"{entry['result']['metrics']['pass_cpu_s']['value']:.3f}s "
+          f"(seed {entry['seed']}); appended to {path}")
     return 0
 
 
-def test_perf_entries_well_formed(tmp_path):
-    """The quick loops produce positive timings and the file appends."""
-    quick = [pair for pair in HOT_LOOPS if pair[0] != "fork_core_run"]
-    entries = run_perf(repeats=1, loops=quick)
-    assert [e["bench"] for e in entries] == [name for name, _ in quick]
-    assert all(e["best_seconds"] > 0 for e in entries)
+def _run_line(seconds, correct=True, failed=0):
+    return {"correct": correct, "attempted": 10, "failed": failed,
+            "metrics": {"pass_cpu_s": {"value": seconds, "unit": "s"}}}
+
+
+def test_record_appends_the_median_run(tmp_path):
+    """--record keeps the median run of several, with its provenance,
+    and the document stays valid as it grows."""
+    runs = []
+    for index, seconds in enumerate((4.0, 3.0, 5.0)):
+        run = tmp_path / f"run{index}.txt"
+        run.write_text(f"pass_cpu_s {seconds}\n"
+                       + json.dumps(_run_line(seconds)) + "\n")
+        runs.append(str(run))
     out = tmp_path / "BENCH_perf.json"
-    append_results(entries, out)
-    append_results(entries, out)
+    assert main(["--record", *runs, "--workload", "fork-type3",
+                 "--seed", "7", "8", "9", "--commit", "abc",
+                 "--out", str(out)]) == 0
+    assert main(["--record", *runs, "--workload", "fork-type3",
+                 "--commit", "def", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
-    assert doc["format"] == 1
-    assert len(doc["entries"]) == 2 * len(quick)
+    assert doc["format"] == FORMAT
+    assert [entry["commit"] for entry in doc["entries"]] == ["abc", "def"]
+    entry = doc["entries"][0]
+    assert (entry["workload"], entry["seed"]) == ("fork-type3", 7)
+    assert entry["runs"] == [{"seed": 7, "pass_cpu_s": 4.0},
+                             {"seed": 8, "pass_cpu_s": 3.0},
+                             {"seed": 9, "pass_cpu_s": 5.0}]
+    assert entry["result"]["metrics"]["pass_cpu_s"]["value"] == 4.0
+    assert doc["entries"][1]["seed"] == 0
+    assert schema_errors(doc, BENCH_PERF_SCHEMA) == []
+
+
+def test_committed_record_is_valid():
+    doc = json.loads(RESULTS_PATH.read_text())
+    assert schema_errors(doc, BENCH_PERF_SCHEMA) == []
 
 
 def test_gate():
     """The gate passes within the bound and fails past it or on an
     incorrect HEAD run."""
-    def line(seconds, correct=True, failed=0):
-        return {"correct": correct, "attempted": 10, "failed": failed,
-                "metrics": {"pass_cpu_s": {"value": seconds, "unit": "s"}}}
-
-    assert gate(line(3.0), line(2.0)) == 0
-    assert gate(line(3.0), line(3.6)) == 0
-    assert gate(line(3.0), line(3.7)) == 1
-    assert gate(line(3.0), line(2.0, correct=False)) == 1
-    assert gate(line(3.0), line(2.0, failed=1)) == 1
+    assert gate(_run_line(3.0), _run_line(2.0)) == 0
+    assert gate(_run_line(3.0), _run_line(3.6)) == 0
+    assert gate(_run_line(3.0), _run_line(3.7)) == 1
+    assert gate(_run_line(3.0), _run_line(2.0, correct=False)) == 1
+    assert gate(_run_line(3.0), _run_line(2.0, failed=1)) == 1
 
 
 if __name__ == "__main__":

@@ -124,9 +124,8 @@ class OverlaySystem(Component):
             parent=self)
         self.hierarchy = MemoryHierarchy(
             dram=self.dram,
-            resolve_miss=self.controller.resolve_miss,
+            read_miss=self.controller.read_miss,
             handle_writeback=self.controller.handle_writeback,
-            fetch_data=self.controller.fetch_data,
             config=config, parent=self)
         self.page_tables: Dict[int, PageTable] = {}
         self.tlbs = [TLB(l1_entries=config.l1_tlb_entries,
@@ -226,7 +225,8 @@ class OverlaySystem(Component):
         """One access within a single cache line; returns its latency.
 
         The one line dispatch of Section 4.3: translate (unless the
-        caller passes the page's TLB *entry*, already charged), pick the
+        caller passes the page's TLB *entry*, already charged; an L1 TLB
+        hit is resolved here with one dict lookup), pick the
         overlay or the physical tag from the OBitVector, then a read
         (*data* is None), a simple write, or — for a line of a
         copy-on-write page not in the overlay — the installed CoW
@@ -235,10 +235,25 @@ class OverlaySystem(Component):
         caller that discards the data passes none.  The request
         counters (``reads``/``writes``) are the caller's.
         """
-        latency = 0
         if entry is None:
-            entry, latency = self.mmus[core].translate(
-                asid, vaddr >> 12, data is not None)
+            # An L1 TLB hit inlined (TLB.lookup's L1 probe with its LRU
+            # touch and its stats): one dict lookup.  Anything else
+            # translates through the MMU.
+            vpn = vaddr >> 12
+            tlb = self.tlbs[core]
+            l1_tlb = tlb._l1
+            key = (asid, vpn)
+            bucket = l1_tlb._buckets[(vpn ^ asid) % l1_tlb._sets]
+            entry = bucket.get(key)
+            if entry is not None:
+                bucket.move_to_end(key)
+                tlb.stats.l1_hits += 1
+                latency = tlb.l1_latency
+            else:
+                entry, latency = self.mmus[core].translate(
+                    asid, vpn, data is not None)
+        else:
+            latency = 0
         # Tag arithmetic inlined (line_tag_of, overlay_page_number and
         # OBitVector.is_set); the TLB fill validated (asid, vpn) already.
         line = (vaddr >> 6) & 63
@@ -581,12 +596,16 @@ class OverlaySystem(Component):
         finish = start
         issue = start
         hierarchy = self.hierarchy
+        l1_lines = hierarchy.l1._where
+        src_base = line_tag_of(src_ppn, 0)
+        dst_base = line_tag_of(dst_ppn, 0)
         for line in range(LINES_PER_PAGE):
-            src_tag = line_tag_of(src_ppn, line)
-            dst_tag = line_tag_of(dst_ppn, line)
+            src_tag = src_base + line
+            dst_tag = dst_base + line
             read = hierarchy.access(src_tag, False, None, issue)
-            # The load has just filled the source line into the L1.
-            cached = hierarchy.l1.lookup(src_tag)
+            # The load has just filled the source line into the L1
+            # (SetAssociativeCache.lookup inlined).
+            cached = l1_lines.get(src_tag)
             data = ((cached and cached.data) or hierarchy.lookup_data(src_tag)
                     or self.main_memory.read_line(src_ppn, line))
             write = hierarchy.access(dst_tag, True, data, issue)

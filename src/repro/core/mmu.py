@@ -53,7 +53,9 @@ class MemoryController(Component):
     """Resolves full-hierarchy misses, managing the OMT and the OMS.
 
     Installed into :class:`~repro.mem.hierarchy.MemoryHierarchy` as its
-    ``resolve_miss`` / ``fetch_data`` / ``handle_writeback`` hooks.
+    ``read_miss`` / ``handle_writeback`` hooks.  :meth:`read_miss` serves
+    a full miss in one call; :meth:`resolve_miss` and :meth:`fetch_data`
+    are its two steps on their own, and it calls them for overlay lines.
     """
 
     def __init__(self, main_memory: MainMemory, dram: DRAM,
@@ -87,6 +89,33 @@ class MemoryController(Component):
 
     # -- hierarchy hooks -------------------------------------------------------
 
+    def read_miss(self, tag: int, now: int,
+                  prefetch: bool = False) -> Tuple[int, int, Optional[bytes]]:
+        """Serve a full-hierarchy miss (or a prefetch) of line *tag*.
+
+        One call resolves the tag (:meth:`resolve_miss`), reads DRAM and
+        returns the line's bytes (:meth:`fetch_data`), as
+        ``(lookup_latency, dram_latency, data)``.  A demand miss issues
+        its DRAM read once the lookup is done, at ``now +
+        lookup_latency``; a prefetch issues at *now*.  A line with no
+        backing yet reads no DRAM.  The bytes are fetched after the
+        read, which may corrupt them under fault injection.
+        """
+        if not tag & _OVERLAY_TAG_BIT:
+            cycles = self.dram.read(tag * LINE_SIZE, now)
+            # MainMemory.read_line inlined — ``tag & 63`` is a line
+            # index by construction, so the bounds check is satisfied.
+            frame = self.main_memory._frames.get(tag >> 6)
+            if frame is None:
+                return 0, cycles, ZERO_LINE
+            start = (tag & 63) << 6
+            return 0, cycles, bytes(frame[start:start + LINE_SIZE])
+        address, lookup = self.resolve_miss(tag)
+        cycles = 0
+        if address is not None:
+            cycles = self.dram.read(address, now if prefetch else now + lookup)
+        return lookup, cycles, self.fetch_data(tag)
+
     def resolve_miss(self, tag: int) -> Tuple[Optional[int], int]:
         """Map a missing line tag to a DRAM address plus lookup latency.
 
@@ -117,13 +146,7 @@ class MemoryController(Component):
         :meth:`resolve_miss` already accounted for the lookups)."""
         page, line = tag >> 6, tag & 63
         if not tag & _OVERLAY_TAG_BIT:
-            # MainMemory.read_line inlined — ``line`` is 0..63 by
-            # construction, so the bounds check is statically satisfied.
-            frame = self.main_memory._frames.get(page)
-            if frame is None:
-                return ZERO_LINE
-            start = line << 6
-            return bytes(frame[start:start + LINE_SIZE])
+            return self.main_memory.read_line(page, line)
         entry = self.omt.lookup(page)
         if entry is None or entry.segment is None or not entry.segment.has_line(line):
             self.stats.zero_line_fills += 1

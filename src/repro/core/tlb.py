@@ -25,7 +25,6 @@ from typing import List, Optional, Tuple
 from .obitvector import OBitVector
 from ..engine.tracing import HOOKS
 from .page_table import PTE
-from ..config import DEFAULT_CONFIG
 from ..engine.component import Component
 
 
@@ -137,13 +136,15 @@ class _SetAssociativeArray:
 
 
 class TLB(Component):
-    """A per-core, two-level TLB with overlay-aware entries."""
+    """A per-core, two-level TLB with overlay-aware entries.
+
+    The three latencies are keyword-only and required: the caller passes
+    the machine's :class:`~repro.config.SystemConfig` values.
+    """
 
     def __init__(self, l1_entries: int = 64, l1_ways: int = 4,
-                 l2_entries: int = 1024, l2_ways: int = 8,
-                 l1_latency: int = DEFAULT_CONFIG.l1_tlb_latency,
-                 l2_latency: int = DEFAULT_CONFIG.l2_tlb_latency,
-                 miss_latency: int = DEFAULT_CONFIG.tlb_miss_latency,
+                 l2_entries: int = 1024, l2_ways: int = 8, *,
+                 l1_latency: int, l2_latency: int, miss_latency: int,
                  name: str = "tlb",
                  parent: Optional[Component] = None):
         super().__init__(name, parent=parent)
@@ -162,13 +163,8 @@ class TLB(Component):
         page-table and OMT walk and then calls :meth:`fill`.
         """
         key = (asid, vpn)
-        # The L1 probe is _SetAssociativeArray.lookup, inlined: it runs
-        # on every access.
-        l1 = self._l1
-        bucket = l1._buckets[(vpn ^ asid) % l1._sets]
-        entry = bucket.get(key)
+        entry = self._l1.lookup(key)
         if entry is not None:
-            bucket.move_to_end(key)
             self.stats.l1_hits += 1
             return entry, self.l1_latency
         entry = self._l2.lookup(key)

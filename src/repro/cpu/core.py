@@ -88,11 +88,6 @@ class WindowState:
         """This core's current position on the shared timeline."""
         return self.cursor.time
 
-    def fetch(self) -> Optional[MemoryAccess]:
-        if self.pending is None:
-            self.pending = next(self.accesses, None)
-        return self.pending
-
 
 class Core:
     """A single simulated core bound to one address space.
@@ -134,7 +129,8 @@ class Core:
                                               start=start)
         state = WindowState(core=self, accesses=iter(trace), cursor=cursor,
                             start=start)
-        if state.fetch() is None:
+        state.pending = next(state.accesses, None)
+        if state.pending is None:
             state.done = True
         return state
 
@@ -147,10 +143,12 @@ class Core:
         cursor move goes through the cursor, so the clock (and with it
         the watchdog, trace and sampler hooks) sees each access.
         """
-        access = state.fetch()
+        access = state.pending
         if access is None:
-            state.done = True
-            return False
+            access = state.pending = next(state.accesses, None)
+            if access is None:
+                state.done = True
+                return False
         cursor = state.cursor
         stats = state.stats
         inflight = state.inflight

@@ -191,7 +191,10 @@ class SimClock:
         if cycle < 0:
             raise ClockError(f"cannot seek to negative cycle {cycle}")
         self._now = cycle
-        self._observe(cycle)
+        # At or below the peak only a sampler has anything to observe:
+        # a core seeks to the time its cursor has just observed.
+        if cycle > self._peak or HOOKS.sampler is not None:
+            self._observe(cycle)
         if HOOKS.active is not None:
             HOOKS.active.emit(cycle, "clock", "seek", None)
         return self._now

@@ -20,7 +20,6 @@ from typing import Dict, List, Optional, Tuple
 
 from .replacement import LRUPolicy, make_policy
 from .stats import CacheStats
-from ..config import DEFAULT_CONFIG
 from ..engine.component import Component
 
 
@@ -66,15 +65,14 @@ class EvictedLine:
 class SetAssociativeCache(Component):
     """A single cache level.
 
-    Parameters mirror Table 2: size, associativity, tag/data latencies and
-    whether tag and data lookups are performed in parallel (L1, L2) or
-    serially (L3).
+    Parameters mirror Table 2: size, associativity, line size, tag/data
+    latencies and whether tag and data lookups are performed in parallel
+    (L1, L2) or serially (L3).  The caller passes every timing from the
+    machine's :class:`~repro.config.SystemConfig`.
     """
 
     def __init__(self, name: str, size_bytes: int, ways: int,
-                 line_size: int = DEFAULT_CONFIG.cache_line_bytes,
-                 tag_latency: int = DEFAULT_CONFIG.l1_tag_latency,
-                 data_latency: int = DEFAULT_CONFIG.l1_data_latency,
+                 line_size: int, tag_latency: int, data_latency: int,
                  serial_tag_data: bool = False,
                  policy: str = "lru", parent: Component = None):
         super().__init__(name.lower(), parent=parent)
@@ -168,14 +166,21 @@ class SetAssociativeCache(Component):
             occupancy[set_index] += 1
             line = bucket[way] = CacheLine(tag, dirty, data, prefetch,
                                            set_index, way)
+            if is_lru:
+                policy._clock += 1
+                policy._last_use[set_index][way] = policy._clock
+            else:
+                policy.on_fill(set_index, way, prefetch=prefetch)
         else:
             if is_lru:
-                # Inlined LRUPolicy.victim_full: oldest stamp,
-                # first-of-equals.
+                # Inlined LRUPolicy.replace: the oldest stamp,
+                # first-of-equals, becomes the newest.
                 stamps = policy._last_use[set_index]
                 way = stamps.index(min(stamps))
+                policy._clock += 1
+                stamps[way] = policy._clock
             else:
-                way = policy.victim_full(set_index)
+                way = policy.replace(set_index, prefetch)
             line = self._lines[set_index][way]
             del where[line.tag]
             stats.evictions += 1
@@ -188,11 +193,6 @@ class SetAssociativeCache(Component):
             line.data = data
             line.prefetched = prefetch
         where[tag] = line
-        if is_lru:
-            policy._clock += 1
-            policy._last_use[set_index][way] = policy._clock
-        else:
-            policy.on_fill(set_index, way, prefetch=prefetch)
         stats.fills += 1
         if prefetch:
             stats.prefetch_fills += 1

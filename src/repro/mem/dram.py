@@ -169,9 +169,9 @@ class DRAM(Component):
             return 0
         self.stats.write_drains += 1
         occupancy = 0
-        pending = sorted(self._write_buffer, key=lambda a: (self._map(a)))
-        for line in pending:
-            bank_index, row = self._map(line)
+        # Each line's (bank, row), sorted: lines that tie are serviced
+        # alike, so their order does not matter.
+        for bank_index, row in sorted(map(self._map, self._write_buffer)):
             before = self._banks[bank_index].ready_at
             done = self._service(self._banks[bank_index], row, now)
             occupancy += done - max(now, before)

@@ -14,12 +14,18 @@ small test hierarchies pass a config with other values.
 The hierarchy works on line *tags*.  Regular physical tags resolve to a
 DRAM byte address as ``tag * 64``; overlay tags carry the overlay marker
 bit and are resolved by the memory controller through the OMT.  The
-hierarchy is built with the controller's three entry points
-(``resolve_miss``, ``fetch_data``, ``handle_writeback``) and calls them
-directly on a full miss and on a dirty L3 eviction (Section 4.3.1: the
-Overlay Memory Store is accessed only when an access misses the entire
-hierarchy).  It counts the requests and latency of each call in its own
-stats block, :class:`HierarchyStats`.
+hierarchy is built with the controller's two entry points and calls
+them directly (Section 4.3.1: the Overlay Memory Store is accessed only
+when an access misses the entire hierarchy):
+
+* ``read_miss`` serves a full miss or a prefetch in one call: it
+  resolves the tag, reads DRAM and returns the line's bytes;
+* ``handle_writeback`` takes a dirty line leaving the L3.
+
+It counts the requests and latency of each call in its own stats block,
+:class:`HierarchyStats`, and emits the ``port`` trace events of the
+resolve, fetch and writeback steps.  Unwired, it serves misses from a
+flat physical address space over its own DRAM.
 """
 
 # simlint: hot-path
@@ -35,10 +41,11 @@ from ..config import DEFAULT_CONFIG, SystemConfig
 from ..engine.component import Component
 from ..engine.tracing import HOOKS
 
-#: Hook resolving a line tag to ``(dram_byte_address, extra_latency)``.
-MissResolver = Callable[[int], Tuple[Optional[int], int]]
-#: Hook returning the backing bytes for a line tag on a full miss.
-DataFetcher = Callable[[int], Optional[bytes]]
+#: Hook serving a full miss of a line tag: ``read_miss(tag, now,
+#: prefetch)`` returns ``(lookup_latency, dram_latency, data)``.  A demand
+#: miss issues its DRAM read at ``now + lookup_latency``, a prefetch at
+#: ``now``; a line with no backing yet reads no DRAM.
+MissReader = Callable[[int, int, bool], Tuple[int, int, Optional[bytes]]]
 #: Hook consuming a dirty line evicted from the L3;
 #: returns extra latency charged to background writeback traffic.
 WritebackHandler = Callable[[int, Optional[bytes]], int]
@@ -59,9 +66,8 @@ class MemoryHierarchy(Component):
     """L1/L2/L3 + prefetcher + DRAM, backed by the memory controller."""
 
     def __init__(self, dram: Optional[DRAM] = None,
-                 resolve_miss: Optional[MissResolver] = None,
+                 read_miss: Optional[MissReader] = None,
                  handle_writeback: Optional[WritebackHandler] = None,
-                 fetch_data: Optional[DataFetcher] = None,
                  config: Optional[SystemConfig] = None,
                  parent: Optional[Component] = None):
         super().__init__("hierarchy", parent=parent)
@@ -86,8 +92,7 @@ class MemoryHierarchy(Component):
         self.stats_scope.register_block("prefetcher", self.prefetcher.stats)
         #: The memory controller's entry points; unwired, the hierarchy
         #: falls back to a flat physical address space over ``self.dram``.
-        self.resolve_miss: MissResolver = resolve_miss or self._default_resolve
-        self.fetch_data: DataFetcher = fetch_data or self._default_fetch
+        self.read_miss: MissReader = read_miss or self._default_read_miss
         self.handle_writeback: WritebackHandler = (handle_writeback
                                                    or self._default_writeback)
         self.stats = HierarchyStats()
@@ -96,41 +101,27 @@ class MemoryHierarchy(Component):
 
     # -- default handlers: plain physical address space ------------------------
 
-    @staticmethod
-    def _default_resolve(tag: int) -> Tuple[Optional[int], int]:
-        return tag * 64, 0
-
-    @staticmethod
-    def _default_fetch(tag: int) -> Optional[bytes]:
-        return None
+    def _default_read_miss(self, tag: int, now: int,
+                           prefetch: bool) -> Tuple[int, int, Optional[bytes]]:
+        return 0, self.dram.read(tag * 64, now), None
 
     def _default_writeback(self, tag: int, data: Optional[bytes]) -> int:
-        address, extra = self._resolve(tag)
-        if address is None:
-            return extra
-        return extra + self.dram.write(address, self._now)
+        # The flat address space resolves the tag as a full miss does.
+        self.stats.resolve_miss_requests += 1
+        if HOOKS.active is not None:
+            HOOKS.active.emit(None, "port", "resolve_miss",
+                              {"op": "resolve", "tag": tag, "latency": 0})
+        return self.dram.write(tag * 64, self._now)
 
     # -- calls to the memory controller, counted and traced -------------------
 
-    def _resolve(self, tag: int) -> Tuple[Optional[int], int]:
-        """Where *tag* lives: ``(dram_byte_address, lookup_latency)``."""
-        stats = self.stats
-        stats.resolve_miss_requests += 1
-        address, latency = self.resolve_miss(tag)
-        stats.resolve_miss_latency += latency
-        if HOOKS.active is not None:
-            HOOKS.active.emit(None, "port", "resolve_miss",
-                              {"op": "resolve", "tag": tag,
-                               "latency": latency})
-        return address, latency
-
-    def _fetch(self, tag: int) -> Optional[bytes]:
-        """The backing bytes of *tag* on a full miss."""
-        if HOOKS.active is not None:
-            HOOKS.active.emit(None, "port", "fetch_data",
-                              {"op": "fetch", "tag": tag})
-        self.stats.fetch_data_requests += 1
-        return self.fetch_data(tag)
+    def _trace_miss(self, tag: int, lookup: int) -> None:
+        """Emit the resolve and fetch steps of a :attr:`read_miss` call;
+        *lookup* is its lookup latency."""
+        HOOKS.active.emit(None, "port", "resolve_miss",
+                          {"op": "resolve", "tag": tag, "latency": lookup})
+        HOOKS.active.emit(None, "port", "fetch_data",
+                          {"op": "fetch", "tag": tag})
 
     def _writeback(self, tag: int, data: Optional[bytes]) -> int:
         """Hand a dirty line leaving the hierarchy to the controller;
@@ -152,12 +143,12 @@ class MemoryHierarchy(Component):
         each fill's own dirty victim carries on down, out of the L3 to
         the controller."""
         if level is self.l1:
-            evicted = self.l2.fill(evicted.tag, data=evicted.data, dirty=True)
+            evicted = self.l2.fill(evicted.tag, evicted.data, True)
             if evicted is None:
                 return
             level = self.l2
         if level is self.l2:
-            evicted = self.l3.fill(evicted.tag, data=evicted.data, dirty=True)
+            evicted = self.l3.fill(evicted.tag, evicted.data, True)
             if evicted is None:
                 return
         self._writeback(evicted.tag, evicted.data)
@@ -170,8 +161,11 @@ class MemoryHierarchy(Component):
         """Perform one demand access for line *tag*; returns its latency.
 
         Writes are write-back/write-allocate: a write miss fetches the
-        line and dirties it in the L1.  The L1 probe (dict lookup, LRU
-        touch, stats) is inlined, so an L1 hit costs no method dispatch.
+        line and dirties it in the L1.  The probe of each level (dict
+        lookup, replacement touch, stats) and the prefetches are inlined:
+        they avoid method-call layers while performing exactly the
+        operations the un-inlined calls would.  A full miss and each
+        prefetch make one :attr:`read_miss` call.
         """
         if now is not None:
             self._now = now
@@ -195,92 +189,100 @@ class MemoryHierarchy(Component):
                     line.data = data
             return l1.hit_latency
         l1.stats.misses += 1
-        return l1.miss_latency + self._access_below_l1(tag, write, data)
 
-    def _access_below_l1(self, tag: int, write: bool,
-                         data: Optional[bytes]) -> int:
-        """The post-L1-miss demand path: L2, L3, then memory.
-
-        The L2/L3 miss probes are inlined: they avoid method-call layers
-        while performing exactly the operations (stats, LRU touches) the
-        un-inlined calls would.
-        """
-        l1 = self.l1
         l2 = self.l2
         line = l2._where.get(tag)
         if line is not None:
-            _hit, latency = l2.access(tag, write=False)
-            # Dirty ownership moves *up* with the data: leaving the L2
+            # SetAssociativeCache.access(tag), a read hit, inlined.
+            if l2._policy_is_lru:
+                policy = l2._policy
+                policy._clock += 1
+                policy._last_use[line.set_index][line.way] = policy._clock
+            else:
+                l2._policy.on_hit(line.set_index, line.way)
+            stats = l2.stats
+            stats.hits += 1
+            if line.prefetched:
+                stats.prefetch_hits += 1
+                line.prefetched = False
+            latency = l2.hit_latency
+            # Dirty ownership moves *up* with the data: leaving a lower
             # copy dirty would create a stale dirty duplicate that a
             # later flush or eviction writes back over fresher data.
-            promoted_dirty = write or line.dirty
+            dirty = write or line.dirty
             line.dirty = False
-            evicted = l1.fill(tag, data=line.data, dirty=promoted_dirty)
-            if evicted is not None:
-                self._spill(l1, evicted)
-            if data is not None and write:
-                l1.access(tag, write=True, data=data)
-            return latency
-        l2.stats.misses += 1
-        latency = l2.miss_latency
+            fill_data = line.data
+        else:
+            l2.stats.misses += 1
+            latency = l2.miss_latency
 
-        # L2 miss: train the prefetcher (it prefetches into the L3).
-        for pf_tag in self.prefetcher.on_miss(tag):
-            self._prefetch(pf_tag)
+            # L2 miss: train the prefetcher, which prefetches into the L3
+            # off the demand path (DRAM reads issue at ``_now``).
+            l3 = self.l3
+            stats = self.stats
+            for pf_tag in self.prefetcher.on_miss(tag):
+                if pf_tag < 0 or pf_tag in l3._where:
+                    continue
+                extra, _cycles, pf_data = self.read_miss(pf_tag, self._now,
+                                                         True)
+                stats.resolve_miss_requests += 1
+                stats.resolve_miss_latency += extra
+                stats.fetch_data_requests += 1
+                if HOOKS.active is not None:
+                    self._trace_miss(pf_tag, extra)
+                evicted = l3.fill(pf_tag, data=pf_data, prefetch=True)
+                if evicted is not None:
+                    self._spill(l3, evicted)
 
-        l3 = self.l3
-        line = l3._where.get(tag)
-        if line is not None:
-            _hit, cycles = l3.access(tag, write=False)
-            latency += cycles
-            promoted_dirty = write or line.dirty
-            line.dirty = False
-            evicted = l2.fill(tag, data=line.data, dirty=False)
-            if evicted is not None:
-                self._spill(l2, evicted)
-            evicted = l1.fill(tag, data=line.data, dirty=promoted_dirty)
-            if evicted is not None:
-                self._spill(l1, evicted)
-            if data is not None and write:
-                l1.access(tag, write=True, data=data)
-            return latency
-        l3.stats.misses += 1
-        latency += l3.miss_latency
-
-        # Full-hierarchy miss: resolve (possibly via the OMT) and go to
-        # DRAM.
-        address, extra = self._resolve(tag)
-        latency += extra
-        if address is not None:
-            latency += self.dram.read(address, self._now + latency)
-        # Fill L3, L2, L1 in turn, spilling each dirty victim at once.
-        fill_data = self._fetch(tag)
-        evicted = l3.fill(tag, data=fill_data)
-        if evicted is not None:
-            self._spill(l3, evicted)
-        evicted = l2.fill(tag, data=fill_data)
-        if evicted is not None:
-            self._spill(l2, evicted)
-        evicted = l1.fill(tag, data=fill_data, dirty=write)
+            line = l3._where.get(tag)
+            if line is not None:
+                # SetAssociativeCache.access(tag), a read hit, inlined.
+                if l3._policy_is_lru:
+                    policy = l3._policy
+                    policy._clock += 1
+                    policy._last_use[line.set_index][line.way] = policy._clock
+                else:
+                    l3._policy.on_hit(line.set_index, line.way)
+                l3_stats = l3.stats
+                l3_stats.hits += 1
+                if line.prefetched:
+                    l3_stats.prefetch_hits += 1
+                    line.prefetched = False
+                latency += l3.hit_latency
+                dirty = write or line.dirty
+                line.dirty = False
+                evicted = l2.fill(tag, line.data)
+                if evicted is not None:
+                    self._spill(l2, evicted)
+                # Read after the L2 fill, whose spill may reuse the line.
+                fill_data = line.data
+            else:
+                l3.stats.misses += 1
+                latency += l3.miss_latency
+                # Full-hierarchy miss: resolve (possibly via the OMT),
+                # read DRAM and fetch the line in one controller call.
+                extra, cycles, fill_data = self.read_miss(
+                    tag, self._now + latency, False)
+                stats.resolve_miss_requests += 1
+                stats.resolve_miss_latency += extra
+                stats.fetch_data_requests += 1
+                if HOOKS.active is not None:
+                    self._trace_miss(tag, extra)
+                latency += extra + cycles
+                # Fill L3 then L2, spilling each dirty victim at once.
+                evicted = l3.fill(tag, fill_data)
+                if evicted is not None:
+                    self._spill(l3, evicted)
+                evicted = l2.fill(tag, fill_data)
+                if evicted is not None:
+                    self._spill(l2, evicted)
+                dirty = write
+        evicted = l1.fill(tag, fill_data, dirty)
         if evicted is not None:
             self._spill(l1, evicted)
         if data is not None and write:
             l1.access(tag, write=True, data=data)
-        return latency
-
-    def _prefetch(self, tag: int) -> None:
-        """Fetch *tag* into the L3 off the demand path."""
-        if tag < 0:
-            return
-        l3 = self.l3
-        if tag in l3._where:
-            return
-        address, _extra = self._resolve(tag)
-        if address is not None:
-            self.dram.read(address, self._now)
-        evicted = l3.fill(tag, data=self._fetch(tag), prefetch=True)
-        if evicted is not None:
-            self._spill(l3, evicted)
+        return l1.miss_latency + latency
 
     # -- maintenance operations ----------------------------------------------------
 

@@ -49,6 +49,14 @@ class ReplacementPolicy:
         """
         raise NotImplementedError
 
+    def replace(self, set_index: int, prefetch: bool = False) -> int:
+        """Fill a full set: pick the victim's way and account the
+        incoming line there — :meth:`victim_full` then :meth:`on_fill`,
+        which a policy may fuse into one step.  Returns the way."""
+        way = self.victim_full(set_index)
+        self.on_fill(set_index, way, prefetch=prefetch)
+        return way
+
 
 class LRUPolicy(ReplacementPolicy):
     """Classic least-recently-used, tracked with per-set timestamps."""
@@ -167,6 +175,36 @@ class DRRIPPolicy(ReplacementPolicy):
         if age:
             rrpvs[:] = [rrpv + age for rrpv in rrpvs]
         return rrpvs.index(self.MAX_RRPV)
+
+    def replace(self, set_index: int, prefetch: bool = False) -> int:
+        # victim_full and on_fill fused: the cache fills a full L3 set
+        # with this one call.
+        rrpvs = self._rrpv[set_index]
+        age = self.MAX_RRPV - max(rrpvs)
+        if age:
+            rrpvs[:] = [rrpv + age for rrpv in rrpvs]
+        way = rrpvs.index(self.MAX_RRPV)
+        leader = self._leader.get(set_index)
+        psel = self._psel
+        if leader is None:
+            srrip = psel < self._psel_mid
+        elif leader == "srrip":
+            if psel < self._psel_max:
+                self._psel = psel + 1
+            srrip = True
+        else:
+            if psel > 0:
+                self._psel = psel - 1
+            srrip = False
+        if srrip:
+            rrpv = self.LONG_RRPV
+        else:
+            self._brrip_throttle = (self._brrip_throttle + 1) % self.BRRIP_LONG_EVERY
+            rrpv = self.LONG_RRPV if self._brrip_throttle == 0 else self.DISTANT_RRPV
+        if prefetch:
+            rrpv = self.DISTANT_RRPV  # prefetches inserted with distant prediction
+        rrpvs[way] = rrpv
+        return way
 
 
 def make_policy(name: str, num_sets: int, ways: int) -> ReplacementPolicy:

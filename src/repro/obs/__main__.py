@@ -11,9 +11,10 @@ Usage::
 ``validate`` routes each file by suffix — ``*.trace.json`` to the
 Chrome-trace shape, ``*.metrics.json`` to the time-series schema,
 ``*.profile.json`` to the cycle-accounting schema, ``*.faults.json``
-to the fault-campaign schema, everything else to the full run-document
-schema — and exits nonzero if any artifact fails; this is the CI gate
-for uploaded artifacts.
+to the fault-campaign schema, ``BENCH_perf.json`` to the speed-record
+schema, everything else to the full run-document schema — and exits
+nonzero if any artifact fails; this is the CI gate for uploaded
+artifacts.
 
 ``compare`` prints a differential report of two documents' numeric
 leaves (environment sections excluded) and exits nonzero when any
@@ -37,8 +38,8 @@ from .compare import (compare_files, flatten_document, format_compare,
                       parse_threshold_specs)
 from .metrics import format_metrics
 from .profile import format_profile
-from .schema import (FAULTS_SCHEMA, METRICS_SCHEMA, PROFILE_SCHEMA,
-                     RUN_SCHEMA, schema_errors)
+from .schema import (BENCH_PERF_SCHEMA, FAULTS_SCHEMA, METRICS_SCHEMA,
+                     PROFILE_SCHEMA, RUN_SCHEMA, schema_errors)
 
 _CHROME_TRACE_SCHEMA = {
     "type": "object",
@@ -72,6 +73,8 @@ def schema_for(path: Path):
         return PROFILE_SCHEMA
     if path.name.endswith(".faults.json"):
         return FAULTS_SCHEMA
+    if path.name == "BENCH_perf.json":
+        return BENCH_PERF_SCHEMA
     return RUN_SCHEMA
 
 

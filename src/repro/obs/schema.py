@@ -232,6 +232,62 @@ FAULTS_SCHEMA: Dict[str, Any] = {
 }
 
 
+#: Schema of ``BENCH_perf.json``, the speed record: one entry per
+#: ``benchmarks/bench_perf.py --record``, holding the result line and
+#: seed of the median ``benchmarks/perf/run.py`` run of one workload at
+#: one commit, and the seed and ``pass_cpu_s`` of every run.
+BENCH_PERF_SCHEMA: Dict[str, Any] = {
+    "type": "object",
+    "required": ["format", "entries"],
+    "properties": {
+        "format": {"type": "integer", "enum": [2]},
+        "entries": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "required": ["commit", "workload", "seed", "runs", "python",
+                             "platform", "recorded_at", "result"],
+                "properties": {
+                    "commit": {"type": "string"},
+                    "workload": {"type": "string"},
+                    "seed": {"type": "integer"},
+                    "runs": {
+                        "type": "array",
+                        "items": {
+                            "type": "object",
+                            "required": ["seed", "pass_cpu_s"],
+                            "properties": {
+                                "seed": {"type": "integer"},
+                                "pass_cpu_s": {"type": "number",
+                                               "minimum": 0},
+                            },
+                            "additionalProperties": False,
+                        },
+                    },
+                    "python": {"type": "string"},
+                    "platform": {"type": "string"},
+                    "recorded_at": {"type": "string"},
+                    "result": {
+                        "type": "object",
+                        "required": ["correct", "attempted", "failed",
+                                     "metrics"],
+                        "properties": {
+                            "correct": {"type": "boolean"},
+                            "attempted": {"type": "integer", "minimum": 0},
+                            "failed": {"type": "integer", "minimum": 0},
+                            "metrics": {"type": "object"},
+                        },
+                        "additionalProperties": False,
+                    },
+                },
+                "additionalProperties": False,
+            },
+        },
+    },
+    "additionalProperties": False,
+}
+
+
 class SchemaError(ValueError):
     """Raised when a document does not match its schema."""
 

@@ -26,6 +26,7 @@ shape survives scaling).
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -157,7 +158,17 @@ def measurement_trace(profile: BenchmarkProfile, base_vpn: int,
     Randomness is deterministic: an injected *rng* wins, else a
     ``random.Random`` seeded from *seed* (default:
     ``SystemConfig.rng_seed + 2``, the phase's historical stream).
+    Raises :class:`ValueError` when *scale* asks for more written pages
+    than the footprint holds.
     """
+    write_pages = max(1, round(profile.write_pages * scale))
+    if write_pages > profile.footprint_pages:
+        largest = math.floor(
+            profile.footprint_pages / profile.write_pages * 1000) / 1000
+        raise ValueError(
+            f"{profile.name}: scale={scale} asks for {write_pages} written "
+            f"pages but the footprint has {profile.footprint_pages}; the "
+            f"largest valid scale is {largest}")
     if rng is None:
         return _memoized(
             ("measurement", profile, base_vpn, scale, seed),
@@ -165,7 +176,6 @@ def measurement_trace(profile: BenchmarkProfile, base_vpn: int,
                                       rng=derive_rng(None, seed, stream=2)))
     rng = derive_rng(rng, seed, stream=2)
     base = base_vpn * PAGE_SIZE
-    write_pages = max(1, round(profile.write_pages * scale))
     pages = rng.sample(range(profile.footprint_pages), write_pages)
 
     # Build the write schedule: (page, line) in either clustered order

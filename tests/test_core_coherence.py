@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.config import DEFAULT_CONFIG
 from repro.core.address import overlay_page_number
 from repro.core.coherence import CoherenceNetwork
 from repro.core.obitvector import OBitVector
@@ -10,8 +11,16 @@ from repro.core.page_table import PTE
 from repro.core.tlb import TLB
 
 
+def make_tlb(**kwargs):
+    """A TLB with Table 2's latencies, passed explicitly as the machine
+    does."""
+    return TLB(l1_latency=DEFAULT_CONFIG.l1_tlb_latency,
+               l2_latency=DEFAULT_CONFIG.l2_tlb_latency,
+               miss_latency=DEFAULT_CONFIG.tlb_miss_latency, **kwargs)
+
+
 def network_with_tlbs(count=2):
-    tlbs = [TLB() for _ in range(count)]
+    tlbs = [make_tlb() for _ in range(count)]
     return CoherenceNetwork(tlbs=tlbs), tlbs
 
 
@@ -79,7 +88,7 @@ class TestShootdown:
 
     def test_attach_adds_tlb(self):
         net = CoherenceNetwork()
-        tlb = TLB()
+        tlb = make_tlb()
         net.attach(tlb)
         tlb.fill(1, 0x10, PTE(ppn=1), OBitVector())
         net.shootdown(1, 0x10)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.config import DEFAULT_CONFIG
 from repro.core.address import (LINE_SIZE, line_tag_of, overlay_page_number,
                                 tag_is_overlay)
 from repro.core.framework import OverlaySystem
@@ -71,6 +72,80 @@ class TestControllerData:
         assert controller.fetch_data(line_tag_of(opn, 2)) == b"q" * 64
 
 
+class TestControllerReadMiss:
+    """``read_miss`` serves a full miss in one call: resolve, DRAM read,
+    then the line's bytes."""
+
+    @staticmethod
+    def overlay_with_line(controller, line, data):
+        """An overlay page whose *line* is stored in the OMS, with a cold
+        OMT cache; returns the line's tag."""
+        opn = overlay_page_number(1, 0x10)
+        entry = controller.omt.ensure(opn)
+        entry.segment = controller.oms.allocate_segment(1)
+        entry.segment = controller.oms.write_line(entry.segment, line, data)
+        controller.omt_cache.invalidate(opn)
+        return line_tag_of(opn, line)
+
+    @staticmethod
+    def spy_dram_reads(controller):
+        issued = []
+        read = controller.dram.read
+
+        def spy(address, now=0):
+            issued.append((address, now))
+            return read(address, now)
+
+        controller.dram.read = spy
+        return issued
+
+    def test_physical_miss_reads_dram_and_returns_the_line(self):
+        controller = make_controller()
+        controller.main_memory.write_line(5, 3, b"m" * 64)
+        issued = self.spy_dram_reads(controller)
+        lookup, cycles, data = controller.read_miss(line_tag_of(5, 3), 700)
+        assert (lookup, data) == (0, b"m" * 64)
+        assert cycles > 0
+        assert issued == [((5 * 64 + 3) * LINE_SIZE, 700)]
+
+    def test_demand_overlay_miss_reads_dram_after_the_omt_lookup(self):
+        controller = make_controller()
+        tag = self.overlay_with_line(controller, 2, b"q" * 64)
+        issued = self.spy_dram_reads(controller)
+        lookup, _, data = controller.read_miss(tag, 500, prefetch=False)
+        assert lookup > 0  # the OMT cache missed: a walk was charged
+        assert data == b"q" * 64
+        assert [now for _, now in issued] == [500 + lookup]
+
+    def test_overlay_prefetch_reads_dram_at_now(self):
+        controller = make_controller()
+        tag = self.overlay_with_line(controller, 2, b"q" * 64)
+        issued = self.spy_dram_reads(controller)
+        lookup, _, data = controller.read_miss(tag, 500, prefetch=True)
+        assert lookup > 0
+        assert data == b"q" * 64
+        assert [now for _, now in issued] == [500]
+
+    def test_unbacked_overlay_line_reads_no_dram(self):
+        controller = make_controller()
+        opn = overlay_page_number(1, 0x10)
+        issued = self.spy_dram_reads(controller)
+        _, cycles, data = controller.read_miss(line_tag_of(opn, 0), 500)
+        assert (cycles, data, issued) == (0, ZERO_LINE, [])
+        assert controller.stats.zero_line_fills == 1
+
+    def test_equals_resolve_then_fetch(self):
+        """Same address, latency and bytes as the two steps alone."""
+        fused, split = make_controller(), make_controller()
+        tags = [self.overlay_with_line(c, 4, b"w" * 64) for c in (fused, split)]
+        lookup, _, data = fused.read_miss(tags[0], 0)
+        address, latency = split.resolve_miss(tags[1])
+        assert (lookup, data) == (latency, split.fetch_data(tags[1]))
+        assert address is not None
+        assert fused.stats == split.stats
+        assert fused.omt_cache.stats == split.omt_cache.stats
+
+
 class TestControllerWriteback:
     def test_physical_writeback_lands_in_main_memory(self):
         controller = make_controller()
@@ -121,7 +196,10 @@ class TestMMU:
         controller = make_controller()
         tables = {1: PageTable(asid=1)}
         tables[1].map(0x10, 0x99)
-        mmu = MMU(TLB(), tables, controller)
+        tlb = TLB(l1_latency=DEFAULT_CONFIG.l1_tlb_latency,
+                  l2_latency=DEFAULT_CONFIG.l2_tlb_latency,
+                  miss_latency=DEFAULT_CONFIG.tlb_miss_latency)
+        mmu = MMU(tlb, tables, controller)
         return mmu, tables[1], controller
 
     def test_translate_hit_after_miss(self):

@@ -2,9 +2,18 @@
 
 import pytest
 
+from repro.config import DEFAULT_CONFIG
 from repro.core.obitvector import OBitVector
 from repro.core.page_table import PTE
 from repro.core.tlb import TLB, TLBEntry, _SetAssociativeArray
+
+
+def make_tlb(**kwargs):
+    """A TLB with Table 2's latencies, passed explicitly as the machine
+    does."""
+    return TLB(l1_latency=DEFAULT_CONFIG.l1_tlb_latency,
+               l2_latency=DEFAULT_CONFIG.l2_tlb_latency,
+               miss_latency=DEFAULT_CONFIG.tlb_miss_latency, **kwargs)
 
 
 def fill(tlb, asid, vpn, ppn=0x99, lines=()):
@@ -13,14 +22,14 @@ def fill(tlb, asid, vpn, ppn=0x99, lines=()):
 
 class TestLookup:
     def test_miss_costs_miss_latency(self):
-        tlb = TLB()
+        tlb = make_tlb()
         entry, latency = tlb.lookup(1, 0x10)
         assert entry is None
         assert latency == tlb.miss_latency
         assert tlb.stats.misses == 1
 
     def test_l1_hit_after_fill(self):
-        tlb = TLB()
+        tlb = make_tlb()
         fill(tlb, 1, 0x10)
         entry, latency = tlb.lookup(1, 0x10)
         assert entry is not None
@@ -28,7 +37,7 @@ class TestLookup:
         assert tlb.stats.l1_hits == 1
 
     def test_l2_hit_promotes_to_l1(self):
-        tlb = TLB(l1_entries=4, l1_ways=4)
+        tlb = make_tlb(l1_entries=4, l1_ways=4)
         # Fill 5 entries mapping to the same L1 set pressure.
         for vpn in range(5):
             fill(tlb, 1, vpn * 4)  # same L1 set (one set only)
@@ -42,14 +51,14 @@ class TestLookup:
         assert latency == tlb.l1_latency
 
     def test_different_asids_do_not_alias(self):
-        tlb = TLB()
+        tlb = make_tlb()
         fill(tlb, 1, 0x10, ppn=0xA)
         fill(tlb, 2, 0x10, ppn=0xB)
         assert tlb.lookup(1, 0x10)[0].pte.ppn == 0xA
         assert tlb.lookup(2, 0x10)[0].pte.ppn == 0xB
 
     def test_obitvector_is_copied_on_fill(self):
-        tlb = TLB()
+        tlb = make_tlb()
         source = OBitVector.from_lines([1])
         tlb.fill(1, 0x10, PTE(ppn=1), source)
         source.set(2)
@@ -57,7 +66,7 @@ class TestLookup:
         assert not entry.obitvector.is_set(2)
 
     def test_miss_rate(self):
-        tlb = TLB()
+        tlb = make_tlb()
         tlb.lookup(1, 0x10)
         fill(tlb, 1, 0x10)
         tlb.lookup(1, 0x10)
@@ -67,7 +76,7 @@ class TestLookup:
 class TestCoherence:
     def test_snoop_sets_single_bit(self):
         """Section 4.3.3: a snoop updates one OBitVector bit, nothing else."""
-        tlb = TLB()
+        tlb = make_tlb()
         fill(tlb, 1, 0x10, lines=[3])
         assert tlb.snoop_overlaying_write(1, 0x10, 7)
         entry = tlb.cached_entry(1, 0x10)
@@ -76,17 +85,17 @@ class TestCoherence:
         assert tlb.stats.snoop_updates == 1
 
     def test_snoop_without_entry_is_noop(self):
-        tlb = TLB()
+        tlb = make_tlb()
         assert not tlb.snoop_overlaying_write(1, 0x10, 7)
 
     def test_snoop_commit_clears_vector(self):
-        tlb = TLB()
+        tlb = make_tlb()
         fill(tlb, 1, 0x10, lines=[1, 2, 3])
         assert tlb.snoop_commit(1, 0x10)
         assert tlb.cached_entry(1, 0x10).obitvector.is_empty()
 
     def test_shootdown_invalidates_both_levels(self):
-        tlb = TLB()
+        tlb = make_tlb()
         fill(tlb, 1, 0x10)
         assert tlb.shootdown(1, 0x10)
         entry, latency = tlb.lookup(1, 0x10)
@@ -94,11 +103,11 @@ class TestCoherence:
         assert tlb.stats.shootdowns == 1
 
     def test_shootdown_missing_entry_returns_false(self):
-        tlb = TLB()
+        tlb = make_tlb()
         assert not tlb.shootdown(1, 0x10)
 
     def test_flush(self):
-        tlb = TLB()
+        tlb = make_tlb()
         fill(tlb, 1, 0x10)
         tlb.flush()
         assert tlb.cached_entry(1, 0x10) is None
@@ -128,7 +137,7 @@ class TestReplacement:
             _SetAssociativeArray(entries=5, ways=2)
 
     def test_capacity_eviction_only_within_set(self):
-        tlb = TLB(l1_entries=8, l1_ways=2, l2_entries=16, l2_ways=2)
+        tlb = make_tlb(l1_entries=8, l1_ways=2, l2_entries=16, l2_ways=2)
         for vpn in range(64):
             fill(tlb, 1, vpn)
         # Entries survive somewhere; no crash, bounded occupancy.

@@ -101,8 +101,11 @@ class TestDegradedConfigurations:
     def test_tiny_tlb_still_correct(self):
         from repro.core.tlb import TLB
         system = OverlaySystem()
+        config = system.config
         system.tlbs[0] = TLB(l1_entries=4, l1_ways=4, l2_entries=8,
-                             l2_ways=8)
+                             l2_ways=8, l1_latency=config.l1_tlb_latency,
+                             l2_latency=config.l2_tlb_latency,
+                             miss_latency=config.tlb_miss_latency)
         system.coherence.tlbs[0] = system.tlbs[0]
         system.mmus[0].tlb = system.tlbs[0]
         for vpn in range(32):

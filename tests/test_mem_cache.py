@@ -2,11 +2,18 @@
 
 import pytest
 
+from repro.config import DEFAULT_CONFIG
 from repro.mem.cache import SetAssociativeCache
+
+#: Table 2's L1 timing, passed explicitly as the hierarchy does.
+L1_TIMING = {"line_size": DEFAULT_CONFIG.cache_line_bytes,
+             "tag_latency": DEFAULT_CONFIG.l1_tag_latency,
+             "data_latency": DEFAULT_CONFIG.l1_data_latency}
 
 
 def make(size=4096, ways=4, **kwargs):
-    return SetAssociativeCache("T", size_bytes=size, ways=ways, **kwargs)
+    return SetAssociativeCache("T", size_bytes=size, ways=ways,
+                               **{**L1_TIMING, **kwargs})
 
 
 class TestAccess:
@@ -41,7 +48,7 @@ class TestAccess:
 
     def test_size_must_divide(self):
         with pytest.raises(ValueError):
-            SetAssociativeCache("bad", size_bytes=1000, ways=3)
+            SetAssociativeCache("bad", size_bytes=1000, ways=3, **L1_TIMING)
 
 
 class TestFillAndEvict:

@@ -5,24 +5,26 @@ from dataclasses import replace
 import pytest
 
 from repro.config import DEFAULT_CONFIG
+from repro.core.framework import OverlaySystem
+from repro.engine import tracing
+from repro.mem.dram import DRAM
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.mem.mainmemory import MainMemory
 
 
 class RecordingBackend:
-    """A hand-rolled backend recording resolver/writeback traffic."""
+    """A hand-rolled flat backend recording miss/writeback traffic."""
 
     def __init__(self):
         self.memory = MainMemory()
+        self.dram = DRAM(DEFAULT_CONFIG)
         self.writebacks = []
         self.fetches = []
 
-    def resolve(self, tag):
-        return tag * 64, 0
-
-    def fetch(self, tag):
+    def read_miss(self, tag, now, prefetch):
         self.fetches.append(tag)
-        return self.memory.read_line(tag // 64, tag % 64)
+        return (0, self.dram.read(tag * 64, now),
+                self.memory.read_line(tag // 64, tag % 64))
 
     def writeback(self, tag, data):
         self.writebacks.append((tag, data))
@@ -33,9 +35,9 @@ class RecordingBackend:
 
 def make():
     backend = RecordingBackend()
-    hierarchy = MemoryHierarchy(resolve_miss=backend.resolve,
-                                handle_writeback=backend.writeback,
-                                fetch_data=backend.fetch)
+    hierarchy = MemoryHierarchy(dram=backend.dram,
+                                read_miss=backend.read_miss,
+                                handle_writeback=backend.writeback)
     return hierarchy, backend
 
 
@@ -141,18 +143,14 @@ class TestControllerCalls:
         leaving the hierarchy is written back once, and the hierarchy
         counts each call and its latency in its own stats scope."""
         class StubController:
-            def resolve_miss(self, tag):
-                return tag * 64, 7
-
-            def fetch_data(self, tag):
-                return None
+            def read_miss(self, tag, now, prefetch):
+                return 7, 0, None
 
             def handle_writeback(self, tag, data):
                 return 11
 
         stub = StubController()
-        hierarchy = MemoryHierarchy(resolve_miss=stub.resolve_miss,
-                                    fetch_data=stub.fetch_data,
+        hierarchy = MemoryHierarchy(read_miss=stub.read_miss,
                                     handle_writeback=stub.handle_writeback)
         hierarchy.access(100, write=True, data=b"c" * 64)
         hierarchy.invalidate(100)
@@ -160,6 +158,74 @@ class TestControllerCalls:
             "resolve_miss_requests": 1, "resolve_miss_latency": 7,
             "fetch_data_requests": 1,
             "writeback_requests": 1, "writeback_latency": 11}
+
+
+class TestFusedMissCall:
+    """A full miss and each prefetch make one ``read_miss`` call; the
+    hierarchy still counts and traces its resolve and fetch steps."""
+
+    class Recorder:
+        def __init__(self):
+            self.events = []
+
+        def emit(self, time, category, name, args=None):
+            if category == "port":
+                self.events.append((name, args))
+
+    def test_full_miss_emits_resolve_then_fetch(self):
+        system = OverlaySystem()
+        system.map_page(1, 0x10, 0x99)
+        recorder = self.Recorder()
+        tracing.install(recorder)
+        try:
+            system.read(1, 0x10 * 4096 + 5 * 64)
+        finally:
+            tracing.uninstall()
+        tag = 0x99 * 64 + 5
+        assert recorder.events == [
+            ("resolve_miss", {"op": "resolve", "tag": tag, "latency": 0}),
+            ("fetch_data", {"op": "fetch", "tag": tag})]
+
+    def test_every_resolve_is_a_fetch_on_a_wired_machine(self):
+        system = OverlaySystem()
+        system.map_page(1, 0x10, 0x99)
+        for offset in range(0, 4096, 64):  # a stream: prefetches run
+            system.read(1, 0x10 * 4096 + offset)
+        stats = system.hierarchy.stats
+        assert system.hierarchy.l3.stats.prefetch_fills > 0
+        assert stats.resolve_miss_requests == stats.fetch_data_requests
+        assert stats.resolve_miss_requests == (
+            system.hierarchy.l3.stats.misses
+            + system.hierarchy.l3.stats.prefetch_fills)
+
+    def test_prefetches_issue_at_now_and_demand_after_the_tag_probes(self):
+        hierarchy = MemoryHierarchy()
+        calls = []
+        read_miss = hierarchy.read_miss
+
+        def spy(tag, now, prefetch):
+            calls.append((tag, now, prefetch))
+            return read_miss(tag, now, prefetch)
+
+        hierarchy.read_miss = spy
+        for tag in range(1000, 1003):
+            hierarchy.access(tag, now=5000)
+        below_l1 = hierarchy.l2.miss_latency + hierarchy.l3.miss_latency
+        assert [call for call in calls if not call[2]] == [
+            (tag, 5000 + below_l1, False) for tag in range(1000, 1003)]
+        prefetched = [call for call in calls if call[2]]
+        assert prefetched
+        assert all(now == 5000 for _, now, _ in prefetched)
+
+    def test_unwired_hierarchy_keeps_its_counters(self):
+        """Flat physical memory: a writeback resolves its tag too."""
+        hierarchy = MemoryHierarchy()
+        hierarchy.access(100, write=True, data=b"x" * 64, now=10)
+        hierarchy.invalidate(100)
+        assert hierarchy.stats_scope.scalars() == {
+            "resolve_miss_requests": 2, "resolve_miss_latency": 0,
+            "fetch_data_requests": 1,
+            "writeback_requests": 1, "writeback_latency": 10}
 
 
 class TestRetag:
@@ -209,8 +275,8 @@ class TestKnownBugs:
     def test_cross_set_retag_keeps_dirty_victim(self):
         backend = RecordingBackend()
         hierarchy = MemoryHierarchy(
-            resolve_miss=backend.resolve, handle_writeback=backend.writeback,
-            fetch_data=backend.fetch,
+            dram=backend.dram, read_miss=backend.read_miss,
+            handle_writeback=backend.writeback,
             config=replace(DEFAULT_CONFIG, l1_bytes=2 * 64,
                            l1_ways=1))  # 2 sets, 1 way
         data = b"v" * 64

@@ -1,5 +1,7 @@
 """Unit tests for the LRU and DRRIP replacement policies."""
 
+import random
+
 import pytest
 
 from repro.mem.replacement import DRRIPPolicy, LRUPolicy, make_policy
@@ -101,3 +103,41 @@ class TestDRRIP:
             rrpvs.add(policy._rrpv[follower][0])
         assert DRRIPPolicy.DISTANT_RRPV in rrpvs
         assert DRRIPPolicy.LONG_RRPV in rrpvs
+
+
+class TestReplaceMatchesReference:
+    """DRRIP's ``replace`` — one call that fills a full set — equals
+    ``victim_full`` then ``on_fill`` on a twin policy: same way, same
+    RRPVs and same set-dueling state after every step of seeded fill/hit
+    sequences."""
+
+    @staticmethod
+    def state(policy, set_index):
+        """Every slot of *policy*, per-set tables reduced to one set."""
+        state = {}
+        for name in type(policy).__slots__:
+            value = getattr(policy, name)
+            if isinstance(value, list):
+                value = value[set_index]
+            state[name] = value
+        return state
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_same_way_and_state(self, seed):
+        rng = random.Random(seed)
+        num_sets, ways = 128, 16
+        fused = DRRIPPolicy(num_sets, ways)
+        split = DRRIPPolicy(num_sets, ways)
+        for _ in range(20000):
+            set_index = rng.randrange(num_sets)
+            if rng.random() < 0.3:
+                way = rng.randrange(ways)
+                fused.on_hit(set_index, way)
+                split.on_hit(set_index, way)
+            else:
+                prefetch = rng.random() < 0.4
+                way = split.victim_full(set_index)
+                split.on_fill(set_index, way, prefetch=prefetch)
+                assert fused.replace(set_index, prefetch) == way
+            assert (self.state(fused, set_index)
+                    == self.state(split, set_index))

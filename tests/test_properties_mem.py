@@ -13,6 +13,11 @@ from repro.mem.mainmemory import MainMemory
 
 pytestmark = pytest.mark.slow
 
+#: Table 2's L1 timing, passed explicitly as the hierarchy does.
+L1_TIMING = {"line_size": DEFAULT_CONFIG.cache_line_bytes,
+             "tag_latency": DEFAULT_CONFIG.l1_tag_latency,
+             "data_latency": DEFAULT_CONFIG.l1_data_latency}
+
 slow = settings(max_examples=30, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
 
@@ -28,7 +33,7 @@ class TestCacheModelEquivalence:
         """Whatever the replacement policy does, a hit must return the
         most recently written data for that tag."""
         cache = SetAssociativeCache("P", size_bytes=8 * 64 * 2, ways=2,
-                                    policy=policy)
+                                    policy=policy, **L1_TIMING)
         latest = {}
         for tag, write, value in sequence:
             data = bytes([value]) * 64
@@ -46,7 +51,8 @@ class TestCacheModelEquivalence:
     @slow
     @given(ops)
     def test_occupancy_never_exceeds_capacity(self, sequence):
-        cache = SetAssociativeCache("P", size_bytes=4 * 64 * 2, ways=2)
+        cache = SetAssociativeCache("P", size_bytes=4 * 64 * 2, ways=2,
+                                    **L1_TIMING)
         for tag, write, value in sequence:
             hit, _ = cache.access(tag, write=write)
             if not hit:
@@ -69,7 +75,7 @@ class TestResidentMap:
         """The resident map holds the very line object in each slot, and
         a line leaving through fill() is returned iff it was dirty."""
         cache = SetAssociativeCache("R", size_bytes=8 * 64 * 2, ways=2,
-                                    policy=policy)
+                                    policy=policy, **L1_TIMING)
         for op, tag, other, flag, value in sequence:
             data = bytes([value]) * 64
             if op == "fill":
@@ -117,8 +123,8 @@ class TestHierarchyEquivalence:
             return 0
 
         hierarchy = MemoryHierarchy(
-            resolve_miss=lambda tag: (tag * 64, 0),
-            handle_writeback=writeback, fetch_data=fetch,
+            read_miss=lambda tag, now, prefetch: (0, 0, fetch(tag)),
+            handle_writeback=writeback,
             config=replace(DEFAULT_CONFIG,
                            l1_bytes=4 * 64 * 2, l1_ways=2,
                            l2_bytes=8 * 64 * 2, l2_ways=2,
@@ -216,7 +222,8 @@ class TestVictimSelection:
            st.sampled_from([2, 4, 8, 16]))
     def test_lru_fill_evicts_reference_victim(self, tags, ways):
         """The cache's inlined LRU scan in fill() picks the same victim."""
-        cache = SetAssociativeCache("V", size_bytes=ways * 64, ways=ways)
+        cache = SetAssociativeCache("V", size_bytes=ways * 64, ways=ways,
+                                    **L1_TIMING)
         for tag in tags:
             if tag in cache:
                 cache.access(tag)

@@ -48,6 +48,18 @@ class TestTraceGeneration:
         for access in trace:
             assert low <= access.vaddr < high
 
+    def test_scale_past_the_footprint_is_refused(self):
+        """mcf at scale 4 asks for 2,240 written pages of 2,048: a clear
+        error naming the benchmark and the largest valid scale."""
+        profile = BENCHMARKS["mcf"]
+        with pytest.raises(ValueError, match=r"mcf: scale=4 asks for 2240 "
+                           r"written pages .* largest valid scale is 3\.657"):
+            measurement_trace(profile, BASE_VPN, scale=4)
+        largest = measurement_trace(profile, BASE_VPN, scale=3.657)
+        written = {page_number(access.vaddr)
+                   for access in largest if access.write}
+        assert len(written) == profile.footprint_pages
+
     @pytest.mark.parametrize("name", ["bwaves", "soplex", "omnet"])
     def test_write_working_set_matches_profile(self, name):
         profile = BENCHMARKS[name]
