@@ -13,7 +13,8 @@ this repository needs:
   ``to_dict()`` and ``flat_paths()``;
 * :func:`~repro.engine.rng.derive_rng` — seeded-RNG derivation, so
   every synthetic-input generator draws from an explicit
-  ``random.Random`` rooted at ``SystemConfig.rng_seed`` (simlint SL001);
+  ``random.Random`` rooted at ``SystemConfig.rng_seed`` (check SL001 in
+  ``tests/test_architecture.py``);
 * :mod:`~repro.engine.tracing` — the opt-in trace-hook slot every
   engine structure publishes events through (free when no sink is
   installed; the recorder lives in :mod:`repro.obs`);

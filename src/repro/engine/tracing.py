@@ -31,8 +31,8 @@ upward import.
 Determinism: event times come from :class:`~repro.engine.clock.SimClock`
 (or are back-filled by the sink from the last clock event), never from
 the wall clock, so a traced run with a fixed ``rng_seed`` produces a
-byte-identical event stream (simlint SL001 applies to this module like
-any other sim path).
+byte-identical event stream (the SL001 check of
+``tests/test_architecture.py`` covers this module like any other sim path).
 """
 
 from __future__ import annotations

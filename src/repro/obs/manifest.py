@@ -71,8 +71,8 @@ class RunManifest:
             config=asdict(config),
             python=_platform.python_version(),
             platform=f"{sys.platform}/{_platform.machine()}",
-            started_at=time.strftime(               # simlint: disable=SL001
-                "%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+            started_at=time.strftime(
+                "%Y-%m-%dT%H:%M:%SZ", time.gmtime()),  # simlint: disable=SL001
             _started=time.monotonic())              # simlint: disable=SL001
 
     def finish(self) -> "RunManifest":

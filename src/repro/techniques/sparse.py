@@ -7,10 +7,11 @@ overlays) and the harness that evaluates it against CSR and the dense
 baseline.
 
 ``repro.sparse`` sits *above* the techniques layer in the layer DAG
-(simlint rule SL004), so the re-exports resolve lazily via module
-``__getattr__`` (PEP 562): importing :mod:`repro.techniques` never drags
-the upper tier in at import time, while
-``from repro.techniques.sparse import run_spmv`` still works unchanged.
+(check SL004 in ``tests/test_architecture.py``), so the re-exports
+resolve lazily via module ``__getattr__`` (PEP 562): importing
+:mod:`repro.techniques` never drags the upper tier in at import time,
+while ``from repro.techniques.sparse import run_spmv`` still works
+unchanged.
 
 See :class:`repro.sparse.OverlaySparseMatrix` for the representation and
 the *computation over overlays* model, and

@@ -1,4 +1,7 @@
-"""Reproducibility: two identical runs are byte-identical (simlint SL001).
+"""Reproducibility: two identical runs are byte-identical.
+
+This is the run-time side of check SL001 in ``test_architecture.py``,
+which keeps wall-clock reads and the shared RNG out of the source.
 
 The Section 5 results are only trustworthy if a rerun reproduces them
 exactly.  Every synthetic-input generator draws from an explicitly

@@ -1,44 +1,54 @@
-"""Tests for the simlint architectural linter (repro.analysis).
+"""Pinned per-rule cases for the architecture checks of
+``tests/test_architecture.py``.
 
-Every rule is demonstrated on a fixture pair under
-``tests/fixtures/simlint/`` — one clean file that must produce no
-findings and one violating file whose findings we pin down — plus a
-self-lint test asserting the repo's own source passes with an empty
-baseline.
+Each rule gets a violating input whose findings are pinned by message and a
+clean input that must produce none, plus the ``# simlint: disable=`` pragma
+cases.  The inputs are inline sources parsed under a ``repro.*`` module
+name, so nothing here touches the real trees.
 """
 
-import json
-import subprocess
-import sys
-from pathlib import Path
+import textwrap
 
-import pytest
-
-from repro.analysis import (
-    ALL_CODES,
-    Baseline,
+from tests.test_architecture import (
+    CHECKS,
     Finding,
-    collect_modules,
-    lint_paths,
+    check_determinism,
+    check_hot_path_slots,
+    check_latency_literals,
+    check_layering,
+    check_stats_discipline,
+    inline,
+    unsuppressed,
 )
-from repro.analysis.cli import main
-from repro.analysis.findings import parse_pragmas, suppressed
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-FIXTURES = REPO_ROOT / "tests" / "fixtures" / "simlint"
 
 
-def findings_for(name, select=None):
-    return lint_paths([FIXTURES / name], select=select, root=REPO_ROOT)
+def run(check, *sources, name="repro.mem.sample"):
+    """Unsuppressed findings of ``check`` on one inline module, or on the
+    ``(name, source)`` pairs given."""
+    modules = ([inline(sources[0], name)] if len(sources) == 1
+               else [inline(source, module) for module, source in sources])
+    return unsuppressed(modules, check(modules))
 
 
-def codes_of(findings):
-    return sorted({f.code for f in findings})
+SL001_VIOLATION = '''
+    import random
+    import time
+    from datetime import datetime
+    from random import randrange
+
+    def timestamped_sample(population):
+        started = time.time()
+        stamp = datetime.now()
+        pick = random.choice(population)
+        noise = random.random()
+        extra = randrange(10)
+        return started, stamp, pick, noise, extra
+'''
 
 
 class TestSL001Determinism:
     def test_violations_flagged(self):
-        findings = findings_for("sl001_violation.py", select=["SL001"])
+        findings = run(check_determinism, SL001_VIOLATION)
         messages = [f.message for f in findings]
         assert len(findings) == 5
         assert any("time.time" in m for m in messages)
@@ -48,221 +58,240 @@ class TestSL001Determinism:
         assert any("randrange" in m for m in messages)
 
     def test_clean_file_passes(self):
-        assert findings_for("sl001_clean.py", select=["SL001"]) == []
+        # Constructing a seeded generator and calling an injected one are
+        # deterministic.
+        assert run(check_determinism, '''
+            import random
+            import numpy as np
+
+            def sample(population, rng: random.Random):
+                generator = random.Random(7)
+                numbers = np.random.default_rng(7)
+                return (rng.choice(population), generator.random(),
+                        numbers.random())
+        ''') == []
 
 
 class TestSL002ConfigOwnedLatencies:
     def test_violations_flagged(self):
-        findings = findings_for("sl002_violation.py", select=["SL002"])
-        symbols = sorted(f.symbol for f in findings)
+        findings = run(check_latency_literals, '''
+            PROBE_LATENCY = 42
+
+            def lookup(entry, miss_latency: int = 900):
+                if entry is None:
+                    return miss_latency
+                total_cycles = 3
+                return probe(entry, tag_latency=2)
+
+            def probe(entry, tag_latency):
+                return tag_latency
+        ''')
+        messages = sorted(f.message for f in findings)
         assert len(findings) == 4
-        assert any("PROBE_LATENCY" in s for s in symbols)
-        assert any("miss_latency" in s for s in symbols)
-        assert any("total_cycles" in s for s in symbols)
-        assert any("tag_latency" in s for s in symbols)
+        assert any("PROBE_LATENCY" in m for m in messages)
+        assert any("miss_latency" in m for m in messages)
+        assert any("total_cycles" in m for m in messages)
+        assert any("tag_latency" in m for m in messages)
 
     def test_clean_file_passes(self):
-        # DEFAULT_CONFIG references, zero initialisers and non-timing
+        # Config reads at call time, zero initialisers and non-timing
         # literals all pass.
-        assert findings_for("sl002_clean.py", select=["SL002"]) == []
+        assert run(check_latency_literals, '''
+            from repro.config import DEFAULT_CONFIG
+
+            def lookup(entry, config=DEFAULT_CONFIG):
+                latency = 0
+                size = 4096
+                if entry is None:
+                    return config.tlb_miss_latency + latency
+                return size + DEFAULT_CONFIG.l1_tag_latency
+        ''') == []
+
+
+SL003_VIOLATION = '''
+    from repro.engine.component import Component
+
+    class LeakyCache(Component):
+        def __init__(self):
+            super().__init__("leaky")
+            self.hits = 0
+            self._probes = 0
+
+        def access(self, tag):
+            self._probes += 1
+            self.hits += 1
+            return tag
+'''
 
 
 class TestSL003StatsDiscipline:
     def test_adhoc_counter_flagged(self):
-        findings = findings_for("sl003_violation.py", select=["SL003"])
+        findings = run(check_stats_discipline, SL003_VIOLATION)
         assert len(findings) == 1
         assert "hits" in findings[0].message
-        assert "LeakyCache" in findings[0].symbol
+        assert "LeakyCache" in findings[0].message
 
     def test_private_attrs_exempt(self):
-        findings = findings_for("sl003_violation.py", select=["SL003"])
+        findings = run(check_stats_discipline, SL003_VIOLATION)
         assert not any("_probes" in f.message for f in findings)
 
     def test_registered_counters_pass(self):
-        assert findings_for("sl003_clean.py", select=["SL003"]) == []
+        assert run(check_stats_discipline, '''
+            from dataclasses import dataclass
+            from repro.engine.component import Component
+
+            @dataclass
+            class CacheCounters:
+                hits: int = 0
+
+            class DisciplinedCache(Component):
+                def __init__(self, prefetcher):
+                    super().__init__("disciplined")
+                    self.stats = CacheCounters()
+                    self.fills = 0
+                    self.stats_scope.own_block(self.stats)
+                    self.stats_scope.register_block("fills", self.fills)
+
+                def access(self, tag):
+                    self.stats.hits += 1
+                    self.fills += 1
+                    return tag
+        ''') == []
+
+
+LAYERING_CLEAN = (
+    ("repro.engine.widget", '''
+        class Widget:
+            pass
+
+        def build_policy():
+            from repro.techniques.policy import PolicyKnob
+            return PolicyKnob()
+    '''),
+    ("repro.techniques.policy", '''
+        from repro.engine.widget import Widget
+
+        class PolicyKnob(Widget):
+            pass
+    '''),
+)
 
 
 class TestSL004Layering:
     def test_upward_import_and_cycle_flagged(self):
-        findings = lint_paths([FIXTURES / "layering_bad"],
-                              select=["SL004"], root=REPO_ROOT)
-        upward = [f for f in findings if "cycle" not in f.symbol]
-        cycles = [f for f in findings if "cycle" in f.symbol]
+        findings = run(check_layering, (
+            "repro.engine.widget",
+            "from repro.techniques.policy import PolicyKnob\n",
+        ), ("repro.techniques.policy", "class PolicyKnob:\n    pass\n"),
+            ("repro.mem.alpha", "from repro.mem.beta import beta_helper\n"),
+            ("repro.mem.beta", "from repro.mem.alpha import alpha_helper\n"))
+        upward = [f for f in findings if "cycle" not in f.message]
+        cycles = [f for f in findings if "cycle" in f.message]
         assert len(upward) == 1
-        assert "repro.engine.widget" in upward[0].symbol
+        assert upward[0].path == "repro/engine/widget.py"
         assert "techniques" in upward[0].message
         assert cycles, "module cycle alpha<->beta should be reported"
         assert any("alpha" in f.message and "beta" in f.message
                    for f in cycles)
 
     def test_clean_tree_passes(self):
-        findings = lint_paths([FIXTURES / "layering_clean"],
-                              select=["SL004"], root=REPO_ROOT)
-        assert findings == []
+        assert run(check_layering, *LAYERING_CLEAN) == []
 
     def test_function_body_imports_are_deferred(self):
-        # layering_clean's engine.widget reaches up inside a function
-        # body; that is the sanctioned lazy escape hatch.
-        module = next(
-            m for m in collect_modules([FIXTURES / "layering_clean"],
-                                       root=REPO_ROOT)
-            if m.module == "repro.engine.widget")
-        assert "techniques" in module.path.read_text()
+        # The clean widget reaches up inside a function body, the
+        # sanctioned lazy escape hatch; the same import at module scope
+        # is an upward import (and closes a cycle with the policy module).
+        name, source = LAYERING_CLEAN[0]
+        assert "repro.techniques" in source
+        hoisted = ("from repro.techniques.policy import PolicyKnob\n"
+                   + textwrap.dedent(source))
+        findings = run(check_layering, (name, hoisted), LAYERING_CLEAN[1])
+        assert "upward import of repro.techniques.policy" \
+            in [f.message for f in findings]
 
 
 class TestSL006HotPathSlots:
+    VIOLATION = '''
+        # simlint: hot-path
+        """A hot-path module with an unslotted per-access class."""
+        from dataclasses import dataclass
+        from repro.engine.component import Component
+
+        @dataclass
+        class StatsBlock:
+            hits: int = 0
+
+        class BareEntry:
+            def __init__(self, tag):
+                self.tag = tag
+
+        class SlottedEntry:
+            __slots__ = ("tag",)
+
+            def __init__(self, tag):
+                self.tag = tag
+
+        class HotCache(Component):
+            pass
+
+        class HotPathError(RuntimeError):
+            pass
+    '''
+
     def test_unslotted_class_flagged(self):
-        findings = findings_for("sl006_violation.py", select=["SL006"])
+        findings = run(check_hot_path_slots, self.VIOLATION)
         assert len(findings) == 1
-        assert "BareEntry" in findings[0].symbol
+        assert "BareEntry" in findings[0].message
         assert "__slots__" in findings[0].message
 
     def test_exemptions(self):
-        # Slotted classes, Component subclasses, dataclasses and
-        # exception classes in the same marked module all pass.
-        findings = findings_for("sl006_violation.py", select=["SL006"])
-        symbols = " ".join(f.symbol for f in findings)
+        # Slotted classes, Component subclasses, dataclasses and exception
+        # classes in the same marked module all pass.
+        messages = " ".join(
+            f.message for f in run(check_hot_path_slots, self.VIOLATION))
         for exempt in ("SlottedEntry", "HotCache", "StatsBlock",
                        "HotPathError"):
-            assert exempt not in symbols
+            assert exempt not in messages
 
     def test_unmarked_module_passes(self):
-        assert findings_for("sl006_clean.py", select=["SL006"]) == []
+        assert run(check_hot_path_slots, '''
+            class RelaxedEntry:
+                def __init__(self, tag):
+                    self.tag = tag
+        ''') == []
 
 
 class TestPragmas:
-    def test_parse_pragmas(self):
-        disabled = parse_pragmas([
-            "x = 1",
-            "y = time.time()  # simlint: disable=SL001",
-            "z = 2  # simlint: disable=SL002, SL003",
-            "w = 3  # simlint: disable=all",
-        ])
-        assert disabled == {2: {"SL001"}, 3: {"SL002", "SL003"},
-                            4: {"all"}}
-
     def test_suppressed(self):
-        finding = Finding(code="SL001", path="f.py", line=2, col=0,
-                          message="m")
-        assert suppressed(finding, {2: {"SL001"}})
-        assert suppressed(finding, {2: {"all"}})
-        assert not suppressed(finding, {2: {"SL002"}})
-        assert not suppressed(finding, {3: {"SL001"}})
+        module = inline("x = 1\ny = 2  # simlint: disable=SL001\n"
+                        "z = 3  # simlint: disable=SL002, SL003\n")
+
+        def survives(code, line):
+            finding = Finding(code, module.path, line, "m")
+            return unsuppressed([module], [finding]) == [finding]
+
+        assert not survives("SL001", 2)
+        assert not survives("SL002", 3)
+        assert not survives("SL003", 3)
+        assert survives("SL002", 2)
+        assert survives("SL001", 1)
+        assert survives("SL001", 3)
 
     def test_pragma_fixture(self):
-        findings = findings_for("pragma_suppressed.py")
+        module = inline('''
+            import random
+            import time
+
+            harness_started = time.time()  # simlint: disable=SL001
+            jitter = random.random()  # simlint: disable=SL001
+            BUS_LATENCY = 17  # simlint: disable=SL002
+            leftover = time.time()
+        ''')
+        findings = unsuppressed([module], [
+            finding for check in CHECKS.values()
+            for finding in check([module])])
         # Three pragma'd lines are silenced; the bare time.time() on the
         # last line is the only survivor.
         assert len(findings) == 1
         assert findings[0].code == "SL001"
         assert "time.time" in findings[0].message
-
-
-class TestBaseline:
-    def test_round_trip(self, tmp_path):
-        findings = findings_for("sl002_violation.py", select=["SL002"])
-        assert findings
-        path = tmp_path / "baseline.json"
-        baseline = Baseline(path)
-        baseline.write(findings)
-
-        reloaded = Baseline.load(path)
-        assert all(reloaded.contains(f) for f in findings)
-        other = Finding(code="SL001", path="nope.py", line=1, col=0,
-                        message="m", symbol="s")
-        assert not reloaded.contains(other)
-
-    def test_fingerprint_survives_line_moves(self):
-        a = Finding(code="SL002", path="f.py", line=10, col=4,
-                    message="m", symbol="Cls.method:lat")
-        b = Finding(code="SL002", path="f.py", line=99, col=0,
-                    message="m", symbol="Cls.method:lat")
-        assert a.fingerprint == b.fingerprint
-
-    def test_missing_baseline_is_empty(self, tmp_path):
-        baseline = Baseline.load(tmp_path / "absent.json")
-        finding = Finding(code="SL001", path="f.py", line=1, col=0,
-                          message="m")
-        assert not baseline.contains(finding)
-
-
-class TestCli:
-    def test_list_rules(self, capsys):
-        assert main(["--list-rules"]) == 0
-        out = capsys.readouterr().out
-        for code in ALL_CODES:
-            assert code in out
-
-    def test_unknown_rule_is_usage_error(self, capsys):
-        assert main(["--select", "SL999", "src"]) == 2
-        assert "unknown rule" in capsys.readouterr().err
-
-    def test_missing_path_is_usage_error(self, capsys):
-        assert main(["definitely/not/a/path"]) == 2
-        assert "no such path" in capsys.readouterr().err
-
-    def test_violation_file_exits_1(self, capsys):
-        rc = main(["--no-baseline", "--select", "SL001",
-                   str(FIXTURES / "sl001_violation.py")])
-        assert rc == 1
-        assert "SL001" in capsys.readouterr().out
-
-    def test_clean_file_exits_0(self, capsys):
-        rc = main(["--no-baseline", "--select", "SL001",
-                   str(FIXTURES / "sl001_clean.py")])
-        assert rc == 0
-        assert "clean" in capsys.readouterr().out
-
-    def test_json_output(self, capsys):
-        rc = main(["--no-baseline", "--json", "--select", "SL002",
-                   str(FIXTURES / "sl002_violation.py")])
-        assert rc == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["counts"]["new"] == payload["counts"]["total"] == 4
-        assert all(f["code"] == "SL002" for f in payload["findings"])
-
-    def test_write_baseline_then_clean(self, tmp_path, capsys):
-        baseline = tmp_path / "bl.json"
-        target = str(FIXTURES / "sl002_violation.py")
-        assert main(["--baseline", str(baseline), "--write-baseline",
-                     "--select", "SL002", target]) == 0
-        capsys.readouterr()
-        # Baselined findings no longer fail the run.
-        assert main(["--baseline", str(baseline), "--select", "SL002",
-                     target]) == 0
-        assert "baselined" in capsys.readouterr().out
-
-
-class TestSelfLint:
-    """The repo's own source must satisfy its own architecture rules."""
-
-    def test_repo_lints_clean(self):
-        result = subprocess.run(
-            [sys.executable, "-m", "repro.analysis", "--no-baseline",
-             "src", "benchmarks", "examples"],
-            cwd=REPO_ROOT, capture_output=True, text=True,
-            env={"PYTHONPATH": str(REPO_ROOT / "src"),
-                 "PATH": "/usr/bin:/bin:/usr/local/bin"})
-        assert result.returncode == 0, result.stdout + result.stderr
-
-    def test_src_lints_clean_in_process(self):
-        findings = lint_paths([REPO_ROOT / "src"], root=REPO_ROOT)
-        assert findings == [], [f.format() for f in findings]
-
-
-class TestExplain:
-    def test_every_rule_has_an_explanation(self):
-        from repro.analysis.explain import EXPLANATIONS
-        assert sorted(EXPLANATIONS) == sorted(ALL_CODES)
-        for code, explanation in EXPLANATIONS.items():
-            assert explanation.rationale.strip(), code
-            assert explanation.fix.strip(), code
-
-    def test_cli_explain(self, capsys):
-        assert main(["--explain", "sl006"]) == 0
-        out = capsys.readouterr().out
-        assert "SL006" in out and "__slots__" in out and "Fix:" in out
-
-    def test_cli_explain_unknown_rule(self, capsys):
-        assert main(["--explain", "SL999"]) == 2
-        assert "unknown rule" in capsys.readouterr().err
