@@ -5,10 +5,10 @@ from .dram import DRAM
 from .hierarchy import MemoryHierarchy
 from .mainmemory import MainMemory
 from .prefetcher import StreamPrefetcher
-from .replacement import DRRIPPolicy, LRUPolicy, make_policy
+from .replacement import DRRIPPolicy, make_policy
 from .stats import CacheStats, DRAMStats
 
 __all__ = ["CacheLine", "CacheStats", "DRAM", "DRAMStats", "DRRIPPolicy",
-           "EvictedLine", "LRUPolicy", "MainMemory", "MemoryHierarchy",
+           "EvictedLine", "MainMemory", "MemoryHierarchy",
            "SetAssociativeCache", "StreamPrefetcher",
            "make_policy"]

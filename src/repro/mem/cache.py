@@ -1,5 +1,5 @@
 # simlint: hot-path
-"""A set-associative cache with pluggable replacement and data payloads.
+"""A set-associative cache with LRU or DRRIP replacement and data payloads.
 
 Caches here are keyed by *line tags* — globally unique integers derived
 from the physical (or overlay) line address.  The overlay framework's
@@ -12,13 +12,20 @@ line, implemented by :meth:`SetAssociativeCache.retag`.
 Lines optionally carry a 64-byte payload so data-fidelity experiments
 (deduplication, checkpointing, speculation) can move real bytes through
 the hierarchy; timing-only workloads pass ``None``.
+
+LRU is kept here, as each set's list of resident lines in recency
+order, least recently used first: a hit moves its line to the back
+(nothing to do when it is there already), and a fill of a full set
+takes the victim from the front, reuses its object for the incoming
+line and puts it at the back.  DRRIP is a policy object
+(:mod:`repro.mem.replacement`) the cache calls on every hit and fill.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from .replacement import LRUPolicy, make_policy
+from .replacement import make_policy
 from .stats import CacheStats
 from ..engine.component import Component
 
@@ -85,17 +92,19 @@ class SetAssociativeCache(Component):
         self.tag_latency = tag_latency
         self.data_latency = data_latency
         self.serial_tag_data = serial_tag_data
+        # None under LRU; the hot paths keep LRU themselves and call
+        # any other policy through its methods.
         self._policy = make_policy(policy, self.num_sets, ways)
-        # The hot paths inline LRU bookkeeping; any other policy goes
-        # through the policy object's methods.
-        self._policy_is_lru = type(self._policy) is LRUPolicy
+        self._lru = self._policy is None
+        # Each set's slots, by way: dirty_lines() walks them in this order.
         self._lines: List[List[Optional[CacheLine]]] = [
             [None] * ways for _ in range(self.num_sets)]
         # The resident map: tag -> its CacheLine, which knows its slot.
         self._where: Dict[int, CacheLine] = {}
-        # Lines resident per set: lets fill() skip the free-way scan once
-        # a set is full (the steady state), going straight to eviction.
-        self._occupancy: List[int] = [0] * self.num_sets
+        # Each set's resident lines.  Under LRU this is the set's recency
+        # order, least recently used first; any other policy reads only
+        # its length, so fill() skips the free-way scan of a full set.
+        self._sets: List[List[CacheLine]] = [[] for _ in range(self.num_sets)]
         # Precomputed ints so hot paths avoid the property dispatch.
         if serial_tag_data:
             self.hit_latency = tag_latency + data_latency
@@ -123,10 +132,11 @@ class SetAssociativeCache(Component):
         if line is None:
             self.stats.misses += 1
             return False, self.miss_latency
-        if self._policy_is_lru:
-            policy = self._policy
-            policy._clock += 1
-            policy._last_use[line.set_index][line.way] = policy._clock
+        if self._lru:
+            order = self._sets[line.set_index]
+            if order[-1] is not line:
+                order.remove(line)
+                order.append(line)
         else:
             self._policy.on_hit(line.set_index, line.way)
         self.stats.hits += 1
@@ -155,33 +165,25 @@ class SetAssociativeCache(Component):
                 line.data = data
             return None
         set_index = tag % self.num_sets
-        policy = self._policy
+        order = self._sets[set_index]
         stats = self.stats
-        is_lru = self._policy_is_lru
         evicted = None
-        occupancy = self._occupancy
-        if occupancy[set_index] < self.ways:
+        if len(order) < self.ways:
             bucket = self._lines[set_index]
-            way = bucket.index(None)  # first free way, as victim() picks
-            occupancy[set_index] += 1
+            way = bucket.index(None)  # first free way
             line = bucket[way] = CacheLine(tag, dirty, data, prefetch,
                                            set_index, way)
-            if is_lru:
-                policy._clock += 1
-                policy._last_use[set_index][way] = policy._clock
-            else:
-                policy.on_fill(set_index, way, prefetch=prefetch)
+            order.append(line)
+            if not self._lru:
+                self._policy.on_fill(set_index, way, prefetch=prefetch)
         else:
-            if is_lru:
-                # Inlined LRUPolicy.replace: the oldest stamp,
-                # first-of-equals, becomes the newest.
-                stamps = policy._last_use[set_index]
-                way = stamps.index(min(stamps))
-                policy._clock += 1
-                stamps[way] = policy._clock
+            if self._lru:
+                # The least recently used line becomes the most recent.
+                line = order.pop(0)
+                order.append(line)
             else:
-                way = policy.replace(set_index, prefetch)
-            line = self._lines[set_index][way]
+                line = self._lines[set_index][
+                    self._policy.replace(set_index, prefetch)]
             del where[line.tag]
             stats.evictions += 1
             if line.dirty:
@@ -204,7 +206,7 @@ class SetAssociativeCache(Component):
         if line is None:
             return None
         self._lines[line.set_index][line.way] = None
-        self._occupancy[line.set_index] -= 1
+        self._sets[line.set_index].remove(line)
         self.stats.invalidations += 1
         return EvictedLine(tag=line.tag, dirty=line.dirty, data=line.data)
 
@@ -232,7 +234,7 @@ class SetAssociativeCache(Component):
         # victim of this fill is dropped, never spilled (pinned by a
         # strict xfail in tests/test_mem_hierarchy.py).
         self._lines[set_index][line.way] = None
-        self._occupancy[set_index] -= 1
+        self._sets[set_index].remove(line)
         self.fill(new_tag, data=line.data, dirty=line.dirty)
         return True
 

@@ -1,3 +1,4 @@
+# simlint: hot-path
 """The three-level cache hierarchy of Table 2, glued to DRAM.
 
 * L1: 64KB, 4-way, tag/data 1/2 cycles, parallel lookup, LRU.
@@ -28,7 +29,6 @@ resolve, fetch and writeback steps.  Unwired, it serves misses from a
 flat physical address space over its own DRAM.
 """
 
-# simlint: hot-path
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -172,10 +172,11 @@ class MemoryHierarchy(Component):
         l1 = self.l1
         line = l1._where.get(tag)
         if line is not None:
-            if l1._policy_is_lru:
-                policy = l1._policy
-                policy._clock += 1
-                policy._last_use[line.set_index][line.way] = policy._clock
+            if l1._lru:
+                order = l1._sets[line.set_index]
+                if order[-1] is not line:
+                    order.remove(line)
+                    order.append(line)
             else:
                 l1._policy.on_hit(line.set_index, line.way)
             stats = l1.stats
@@ -194,10 +195,11 @@ class MemoryHierarchy(Component):
         line = l2._where.get(tag)
         if line is not None:
             # SetAssociativeCache.access(tag), a read hit, inlined.
-            if l2._policy_is_lru:
-                policy = l2._policy
-                policy._clock += 1
-                policy._last_use[line.set_index][line.way] = policy._clock
+            if l2._lru:
+                order = l2._sets[line.set_index]
+                if order[-1] is not line:
+                    order.remove(line)
+                    order.append(line)
             else:
                 l2._policy.on_hit(line.set_index, line.way)
             stats = l2.stats
@@ -237,10 +239,11 @@ class MemoryHierarchy(Component):
             line = l3._where.get(tag)
             if line is not None:
                 # SetAssociativeCache.access(tag), a read hit, inlined.
-                if l3._policy_is_lru:
-                    policy = l3._policy
-                    policy._clock += 1
-                    policy._last_use[line.set_index][line.way] = policy._clock
+                if l3._lru:
+                    order = l3._sets[line.set_index]
+                    if order[-1] is not line:
+                        order.remove(line)
+                        order.append(line)
                 else:
                     l3._policy.on_hit(line.set_index, line.way)
                 l3_stats = l3.stats

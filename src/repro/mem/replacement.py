@@ -3,8 +3,11 @@
 
 Table 2 of the paper uses LRU for the L1 and L2 caches and DRRIP [27]
 (Dynamic Re-Reference Interval Prediction) for the last-level cache.
-Policies are per-cache objects driving per-set victim selection; the
-cache calls them on every hit, fill, and eviction decision.
+LRU needs no policy object: :class:`~repro.mem.cache.SetAssociativeCache`
+keeps each set's resident lines in recency order, least recently used
+first, so a hit moves its line to the back and a fill of a full set
+evicts the front.  Any other policy is a per-cache object driving
+per-set victim selection, which the cache calls on every hit and fill.
 
 DRRIP follows Jaleel et al. [27]: 2-bit re-reference prediction values
 (RRPV), SRRIP inserts at RRPV=2, BRRIP inserts at RRPV=3 except 1/32 of
@@ -14,7 +17,7 @@ counter picks between them for follower sets.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 
 class ReplacementPolicy:
@@ -56,38 +59,6 @@ class ReplacementPolicy:
         way = self.victim_full(set_index)
         self.on_fill(set_index, way, prefetch=prefetch)
         return way
-
-
-class LRUPolicy(ReplacementPolicy):
-    """Classic least-recently-used, tracked with per-set timestamps."""
-
-    __slots__ = ("_clock", "_last_use")
-
-    def __init__(self, num_sets: int, ways: int):
-        super().__init__(num_sets, ways)
-        self._clock = 0
-        self._last_use: List[List[int]] = [[0] * ways for _ in range(num_sets)]
-
-    def _touch(self, set_index: int, way: int) -> None:
-        self._clock += 1
-        self._last_use[set_index][way] = self._clock
-
-    def on_hit(self, set_index: int, way: int) -> None:
-        self._touch(set_index, way)
-
-    def on_fill(self, set_index: int, way: int, prefetch: bool = False) -> None:
-        self._touch(set_index, way)
-
-    def victim(self, set_index: int, occupied: List) -> int:
-        for way, used in enumerate(occupied):
-            if not used:
-                return way
-        return self.victim_full(set_index)
-
-    def victim_full(self, set_index: int) -> int:
-        # Oldest stamp; ``index`` breaks ties towards the first way.
-        stamps = self._last_use[set_index]
-        return stamps.index(min(stamps))
 
 
 class DRRIPPolicy(ReplacementPolicy):
@@ -207,10 +178,17 @@ class DRRIPPolicy(ReplacementPolicy):
         return way
 
 
-def make_policy(name: str, num_sets: int, ways: int) -> ReplacementPolicy:
-    """Factory used by cache construction; ``name`` is 'lru' or 'drrip'."""
-    policies = {"lru": LRUPolicy, "drrip": DRRIPPolicy}
-    try:
-        return policies[name.lower()](num_sets, ways)
-    except KeyError:
-        raise ValueError(f"unknown replacement policy {name!r}") from None
+def make_policy(name: str, num_sets: int,
+                ways: int) -> Optional[ReplacementPolicy]:
+    """The policy object a cache calls for *name*: 'lru' or 'drrip'.
+
+    ``None`` for LRU, which the cache keeps itself as each set's
+    recency order; a :class:`DRRIPPolicy` over *num_sets* sets of
+    *ways* ways for DRRIP.  Any other name is a ``ValueError``.
+    """
+    name = name.lower()
+    if name == "lru":
+        return None
+    if name == "drrip":
+        return DRRIPPolicy(num_sets, ways)
+    raise ValueError(f"unknown replacement policy {name!r}")

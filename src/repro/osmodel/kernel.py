@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .physalloc import FrameAllocator
 from .process import Process
-from ..core.address import PAGE_SIZE
+from ..core.address import PAGE_SIZE, overlay_page_number
 from ..core.framework import CowHandler, OverlaySystem
 
 
@@ -75,9 +75,11 @@ class Kernel:
              fill: Optional[bytes] = None) -> List[int]:
         """Map *npages* fresh anonymous pages at *start_vpn*.
 
-        ``fill`` optionally initialises every page's contents (truncated
-        or zero-padded to 4KB).
+        ``fill`` optionally initialises every page's contents (repeated
+        and truncated to 4KB).
         """
+        page = (None if fill is None else
+                (fill * (PAGE_SIZE // max(1, len(fill)) + 1))[:PAGE_SIZE])
         frames = []
         for i in range(npages):
             vpn = start_vpn + i
@@ -87,8 +89,7 @@ class Kernel:
             self.system.map_page(process.asid, vpn, ppn)
             process.mappings[vpn] = ppn
             self.frame_users.setdefault(ppn, set()).add((process.asid, vpn))
-            if fill is not None:
-                page = (fill * (PAGE_SIZE // max(1, len(fill)) + 1))[:PAGE_SIZE]
+            if page is not None:
                 self.system.main_memory.write_page(ppn, page)
             frames.append(ppn)
         return frames
@@ -170,7 +171,6 @@ class Kernel:
                             vpn: int) -> None:
         """Copy the source page's overlay lines into the destination's
         overlay (overlays are never shared — Section 4.1)."""
-        from ..core.address import overlay_page_number
         entry = self.system.controller.omt.lookup(
             overlay_page_number(src_asid, vpn))
         if entry is None or entry.obitvector.is_empty():

@@ -26,7 +26,8 @@ class Module(NamedTuple):
     name: str                      # dotted module name
     package: str                   # what relative imports resolve against
     tree: ast.Module
-    hot_path: bool                 # marked in its first five lines
+    marker: Optional[int]          # line of its hot-path marker, if any;
+                                   # only the first five lines opt in
     disabled: Dict[int, Set[str]]  # line -> codes its pragma disables
 
 
@@ -38,7 +39,8 @@ def parse_module(source: str, name: str, path: str,
                 if match}
     return Module(path, name, name if is_package else name.rpartition(".")[0],
                   ast.parse(source, path),
-                  any("# simlint: hot-path" in line for line in lines[:5]),
+                  next((number for number, line in enumerate(lines, 1)
+                        if "# simlint: hot-path" in line), None),
                   disabled)
 
 
@@ -298,7 +300,12 @@ def check_layering(modules: List[Module]) -> Iterator[Finding]:
 
 def check_hot_path_slots(modules: List[Module]) -> Iterator[Finding]:
     exempt = component_classes(modules) | {"Component"}
-    for module in filter(lambda module: module.hot_path, modules):
+    for module in filter(lambda module: module.marker, modules):
+        if module.marker > 5:
+            # A marker further down opts nothing in: report it.
+            yield Finding("SL006", module.path, module.marker,
+                          "hot-path marker past the first five lines")
+            continue
         for node in module.tree.body:
             if not isinstance(node, ast.ClassDef) or node.name in exempt:
                 continue
@@ -421,7 +428,14 @@ VIOLATIONS = {
             pass
         class HotPathError(RuntimeError):
             pass
-    ''', "repro.mem.relaxed": "class RelaxedEntry:\n    pass\n"},
+    ''', "repro.mem.relaxed": "class RelaxedEntry:\n    pass\n",
+        "repro.mem.late": '''
+        """A module whose marker sits after its docstring."""
+        from dataclasses import dataclass
+        class LateEntry:
+            pass
+        # simlint: hot-path                       # SL006
+    '''},
 }
 
 

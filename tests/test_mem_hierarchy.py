@@ -74,6 +74,20 @@ class TestDemandPath:
         l1 = hierarchy.access(100)
         assert mem > l1
 
+    def test_l1_and_l2_hits_refresh_lru(self):
+        """The hierarchy's own L1 and L2 hit paths move the line to the
+        back of its set's recency order, as ``cache.access`` does."""
+        hierarchy = MemoryHierarchy(config=replace(
+            DEFAULT_CONFIG, l1_bytes=2 * 64, l1_ways=2,
+            l2_bytes=4 * 64, l2_ways=4))
+        for tag in (0, 1, 0, 2):     # the L1 hit on 0 saves it, not 1
+            hierarchy.access(tag)
+        assert 0 in hierarchy.l1 and 1 not in hierarchy.l1
+        for tag in (1, 0, 3, 4):     # L2 hits on 1, then 0: 2 is oldest
+            hierarchy.access(tag)
+        assert 2 not in hierarchy.l2
+        assert {0, 1, 3, 4} <= set(hierarchy.l2.resident_tags())
+
     def test_l2_hit_refills_l1(self):
         hierarchy, _ = make()
         hierarchy.access(100)

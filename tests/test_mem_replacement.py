@@ -4,12 +4,15 @@ import random
 
 import pytest
 
-from repro.mem.replacement import DRRIPPolicy, LRUPolicy, make_policy
+from repro.config import DEFAULT_CONFIG
+from repro.mem.cache import SetAssociativeCache
+from repro.mem.replacement import DRRIPPolicy, make_policy
 
 
 class TestFactory:
     def test_known_policies(self):
-        assert isinstance(make_policy("lru", 4, 2), LRUPolicy)
+        # LRU has no policy object: the cache keeps each set's recency.
+        assert make_policy("lru", 4, 2) is None
         assert isinstance(make_policy("DRRIP", 4, 2), DRRIPPolicy)
 
     def test_unknown_policy_rejected(self):
@@ -17,26 +20,42 @@ class TestFactory:
             make_policy("random", 4, 2)
 
 
+def lru_cache(num_sets, ways):
+    """An LRU cache of *num_sets* sets with Table 2's L1 timing."""
+    return SetAssociativeCache(
+        "LRU", size_bytes=num_sets * ways * 64, ways=ways, line_size=64,
+        tag_latency=DEFAULT_CONFIG.l1_tag_latency,
+        data_latency=DEFAULT_CONFIG.l1_data_latency)
+
+
 class TestLRU:
     def test_prefers_free_way(self):
-        policy = LRUPolicy(1, 4)
-        assert policy.victim(0, [True, False, True, True]) == 1
+        cache = lru_cache(1, 4)
+        for tag in range(4):
+            cache.fill(tag)
+        cache.invalidate(1)
+        cache.fill(4)
+        assert cache._lines[0][1].tag == 4  # the freed way
+        assert cache.stats.evictions == 0
+        assert set(cache.resident_tags()) == {0, 2, 3, 4}
 
     def test_evicts_least_recent(self):
-        policy = LRUPolicy(1, 3)
-        for way in range(3):
-            policy.on_fill(0, way)
-        policy.on_hit(0, 0)          # 1 is now LRU
-        assert policy.victim(0, [True] * 3) == 1
+        cache = lru_cache(1, 3)
+        for tag in range(3):
+            cache.fill(tag)
+        cache.access(0)              # 1 is now LRU
+        cache.fill(3)
+        assert set(cache.resident_tags()) == {0, 2, 3}
+        assert cache._lines[0][1].tag == 3  # in the victim's way
 
     def test_sets_are_independent(self):
-        policy = LRUPolicy(2, 2)
-        policy.on_fill(0, 0)
-        policy.on_fill(1, 1)
-        policy.on_fill(0, 1)
-        policy.on_fill(1, 0)
-        assert policy.victim(0, [True, True]) == 0
-        assert policy.victim(1, [True, True]) == 1
+        cache = lru_cache(2, 2)      # even tags in set 0, odd in set 1
+        for tag in (0, 3, 2, 1):
+            cache.fill(tag)
+        cache.fill(4)
+        assert set(cache.resident_tags()) == {1, 2, 3, 4}
+        cache.fill(5)
+        assert set(cache.resident_tags()) == {1, 2, 4, 5}
 
 
 class TestDRRIP:

@@ -72,8 +72,9 @@ class TestResidentMap:
     @given(cache_ops, st.sampled_from(["lru", "drrip"]))
     def test_map_matches_slots_and_fill_reports_dirty_victims(
             self, sequence, policy):
-        """The resident map holds the very line object in each slot, and
-        a line leaving through fill() is returned iff it was dirty."""
+        """The resident map holds the very line object in each slot, each
+        set's list holds that set's resident lines once each, and a line
+        leaving through fill() is returned iff it was dirty."""
         cache = SetAssociativeCache("R", size_bytes=8 * 64 * 2, ways=2,
                                     policy=policy, **L1_TIMING)
         for op, tag, other, flag, value in sequence:
@@ -103,7 +104,9 @@ class TestResidentMap:
                 assert line.tag == resident
                 assert cache._lines[line.set_index][line.way] is line
                 assert line.set_index == resident % cache.num_sets
-            assert len(cache._where) == sum(cache._occupancy)
+            for bucket, order in zip(cache._lines, cache._sets):
+                assert sorted(map(id, order)) == sorted(
+                    id(line) for line in bucket if line is not None)
 
 
 class TestHierarchyEquivalence:
@@ -197,12 +200,23 @@ class TestVictimSelection:
     loops they replaced, way for way and (DRRIP) RRPV for RRPV."""
 
     @slow
-    @given(st.lists(st.integers(0, 6), min_size=1, max_size=16))
-    def test_lru_victim_matches_reference(self, stamps):
-        from repro.mem.replacement import LRUPolicy
-        policy = LRUPolicy(num_sets=1, ways=len(stamps))
-        policy._last_use[0] = list(stamps)
-        assert policy.victim_full(0) == reference_lru_victim(stamps)
+    @given(st.lists(st.integers(0, 15), max_size=40),
+           st.sampled_from([2, 4, 8, 16]))
+    def test_lru_victim_matches_reference(self, hits, ways):
+        """A full set evicts the way whose last touch is the oldest: the
+        reference scan over stamps recorded at each fill and hit."""
+        cache = SetAssociativeCache("V", size_bytes=ways * 64, ways=ways,
+                                    **L1_TIMING)
+        stamps = []
+        for tag in range(ways):        # way w holds tag w
+            cache.fill(tag)
+            stamps.append(len(stamps) + 1)
+        for clock, way in enumerate(hits, ways + 1):
+            way %= ways
+            cache.access(cache._lines[0][way].tag)
+            stamps[way] = clock
+        cache.fill(ways)
+        assert cache._lines[0][reference_lru_victim(stamps)].tag == ways
 
     @slow
     @given(st.lists(st.integers(0, 3), min_size=1, max_size=16))
@@ -217,23 +231,118 @@ class TestVictimSelection:
         assert policy._rrpv[0] is row
         assert row == expected
 
-    @slow
-    @given(st.lists(st.integers(0, 1000), min_size=1, max_size=120),
-           st.sampled_from([2, 4, 8, 16]))
-    def test_lru_fill_evicts_reference_victim(self, tags, ways):
-        """The cache's inlined LRU scan in fill() picks the same victim."""
-        cache = SetAssociativeCache("V", size_bytes=ways * 64, ways=ways,
-                                    **L1_TIMING)
-        for tag in tags:
-            if tag in cache:
-                cache.access(tag)
-                continue
-            full = len(cache) == ways
-            stamps = list(cache._policy._last_use[0])
-            victim_tag = (cache._lines[0][reference_lru_victim(stamps)].tag
-                          if full else None)
-            before = set(cache.resident_tags())
-            evictions = cache.stats.evictions
-            assert cache.fill(tag) is None  # clean victims are dropped
-            assert set(cache.resident_tags()) == before - {victim_tag} | {tag}
-            assert cache.stats.evictions == evictions + full
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.data_too_large])
+    @given(st.lists(st.tuples(
+               st.sampled_from(["access", "fill", "invalidate", "retag"]),
+               st.integers(0, 1 << 16), st.integers(0, 1 << 16),
+               st.booleans()),
+               min_size=100, max_size=300),
+           st.sampled_from([2, 4, 8, 16]), st.sampled_from([1, 2]))
+    def test_lru_fill_evicts_reference_victim(self, sequence, ways,
+                                              num_sets):
+        """Over mixes of access, fill, invalidate and retag, the cache's
+        recency lists evict the victims a stamp model picks, and leave
+        the same lines, dirty bits and dirty_lines() order."""
+        cache = SetAssociativeCache(
+            "V", size_bytes=num_sets * ways * 64, ways=ways, **L1_TIMING)
+        reference = ReferenceLRU(num_sets, ways)
+        span = num_sets * ways * 3 // 2  # tags: half again the capacity
+        for op, tag, other, flag in sequence:
+            tag, other = tag % span, other % span
+            if op == "access":
+                cache.access(tag, write=flag)
+                reference.access(tag, flag)
+            elif op == "fill":
+                before = set(cache.resident_tags())
+                evicted = cache.fill(tag, dirty=flag)
+                victim = reference.fill(tag, flag)
+                gone = before - set(cache.resident_tags())
+                assert gone == ({victim[0]} if victim else set())
+                assert (evicted is not None) == bool(victim and victim[1])
+                if evicted is not None:
+                    assert (evicted.tag, evicted.dirty) == (victim[0], True)
+            elif op == "invalidate":
+                cache.invalidate(tag)
+                reference.invalidate(tag)
+            else:
+                if flag:               # a retag within the set
+                    other += tag % num_sets - other % num_sets
+                assert cache.retag(tag, other) == reference.retag(tag, other)
+            assert sorted(cache.resident_tags()) == reference.tags()
+            assert ([line.tag for line in cache.dirty_lines()]
+                    == reference.dirty_tags())
+
+
+class ReferenceLRU:
+    """The stamp LRU the recency lists replaced, on plain slots: every
+    fill and hit stamps its way with a global clock, and a fill takes
+    the first free way, else the oldest stamp, first of equals."""
+
+    def __init__(self, num_sets, ways):
+        self.num_sets = num_sets
+        self.slots = [[None] * ways for _ in range(num_sets)]
+        self.stamps = [[0] * ways for _ in range(num_sets)]
+        self.clock = 0
+
+    def _find(self, tag):
+        """``(set, way)`` of *tag*; the way is None when it is absent."""
+        set_index = tag % self.num_sets
+        for way, slot in enumerate(self.slots[set_index]):
+            if slot is not None and slot[0] == tag:
+                return set_index, way
+        return set_index, None
+
+    def _touch(self, set_index, way):
+        self.clock += 1
+        self.stamps[set_index][way] = self.clock
+
+    def access(self, tag, write):
+        set_index, way = self._find(tag)
+        if way is not None:
+            self._touch(set_index, way)
+            if write:
+                self.slots[set_index][way][1] = True
+
+    def fill(self, tag, dirty):
+        """Install *tag*; returns the ``[tag, dirty]`` that fell out."""
+        set_index, way = self._find(tag)
+        if way is not None:            # a refill merges, touching nothing
+            if dirty:
+                self.slots[set_index][way][1] = True
+            return None
+        bucket = self.slots[set_index]
+        if None in bucket:
+            way, victim = bucket.index(None), None
+        else:
+            way = reference_lru_victim(self.stamps[set_index])
+            victim = bucket[way]
+        bucket[way] = [tag, dirty]
+        self._touch(set_index, way)
+        return victim
+
+    def invalidate(self, tag):
+        set_index, way = self._find(tag)
+        if way is not None:
+            self.slots[set_index][way] = None
+
+    def retag(self, old_tag, new_tag):
+        set_index, way = self._find(old_tag)
+        if way is None or self._find(new_tag)[1] is not None:
+            return False
+        slot = self.slots[set_index][way]
+        if new_tag % self.num_sets == set_index:
+            slot[0] = new_tag          # in place: no touch
+            return True
+        self.slots[set_index][way] = None
+        self.fill(new_tag, slot[1])    # its victim is dropped
+        return True
+
+    def tags(self):
+        return sorted(slot[0] for bucket in self.slots for slot in bucket
+                      if slot is not None)
+
+    def dirty_tags(self):
+        return [slot[0] for bucket in self.slots for slot in bucket
+                if slot is not None and slot[1]]
