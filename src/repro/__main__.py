@@ -8,7 +8,6 @@ Usage::
     python -m repro all                      # every experiment
     python -m repro --json figure8           # also write results/figure8.json
     python -m repro --json --trace remap_latency   # + results/*.trace.json
-    python -m repro --metrics figure9        # + results/figure9.metrics.json
     python -m repro --profile figure9        # + results/figure9.profile.json
 
 Options:
@@ -16,15 +15,10 @@ Options:
                        (manifest + data) next to the printed output
     --trace            arm the engine event tracer for each experiment
                        and write results/<name>.trace.json (implies --json)
-    --metrics          sample the stats tree every epoch of simulated
-                       cycles and write results/<name>.metrics.json with
-                       a sparkline summary on stdout (implies --json)
-    --metrics-interval N
-                       epoch length in simulated cycles (default 1000;
-                       implies --metrics)
-    --profile          attribute simulated cycles to components and
-                       write results/<name>.profile.json plus the
-                       where-did-the-cycles-go tree (implies --json)
+    --profile          run each experiment under cProfile, print where
+                       the simulated cycles went (by component) and where
+                       the host seconds went (by layer), and write both
+                       to results/<name>.profile.json (implies --json)
     --results-dir DIR  directory for the JSON artifacts (default:
                        ./results, or $REPRO_RESULTS_DIR)
     --max-cycles N     abort any experiment whose simulated clock passes
@@ -33,8 +27,8 @@ Options:
                        runaway simulations
 
 Figures 8 and 9 plot one fork suite, so an invocation running both
-simulates it once, unless ``--trace``, ``--metrics`` or ``--profile``
-asks each experiment to record its own run.
+simulates it once, unless ``--trace`` or ``--profile`` asks each
+experiment to record its own run.
 """
 
 from __future__ import annotations
@@ -170,55 +164,42 @@ EXPERIMENTS = {
 
 
 def _run_one(target: str, emit_json: bool, trace: bool, results_dir,
-             metrics_interval=None, profile: bool = False):
+             profile: bool = False):
     """Run one experiment, optionally capturing observability artifacts."""
     runner = EXPERIMENTS[target][0]
     if not emit_json:
         runner()
         return
+    import cProfile
     from contextlib import ExitStack
 
-    from .engine.tracing import (SamplerFanout, install_sampler,
-                                 uninstall_sampler)
-    from .obs import (MetricsSampler, ProfileAccumulator, RunManifest,
-                      WallClockProfiler, emit_run, format_metrics,
-                      format_profile, metrics_document, tracing_session,
-                      write_metrics, write_profile)
+    from .engine.tracing import (install_root_observer,
+                                 uninstall_root_observer)
+    from .obs import (ProfileAccumulator, RunManifest, emit_run,
+                      format_profile, host_layers, tracing_session,
+                      write_profile)
     manifest = RunManifest.create(target)
-    sampler = (MetricsSampler(interval=metrics_interval)
-               if metrics_interval else None)
-    accumulator = ProfileAccumulator() if profile else None
-    wall = WallClockProfiler() if profile else None
-    recorders = [r for r in (sampler, accumulator) if r is not None]
-    if recorders or trace:
+    if profile or trace:
         _fork_suite.cache_clear()  # the artifacts must see a simulation
     tracer = None
+    accumulator = ProfileAccumulator() if profile else None
+    profiler = cProfile.Profile() if profile else None
     with ExitStack() as stack:
-        if recorders:
-            install_sampler(recorders[0] if len(recorders) == 1
-                            else SamplerFanout(*recorders))
-            stack.callback(uninstall_sampler)
+        if accumulator is not None:
+            install_root_observer(accumulator)
+            stack.callback(uninstall_root_observer)
         if trace:
             tracer = stack.enter_context(tracing_session())
-        if wall is not None:
-            with wall.section("simulate"):
-                data = runner()
-        else:
-            data = runner()
+        data = runner() if profiler is None else profiler.runcall(runner)
     path = emit_run(target, data, manifest=manifest, tracer=tracer,
                     results_dir=results_dir)
     print(f"[wrote {path}]")
-    if sampler is not None:
-        print(format_metrics(metrics_document(target, sampler),
-                             max_series=8))
-        metrics_path = write_metrics(target, sampler,
-                                     results_dir=results_dir)
-        print(f"[wrote {metrics_path}]")
-    if accumulator is not None:
+    if profile:
         node = accumulator.finish()
+        host = host_layers(profiler)
         if node is not None:
-            print(format_profile(node, wall=wall.to_dict()))
-        profile_path = write_profile(target, node, wall=wall,
+            print(format_profile(node, host=host))
+        profile_path = write_profile(target, node, host=host,
                                      systems=accumulator.systems,
                                      results_dir=results_dir)
         print(f"[wrote {profile_path}]")
@@ -229,7 +210,6 @@ def main(argv=None):
     emit_json = False
     trace = False
     profile = False
-    metrics_interval = None
     results_dir = None
     targets = []
     i = 0
@@ -239,26 +219,6 @@ def main(argv=None):
             emit_json = True
         elif arg == "--trace":
             trace = emit_json = True
-        elif arg == "--metrics":
-            emit_json = True
-            if metrics_interval is None:
-                from .obs import DEFAULT_INTERVAL
-                metrics_interval = DEFAULT_INTERVAL
-        elif arg == "--metrics-interval":
-            i += 1
-            if i >= len(args):
-                print("--metrics-interval requires a cycle count")
-                return 2
-            try:
-                metrics_interval = int(args[i])
-            except ValueError:
-                print(f"--metrics-interval needs an integer, "
-                      f"got {args[i]!r}")
-                return 2
-            if metrics_interval <= 0:
-                print("--metrics-interval must be positive")
-                return 2
-            emit_json = True
         elif arg == "--profile":
             profile = emit_json = True
         elif arg == "--results-dir":
@@ -309,8 +269,7 @@ def main(argv=None):
         # Wall-clock here times the *harness*, not the simulation; the
         # simulated timeline comes solely from SimClock.
         started = time.time()  # simlint: disable=SL001
-        _run_one(target, emit_json, trace, results_dir,
-                 metrics_interval=metrics_interval, profile=profile)
+        _run_one(target, emit_json, trace, results_dir, profile=profile)
         elapsed = time.time() - started  # simlint: disable=SL001
         print(f"[{target} done in {elapsed:.1f}s]")
     return 0

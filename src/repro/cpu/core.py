@@ -78,7 +78,7 @@ class WindowState:
     start: int
     stats: CoreStats = field(default_factory=CoreStats)
     instr_index: int = 0
-    #: In-flight memory operations: (instruction_index, completion_cycle).
+    #: In-flight memory operations: (instruction index, cycle it completes).
     inflight: Deque[Tuple[int, int]] = field(default_factory=deque)
     pending: Optional[MemoryAccess] = None
     done: bool = False
@@ -141,7 +141,7 @@ class Core:
         implementation of the window model; single- and multi-core
         drivers differ only in how they interleave calls to it.  Every
         cursor move goes through the cursor, so the clock (and with it
-        the watchdog, trace and sampler hooks) sees each access.
+        the watchdog and the trace hooks) sees each access.
         """
         access = state.pending
         if access is None:

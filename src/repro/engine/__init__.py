@@ -30,7 +30,7 @@ from .clock import (ClockCursor, ClockError, SimClock, SimulationHangError,
 from .component import Component
 from .stats import StatsError, StatsRegistry, merge_blocks, snapshot_block
 from .rng import derive_rng, resolve_seed
-from .tracing import CycleSampler, FaultHook, TraceError, TraceSink
+from .tracing import FaultHook, RootObserver, TraceError, TraceSink
 
 __all__ = [
     "ClockCursor", "ClockError", "SimClock", "SimulationHangError",
@@ -40,5 +40,5 @@ __all__ = [
     "merge_blocks", "snapshot_block",
     "derive_rng", "resolve_seed",
     "process_state",
-    "tracing", "CycleSampler", "FaultHook", "TraceError", "TraceSink",
+    "tracing", "FaultHook", "RootObserver", "TraceError", "TraceSink",
 ]

@@ -165,11 +165,6 @@ class SimClock:
                     "now": self._now, "peak": self._peak,
                     "cursors": [(cursor.name, cursor.time)
                                 for cursor in self._cursors]})
-        # Sampling hook site: every observed time movement (cursor
-        # advances and event-driven seeks) funnels through
-        # here, so one disarmed check covers the whole timeline.
-        if HOOKS.sampler is not None:
-            HOOKS.sampler.on_cycle(cycle)
 
     # -- cursors --------------------------------------------------------------
 
@@ -186,14 +181,15 @@ class SimClock:
 
         The one way ``now`` moves, backwards included: the scheduler
         replays the timeline in event order, and each core's own cursor
-        is still monotonic.
+        is still monotonic.  ``Core.step`` calls it once per access, so
+        it observes only a seek past ``peak`` (the watchdog's case).
         """
         if cycle < 0:
             raise ClockError(f"cannot seek to negative cycle {cycle}")
         self._now = cycle
-        # At or below the peak only a sampler has anything to observe:
-        # a core seeks to the time its cursor has just observed.
-        if cycle > self._peak or HOOKS.sampler is not None:
+        # At or below the peak there is nothing to observe: a core
+        # seeks to the time its cursor has just observed.
+        if cycle > self._peak:
             self._observe(cycle)
         if HOOKS.active is not None:
             HOOKS.active.emit(cycle, "clock", "seek", None)

@@ -31,13 +31,13 @@ class Component:
             self.stats_scope = parent.stats_scope.child(name)
         else:
             self.stats_scope = StatsRegistry(name)
-            # Sampling hook site: a parentless component is a fresh
-            # machine root; the sampler (if armed) binds its registry
-            # here, filtering by name so transient sub-component roots
-            # (an OMS later adopted via attach_child) don't steal the
+            # Root hook site: a parentless component is a fresh machine
+            # root; the observer (if armed) binds its registry here,
+            # filtering by name so transient sub-component roots (an
+            # OMS later adopted via attach_child) don't steal the
             # binding.
-            if HOOKS.sampler is not None:
-                HOOKS.sampler.on_root(self)
+            if HOOKS.roots is not None:
+                HOOKS.roots.on_root(self)
 
     def attach_child(self, component: "Component") -> "Component":
         """Adopt an already-built component's stats scope as a child

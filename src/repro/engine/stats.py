@@ -128,8 +128,8 @@ class StatsRegistry:
         Own-block fields appear as ``scope.path.name``; named blocks
         contribute ``scope.path.block_name.field``.  Paths are
         unambiguous: duplicate leaf scope names in different subtrees
-        stay distinct.  This is the shape the time-series sampler and
-        the run-comparison tooling key their metrics by.
+        stay distinct.  This is the shape the run-comparison tooling
+        and the perf benchmark key their metrics by.
         """
         out: Dict[str, Number] = {}
         for path, node in self.walk(prefix):

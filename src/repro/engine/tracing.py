@@ -8,17 +8,15 @@ pattern::
     if HOOKS.active is not None:
         HOOKS.active.emit(time, category, name, args)
 
-A second, independent slot (:data:`HOOKS`\ ``.sampler``) carries the
-*cycle sampler* interface for time-series metrics: the clock notifies
-the sampler whenever simulated time moves
-(:meth:`~repro.engine.clock.SimClock._observe`), and a component
-notifies it whenever it is built without a parent — a fresh machine
-root (:class:`~repro.engine.component.Component`).  The
-recorder (:class:`repro.obs.metrics.MetricsSampler`) decides what to
-snapshot at which epoch; the engine only publishes.
+A second slot (:data:`HOOKS`\ ``.roots``) carries one notification: a
+component built without a parent — a fresh machine root
+(:class:`~repro.engine.component.Component`) — is handed to the
+installed :class:`RootObserver`.  That is how the cycle-accounting
+profiler (:class:`repro.obs.profile.ProfileAccumulator`) finds every
+machine a harness builds without the harness threading it through.
 
 Hot-path contract (asserted by ``tests/test_obs.py``): with no sink or
-sampler installed each hook is one attribute load plus an ``is None``
+observer installed each hook is one attribute load plus an ``is None``
 test — no calls, no allocations, and no change to any simulated cycle
 count.  Event *payload* dictionaries are therefore only built inside
 the guard, never before it.
@@ -60,18 +58,13 @@ class TraceSink:
         raise NotImplementedError
 
 
-class CycleSampler:
-    """Interface a time-series sampler implements.
+class RootObserver:
+    """Interface the ``HOOKS.roots`` slot holds.
 
-    ``on_cycle(cycle)`` fires whenever simulated time is observed moving
-    (cursor advances and event-driven seeks); ``on_root(component)``
-    fires when a new root component — a freshly built machine — joins
-    the process, so the sampler can bind its statistics registry without
-    the harness threading it through every layer.
+    ``on_root(component)`` fires when a new root component — a freshly
+    built machine — joins the process, so the observer can bind its
+    statistics registry.
     """
-
-    def on_cycle(self, cycle: int) -> None:
-        """Optional callback; the default ignores the observation."""
 
     def on_root(self, component) -> None:
         """Optional callback; the default ignores the new root."""
@@ -101,7 +94,7 @@ class FaultHook:
       (``mem/dram.py``); returns extra latency cycles charged by the
       ECC model (correction or detect-and-retry), 0 when no fault fires.
 
-    Zero-overhead-when-off contract (same as the tracer and sampler
+    Zero-overhead-when-off contract (same as the tracer and root
     slots, asserted by ``tests/test_robust_faults.py``): every site is
     guarded by ``if HOOKS.faults is not None`` — one attribute load plus
     an ``is None`` test, no calls, no allocations, no cycle changes.
@@ -125,29 +118,14 @@ class FaultHook:
         return 0
 
 
-class SamplerFanout(CycleSampler):
-    """Feed one sampler slot to several recorders (metrics + profiler)."""
-
-    def __init__(self, *samplers: CycleSampler) -> None:
-        self.samplers = list(samplers)
-
-    def on_cycle(self, cycle: int) -> None:
-        for sampler in self.samplers:
-            sampler.on_cycle(cycle)
-
-    def on_root(self, component) -> None:
-        for sampler in self.samplers:
-            sampler.on_root(component)
-
-
 class TraceHooks:
     """The process-wide hook slots; each is ``None`` when off."""
 
-    __slots__ = ("active", "sampler", "faults")
+    __slots__ = ("active", "roots", "faults")
 
     def __init__(self) -> None:
         self.active: Optional[TraceSink] = None
-        self.sampler: Optional[CycleSampler] = None
+        self.roots: Optional[RootObserver] = None
         self.faults: Optional[FaultHook] = None
 
 
@@ -158,18 +136,18 @@ HOOKS = TraceHooks()
 
 def _reset_hooks() -> None:
     HOOKS.active = None
-    HOOKS.sampler = None
+    HOOKS.roots = None
     HOOKS.faults = None
 
 
 # The hook slots are process-wide mutable state: a run that starts with
-# an armed tracer/sampler/fault hook left over from an earlier one
+# an armed tracer/root observer/fault hook left over from an earlier one
 # diverges from a fresh process.  Registering them makes
 # ``process_state.reset_all()`` disarm everything.
 register_process_state(
     "repro.engine.tracing.HOOKS",
     snapshot=lambda: (HOOKS.active is not None,
-                      HOOKS.sampler is not None,
+                      HOOKS.roots is not None,
                       HOOKS.faults is not None),
     reset=_reset_hooks)
 
@@ -198,28 +176,22 @@ def active() -> Optional[TraceSink]:
     return HOOKS.active
 
 
-def install_sampler(sampler: CycleSampler) -> CycleSampler:
-    """Arm cycle sampling: route clock/root notifications to *sampler*.
+def install_root_observer(observer: RootObserver) -> RootObserver:
+    """Arm the root hook: hand every new machine root to *observer*.
 
-    Exactly one sampler may be active (compose with a fan-out sampler to
-    feed several recorders); installing over a live one raises
-    :class:`TraceError`.
+    Exactly one observer may be active; installing over a live one
+    raises :class:`TraceError`.
     """
-    if HOOKS.sampler is not None:
-        raise TraceError("a cycle sampler is already installed; "
-                         "uninstall_sampler() it first")
-    HOOKS.sampler = sampler
-    return sampler
+    if HOOKS.roots is not None:
+        raise TraceError("a root observer is already installed; "
+                         "uninstall_root_observer() it first")
+    HOOKS.roots = observer
+    return observer
 
 
-def uninstall_sampler() -> None:
-    """Disarm cycle sampling (idempotent)."""
-    HOOKS.sampler = None
-
-
-def active_sampler() -> Optional[CycleSampler]:
-    """The installed sampler, or ``None`` when sampling is off."""
-    return HOOKS.sampler
+def uninstall_root_observer() -> None:
+    """Disarm the root hook (idempotent)."""
+    HOOKS.roots = None
 
 
 def install_faults(hook: FaultHook) -> FaultHook:

@@ -254,11 +254,12 @@ class MemoryHierarchy(Component):
                 latency += l3.hit_latency
                 dirty = write or line.dirty
                 line.dirty = False
-                evicted = l2.fill(tag, line.data)
+                # Read before the L2 fill: its spill into the L3 may evict
+                # this line and reuse the object for another tag.
+                fill_data = line.data
+                evicted = l2.fill(tag, fill_data)
                 if evicted is not None:
                     self._spill(l2, evicted)
-                # Read after the L2 fill, whose spill may reuse the line.
-                fill_data = line.data
             else:
                 l3.stats.misses += 1
                 latency += l3.miss_latency

@@ -6,8 +6,11 @@ Table 2 of the paper uses LRU for the L1 and L2 caches and DRRIP [27]
 LRU needs no policy object: :class:`~repro.mem.cache.SetAssociativeCache`
 keeps each set's resident lines in recency order, least recently used
 first, so a hit moves its line to the back and a fill of a full set
-evicts the front.  Any other policy is a per-cache object driving
-per-set victim selection, which the cache calls on every hit and fill.
+evicts the front.  Any other policy is a per-cache object the cache
+calls on every hit (:meth:`~ReplacementPolicy.on_hit`), on a fill into
+a free way (:meth:`~ReplacementPolicy.on_fill`) and on a fill of a full
+set (:meth:`~ReplacementPolicy.replace`, which picks the victim's way).
+The cache finds a free way itself.
 
 DRRIP follows Jaleel et al. [27]: 2-bit re-reference prediction values
 (RRPV), SRRIP inserts at RRPV=2, BRRIP inserts at RRPV=3 except 1/32 of
@@ -35,20 +38,11 @@ class ReplacementPolicy:
     def on_fill(self, set_index: int, way: int, prefetch: bool = False) -> None:
         raise NotImplementedError
 
-    def victim(self, set_index: int, occupied: List) -> int:
-        """Pick the way to evict (all ways occupied) or fill (some free).
-
-        *occupied* is any per-way sequence whose entries are truthy for
-        occupied ways — the cache passes its line bucket directly
-        (``CacheLine`` entries are truthy, empty ways are ``None``).
-        """
-        raise NotImplementedError
-
     def victim_full(self, set_index: int) -> int:
-        """Pick the way to evict in a set known to have no free ways.
+        """Pick the way to evict in a set with no free way.
 
-        The cache tracks per-set occupancy and calls this in the steady
-        state, skipping :meth:`victim`'s free-way scan.
+        The reference for :meth:`replace`, which the cache calls
+        instead: ``victim_full`` then ``on_fill`` is its definition.
         """
         raise NotImplementedError
 
@@ -90,26 +84,13 @@ class DRRIPPolicy(ReplacementPolicy):
             self._leader.setdefault(srrip_set, "srrip")
             self._leader.setdefault(brrip_set, "brrip")
 
-    def _policy_for(self, set_index: int) -> str:
-        leader = self._leader.get(set_index)
-        if leader is not None:
-            return leader
-        return "srrip" if self._psel < (self._psel_max + 1) // 2 else "brrip"
-
-    def _account_miss(self, set_index: int) -> None:
-        # A miss in a leader set votes against that leader's policy.
-        leader = self._leader.get(set_index)
-        if leader == "srrip":
-            self._psel = min(self._psel_max, self._psel + 1)
-        elif leader == "brrip":
-            self._psel = max(0, self._psel - 1)
-
     def on_hit(self, set_index: int, way: int) -> None:
         # Hit promotion: RRPV -> 0 (near-immediate re-reference).
         self._rrpv[set_index][way] = 0
 
     def on_fill(self, set_index: int, way: int, prefetch: bool = False) -> None:
-        # _account_miss + _policy_for flattened into one leader lookup.
+        # A fill in a leader set is a miss there, which votes against
+        # that leader's policy; a follower set follows PSEL.
         leader = self._leader.get(set_index)
         psel = self._psel
         if leader is None:
@@ -130,12 +111,6 @@ class DRRIPPolicy(ReplacementPolicy):
         if prefetch:
             rrpv = self.DISTANT_RRPV  # prefetches inserted with distant prediction
         self._rrpv[set_index][way] = rrpv
-
-    def victim(self, set_index: int, occupied: List) -> int:
-        for way, used in enumerate(occupied):
-            if not used:
-                return way
-        return self.victim_full(set_index)
 
     def victim_full(self, set_index: int) -> int:
         # RRIP ages the whole set until some way reaches MAX_RRPV and

@@ -6,15 +6,14 @@ Usage::
     python -m repro.obs compare baseline.json fresh.json \\
         [--threshold PCT] [--thresholds PATTERN=PCT ...] \\
         [--fail-on-missing] [--show-all]
-    python -m repro.obs report results/run.metrics.json [...]
+    python -m repro.obs report results/run.profile.json [...]
 
 ``validate`` routes each file by suffix — ``*.trace.json`` to the
-Chrome-trace shape, ``*.metrics.json`` to the time-series schema,
-``*.profile.json`` to the cycle-accounting schema, ``*.faults.json``
-to the fault-campaign schema, ``BENCH_perf.json`` to the speed-record
-schema, everything else to the full run-document schema — and exits
-nonzero if any artifact fails; this is the CI gate for uploaded
-artifacts.
+Chrome-trace shape, ``*.profile.json`` to the profile schema,
+``*.faults.json`` to the fault-campaign schema, ``BENCH_perf.json``
+to the speed-record schema, everything else to the full run-document
+schema — and exits nonzero if any artifact fails; this is the CI gate
+for uploaded artifacts.
 
 ``compare`` prints a differential report of two documents' numeric
 leaves (environment sections excluded) and exits nonzero when any
@@ -22,9 +21,9 @@ delta exceeds its threshold — this is the CI perf gate.  Thresholds
 are percent; ``--thresholds`` patterns match dotted metric paths,
 first match wins, ``--threshold`` sets the default (0: byte-exact).
 
-``report`` pretty-prints an artifact: sparkline series for metrics
-documents, the where-did-the-cycles-go tree for profile documents,
-and the flattened metric table for plain run documents.
+``report`` pretty-prints an artifact: the where-did-the-cycles-go tree
+and host seconds by layer for profile documents, and the flattened
+metric table for plain run documents.
 """
 
 from __future__ import annotations
@@ -36,10 +35,9 @@ from typing import List
 
 from .compare import (compare_files, flatten_document, format_compare,
                       parse_threshold_specs)
-from .metrics import format_metrics
 from .profile import format_profile
-from .schema import (BENCH_PERF_SCHEMA, FAULTS_SCHEMA, METRICS_SCHEMA,
-                     PROFILE_SCHEMA, RUN_SCHEMA, schema_errors)
+from .schema import (BENCH_PERF_SCHEMA, FAULTS_SCHEMA, PROFILE_SCHEMA,
+                     RUN_SCHEMA, schema_errors)
 
 _CHROME_TRACE_SCHEMA = {
     "type": "object",
@@ -67,8 +65,6 @@ def schema_for(path: Path):
     """The schema an artifact must satisfy, routed by filename suffix."""
     if path.name.endswith(".trace.json"):
         return _CHROME_TRACE_SCHEMA
-    if path.name.endswith(".metrics.json"):
-        return METRICS_SCHEMA
     if path.name.endswith(".profile.json"):
         return PROFILE_SCHEMA
     if path.name.endswith(".faults.json"):
@@ -171,13 +167,11 @@ def _report_one(path: Path) -> int:
         print(f"unreadable {path}: {error}")
         return 1
     print(f"== {path} ==")
-    if path.name.endswith(".metrics.json"):
-        print(format_metrics(doc))
-    elif path.name.endswith(".profile.json"):
+    if path.name.endswith(".profile.json"):
         if doc.get("profile") is None:
             print("(no cycles attributed)")
         else:
-            print(format_profile(doc["profile"], wall=doc.get("wall")))
+            print(format_profile(doc["profile"], host=doc.get("host")))
     else:
         from ..eval.reporting import table
         flat = flatten_document(doc)

@@ -3,14 +3,15 @@
 Two runs of the same experiment under the same seed must agree; a
 change that moves cycle counts shows up here as a per-metric delta.
 :func:`compare_documents` flattens two ``results/*.json`` documents
-(or ``*.metrics.json`` / ``*.profile.json`` artifacts) to dotted-path
-numeric leaves, pairs them up, and judges each pair against a
+(or ``*.profile.json`` artifacts) to dotted-path numeric leaves,
+pairs them up, and judges each pair against a
 percentage threshold — first matching ``fnmatch`` pattern wins, so a
 gate can hold ``*.cpi`` to 5% while allowing ``*.wall*`` anything.
 
 Environment-dependent material never participates: the ``manifest``
-(host, timestamps, durations) and the ``wall`` section of profile
-documents are excluded before flattening, exactly mirroring
+(host, timestamps, durations), the ``host`` section of profile
+documents and the ``wall`` section of perf-suite documents are
+excluded before flattening, exactly mirroring
 ``RunManifest.deterministic_dict``.
 
 CI runs this as ``python -m repro.obs compare baseline.json fresh.json
@@ -33,7 +34,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 #: Top-level document keys that carry environment data, not results.
-EXCLUDED_SECTIONS = ("manifest", "wall")
+EXCLUDED_SECTIONS = ("manifest", "wall", "host")
 
 #: Default gate width, in percent, when no pattern matches a path.
 DEFAULT_THRESHOLD_PCT = 0.0

@@ -4,7 +4,9 @@ Every harness keeps printing exactly the text it always printed (the
 committed ``results/*.txt`` stay byte-identical); this module adds the
 JSON sibling: ``results/<run>.json`` holding ``{"manifest", "data",
 "stats"}`` and — when tracing is armed — ``results/<run>.trace.json``
-in Chrome trace format.
+in Chrome trace format.  ``stats`` is always ``null``: an experiment
+builds many machines, so no one stats tree describes its run (the
+``--profile`` document carries their merged cycle accounting instead).
 
 The writer is :func:`emit_run`, which ``python -m repro --json`` calls
 once per experiment.  The results directory defaults to ``./results``
@@ -20,7 +22,6 @@ from pathlib import Path
 from typing import Any, Dict, Optional
 
 from ..config import SystemConfig
-from ..engine.stats import StatsRegistry
 from .manifest import RunManifest
 from .trace import Tracer
 
@@ -33,38 +34,7 @@ def default_results_dir() -> Path:
     return Path(os.environ.get(RESULTS_DIR_ENV) or "results")
 
 
-def stats_to_dict(source) -> Optional[Dict[str, Any]]:
-    """A JSON-ready stats tree from a registry or any component/system.
-
-    Accepts a :class:`~repro.engine.stats.StatsRegistry`, anything with
-    a ``stats_scope`` (a :class:`~repro.engine.Component`, including the
-    ``OverlaySystem`` facade), a plain nested dict (an already-exported
-    tree passes through untouched, so documents can be re-emitted), or
-    ``None`` (passed through, for runs with no machine to report on).
-    """
-    if source is None:
-        return None
-    if isinstance(source, StatsRegistry):
-        return source.to_dict()
-    if isinstance(source, dict):
-        return source
-    scope = getattr(source, "stats_scope", None)
-    if isinstance(scope, StatsRegistry):
-        return scope.to_dict()
-    if isinstance(scope, dict):
-        return scope
-    if scope is not None:
-        raise TypeError(
-            f"cannot extract stats from {type(source).__name__}: its "
-            f"'stats_scope' attribute is a {type(scope).__name__}, not a "
-            f"StatsRegistry or dict")
-    raise TypeError(
-        f"cannot extract stats from {type(source).__name__}: it has no "
-        f"'stats_scope' attribute; pass a StatsRegistry, a component "
-        f"owning one, or an exported stats dict")
-
-
-def run_document(manifest: RunManifest, data: Any, stats: Any = None,
+def run_document(manifest: RunManifest, data: Any,
                  tracer: Optional[Tracer] = None) -> Dict[str, Any]:
     """Assemble the ``results/*.json`` document.
 
@@ -76,7 +46,7 @@ def run_document(manifest: RunManifest, data: Any, stats: Any = None,
     doc = {
         "manifest": manifest.to_dict(),
         "data": data,
-        "stats": stats_to_dict(stats),
+        "stats": None,
     }
     if tracer is not None and tracer.dropped > 0:
         doc["trace"] = {"dropped": tracer.dropped,
@@ -112,7 +82,7 @@ def write_json(path, doc: Dict[str, Any]) -> Path:
     return path
 
 
-def emit_run(name: str, data: Any, *, stats: Any = None,
+def emit_run(name: str, data: Any, *,
              config: Optional[SystemConfig] = None,
              seed: Optional[int] = None,
              manifest: Optional[RunManifest] = None,
@@ -130,7 +100,7 @@ def emit_run(name: str, data: Any, *, stats: Any = None,
         manifest = RunManifest.create(name, config=config, seed=seed)
     manifest.finish()
     path = write_json(results_dir / f"{name}.json",
-                      run_document(manifest, data, stats, tracer=tracer))
+                      run_document(manifest, data, tracer=tracer))
     if tracer is not None:
         if tracer.dropped > 0:
             print(f"[trace ring buffer overflowed: {tracer.dropped} "

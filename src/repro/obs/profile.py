@@ -12,32 +12,31 @@ coherence messages and shootdowns, cache lookups, writeback/copy
 traffic, core compute vs window stalls).
 
 Attribution is **post-hoc and first-order**: it reads only the exported
-``{name, scalars, blocks, children}`` stats shape — so it works on a
-live :class:`~repro.engine.stats.StatsRegistry` *and* on an
-already-written ``results/*.json`` document — and it never touches
-simulated state.  Overlapped latencies (MLP, pipelined row hits) mean
+``{name, scalars, blocks, children}`` stats shape of
+:meth:`~repro.engine.stats.StatsRegistry.to_dict` — and it never
+touches simulated state.  Overlapped latencies (MLP, pipelined row hits) mean
 the attributed total is an upper bound on wall-clock-style exclusive
 time; it is the paper's Table 1-style cost accounting, not a replacement
 for the timing model.
 
-Two collectors ride along:
+Two pieces ride along:
 
 * :class:`ProfileAccumulator` — an engine
-  :class:`~repro.engine.tracing.CycleSampler` that folds the profile of
+  :class:`~repro.engine.tracing.RootObserver` that folds the profile of
   every machine a harness builds (the fork suite builds one per
-  benchmark x policy) into one merged tree, bound through the same
-  root hook the metrics sampler uses;
-* :class:`WallClockProfiler` — the *host-side* half: named
-  ``time.perf_counter`` sections showing which simulator layers are
-  slow in real time.  Wall-clock reads are confined to this class and
-  carry explicit simlint SL001 pragmas (they measure the harness, never
-  the simulation; the simulated timeline comes solely from SimClock).
+  benchmark x policy) into one merged tree, bound through the engine's
+  root hook;
+* :func:`host_layers` — the *host-side* half: the self time of a
+  ``cProfile`` run, folded by ``repro`` module into layers, showing
+  which simulator layers are slow in real time.  Its seconds measure
+  the harness, never the simulation; the simulated timeline comes
+  solely from SimClock.
 """
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
+import os
+import pstats
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 from pathlib import Path
@@ -241,9 +240,9 @@ def profile_stats(stats, config: Optional[SystemConfig] = None) -> ProfileNode:
     """Attribute cycles to every scope of a stats tree.
 
     *stats* is a :class:`~repro.engine.stats.StatsRegistry`, anything
-    with a ``stats_scope``, or the exported ``{name, scalars, blocks,
-    children}`` dict (the ``stats`` member of a ``results/*.json``
-    document).  *config* defaults to the stock Table 2 configuration.
+    with a ``stats_scope``, or its exported ``{name, scalars, blocks,
+    children}`` dict.  *config* defaults to the stock Table 2
+    configuration.
     """
     config = config or DEFAULT_CONFIG
     scope = getattr(stats, "stats_scope", stats)
@@ -266,35 +265,16 @@ def profile_stats(stats, config: Optional[SystemConfig] = None) -> ProfileNode:
     return node
 
 
-def config_from_manifest(manifest: Dict[str, Any]) -> SystemConfig:
-    """Rebuild the run's :class:`SystemConfig` from its manifest."""
-    from dataclasses import fields as dataclass_fields
-    known = {spec.name for spec in dataclass_fields(SystemConfig)}
-    values = {key: value for key, value in manifest.get("config", {}).items()
-              if key in known}
-    return SystemConfig(**values) if values else DEFAULT_CONFIG
-
-
-def profile_run_document(doc: Dict[str, Any]) -> ProfileNode:
-    """Profile an already-exported ``results/*.json`` document."""
-    if doc.get("stats") is None:
-        raise ValueError("run document carries no stats tree to profile")
-    return profile_stats(doc["stats"],
-                         config_from_manifest(doc.get("manifest", {})))
-
-
 # ---------------------------------------------------------------------------
 # Collectors
 # ---------------------------------------------------------------------------
 
-class ProfileAccumulator(tracing.CycleSampler):
+class ProfileAccumulator(tracing.RootObserver):
     """Fold every machine a harness builds into one merged profile.
 
-    Installed through the engine's sampler hook (share the slot with a
-    :class:`~repro.obs.metrics.MetricsSampler` via
-    :class:`~repro.engine.tracing.SamplerFanout`): each time a new
-    machine root is built, the previous machine's final counters are
-    attributed and merged; :meth:`finish` folds the last one.
+    Installed through the engine's root hook: each time a new machine
+    root is built, the previous machine's final counters are attributed
+    and merged; :meth:`finish` folds the last one.
     """
 
     def __init__(self, config: Optional[SystemConfig] = None,
@@ -326,34 +306,48 @@ class ProfileAccumulator(tracing.CycleSampler):
         return self.profile
 
 
-class WallClockProfiler:
-    """Named host wall-clock sections (the simulator-is-slow view).
+#: The ``repro`` package directory: host time spent in a file under it
+#: is charged to that module's layer.
+_PACKAGE_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-    The only sanctioned home for ``time.perf_counter`` in the sim stack:
-    sections measure *harness* layers (trace generation, simulation,
-    artifact writing), never simulated time, which comes solely from
-    :class:`~repro.engine.clock.SimClock`.
+
+def _host_layer(filename: str) -> str:
+    """The layer a profiled function's source file belongs to."""
+    if filename == "~":            # C functions carry no source file
+        return "builtins"
+    relative = os.path.relpath(os.path.abspath(filename), _PACKAGE_DIR)
+    if relative.startswith(os.pardir) or not relative.endswith(".py"):
+        return "other"
+    parts = relative[:-3].split(os.sep)
+    if parts[-1] == "__init__":
+        parts.pop()
+    return ".".join(parts) or "repro"
+
+
+def host_layers(profiler) -> Dict[str, Any]:
+    """Fold a ``cProfile.Profile`` run's self time by ``repro`` module.
+
+    Returns ``{"seconds", "layers"}``: one layer per module (``mem.cache``,
+    ``cpu.core``, ...) with its self seconds, calls and share of the
+    total, largest first, then ``builtins`` (C functions) and ``other``
+    (everything outside the package).
     """
-
-    def __init__(self) -> None:
-        self.seconds: Dict[str, float] = {}
-        self.calls: Dict[str, int] = {}
-
-    @contextmanager
-    def section(self, name: str):
-        start = time.perf_counter()        # simlint: disable=SL001
-        try:
-            yield self
-        finally:
-            elapsed = time.perf_counter() - start  # simlint: disable=SL001
-            self.seconds[name] = self.seconds.get(name, 0.0) + elapsed
-            self.calls[name] = self.calls.get(name, 0) + 1
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"sections": [
-            {"name": name, "seconds": round(seconds, 6),
-             "calls": self.calls.get(name, 0)}
-            for name, seconds in self.seconds.items()]}
+    seconds: Dict[str, float] = {}
+    calls: Dict[str, int] = {}
+    for (filename, _, _), (_, ncalls, self_s, _, _) \
+            in pstats.Stats(profiler).stats.items():
+        layer = _host_layer(filename)
+        seconds[layer] = seconds.get(layer, 0.0) + self_s
+        calls[layer] = calls.get(layer, 0) + ncalls
+    total = sum(seconds.values())
+    last = ("builtins", "other")
+    order = sorted((layer for layer in seconds if layer not in last),
+                   key=lambda layer: -seconds[layer])
+    return {"seconds": total, "layers": [
+        {"name": layer, "seconds": seconds.get(layer, 0.0),
+         "calls": calls.get(layer, 0),
+         "share": seconds.get(layer, 0.0) / total if total else 0.0}
+        for layer in order + list(last)]}
 
 
 # ---------------------------------------------------------------------------
@@ -361,14 +355,14 @@ class WallClockProfiler:
 # ---------------------------------------------------------------------------
 
 def profile_document(name: str, profile: Optional[ProfileNode],
-                     wall: Optional[WallClockProfiler] = None,
+                     host: Optional[Dict[str, Any]] = None,
                      manifest: Optional[RunManifest] = None,
                      systems: int = 1) -> Dict[str, Any]:
     """Assemble the ``results/<run>.profile.json`` document.
 
     The ``profile`` half is deterministic under a fixed seed; the
-    ``wall`` half is environment data (host timings) and excluded from
-    run comparison, exactly like the manifest's environment fields.
+    ``host`` half (:func:`host_layers`) is environment data and excluded
+    from run comparison, exactly like the manifest's environment fields.
     """
     if manifest is None:
         manifest = RunManifest.create(name)
@@ -377,12 +371,12 @@ def profile_document(name: str, profile: Optional[ProfileNode],
         "manifest": manifest.to_dict(),
         "systems": systems,
         "profile": profile.to_dict() if profile is not None else None,
-        "wall": wall.to_dict() if wall is not None else None,
+        "host": host,
     }
 
 
 def write_profile(name: str, profile: Optional[ProfileNode],
-                  wall: Optional[WallClockProfiler] = None,
+                  host: Optional[Dict[str, Any]] = None,
                   manifest: Optional[RunManifest] = None,
                   systems: int = 1, results_dir=None) -> Path:
     """Write ``<results_dir>/<name>.profile.json``; returns the path."""
@@ -390,16 +384,18 @@ def write_profile(name: str, profile: Optional[ProfileNode],
     results_dir = Path(results_dir) if results_dir is not None \
         else default_results_dir()
     return write_json(results_dir / f"{name}.profile.json",
-                      profile_document(name, profile, wall=wall,
+                      profile_document(name, profile, host=host,
                                        manifest=manifest, systems=systems))
 
 
 def format_profile(profile: Union[ProfileNode, Dict[str, Any]],
-                   wall: Optional[Dict[str, Any]] = None,
+                   host: Optional[Dict[str, Any]] = None,
                    indent: str = "  ") -> str:
-    """The where-did-the-cycles-go tree, with shares of the grand total.
+    """The where-did-the-cycles-go tree, and host seconds by layer.
 
-    Scopes with nothing attributed anywhere below them are elided.
+    Each cycle scope shows its share of the grand total; scopes with
+    nothing attributed anywhere below them are elided.  The host layers
+    follow only when *host* is given.
     """
     if isinstance(profile, dict):
         profile = ProfileNode.from_dict(profile)
@@ -420,11 +416,22 @@ def format_profile(profile: Union[ProfileNode, Dict[str, Any]],
             render(child, depth + 1)
 
     render(profile, 0)
-    if wall and wall.get("sections"):
-        lines.append("host wall clock (harness layers)")
-        width = max(len(s["name"]) for s in wall["sections"])
-        for section in wall["sections"]:
-            lines.append(f"{indent}{section['name']:<{width}} "
-                         f"{section['seconds']:>9.3f}s  "
-                         f"x{section['calls']}")
+    if host:
+        lines.append(f"host seconds by layer (cProfile self time, "
+                     f"{host['seconds']:.3f}s)")
+        # Modules under 0.1% (mostly import-time code) print as one line.
+        shown = [layer for layer in host["layers"]
+                 if layer["share"] >= 0.001
+                 or layer["name"] in ("builtins", "other")]
+        small = [layer for layer in host["layers"] if layer not in shown]
+        if small:
+            shown.insert(-2, {
+                "name": f"({len(small)} more)",
+                "seconds": sum(layer["seconds"] for layer in small),
+                "share": sum(layer["share"] for layer in small)})
+        width = max(len(layer["name"]) for layer in shown)
+        for layer in shown:
+            lines.append(f"{indent}{layer['name']:<{width}} "
+                         f"{layer['seconds']:>9.3f}s  "
+                         f"{layer['share']:6.1%}")
     return "\n".join(lines)

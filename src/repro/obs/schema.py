@@ -85,50 +85,6 @@ RUN_SCHEMA: Dict[str, Any] = {
     },
 }
 
-#: Schema of a ``results/*.metrics.json`` time-series document.
-METRICS_SCHEMA: Dict[str, Any] = {
-    "type": "object",
-    "required": ["manifest", "metrics"],
-    "properties": {
-        "manifest": MANIFEST_SCHEMA,
-        "metrics": {
-            "type": "object",
-            "required": ["interval", "segments"],
-            "properties": {
-                "interval": {"type": "integer", "minimum": 1},
-                "root": {"type": "string"},
-                "select": {"type": ["array", "null"],
-                           "items": {"type": "string"}},
-                "dropped": {"type": "integer", "minimum": 0},
-                "segments": {
-                    "type": "array",
-                    "items": {
-                        "type": "object",
-                        "required": ["system", "samples"],
-                        "properties": {
-                            "system": {"type": "string"},
-                            "samples": {
-                                "type": "array",
-                                "items": {
-                                    "type": "object",
-                                    "required": ["cycle", "epoch", "values"],
-                                    "properties": {
-                                        "cycle": {"type": "integer",
-                                                  "minimum": 0},
-                                        "epoch": {"type": "integer",
-                                                  "minimum": 0},
-                                        "values": {"type": "object"},
-                                    },
-                                },
-                            },
-                        },
-                    },
-                },
-            },
-        },
-    },
-}
-
 #: One node of the cycle-accounting tree.  The schema references itself
 #: for ``children`` — the validator recurses by document depth, so a
 #: cyclic schema object terminates like any finite profile does.
@@ -153,18 +109,21 @@ PROFILE_SCHEMA: Dict[str, Any] = {
         "manifest": MANIFEST_SCHEMA,
         "systems": {"type": "integer", "minimum": 0},
         "profile": PROFILE_NODE_SCHEMA,
-        "wall": {
+        "host": {
             "type": ["object", "null"],
+            "required": ["seconds", "layers"],
             "properties": {
-                "sections": {
+                "seconds": {"type": "number", "minimum": 0},
+                "layers": {
                     "type": "array",
                     "items": {
                         "type": "object",
-                        "required": ["name", "seconds", "calls"],
+                        "required": ["name", "seconds", "calls", "share"],
                         "properties": {
                             "name": {"type": "string"},
                             "seconds": {"type": "number", "minimum": 0},
                             "calls": {"type": "integer", "minimum": 0},
+                            "share": {"type": "number", "minimum": 0},
                         },
                     },
                 },

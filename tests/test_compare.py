@@ -3,7 +3,8 @@
 The contract under test (DESIGN.md "Observability"):
 
 * flattening covers every numeric leaf (dicts by key, lists by index)
-  and excludes the environment sections (``manifest``, ``wall``);
+  and excludes the environment sections (``manifest``, ``wall``,
+  ``host``);
 * thresholds are percent, matched by ``fnmatch`` pattern, first match
   wins; a zero baseline moving at all earns the dedicated ``from-zero``
   verdict and fails the gate regardless of threshold;
@@ -30,7 +31,8 @@ class TestFlatten:
     def test_excludes_environment_sections_and_non_numbers(self):
         flat = flatten_document({
             "manifest": {"duration_seconds": 1.0},
-            "wall": {"sections": [{"seconds": 2.0}]},
+            "wall": {"sections": {"simulate": {"seconds": 2.0}}},
+            "host": {"seconds": 2.0, "layers": [{"seconds": 2.0}]},
             "data": {"flag": True, "name": "x", "missing": None, "v": 7}})
         assert flat == {"data.v": 7}
 

@@ -258,7 +258,7 @@ class TestSystemStatsWiring:
     def test_stats_tree_mentions_components(self):
         """Every component and block of a two-core machine exports
         under its path; this pins the tree every consumer (profiler,
-        sampler, comparison tooling, the perf benchmark) reads."""
+        comparison tooling, the perf benchmark) reads."""
         system = OverlaySystem(num_cores=2)
         InvariantChecker(system)
         system.map_page(1, vpn=0x10, ppn=0x99)

@@ -78,6 +78,12 @@ class TestCLI:
         assert cli_main(flags + ["sparsity_sweep"]) == 2
         assert "unknown option" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flags", [["--metrics"],
+                                       ["--metrics-interval", "10"]])
+    def test_metrics_flags_are_unknown_options(self, flags, capsys):
+        assert cli_main(flags + ["remap_latency"]) == 2
+        assert "unknown option" in capsys.readouterr().out
+
     def test_results_dir_requires_argument(self, capsys):
         assert cli_main(["--results-dir"]) == 2
 
@@ -121,7 +127,7 @@ class TestForkSuiteSharing:
             assert shared_doc["data"] == alone_doc["data"]
         assert len(suite_calls) == 3
 
-    @pytest.mark.parametrize("flag", ["--trace", "--metrics", "--profile"])
+    @pytest.mark.parametrize("flag", ["--trace", "--profile"])
     def test_observed_figures_each_simulate(self, suite_calls, tmp_path,
                                             capsys, flag):
         assert cli_main([flag, "--results-dir", str(tmp_path),

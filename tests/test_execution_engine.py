@@ -7,8 +7,8 @@ tests pin the single per-access path down directly:
   ``results/figure9.json`` entry exactly;
 * hooks observe and never steer: the full hierarchical stats export
   (``stats_scope.flat_paths()``) is the same with a tracer armed as without;
-* ``results/*.json`` documents, trace JSONL and the epoch-sampled
-  metrics series are deterministic run to run;
+* ``results/*.json`` documents and trace JSONL are deterministic run
+  to run;
 * per-access clock publication: the ``max_sim_cycles`` watchdog fires
   on the first access whose time crosses the limit;
 * a tracemalloc check that the hooks holder allocates nothing on the
@@ -113,25 +113,6 @@ class TestTraceEquivalence:
         assert streams[0] == streams[1]
 
 
-class TestMetricsComposition:
-    def test_sampled_series_identical(self):
-        """Two --metrics runs sample the same epoch series."""
-        from repro.engine.tracing import install_sampler, uninstall_sampler
-        from repro.obs import MetricsSampler, metrics_document
-        documents = []
-        for _ in range(2):
-            sampler = MetricsSampler(interval=1000)
-            install_sampler(sampler)
-            try:
-                run_benchmark("bwaves", scale=SCALE)
-            finally:
-                uninstall_sampler()
-            doc = metrics_document("determinism", sampler)
-            doc.pop("manifest", None)
-            documents.append(json.dumps(doc, sort_keys=True))
-        assert documents[0] == documents[1]
-
-
 class TestWatchdog:
     LIMIT = 20_000
 
@@ -174,7 +155,7 @@ class TestWatchdog:
 
 class TestHooksHolderAllocation:
     def test_tracing_module_allocates_nothing_when_off(self):
-        """With no tracer/sampler/fault hook armed, the hook checks on
+        """With no tracer/root observer/fault hook armed, the hook checks on
         the per-access path are attribute loads on the process-wide
         holder — tracemalloc must attribute zero allocations to the
         tracing module."""

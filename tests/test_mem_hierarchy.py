@@ -129,6 +129,29 @@ class TestWritebackChain:
             hierarchy.access(i * 256, write=False)
         assert hierarchy.lookup_data(0) == b"D" * 64  # still in L2/L3
 
+    def test_l3_hit_keeps_its_data_when_the_l2_spill_evicts_it(self):
+        """Reading line 83 hits the L3; filling it into the L2 spills
+        line 3's dirty copy into the L3, whose replacement evicts line
+        83 there.  The L1 still gets line 83's own data."""
+        backend = RecordingBackend()
+        hierarchy = MemoryHierarchy(
+            read_miss=backend.read_miss, handle_writeback=backend.writeback,
+            config=replace(DEFAULT_CONFIG,
+                           l1_bytes=4 * 64 * 2, l1_ways=2,
+                           l2_bytes=8 * 64 * 2, l2_ways=2,
+                           l3_bytes=16 * 64 * 2, l3_ways=2))
+        for tag in (3, 78, 90, 91, 111, 79):
+            hierarchy.access(tag)
+        hierarchy.access(3, write=True, data=b"\x01" * 64)
+        for tag in (7, 80, 115):
+            hierarchy.access(tag)
+        hits_before = hierarchy.l3.stats.hits
+        hierarchy.access(83)
+        assert hierarchy.l3.stats.hits == hits_before + 1
+        assert 83 not in hierarchy.l3 and 3 in hierarchy.l3
+        assert hierarchy.l1.lookup(83).data == bytes(64)
+        assert hierarchy.lookup_data(3) == b"\x01" * 64
+
     def test_flush_dirty_reaches_backend(self):
         hierarchy, backend = make()
         hierarchy.access(100, write=True, data=b"f" * 64)

@@ -20,12 +20,12 @@ class TestFactory:
             make_policy("random", 4, 2)
 
 
-def lru_cache(num_sets, ways):
-    """An LRU cache of *num_sets* sets with Table 2's L1 timing."""
+def lru_cache(num_sets, ways, policy="lru"):
+    """A cache of *num_sets* sets with Table 2's L1 timing."""
     return SetAssociativeCache(
         "LRU", size_bytes=num_sets * ways * 64, ways=ways, line_size=64,
         tag_latency=DEFAULT_CONFIG.l1_tag_latency,
-        data_latency=DEFAULT_CONFIG.l1_data_latency)
+        data_latency=DEFAULT_CONFIG.l1_data_latency, policy=policy)
 
 
 class TestLRU:
@@ -60,22 +60,28 @@ class TestLRU:
 
 class TestDRRIP:
     def test_prefers_free_way(self):
-        policy = DRRIPPolicy(64, 4)
-        assert policy.victim(0, [False, True, True, True]) == 0
+        cache = lru_cache(1, 4, policy="drrip")
+        for tag in range(4):
+            cache.fill(tag)
+        cache.invalidate(1)
+        cache.fill(4)
+        assert cache._lines[0][1].tag == 4  # the freed way
+        assert cache.stats.evictions == 0
+        assert set(cache.resident_tags()) == {0, 2, 3, 4}
 
     def test_hit_promotion_protects_line(self):
         policy = DRRIPPolicy(64, 2)
         policy.on_fill(0, 0)
         policy.on_fill(0, 1)
         policy.on_hit(0, 0)  # RRPV -> 0
-        assert policy.victim(0, [True, True]) == 1
+        assert policy.victim_full(0) == 1
 
     def test_victim_is_max_rrpv(self):
         policy = DRRIPPolicy(64, 4)
         for way in range(4):
             policy.on_fill(0, way)
         policy.on_hit(0, 2)
-        victim = policy.victim(0, [True] * 4)
+        victim = policy.victim_full(0)
         assert victim != 2
 
     def test_aging_when_no_distant_line(self):
@@ -85,14 +91,14 @@ class TestDRRIP:
         policy.on_hit(0, 0)
         policy.on_hit(0, 1)
         # All RRPVs are 0; victim search must age and still terminate.
-        assert policy.victim(0, [True, True]) in (0, 1)
+        assert policy.victim_full(0) in (0, 1)
 
     def test_prefetch_inserted_distant(self):
         policy = DRRIPPolicy(64, 2)
         policy.on_fill(0, 0, prefetch=True)
         policy.on_fill(0, 1, prefetch=False)
         # The prefetched line has the more distant prediction.
-        assert policy.victim(0, [True, True]) == 0
+        assert policy.replace(0) == 0
 
     def test_set_dueling_moves_psel(self):
         policy = DRRIPPolicy(64, 4)
@@ -107,10 +113,13 @@ class TestDRRIP:
     def test_follower_sets_follow_psel(self):
         policy = DRRIPPolicy(1024, 2)
         follower = next(s for s in range(1024) if s not in policy._leader)
-        policy._psel = 0
-        assert policy._policy_for(follower) == "srrip"
-        policy._psel = policy._psel_max
-        assert policy._policy_for(follower) == "brrip"
+        policy._psel = 0                       # SRRIP: insert long
+        policy.on_fill(follower, 0)
+        assert policy._rrpv[follower][0] == DRRIPPolicy.LONG_RRPV
+        policy._psel = policy._psel_max        # BRRIP: insert distant
+        policy.on_fill(follower, 1)
+        assert policy._rrpv[follower][1] == DRRIPPolicy.DISTANT_RRPV
+        assert policy._psel == policy._psel_max  # followers never vote
 
     def test_brrip_occasionally_inserts_long(self):
         policy = DRRIPPolicy(1024, 1)

@@ -14,6 +14,7 @@ The contract under test (DESIGN.md "Observability"):
   register.
 """
 
+import cProfile
 import json
 import tracemalloc
 from collections import Counter
@@ -26,12 +27,10 @@ from repro.config import DEFAULT_CONFIG, SystemConfig
 from repro.core.address import PAGE_SIZE
 from repro.cpu.core import CoreStats
 from repro.engine import tracing
-from repro.engine.stats import StatsRegistry
 from repro.engine.tracing import TraceError
 from repro.obs import (DEFAULT_CAPACITY, RunManifest, SchemaError, Tracer,
-                       WallClockProfiler, emit_run, metrics_document,
-                       metrics_session, profile_document, profile_stats,
-                       run_document, stats_to_dict, tracing_session,
+                       emit_run, host_layers, profile_document,
+                       profile_stats, run_document, tracing_session,
                        validate_manifest, validate_run)
 from repro.obs import schema
 from repro.obs.__main__ import main as obs_cli
@@ -211,48 +210,18 @@ class TestStatsExport:
         # The two views hold the same values, in the same order.
         assert exported == list(scope.flat_paths().items())
 
-    def test_stats_to_dict_accepts_registry_component_and_none(self):
-        registry = StatsRegistry("unit")
-        registry.own_block(CoreStats(instructions=3))
-        assert stats_to_dict(registry)["scalars"]["instructions"] == 3
-        kernel, _ = _small_fork_run()
-        assert stats_to_dict(kernel.system)["name"] == \
-            kernel.system.stats_scope.name
-        assert stats_to_dict(None) is None
-        with pytest.raises(TypeError):
-            stats_to_dict(42)
-
-    def test_stats_to_dict_passes_plain_dicts_through(self):
-        exported = {"name": "system", "scalars": {"hits": 3},
-                    "blocks": {}, "children": []}
-        assert stats_to_dict(exported) is exported
-
-        class Holder:
-            stats_scope = exported
-
-        assert stats_to_dict(Holder()) is exported
-
-    def test_stats_to_dict_errors_name_the_offending_attribute(self):
-        class Broken:
-            stats_scope = 42
-
-        with pytest.raises(TypeError, match="stats_scope.*int"):
-            stats_to_dict(Broken())
-        with pytest.raises(TypeError, match="no 'stats_scope'"):
-            stats_to_dict(object())
-
 
 class TestEmitRun:
     def test_emit_run_writes_valid_document(self, tmp_path):
         kernel, total = _small_fork_run()
         path = emit_run("unit", {"total_latency": total},
-                        stats=kernel.system, results_dir=tmp_path)
+                        results_dir=tmp_path)
         assert path == tmp_path / "unit.json"
         doc = json.loads(path.read_text())
         validate_run(doc)
         assert doc["data"]["total_latency"] == total
         assert doc["manifest"]["run"] == "unit"
-        assert doc["stats"]["name"]
+        assert doc["stats"] is None
 
     def test_emit_run_writes_trace_sibling(self, tmp_path):
         with tracing_session() as tracer:
@@ -325,22 +294,26 @@ class TestZeroOverheadWhenOff:
         assert not growth, (
             f"disabled tracing hooks allocated: {growth}")
 
-    def test_disabled_sampler_clock_hook_allocates_nothing(self):
-        # The sampler hook site runs on *every* observed time movement;
-        # with no sampler installed it must be one attribute load plus
-        # an `is None` test.  Cycle values are kept inside CPython's
-        # cached small-int range so the loop itself allocates nothing
-        # attributable to clock.py.
+    def test_disabled_clock_hooks_allocate_nothing(self):
+        # The tracer sites in ClockCursor.advance/advance_to and
+        # SimClock.seek run on *every* time movement; with no tracer
+        # installed each must be one attribute load plus an `is None`
+        # test.  Cycle values are kept inside CPython's cached small-int
+        # range so the loop itself allocates nothing attributable to
+        # clock.py.
         from repro.engine.clock import SimClock
-        assert tracing.active_sampler() is None
-        cursor = SimClock().cursor("core0")
-        for _ in range(100):  # warm the advance/observe path
+        assert tracing.HOOKS.active is None and tracing.HOOKS.roots is None
+        clock = SimClock()
+        cursor = clock.cursor("core0")
+        for _ in range(100):  # warm the advance/seek paths
             cursor.advance(1)
+            clock.seek(cursor.time)
         tracemalloc.start()
         try:
             before = tracemalloc.take_snapshot()
             for _ in range(100):
                 cursor.advance(1)
+                clock.seek(cursor.time)
             after = tracemalloc.take_snapshot()
         finally:
             tracemalloc.stop()
@@ -350,7 +323,7 @@ class TestZeroOverheadWhenOff:
                       before.filter_traces(observed), "lineno")
                   if stat.size_diff > 0]
         assert not growth, (
-            f"disabled sampler hook site allocated: {growth}")
+            f"disabled clock hook sites allocated: {growth}")
 
 
 class TestDefaultCapacity:
@@ -369,22 +342,15 @@ def _run_document(tmp_path):
     with tracing_session(capacity=8) as tracer:
         kernel, total = _small_fork_run()
     doc = run_document(RunManifest.create("unit"), {"total": total},
-                       stats=kernel.system, tracer=tracer)
+                       tracer=tracer)
     return doc, schema.RUN_SCHEMA
 
 
-def _metrics_document(tmp_path):
-    with metrics_session(interval=50) as sampler:
-        _small_fork_run()
-    return metrics_document("unit", sampler), schema.METRICS_SCHEMA
-
-
 def _profile_document(tmp_path):
-    kernel, _ = _small_fork_run()
-    wall = WallClockProfiler()
-    with wall.section("simulate"):
-        pass
-    doc = profile_document("unit", profile_stats(kernel.system), wall=wall)
+    profiler = cProfile.Profile()
+    kernel, _ = profiler.runcall(_small_fork_run)
+    doc = profile_document("unit", profile_stats(kernel.system),
+                           host=host_layers(profiler))
     return doc, schema.PROFILE_SCHEMA
 
 
@@ -421,9 +387,9 @@ class TestProducersMatchSchemas:
     mirrored literals and profiler stat names stay in sync."""
 
     @pytest.mark.parametrize("build", [
-        _manifest_document, _run_document, _metrics_document,
-        _profile_document, _faults_document,
-    ], ids=["manifest", "run", "metrics", "profile", "faults"])
+        _manifest_document, _run_document, _profile_document,
+        _faults_document,
+    ], ids=["manifest", "run", "profile", "faults"])
     def test_document_validates_with_exactly_its_keys(self, build,
                                                       tmp_path):
         doc, spec = build(tmp_path)
@@ -454,7 +420,7 @@ class TestProducersMatchSchemas:
                 collect(child)
 
         kernel, _ = _small_fork_run()
-        collect(stats_to_dict(kernel.system))
+        collect(kernel.system.stats_scope.to_dict())
 
         class Recorder(dict):
             def __init__(self):

@@ -186,7 +186,7 @@ class TestForkReadiness:
             "in-process run after reset_all() differs from fresh process"
 
     def test_snapshot_all_matches_fresh_process_after_reset(self):
-        HOOKS.sampler = object()
+        HOOKS.roots = object()
         set_default_max_cycles(10**9)
         process_state.reset_all()
         snap = process_state.snapshot_all()

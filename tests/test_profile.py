@@ -1,31 +1,37 @@
-"""Cycle accounting: attribution rules, accumulation, artifacts.
+"""Cycle accounting and host time: attribution rules, accumulation,
+the cProfile fold, artifacts.
 
 The contract under test (DESIGN.md "Observability"):
 
 * attribution is pure Table 2 arithmetic over the stats tree — each
   scope's counters times the configured latencies, mirroring the scope
-  hierarchy, computable from a live registry or an exported document;
+  hierarchy;
 * :class:`ProfileAccumulator` folds every machine a harness builds into
   one merged tree via the engine's root hook;
-* wall-clock readings exist only in :class:`WallClockProfiler` (the
-  host-side section timer) and the exported ``wall`` half is excluded
-  from run comparison;
+* host seconds come from a ``cProfile`` run folded by ``repro`` module
+  into layers (:func:`host_layers`);
+* ``python -m repro --profile`` prints the experiment's output and its
+  cycle tree exactly as an unprofiled run computes them;
 * the ``*.profile.json`` artifact validates against
   :data:`repro.obs.PROFILE_SCHEMA`.
 """
 
+import cProfile
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+from repro.__main__ import main as cli_main
 from repro.config import DEFAULT_CONFIG, SystemConfig
 from repro.engine import tracing
 from repro.obs import (PROFILE_SCHEMA, ProfileAccumulator, ProfileNode,
-                       WallClockProfiler, format_profile, profile_document,
-                       profile_run_document, profile_stats, schema_errors,
-                       write_profile)
+                       format_profile, host_layers, profile_document,
+                       profile_stats, schema_errors, write_profile)
 from repro.obs.__main__ import main as obs_cli
-from repro.obs.profile import config_from_manifest
+
+RESULTS = Path(__file__).resolve().parents[1] / "results"
 
 
 def _scope(name, scalars, children=()):
@@ -143,12 +149,12 @@ class TestRealMachine:
 
     def test_accumulator_folds_one_profile_per_machine(self):
         accumulator = ProfileAccumulator()
-        tracing.install_sampler(accumulator)
+        tracing.install_root_observer(accumulator)
         try:
             single = profile_stats(self._loaded_system().stats_scope)
             self._loaded_system()
         finally:
-            tracing.uninstall_sampler()
+            tracing.uninstall_root_observer()
         merged = accumulator.finish()
         assert accumulator.systems == 2
         assert merged.total == pytest.approx(2 * single.total)
@@ -157,44 +163,78 @@ class TestRealMachine:
     def test_empty_accumulator_finishes_to_none(self):
         assert ProfileAccumulator().finish() is None
 
+    def test_root_hook_binds_machine_roots_only(self):
+        from repro.engine.component import Component
+        accumulator = ProfileAccumulator()
+        tracing.install_root_observer(accumulator)
+        try:
+            Component("oms")                  # a transient sub-root
+            Component("core", parent=Component("system"))
+        finally:
+            tracing.uninstall_root_observer()
+        Component("system")                   # disarmed: not seen
+        assert accumulator.systems == 1
 
-class TestRunDocuments:
-    def test_profiles_documents_with_embedded_stats(self):
-        doc = {"manifest": {"config": {"cpu_cycles_per_tck": 5,
-                                       "not_a_config_field": 1}},
-               "stats": _scope("dram", {"row_hits": 1, "busy_cycles": 20,
-                                        "reads": 1, "writes": 0})}
-        node = profile_run_document(doc)
-        assert node.breakdown["row-hit service"] == 20 + 35
-
-    def test_document_without_stats_is_an_error(self):
-        with pytest.raises(ValueError):
-            profile_run_document({"manifest": {}, "data": {}, "stats": None})
-
-    def test_config_from_manifest_ignores_unknown_keys(self):
-        config = config_from_manifest({"config": {"issue_width": 8,
-                                                  "mystery": True}})
-        assert config.issue_width == 8
-        assert config_from_manifest({}) is DEFAULT_CONFIG
+    def test_root_observer_slot_is_exclusive(self):
+        tracing.install_root_observer(ProfileAccumulator())
+        try:
+            with pytest.raises(tracing.TraceError):
+                tracing.install_root_observer(ProfileAccumulator())
+        finally:
+            tracing.uninstall_root_observer()
+        tracing.uninstall_root_observer()     # idempotent
+        assert tracing.HOOKS.roots is None
 
 
-class TestWallClock:
-    def test_sections_accumulate_seconds_and_calls(self):
-        wall = WallClockProfiler()
-        for _ in range(3):
-            with wall.section("unit"):
-                pass
-        doc = wall.to_dict()
-        assert doc["sections"][0]["name"] == "unit"
-        assert doc["sections"][0]["calls"] == 3
-        assert doc["sections"][0]["seconds"] >= 0
+class TestHostLayers:
+    def test_profiled_benchmark_folds_into_layers(self):
+        from repro.eval.fork_experiment import run_benchmark
+        profiler = cProfile.Profile()
+        profiler.runcall(run_benchmark, "bwaves", scale=0.25)
+        host = host_layers(profiler)
+        doc = profile_document("bwaves", None, host=host, systems=0)
+        assert schema_errors(doc, PROFILE_SCHEMA) == []
+        names = [layer["name"] for layer in host["layers"]]
+        assert "mem.cache" in names and "cpu.core" in names
+        assert names[-2:] == ["builtins", "other"]
+        assert sum(layer["share"] for layer in host["layers"]) == \
+            pytest.approx(1.0)
+        assert sum(layer["seconds"] for layer in host["layers"]) == \
+            pytest.approx(host["seconds"])
+        cache = host["layers"][names.index("mem.cache")]
+        assert cache["seconds"] > 0 and cache["calls"] > 0
+        seconds = [layer["seconds"] for layer in host["layers"][:-2]]
+        assert seconds == sorted(seconds, reverse=True)
 
-    def test_section_records_even_when_body_raises(self):
-        wall = WallClockProfiler()
-        with pytest.raises(RuntimeError):
-            with wall.section("crash"):
-                raise RuntimeError("boom")
-        assert wall.calls["crash"] == 1
+
+#: The CLI's per-run bookkeeping lines, which vary from run to run.
+_BOOKKEEPING = re.compile(r"^\[(wrote .*|\S+ done in [\d.]+s)\]\n", re.M)
+
+
+class TestProfileFlag:
+    def test_output_and_cycle_tree_match_an_unprofiled_run(self, tmp_path,
+                                                           capsys):
+        """Running under cProfile changes nothing simulated: the printed
+        experiment is its committed text, and the printed cycle tree is
+        the one a plain ProfileAccumulator run computes."""
+        from repro.eval.remap_latency import measure_remap_latency
+        assert cli_main(["--profile", "--results-dir", str(tmp_path),
+                         "remap_latency"]) == 0
+        out = _BOOKKEEPING.sub("", capsys.readouterr().out)
+        committed = (RESULTS / "remap_latency.txt").read_text()
+        assert out.startswith(committed)
+        accumulator = ProfileAccumulator()
+        tracing.install_root_observer(accumulator)
+        try:
+            measure_remap_latency()
+        finally:
+            tracing.uninstall_root_observer()
+        tree = format_profile(accumulator.finish())
+        assert out[len(committed):].startswith(tree + "\nhost seconds")
+        doc = json.loads(
+            (tmp_path / "remap_latency.profile.json").read_text())
+        assert schema_errors(doc, PROFILE_SCHEMA) == []
+        assert format_profile(doc["profile"]) == tree
 
 
 class TestArtifact:
@@ -204,10 +244,10 @@ class TestArtifact:
                             "reads": 4, "writes": 2})]))
 
     def test_document_validates_against_schema(self, tmp_path):
-        wall = WallClockProfiler()
-        with wall.section("simulate"):
-            node = self._profile()
-        path = write_profile("unit", node, wall=wall, results_dir=tmp_path)
+        profiler = cProfile.Profile()
+        node = profiler.runcall(self._profile)
+        path = write_profile("unit", node, host=host_layers(profiler),
+                             results_dir=tmp_path)
         assert path.name == "unit.profile.json"
         doc = json.loads(path.read_text())
         assert schema_errors(doc, PROFILE_SCHEMA) == []
@@ -217,14 +257,14 @@ class TestArtifact:
         doc = profile_document("unit", None, systems=0)
         assert schema_errors(doc, PROFILE_SCHEMA) == []
 
-    def test_format_profile_shows_shares_and_wall_sections(self):
-        wall = WallClockProfiler()
-        with wall.section("simulate"):
-            node = self._profile()
-        rendered = format_profile(node, wall=wall.to_dict())
+    def test_format_profile_shows_shares_and_host_layers(self):
+        profiler = cProfile.Profile()
+        node = profiler.runcall(self._profile)
+        rendered = format_profile(node, host=host_layers(profiler))
         assert "cycle accounting" in rendered
         assert "dram" in rendered and "%" in rendered
-        assert "host wall clock" in rendered and "simulate" in rendered
+        assert "host seconds by layer" in rendered
+        assert rendered.splitlines()[-1].split()[0] == "other"
 
     def test_report_subcommand_routes_by_suffix(self, tmp_path, capsys):
         path = write_profile("unit", self._profile(), results_dir=tmp_path)
