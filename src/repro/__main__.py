@@ -38,9 +38,18 @@ import time
 from dataclasses import asdict
 from functools import lru_cache
 
+from .config import DEFAULT_CONFIG
+from .eval import (BLOCK_SIZES, compute_hardware_cost, crossover_locality,
+                   fork_experiment, format_ablations, format_figure8,
+                   format_figure9, format_figure10, format_figure11,
+                   format_hardware_cost, format_multiprogrammed,
+                   format_remap_latency, format_sweep, format_techniques,
+                   mean_overhead, measure_remap_latency, run_ablations,
+                   run_figure10, run_figure11, run_multiprogrammed,
+                   run_sparsity_sweep, run_techniques, summarize)
+
 
 def _run_table2():
-    from .config import DEFAULT_CONFIG
     print("Table 2: Main parameters of our simulated system")
     print(DEFAULT_CONFIG.format_table())
     return {"config": asdict(DEFAULT_CONFIG)}
@@ -49,12 +58,10 @@ def _run_table2():
 @lru_cache(maxsize=None)
 def _fork_suite():
     """The fork suite Figures 8 and 9 both plot: one run per invocation."""
-    from .eval.fork_experiment import run_suite
-    return run_suite()
+    return fork_experiment.run_suite()
 
 
 def _run_figure8():
-    from .eval.fork_experiment import format_figure8, summarize
     results = _fork_suite()
     print(format_figure8(results))
     print(f"\nmean memory reduction (overlay-on-write vs copy-on-write): "
@@ -64,7 +71,6 @@ def _run_figure8():
 
 
 def _run_figure9():
-    from .eval.fork_experiment import format_figure9, summarize
     results = _fork_suite()
     print(format_figure9(results))
     improvement = summarize(results)["performance_improvement"]
@@ -75,8 +81,6 @@ def _run_figure9():
 
 
 def _run_figure10():
-    from .eval.spmv_experiment import (crossover_locality, format_figure10,
-                                       run_figure10)
     points = run_figure10(matrix_count=16)
     print(format_figure10(points))
     print("[paper: crossover at L ~ 4.5; overlays beat CSR on "
@@ -86,8 +90,6 @@ def _run_figure10():
 
 
 def _run_figure11():
-    from .eval.granularity_experiment import (BLOCK_SIZES, format_figure11,
-                                              mean_overhead, run_figure11)
     points = run_figure11(matrix_count=16)
     print(format_figure11(points))
     print("[paper: 4KB pages cost ~53x Ideal on average; 64B close to CSR; "
@@ -98,7 +100,6 @@ def _run_figure11():
 
 
 def _run_sparsity_sweep():
-    from .eval.sparsity_sweep import format_sweep, run_sparsity_sweep
     points = run_sparsity_sweep()
     print(format_sweep(points))
     print("[paper: overlays outperform the dense representation at all "
@@ -108,7 +109,6 @@ def _run_sparsity_sweep():
 
 
 def _run_hardware_cost():
-    from .eval.hardware_cost import compute_hardware_cost, format_hardware_cost
     cost = compute_hardware_cost()
     print(format_hardware_cost(cost))
     print("[paper: 4KB + 8.5KB + 82KB = 94.5KB]")
@@ -116,29 +116,24 @@ def _run_hardware_cost():
 
 
 def _run_remap_latency():
-    from .eval.remap_latency import format_remap_latency, measure_remap_latency
     result = measure_remap_latency()
     print(format_remap_latency(result))
     return {"latency": asdict(result)}
 
 
 def _run_ablations():
-    from .eval.ablations import format_ablations, run_ablations
     data = run_ablations()
     print(format_ablations(data))
     return data
 
 
 def _run_techniques():
-    from .eval.techniques_experiment import format_techniques, run_techniques
     data = run_techniques()
     print(format_techniques(data))
     return data
 
 
 def _run_multiprogrammed():
-    from .eval.multiprogrammed import (format_multiprogrammed,
-                                       run_multiprogrammed)
     data = run_multiprogrammed()
     print(format_multiprogrammed(data))
     return data

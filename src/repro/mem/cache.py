@@ -210,33 +210,31 @@ class SetAssociativeCache(Component):
         self.stats.invalidations += 1
         return EvictedLine(tag=line.tag, dirty=line.dirty, data=line.data)
 
-    def retag(self, old_tag: int, new_tag: int) -> bool:
+    def retag(self, old_tag: int,
+              new_tag: int) -> Tuple[bool, Optional[EvictedLine]]:
         """Rewrite a resident line's tag in place (overlaying-write step 1).
 
         The line keeps its data and dirtiness but now answers to
-        *new_tag*.  Returns False when *old_tag* is not resident or the
-        new tag's set already holds it.  When old and new tags land in
-        different sets the line is physically moved (hardware would make
-        an explicit copy in that case — Section 4.3.3).
+        *new_tag*.  Returns ``(moved, victim)``: *moved* is False when
+        *old_tag* is not resident or the new tag's set already holds it.
+        When old and new tags land in different sets, a fill of the new
+        set moves the line (hardware would make an explicit copy —
+        Section 4.3.3), and *victim* is that fill's dirty victim.
         """
         where = self._where
         line = where.get(old_tag)
         if line is None or new_tag in where:
-            return False
+            return False, None
         del where[old_tag]
         line.tag = new_tag
         set_index = line.set_index
         if new_tag % self.num_sets == set_index:
             where[new_tag] = line
-            return True
+            return True, None
         # Cross-set move: evict from the old slot, fill into the new set.
-        # Known bug, kept until the results are regenerated: a dirty
-        # victim of this fill is dropped, never spilled (pinned by a
-        # strict xfail in tests/test_mem_hierarchy.py).
         self._lines[set_index][line.way] = None
         self._sets[set_index].remove(line)
-        self.fill(new_tag, data=line.data, dirty=line.dirty)
-        return True
+        return True, self.fill(new_tag, data=line.data, dirty=line.dirty)
 
     def dirty_lines(self) -> List[CacheLine]:
         """All dirty resident lines (checkpoint/speculation flushes)."""

@@ -266,7 +266,7 @@ class MemoryHierarchy(Component):
                 # Full-hierarchy miss: resolve (possibly via the OMT),
                 # read DRAM and fetch the line in one controller call.
                 extra, cycles, fill_data = self.read_miss(
-                    tag, self._now + latency, False)
+                    tag, self._now + l1.miss_latency + latency, False)
                 stats.resolve_miss_requests += 1
                 stats.resolve_miss_latency += extra
                 stats.fetch_data_requests += 1
@@ -294,7 +294,10 @@ class MemoryHierarchy(Component):
         """Rewrite a resident line's tag in whichever levels hold it."""
         changed = False
         for level in (self.l1, self.l2, self.l3):
-            changed = level.retag(old_tag, new_tag) or changed
+            moved, evicted = level.retag(old_tag, new_tag)
+            if evicted is not None:
+                self._spill(level, evicted)
+            changed = moved or changed
         return changed
 
     def invalidate(self, tag: int, writeback: bool = True) -> None:

@@ -141,8 +141,15 @@ class InvariantChecker(Component):
         """
         found: List[Violation] = []
         hierarchy = self.system.hierarchy
+        # Only a page with a dirty cached line, under either of its two
+        # page numbers, can break the rule.
+        dirty_pages = {line.tag // LINES_PER_PAGE
+                       for level in hierarchy.caches()
+                       for line in level.dirty_lines()}
         for asid, vpn, pte in self._mapped_pages():
             opn = overlay_page_number(asid, vpn)
+            if pte.ppn not in dirty_pages and opn not in dirty_pages:
+                continue
             entry = self.system.controller.omt.lookup(opn)
             for line in range(LINES_PER_PAGE):
                 in_overlay = (entry is not None

@@ -110,7 +110,7 @@ class TestInvalidateAndRetag:
     def test_retag_same_set(self):
         cache = make(size=64 * 4, ways=4)  # 1 set
         cache.fill(10, data=b"r" * 64, dirty=True)
-        assert cache.retag(10, 20)
+        assert cache.retag(10, 20) == (True, None)
         assert 10 not in cache and 20 in cache
         line = cache.lookup(20)
         assert line.data == b"r" * 64 and line.dirty
@@ -118,19 +118,19 @@ class TestInvalidateAndRetag:
     def test_retag_cross_set_moves_line(self):
         cache = make(size=2 * 64 * 2, ways=2)  # 2 sets
         cache.fill(0, data=b"m" * 64)
-        assert cache.retag(0, 1)  # set 0 -> set 1
+        assert cache.retag(0, 1) == (True, None)  # set 0 -> set 1
         assert cache.lookup(1).data == b"m" * 64
         assert 0 not in cache
 
     def test_retag_missing_fails(self):
         cache = make()
-        assert not cache.retag(1, 2)
+        assert cache.retag(1, 2) == (False, None)
 
     def test_retag_onto_resident_target_fails(self):
         cache = make()
         cache.fill(1)
         cache.fill(2)
-        assert not cache.retag(1, 2)
+        assert cache.retag(1, 2) == (False, None)
 
     def test_dirty_lines_listing(self):
         cache = make()

@@ -18,7 +18,10 @@ The contract under test (DESIGN.md "Observability"):
 
 import cProfile
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -235,6 +238,21 @@ class TestProfileFlag:
             (tmp_path / "remap_latency.profile.json").read_text())
         assert schema_errors(doc, PROFILE_SCHEMA) == []
         assert format_profile(doc["profile"]) == tree
+
+    def test_a_fresh_process_profiles_the_experiment_not_its_imports(
+            self, tmp_path):
+        """The harnesses are imported before profiling starts, so host
+        time outside the package (the import machinery) stays small."""
+        out = subprocess.run(
+            [sys.executable, "-m", "repro", "--profile", "--results-dir",
+             str(tmp_path), "remap_latency"], check=True, encoding="utf-8",
+            env=dict(os.environ, PYTHONPATH=str(RESULTS.parent / "src")),
+            capture_output=True).stdout
+        assert _BOOKKEEPING.sub("", out).startswith(
+            (RESULTS / "remap_latency.txt").read_text())
+        doc = json.loads((tmp_path / "remap_latency.profile.json").read_text())
+        assert doc["host"]["layers"][-1]["name"] == "other"
+        assert doc["host"]["layers"][-1]["share"] < 0.25
 
 
 class TestArtifact:

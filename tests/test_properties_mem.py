@@ -3,7 +3,7 @@
 from dataclasses import replace
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
 from repro.config import DEFAULT_CONFIG
 from repro.mem.cache import SetAssociativeCache
@@ -18,7 +18,11 @@ L1_TIMING = {"line_size": DEFAULT_CONFIG.cache_line_bytes,
              "tag_latency": DEFAULT_CONFIG.l1_tag_latency,
              "data_latency": DEFAULT_CONFIG.l1_data_latency}
 
-slow = settings(max_examples=30, deadline=None,
+#: No shrinking: it takes minutes on the long op lists below, so a
+#: failing example reports at once, at its drawn size.
+UNSHRUNK = (Phase.explicit, Phase.reuse, Phase.generate, Phase.target)
+
+slow = settings(max_examples=30, deadline=None, phases=UNSHRUNK,
                 suppress_health_check=[HealthCheck.too_slow])
 
 tags = st.integers(0, 255)
@@ -78,17 +82,23 @@ class TestResidentMap:
             self, sequence, policy):
         """The resident map holds the very line object in each slot, each
         set's list holds that set's resident lines once each, and a line
-        leaving through fill() is returned iff it was dirty."""
+        leaving through fill() or a cross-set retag() is returned iff it
+        was dirty."""
         cache = SetAssociativeCache("R", size_bytes=8 * 64 * 2, ways=2,
                                     policy=policy, **L1_TIMING)
         for op, tag, other, flag, value in sequence:
             data = bytes([value]) * 64
-            if op == "fill":
+            if op in ("fill", "retag"):
                 before = {t: (line.dirty, line.data)
                           for t, line in cache._where.items()}
                 evictions = cache.stats.evictions
-                evicted = cache.fill(tag, data=data if flag else None,
-                                     dirty=flag)
+                if op == "fill":
+                    evicted = cache.fill(tag, data=data if flag else None,
+                                         dirty=flag)
+                else:
+                    moved, evicted = cache.retag(tag, other)
+                    if moved:          # renamed, not gone
+                        del before[tag]
                 gone = set(before) - set(cache._where)
                 assert len(gone) == cache.stats.evictions - evictions <= 1
                 if gone and before[next(iter(gone))][0]:
@@ -100,10 +110,8 @@ class TestResidentMap:
                     assert evicted is None
             elif op == "access":
                 cache.access(tag, write=flag, data=data if flag else None)
-            elif op == "invalidate":
-                cache.invalidate(tag)
             else:
-                cache.retag(tag, other)
+                cache.invalidate(tag)
             for resident, line in cache._where.items():
                 assert line.tag == resident
                 assert cache._lines[line.set_index][line.way] is line
@@ -235,7 +243,7 @@ class TestVictimSelection:
         assert policy._rrpv[0] is row
         assert row == expected
 
-    @settings(max_examples=100, deadline=None,
+    @settings(max_examples=100, deadline=None, phases=UNSHRUNK,
               suppress_health_check=[HealthCheck.too_slow,
                                      HealthCheck.data_too_large])
     @given(st.lists(st.tuples(
@@ -273,7 +281,9 @@ class TestVictimSelection:
             else:
                 if flag:               # a retag within the set
                     other += tag % num_sets - other % num_sets
-                assert cache.retag(tag, other) == reference.retag(tag, other)
+                moved, evicted = cache.retag(tag, other)
+                assert (moved, evicted and evicted.tag) == reference.retag(
+                    tag, other)
             assert sorted(cache.resident_tags()) == reference.tags()
             assert ([line.tag for line in cache.dirty_lines()]
                     == reference.dirty_tags())
@@ -332,16 +342,17 @@ class ReferenceLRU:
             self.slots[set_index][way] = None
 
     def retag(self, old_tag, new_tag):
+        """``(moved, tag of a cross-set move's dirty victim or None)``."""
         set_index, way = self._find(old_tag)
         if way is None or self._find(new_tag)[1] is not None:
-            return False
+            return False, None
         slot = self.slots[set_index][way]
         if new_tag % self.num_sets == set_index:
             slot[0] = new_tag          # in place: no touch
-            return True
+            return True, None
         self.slots[set_index][way] = None
-        self.fill(new_tag, slot[1])    # its victim is dropped
-        return True
+        victim = self.fill(new_tag, slot[1])
+        return True, victim[0] if victim and victim[1] else None
 
     def tags(self):
         return sorted(slot[0] for bucket in self.slots for slot in bucket
