@@ -175,15 +175,12 @@ class OverlaySystem(Component):
 
         A software page-fault handler (the copy-on-write baseline) flushes
         the pipeline and runs in the kernel: nothing overlaps it.  The
-        timing model drains the instruction window around such accesses.
-        Hardware-handled events (overlaying writes) never set this.
+        timing model drains the instruction window around such accesses:
+        :meth:`~repro.cpu.core.Core.step` reads and clears the flag after
+        each access.  Hardware-handled events (overlaying writes) never
+        set this.
         """
         self._serializing_event = True
-
-    def consume_serializing_event(self) -> bool:
-        flagged = self._serializing_event
-        self._serializing_event = False
-        return flagged
 
     def _default_oms_pages(self, count: int) -> List[int]:
         base = self._oms_next_frame
@@ -225,8 +222,8 @@ class OverlaySystem(Component):
         """One access within a single cache line; returns its latency.
 
         The one line dispatch of Section 4.3: translate (unless the
-        caller passes the page's TLB *entry*, already charged; an L1 TLB
-        hit is resolved here with one dict lookup), pick the
+        caller passes the page's TLB *entry*, already charged; a TLB
+        hit in either level is resolved here), pick the
         overlay or the physical tag from the OBitVector, then a read
         (*data* is None), a simple write, or — for a line of a
         copy-on-write page not in the overlay — the installed CoW
@@ -236,8 +233,10 @@ class OverlaySystem(Component):
         counters (``reads``/``writes``) are the caller's.
         """
         if entry is None:
-            # An L1 TLB hit inlined (TLB.lookup's L1 probe with its LRU
-            # touch and its stats): one dict lookup.  Anything else
+            # TLB.lookup inlined for a hit in either level: one dict
+            # lookup per array probed, with its LRU touch and its stats;
+            # an L2 hit is promoted into the L1 array, evicting the L1
+            # set's least recent entry when it is full.  A miss in both
             # translates through the MMU.
             vpn = vaddr >> 12
             tlb = self.tlbs[core]
@@ -250,8 +249,19 @@ class OverlaySystem(Component):
                 tlb.stats.l1_hits += 1
                 latency = tlb.l1_latency
             else:
-                entry, latency = self.mmus[core].translate(
-                    asid, vpn, data is not None)
+                l2_tlb = tlb._l2
+                l2_bucket = l2_tlb._buckets[(vpn ^ asid) % l2_tlb._sets]
+                entry = l2_bucket.get(key)
+                if entry is not None:
+                    l2_bucket.move_to_end(key)
+                    tlb.stats.l2_hits += 1
+                    if len(bucket) >= l1_tlb._ways:
+                        bucket.popitem(last=False)
+                    bucket[key] = entry
+                    latency = tlb.l1_latency + tlb.l2_latency
+                else:
+                    entry, latency = self.mmus[core].translate(
+                        asid, vpn, data is not None)
         else:
             latency = 0
         # Tag arithmetic inlined (line_tag_of, overlay_page_number and

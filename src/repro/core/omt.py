@@ -42,11 +42,17 @@ OMT_ENTRY_BITS = 48 + 48 + 64 + 320 + 32
 
 @dataclass
 class OMTEntry:
-    """One overlay page's mapping state."""
+    """One overlay page's mapping state.
+
+    ``shadow`` marks an overlay used as shadow memory (Section 5.3.4):
+    its segment holds metadata, and its OBitVector stays clear so the
+    data path never reads it.
+    """
 
     opn: int
     obitvector: OBitVector = field(default_factory=OBitVector)
     segment: Optional[Segment] = None
+    shadow: bool = False
 
     @property
     def oms_address(self) -> Optional[int]:

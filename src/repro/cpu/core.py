@@ -38,8 +38,9 @@ from typing import Deque, Iterator, Optional, Tuple
 from .trace import MemoryAccess, Trace
 from ..core.address import LINE_SIZE
 from ..core.framework import OverlaySystem
-from ..engine.clock import ClockCursor
+from ..engine.clock import ClockCursor, ClockError
 from ..engine.stats import merge_blocks
+from ..engine.tracing import HOOKS
 
 
 @dataclass
@@ -125,6 +126,9 @@ class Core:
                   start_cycle: Optional[int] = None) -> WindowState:
         """Open a :class:`WindowState` for *trace* on the shared clock."""
         start = self.system.clock if start_cycle is None else start_cycle
+        if start < 0:
+            # The cursor never moves back, so step's seeks stay >= 0.
+            raise ClockError(f"cannot start a run at cycle {start}")
         cursor = self.system.sim_clock.cursor(f"core{self.core_id}",
                                               start=start)
         state = WindowState(core=self, accesses=iter(trace), cursor=cursor,
@@ -139,9 +143,11 @@ class Core:
 
         Returns False when the trace has drained.  This is the single
         implementation of the window model; single- and multi-core
-        drivers differ only in how they interleave calls to it.  Every
-        cursor move goes through the cursor, so the clock (and with it
-        the watchdog and the trace hooks) sees each access.
+        drivers differ only in how they interleave calls to it.  The
+        clock (and with it the watchdog and the trace hooks) sees each
+        cursor move and each seek; with no stall, the cursor move and
+        the seek are :meth:`ClockCursor.advance` and
+        :meth:`SimClock.seek` inlined.
         """
         access = state.pending
         if access is None:
@@ -152,10 +158,23 @@ class Core:
         cursor = state.cursor
         stats = state.stats
         inflight = state.inflight
+        system = self.system
+        clock = system.sim_clock
 
         # Non-memory instructions issue one per cycle.
         gap = access.gap
-        time = cursor.advance(gap)
+        if gap < 0:
+            raise ClockError(
+                f"cursor {cursor.name!r} cannot advance by {gap}")
+        time = cursor._time = cursor._time + gap
+        if time > clock._peak:
+            # SimClock._observe inlined: past the watchdog limit it is
+            # called, to raise with its snapshot.
+            if clock._max_cycles is not None and time > clock._max_cycles:
+                clock._observe(time)
+            clock._peak = time
+        if HOOKS.active is not None:
+            HOOKS.active.emit(time, "cursor", cursor.name, None)
         instr_index = state.instr_index + gap + 1
         state.instr_index = instr_index
 
@@ -179,8 +198,9 @@ class Core:
                 stats.window_stall_cycles += stall_until - time
                 time = cursor.advance_to(stall_until)
 
-        system = self.system
-        system.sim_clock.seek(time)
+        clock._now = time
+        if HOOKS.active is not None:
+            HOOKS.active.emit(time, "clock", "seek", None)
         vaddr = access.vaddr
         data = None
         size = access.size
@@ -206,7 +226,8 @@ class Core:
             latency = system.write(self.asid, vaddr, data,
                                    core=self.core_id)
 
-        if system.consume_serializing_event():
+        if system._serializing_event:
+            system._serializing_event = False
             # A trap (e.g. a software page-fault handler) flushes the
             # pipeline: everything in flight drains, then the handler
             # runs with nothing overlapping it.

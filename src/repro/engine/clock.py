@@ -8,7 +8,8 @@
 * each core holds a :class:`ClockCursor` — its own strictly monotonic
   position on the timeline.  The multi-core scheduler steps the core
   whose cursor is earliest, and :meth:`~repro.cpu.core.Core.step`
-  calls :meth:`SimClock.seek` with that core's time, which may
+  seeks the clock to that core's time (:meth:`SimClock.seek`, inlined
+  there with :meth:`ClockCursor.advance`), which may
   move ``now`` backwards across cores while each core's own history
   stays monotonic; ``peak`` records the furthest point any core has
   reached.
@@ -156,10 +157,11 @@ class SimClock:
     def _observe(self, cycle: int) -> None:
         if cycle > self._peak:
             self._peak = cycle
-            # Watchdog site: every time movement funnels through here,
-            # so one disarmed comparison guards the whole timeline.
-            # Checked only on forward peak motion — event-driven seeks
-            # below the peak cannot be the runaway.
+            # Watchdog site: every time movement funnels through here
+            # (Core.step inlines the peak update and calls this only
+            # past the limit), so one disarmed comparison guards the
+            # whole timeline.  Checked only on forward peak motion —
+            # event-driven seeks below the peak cannot be the runaway.
             if self._max_cycles is not None and cycle > self._max_cycles:
                 raise SimulationHangError(self._max_cycles, {
                     "now": self._now, "peak": self._peak,
@@ -179,10 +181,13 @@ class SimClock:
     def seek(self, cycle: int) -> int:
         """Reposition the global time at *cycle*.
 
-        The one way ``now`` moves, backwards included: the scheduler
-        replays the timeline in event order, and each core's own cursor
-        is still monotonic.  ``Core.step`` calls it once per access, so
-        it observes only a seek past ``peak`` (the watchdog's case).
+        Backwards included: the scheduler replays the timeline in event
+        order, and each core's own cursor is still monotonic.  It
+        observes only a seek past ``peak`` (the watchdog's case).
+        :meth:`~repro.cpu.core.Core.step` performs this seek inline once
+        per access, to the time its cursor has just observed (never
+        negative, never past the peak); a change here is made there
+        too.
         """
         if cycle < 0:
             raise ClockError(f"cannot seek to negative cycle {cycle}")

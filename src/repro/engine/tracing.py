@@ -12,8 +12,9 @@ A second slot (:data:`HOOKS`\ ``.roots``) carries one notification: a
 component built without a parent — a fresh machine root
 (:class:`~repro.engine.component.Component`) — is handed to the
 installed :class:`RootObserver`.  That is how the cycle-accounting
-profiler (:class:`repro.obs.profile.ProfileAccumulator`) finds every
-machine a harness builds without the harness threading it through.
+profiler (:class:`repro.obs.profile.ProfileAccumulator`, a
+:class:`RootScopes`) finds every machine a harness builds without the
+harness threading it through.
 
 Hot-path contract (asserted by ``tests/test_obs.py``): with no sink or
 observer installed each hook is one attribute load plus an ``is None``
@@ -35,7 +36,7 @@ byte-identical event stream (the SL001 check of
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 from .process_state import register as register_process_state
 
@@ -68,6 +69,22 @@ class RootObserver:
 
     def on_root(self, component) -> None:
         """Optional callback; the default ignores the new root."""
+
+
+class RootScopes(RootObserver):
+    """Keeps the stats registry of every new root named *name*.
+
+    The registries stay in the order the roots were built, for a reader
+    that folds them after the run
+    (:class:`repro.obs.profile.ProfileAccumulator`)."""
+
+    def __init__(self, name: str = "system"):
+        self.name = name
+        self.scopes: List[Any] = []
+
+    def on_root(self, component) -> None:
+        if component.component_name == self.name:
+            self.scopes.append(component.stats_scope)
 
 
 class FaultHook:

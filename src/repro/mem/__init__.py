@@ -1,6 +1,6 @@
 """Memory-hierarchy substrate: caches, replacement, prefetcher, DRAM."""
 
-from .cache import CacheLine, EvictedLine, SetAssociativeCache
+from .cache import CacheLine, SetAssociativeCache
 from .dram import DRAM
 from .hierarchy import MemoryHierarchy
 from .mainmemory import MainMemory
@@ -9,6 +9,5 @@ from .replacement import DRRIPPolicy, make_policy
 from .stats import CacheStats, DRAMStats
 
 __all__ = ["CacheLine", "CacheStats", "DRAM", "DRAMStats", "DRRIPPolicy",
-           "EvictedLine", "MainMemory", "MemoryHierarchy",
-           "SetAssociativeCache", "StreamPrefetcher",
-           "make_policy"]
+           "MainMemory", "MemoryHierarchy", "SetAssociativeCache",
+           "StreamPrefetcher", "make_policy"]

@@ -19,6 +19,12 @@ order, least recently used first: a hit moves its line to the back
 takes the victim from the front, reuses its object for the incoming
 line and puts it at the back.  DRRIP is a policy object
 (:mod:`repro.mem.replacement`) the cache calls on every hit and fill.
+
+A fill installs a tag the level does not hold; the hierarchy never
+fills a resident tag, and merges a dirty line spilled onto a resident
+copy itself.  A dirty line leaving a fill or a cross-set retag is
+handed back as a plain ``(tag, data)`` pair, and :meth:`invalidate`
+hands back the unlinked :class:`CacheLine`.
 """
 
 from __future__ import annotations
@@ -28,6 +34,9 @@ from typing import Dict, List, Optional, Tuple
 from .replacement import make_policy
 from .stats import CacheStats
 from ..engine.component import Component
+
+#: A dirty line leaving a cache: its ``(tag, data)``.
+Victim = Tuple[int, Optional[bytes]]
 
 
 class CacheLine:
@@ -52,21 +61,6 @@ class CacheLine:
     def __repr__(self) -> str:
         return (f"CacheLine(tag={self.tag}, dirty={self.dirty}, "
                 f"data={self.data!r}, prefetched={self.prefetched})")
-
-
-class EvictedLine:
-    """What leaves a cache: a fill's dirty victim, or an invalidated line."""
-
-    __slots__ = ("tag", "dirty", "data")
-
-    def __init__(self, tag: int, dirty: bool, data: Optional[bytes]):
-        self.tag = tag
-        self.dirty = dirty
-        self.data = data
-
-    def __repr__(self) -> str:
-        return (f"EvictedLine(tag={self.tag}, dirty={self.dirty}, "
-                f"data={self.data!r})")
 
 
 class SetAssociativeCache(Component):
@@ -150,20 +144,16 @@ class SetAssociativeCache(Component):
         return True, self.hit_latency
 
     def fill(self, tag: int, data: Optional[bytes] = None,
-             dirty: bool = False, prefetch: bool = False) -> Optional[EvictedLine]:
-        """Install *tag*; return the victim only if a *dirty* line fell out.
+             dirty: bool = False, prefetch: bool = False) -> Optional[Victim]:
+        """Install *tag*, which this level must not hold.
 
-        A clean victim is counted in ``stats.evictions`` and dropped.
+        Returns the victim's ``(tag, data)`` only if a *dirty* line fell
+        out; a clean victim is counted in ``stats.evictions`` and
+        dropped.  A dirty line arriving at a level that holds its tag
+        merges into that copy instead
+        (:meth:`~repro.mem.hierarchy.MemoryHierarchy._spill`).
         """
         where = self._where
-        line = where.get(tag)
-        if line is not None:
-            # Refill of a resident line (e.g. prefetch raced demand): merge.
-            if dirty:
-                line.dirty = True
-            if data is not None:
-                line.data = data
-            return None
         set_index = tag % self.num_sets
         order = self._sets[set_index]
         stats = self.stats
@@ -188,7 +178,7 @@ class SetAssociativeCache(Component):
             stats.evictions += 1
             if line.dirty:
                 stats.dirty_evictions += 1
-                evicted = EvictedLine(line.tag, True, line.data)
+                evicted = (line.tag, line.data)
             # Reuse the victim's CacheLine object for the incoming line.
             line.tag = tag
             line.dirty = dirty
@@ -200,18 +190,18 @@ class SetAssociativeCache(Component):
             stats.prefetch_fills += 1
         return evicted
 
-    def invalidate(self, tag: int) -> Optional[EvictedLine]:
-        """Remove *tag*; returns the line (with dirtiness) if present."""
+    def invalidate(self, tag: int) -> Optional[CacheLine]:
+        """Remove *tag*; returns its unlinked line, if present."""
         line = self._where.pop(tag, None)
         if line is None:
             return None
         self._lines[line.set_index][line.way] = None
         self._sets[line.set_index].remove(line)
         self.stats.invalidations += 1
-        return EvictedLine(tag=line.tag, dirty=line.dirty, data=line.data)
+        return line
 
     def retag(self, old_tag: int,
-              new_tag: int) -> Tuple[bool, Optional[EvictedLine]]:
+              new_tag: int) -> Tuple[bool, Optional[Victim]]:
         """Rewrite a resident line's tag in place (overlaying-write step 1).
 
         The line keeps its data and dirtiness but now answers to
@@ -219,7 +209,7 @@ class SetAssociativeCache(Component):
         *old_tag* is not resident or the new tag's set already holds it.
         When old and new tags land in different sets, a fill of the new
         set moves the line (hardware would make an explicit copy —
-        Section 4.3.3), and *victim* is that fill's dirty victim.
+        Section 4.3.3), and *victim* is that fill's dirty ``(tag, data)``.
         """
         where = self._where
         line = where.get(old_tag)

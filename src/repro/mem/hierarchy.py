@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
-from .cache import EvictedLine, SetAssociativeCache
+from .cache import SetAssociativeCache, Victim
 from .dram import DRAM
 from .prefetcher import StreamPrefetcher
 from ..config import DEFAULT_CONFIG, SystemConfig
@@ -90,6 +90,9 @@ class MemoryHierarchy(Component):
             degree=config.prefetcher_degree,
             distance=config.prefetcher_distance)
         self.stats_scope.register_block("prefetcher", self.prefetcher.stats)
+        #: The levels a dirty victim of each level spills through.
+        self._below = {self.l1: (self.l2, self.l3), self.l2: (self.l3,),
+                       self.l3: ()}
         #: The memory controller's entry points; unwired, the hierarchy
         #: falls back to a flat physical address space over ``self.dram``.
         self.read_miss: MissReader = read_miss or self._default_read_miss
@@ -123,9 +126,10 @@ class MemoryHierarchy(Component):
         HOOKS.active.emit(None, "port", "fetch_data",
                           {"op": "fetch", "tag": tag})
 
-    def _writeback(self, tag: int, data: Optional[bytes]) -> int:
-        """Hand a dirty line leaving the hierarchy to the controller;
-        returns the background-traffic latency it charged."""
+    def _writeback(self, victim: Victim) -> int:
+        """Hand a dirty line ``(tag, data)`` leaving the hierarchy to the
+        controller; returns the background-traffic latency it charged."""
+        tag, data = victim
         stats = self.stats
         stats.writeback_requests += 1
         latency = self.handle_writeback(tag, data)
@@ -138,20 +142,25 @@ class MemoryHierarchy(Component):
 
     # -- eviction plumbing ---------------------------------------------------------
 
-    def _spill(self, level: SetAssociativeCache, evicted: EvictedLine) -> None:
-        """Push a dirty victim of *level* down the non-inclusive hierarchy:
-        each fill's own dirty victim carries on down, out of the L3 to
-        the controller."""
-        if level is self.l1:
-            evicted = self.l2.fill(evicted.tag, evicted.data, True)
-            if evicted is None:
+    def _spill(self, level: SetAssociativeCache, victim: Victim) -> None:
+        """Push a dirty victim ``(tag, data)`` of *level* down the
+        non-inclusive hierarchy.  A level below that holds the tag takes
+        the dirty data into that copy in place (no replacement touch, no
+        stats); otherwise the victim is filled there, and that fill's
+        own dirty victim carries on down, out of the L3 to the
+        controller."""
+        for lower in self._below[level]:
+            tag, data = victim
+            line = lower._where.get(tag)
+            if line is not None:
+                line.dirty = True
+                if data is not None:
+                    line.data = data
                 return
-            level = self.l2
-        if level is self.l2:
-            evicted = self.l3.fill(evicted.tag, evicted.data, True)
-            if evicted is None:
+            victim = lower.fill(tag, data, True)
+            if victim is None:
                 return
-        self._writeback(evicted.tag, evicted.data)
+        self._writeback(victim)
 
     # -- the demand path --------------------------------------------------------
 
@@ -232,9 +241,9 @@ class MemoryHierarchy(Component):
                 stats.fetch_data_requests += 1
                 if HOOKS.active is not None:
                     self._trace_miss(pf_tag, extra)
-                evicted = l3.fill(pf_tag, data=pf_data, prefetch=True)
-                if evicted is not None:
-                    self._spill(l3, evicted)
+                victim = l3.fill(pf_tag, pf_data, False, True)
+                if victim is not None:
+                    self._writeback(victim)
 
             line = l3._where.get(tag)
             if line is not None:
@@ -257,9 +266,9 @@ class MemoryHierarchy(Component):
                 # Read before the L2 fill: its spill into the L3 may evict
                 # this line and reuse the object for another tag.
                 fill_data = line.data
-                evicted = l2.fill(tag, fill_data)
-                if evicted is not None:
-                    self._spill(l2, evicted)
+                victim = l2.fill(tag, fill_data)
+                if victim is not None:
+                    self._spill(l2, victim)
             else:
                 l3.stats.misses += 1
                 latency += l3.miss_latency
@@ -274,18 +283,25 @@ class MemoryHierarchy(Component):
                     self._trace_miss(tag, extra)
                 latency += extra + cycles
                 # Fill L3 then L2, spilling each dirty victim at once.
-                evicted = l3.fill(tag, fill_data)
-                if evicted is not None:
-                    self._spill(l3, evicted)
-                evicted = l2.fill(tag, fill_data)
-                if evicted is not None:
-                    self._spill(l2, evicted)
+                victim = l3.fill(tag, fill_data)
+                if victim is not None:
+                    self._writeback(victim)
+                victim = l2.fill(tag, fill_data)
+                if victim is not None:
+                    self._spill(l2, victim)
                 dirty = write
-        evicted = l1.fill(tag, fill_data, dirty)
-        if evicted is not None:
-            self._spill(l1, evicted)
-        if data is not None and write:
-            l1.access(tag, write=True, data=data)
+        if write and data is not None:
+            # A write miss: the store's bytes go into the L1 fill, dirty,
+            # and the store's L1 hit on the filled line is counted here.
+            victim = l1.fill(tag, data, True)
+            l1.stats.hits += 1
+            if not l1._lru:
+                line = l1._where[tag]
+                l1._policy.on_hit(line.set_index, line.way)
+        else:
+            victim = l1.fill(tag, fill_data, dirty)
+        if victim is not None:
+            self._spill(l1, victim)
         return l1.miss_latency + latency
 
     # -- maintenance operations ----------------------------------------------------
@@ -294,25 +310,25 @@ class MemoryHierarchy(Component):
         """Rewrite a resident line's tag in whichever levels hold it."""
         changed = False
         for level in (self.l1, self.l2, self.l3):
-            moved, evicted = level.retag(old_tag, new_tag)
-            if evicted is not None:
-                self._spill(level, evicted)
+            moved, victim = level.retag(old_tag, new_tag)
+            if victim is not None:
+                self._spill(level, victim)
             changed = moved or changed
         return changed
 
     def invalidate(self, tag: int, writeback: bool = True) -> None:
         """Drop *tag* everywhere, spilling dirty data to memory if asked."""
         for level in (self.l1, self.l2, self.l3):
-            evicted = level.invalidate(tag)
-            if evicted is not None and evicted.dirty and writeback:
-                self._writeback(evicted.tag, evicted.data)
+            line = level.invalidate(tag)
+            if line is not None and line.dirty and writeback:
+                self._writeback((line.tag, line.data))
 
     def flush_dirty(self) -> int:
         """Write back every dirty line (checkpoint barrier); returns count."""
         flushed = 0
         for level in (self.l1, self.l2, self.l3):
             for line in level.dirty_lines():
-                self._writeback(line.tag, line.data)
+                self._writeback((line.tag, line.data))
                 line.dirty = False
                 flushed += 1
         return flushed

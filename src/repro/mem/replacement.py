@@ -15,7 +15,11 @@ The cache finds a free way itself.
 DRRIP follows Jaleel et al. [27]: 2-bit re-reference prediction values
 (RRPV), SRRIP inserts at RRPV=2, BRRIP inserts at RRPV=3 except 1/32 of
 the time, and set-dueling with a 10-bit saturating policy-selection
-counter picks between them for follower sets.
+counter picks between them for follower sets.  A full-set fill ages
+the whole set until some way reaches the maximum RRPV; each set keeps
+that aging as one offset added to every way's stored value
+(:meth:`DRRIPPolicy.rrpv`), so a fill changes one way and the offset
+instead of rewriting every way.
 """
 
 from __future__ import annotations
@@ -65,13 +69,15 @@ class DRRIPPolicy(ReplacementPolicy):
     PSEL_BITS = 10
     DUELING_SETS = 32     # leader sets per policy
 
-    __slots__ = ("_rrpv", "_psel", "_psel_max", "_psel_mid",
+    __slots__ = ("_rrpv", "_offset", "_psel", "_psel_max", "_psel_mid",
                  "_brrip_throttle", "_leader")
 
     def __init__(self, num_sets: int, ways: int):
         super().__init__(num_sets, ways)
+        # A way's RRPV is its stored value plus its set's offset.
         self._rrpv: List[List[int]] = [
             [self.MAX_RRPV] * ways for _ in range(num_sets)]
+        self._offset: List[int] = [0] * num_sets
         self._psel = (1 << self.PSEL_BITS) // 2
         self._psel_max = (1 << self.PSEL_BITS) - 1
         self._psel_mid = (self._psel_max + 1) // 2
@@ -84,9 +90,13 @@ class DRRIPPolicy(ReplacementPolicy):
             self._leader.setdefault(srrip_set, "srrip")
             self._leader.setdefault(brrip_set, "brrip")
 
+    def rrpv(self, set_index: int, way: int) -> int:
+        """The RRPV of *way* in *set_index*."""
+        return self._rrpv[set_index][way] + self._offset[set_index]
+
     def on_hit(self, set_index: int, way: int) -> None:
         # Hit promotion: RRPV -> 0 (near-immediate re-reference).
-        self._rrpv[set_index][way] = 0
+        self._rrpv[set_index][way] = -self._offset[set_index]
 
     def on_fill(self, set_index: int, way: int, prefetch: bool = False) -> None:
         # A fill in a leader set is a miss there, which votes against
@@ -110,26 +120,25 @@ class DRRIPPolicy(ReplacementPolicy):
             rrpv = self.LONG_RRPV if self._brrip_throttle == 0 else self.DISTANT_RRPV
         if prefetch:
             rrpv = self.DISTANT_RRPV  # prefetches inserted with distant prediction
-        self._rrpv[set_index][way] = rrpv
+        self._rrpv[set_index][way] = rrpv - self._offset[set_index]
 
     def victim_full(self, set_index: int) -> int:
         # RRIP ages the whole set until some way reaches MAX_RRPV and
         # evicts the first such way.  RRPVs never exceed MAX_RRPV, so
-        # that is one aging step of MAX_RRPV - max(rrpvs), done in place.
+        # that is one aging step: the offset that lifts the largest
+        # stored value to MAX_RRPV, and the victim is its first way.
         rrpvs = self._rrpv[set_index]
-        age = self.MAX_RRPV - max(rrpvs)
-        if age:
-            rrpvs[:] = [rrpv + age for rrpv in rrpvs]
-        return rrpvs.index(self.MAX_RRPV)
+        top = max(rrpvs)
+        self._offset[set_index] = self.MAX_RRPV - top
+        return rrpvs.index(top)
 
     def replace(self, set_index: int, prefetch: bool = False) -> int:
         # victim_full and on_fill fused: the cache fills a full L3 set
         # with this one call.
         rrpvs = self._rrpv[set_index]
-        age = self.MAX_RRPV - max(rrpvs)
-        if age:
-            rrpvs[:] = [rrpv + age for rrpv in rrpvs]
-        way = rrpvs.index(self.MAX_RRPV)
+        top = max(rrpvs)
+        offset = self._offset[set_index] = self.MAX_RRPV - top
+        way = rrpvs.index(top)
         leader = self._leader.get(set_index)
         psel = self._psel
         if leader is None:
@@ -149,7 +158,7 @@ class DRRIPPolicy(ReplacementPolicy):
             rrpv = self.LONG_RRPV if self._brrip_throttle == 0 else self.DISTANT_RRPV
         if prefetch:
             rrpv = self.DISTANT_RRPV  # prefetches inserted with distant prediction
-        rrpvs[way] = rrpv
+        rrpvs[way] = rrpv - offset
         return way
 
 

@@ -22,10 +22,10 @@ for the timing model.
 Two pieces ride along:
 
 * :class:`ProfileAccumulator` — an engine
-  :class:`~repro.engine.tracing.RootObserver` that folds the profile of
-  every machine a harness builds (the fork suite builds one per
-  benchmark x policy) into one merged tree, bound through the engine's
-  root hook;
+  :class:`~repro.engine.tracing.RootScopes` that keeps the stats
+  registry of every machine a harness builds (the fork suite builds one
+  per benchmark x policy), bound through the engine's root hook, and
+  folds their profiles into one merged tree once the run is over;
 * :func:`host_layers` — the *host-side* half: the self time of a
   ``cProfile`` run, folded by ``repro`` module into layers, showing
   which simulator layers are slow in real time.  Its seconds measure
@@ -269,40 +269,35 @@ def profile_stats(stats, config: Optional[SystemConfig] = None) -> ProfileNode:
 # Collectors
 # ---------------------------------------------------------------------------
 
-class ProfileAccumulator(tracing.RootObserver):
+class ProfileAccumulator(tracing.RootScopes):
     """Fold every machine a harness builds into one merged profile.
 
-    Installed through the engine's root hook: each time a new machine
-    root is built, the previous machine's final counters are attributed
-    and merged; :meth:`finish` folds the last one.
+    Installed through the engine's root hook, it only keeps each new
+    machine root's stats registry while the run goes on;
+    :meth:`finish` attributes the kept machines' final counters and
+    merges them after the run, so a profiled run does not time the
+    folding.
     """
 
     def __init__(self, config: Optional[SystemConfig] = None,
                  root_name: str = "system"):
+        super().__init__(root_name)
         self.config = config or DEFAULT_CONFIG
-        self.root_name = root_name
-        self.systems = 0
         self.profile: Optional[ProfileNode] = None
-        self._registry: Optional[StatsRegistry] = None
+        self._folded = 0
 
-    def _fold(self) -> None:
-        if self._registry is None:
-            return
-        node = profile_stats(self._registry, self.config)
-        self.profile = node if self.profile is None \
-            else self.profile.merge(node)
-        self._registry = None
-
-    def on_root(self, component) -> None:
-        if component.component_name != self.root_name:
-            return
-        self._fold()
-        self._registry = component.stats_scope
-        self.systems += 1
+    @property
+    def systems(self) -> int:
+        """Machines bound so far."""
+        return len(self.scopes)
 
     def finish(self) -> Optional[ProfileNode]:
-        """Fold the last bound machine and return the merged profile."""
-        self._fold()
+        """Fold the machines bound since the last call; return the profile."""
+        for registry in self.scopes[self._folded:]:
+            node = profile_stats(registry, self.config)
+            self.profile = node if self.profile is None \
+                else self.profile.merge(node)
+        self._folded = len(self.scopes)
         return self.profile
 
 

@@ -20,9 +20,11 @@ The four rules, each traceable to the paper:
 ``omt-page-table``
     Sections 4.2/4.3 — the OMT shadows the page table.  Violated by an
     OMT entry whose page is not mapped (or has overlays disabled) while
-    it still claims overlay lines, and by a set OBitVector bit with no
+    it still claims overlay lines, by a set OBitVector bit with no
     backing data anywhere — no cached overlay line and no segment slot —
-    which would read as fabricated zeroes.
+    which would read as fabricated zeroes, and by a segment line whose
+    bit is clear, unless the entry is shadow memory (Section 5.3.4),
+    whose bits stay clear by design.
 
 ``tlb-coherence``
     Section 4.3.3 — every TLB's private OBitVector copy must equal the
@@ -200,7 +202,8 @@ class InvariantChecker(Component):
                         "omt-page-table", self._page(asid, vpn),
                         f"OBitVector bit {line} set but no overlay data "
                         f"exists (not cached, not in a segment)"))
-            if entry.segment is not None:
+            # A shadow-memory segment's lines keep their bits clear.
+            if entry.segment is not None and not entry.shadow:
                 for line in entry.segment.mapped_lines():
                     if not entry.obitvector.is_set(line):
                         found.append(Violation(

@@ -57,6 +57,7 @@ class MetadataManager:
     def _store_shadow_line(self, vpn: int, line: int, payload: bytes) -> None:
         system = self.kernel.system
         entry = self._shadow_entry(vpn, create=True)
+        entry.shadow = True
         if entry.segment is None:
             entry.segment = system.oms.allocate_segment(1)
             self.stats.shadow_lines += 0  # counted per line below
@@ -64,7 +65,8 @@ class MetadataManager:
             self.stats.shadow_lines += 1
         entry.segment = system.oms.write_line(entry.segment, line, payload)
         # NOTE: the OBitVector is deliberately NOT set — regular accesses
-        # must keep reading the data, not the metadata.
+        # must keep reading the data, not the metadata.  ``shadow`` tells
+        # the invariant checker so.
 
     # -- the metadata load/store instructions -----------------------------------------
 

@@ -16,22 +16,13 @@ pytestmark = pytest.mark.integration
 #: and Figure 9 plots the fork suite Figure 8 ran.
 NO_MACHINE = {"table2", "figure9", "figure11", "hardware_cost"}
 
-#: Section 5.3.4's shadow memory keeps metadata in OMS segments with the
-#: OBitVector clear, so the data path never reads it; ``omt-page-table``
-#: reports each of the techniques run's 63 shadow lines.
-SHADOW_LINES = {"techniques": 63}
-
 
 @pytest.mark.parametrize("name", EXPERIMENTS)
 def test_every_machine_keeps_the_invariants(regenerated, name):
     machines = regenerated.violations[name]
     assert (machines == []) == (name in NO_MACHINE)
-    found = [violation for violations in machines
-             for violation in violations]
-    assert len(found) == SHADOW_LINES.get(name, 0)
-    for violation in found:
-        assert violation.rule == "omt-page-table"
-        assert violation.detail.startswith("segment holds data for line")
+    assert [violation for violations in machines
+            for violation in violations] == []
 
 
 @pytest.mark.parametrize("name, policy", [

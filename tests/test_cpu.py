@@ -4,6 +4,7 @@ import pytest
 
 from repro.cpu.core import Core
 from repro.cpu.trace import MemoryAccess, Trace
+from repro.engine.clock import ClockError
 from repro.osmodel.kernel import Kernel
 
 
@@ -89,6 +90,21 @@ class TestCore:
         trace = Trace.sequential(0x100 * 4096, 4, stride=64)
         stats = core.run(trace, start_cycle=0)
         assert stats.cycles == kernel.system.clock
+
+    def test_step_keeps_the_clock_contract(self):
+        """The step's inlined cursor move and seek still reject a
+        negative gap and a negative start, and leave the clock at the
+        issue cycle of the last access."""
+        kernel, process = machine()
+        core = Core(kernel.system, process.asid)
+        with pytest.raises(ClockError):
+            core.run(Trace([MemoryAccess(vaddr=0x100 * 4096, gap=-1)]))
+        with pytest.raises(ClockError):
+            core.begin_run(Trace.sequential(0x100 * 4096, 1), start_cycle=-1)
+        state = core.begin_run(Trace([MemoryAccess(vaddr=0x100 * 4096,
+                                                   gap=7)]), start_cycle=100)
+        assert core.step(state)
+        assert kernel.system.sim_clock.now == state.cycle == 107
 
     def test_window_hides_independent_misses(self):
         """More MSHRs / bigger window => fewer stall cycles."""

@@ -66,16 +66,8 @@ class TestFillAndEvict:
         cache = make(size=2 * 64 * 2, ways=2)
         cache.fill(0, data=b"x" * 64, dirty=True)
         cache.fill(2)
-        evicted = cache.fill(4)
-        assert evicted.dirty and evicted.data == b"x" * 64
+        assert cache.fill(4) == (0, b"x" * 64)  # the victim's (tag, data)
         assert cache.stats.dirty_evictions == 1
-
-    def test_refill_merges_instead_of_evicting(self):
-        cache = make()
-        cache.fill(100, data=b"a" * 64, dirty=True)
-        assert cache.fill(100, data=None) is None
-        line = cache.lookup(100)
-        assert line.dirty and line.data == b"a" * 64
 
     def test_hit_on_recently_filled_prefers_mru(self):
         cache = make(size=2 * 64 * 2, ways=2)
@@ -100,8 +92,8 @@ class TestInvalidateAndRetag:
         cache = make()
         cache.fill(100, data=b"v" * 64, dirty=True)
         line = cache.invalidate(100)
-        assert line.dirty and line.data == b"v" * 64
-        assert 100 not in cache
+        assert line.tag == 100 and line.dirty and line.data == b"v" * 64
+        assert 100 not in cache and line not in cache._sets[line.set_index]
 
     def test_invalidate_missing_returns_none(self):
         cache = make()

@@ -1,10 +1,14 @@
 """Unit tests for the three-level hierarchy and its overlay hooks."""
 
+import random
 from dataclasses import replace
+
+import pytest
 
 from repro.config import DEFAULT_CONFIG
 from repro.core.framework import OverlaySystem
 from repro.engine import tracing
+from repro.engine.stats import snapshot_block
 from repro.mem.dram import DRAM
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.mem.mainmemory import MainMemory
@@ -116,6 +120,35 @@ class TestDemandPath:
         line = hierarchy.l1.lookup(100)
         assert line.dirty and line.data == b"w" * 64
 
+    @pytest.mark.parametrize("policy", ["lru", "drrip"])
+    def test_write_miss_equals_fill_then_write_hit(self, policy):
+        """A write miss puts the store's bytes into the L1 fill and counts
+        the store's hit there: the L1 is left as a fill followed by a
+        write access leaves a lone cache, in stats, recency order, dirty
+        bits, data and RRPVs."""
+        config = replace(DEFAULT_CONFIG, l1_bytes=4 * 64, l1_ways=4,
+                         l1_policy=policy)
+        hierarchy = MemoryHierarchy(config=config)
+        reference = MemoryHierarchy(config=config).l1
+        rng = random.Random(7)
+        for step in range(200):
+            tag, data = rng.randrange(12), bytes([step % 256]) * 64
+            hierarchy.access(tag, write=True, data=data)
+            if not reference.access(tag, write=True, data=data)[0]:
+                reference.fill(tag)
+                reference.access(tag, write=True, data=data)
+            l1 = hierarchy.l1
+            assert snapshot_block(l1.stats) == snapshot_block(reference.stats)
+            assert ([(line.tag, line.way, line.dirty, line.data)
+                     for line in l1._sets[0]]
+                    == [(line.tag, line.way, line.dirty, line.data)
+                        for line in reference._sets[0]])
+            if policy == "drrip":
+                assert ([l1._policy.rrpv(0, way) for way in range(4)]
+                        == [reference._policy.rrpv(0, way)
+                            for way in range(4)])
+        assert hierarchy.l1.stats.misses > 50   # write misses ran
+
 
 class TestWritebackChain:
     def test_dirty_data_survives_eviction_chain(self):
@@ -149,6 +182,27 @@ class TestWritebackChain:
         assert 83 not in hierarchy.l3 and 3 in hierarchy.l3
         assert hierarchy.l1.lookup(83).data == bytes(64)
         assert hierarchy.lookup_data(3) == b"\x01" * 64
+
+    def test_spill_into_a_resident_copy_merges_in_place(self):
+        """A dirty victim arriving at a level that holds its tag goes into
+        that copy: same line object and slot, no replacement touch, no
+        fill counted; a victim without a payload keeps the copy's data."""
+        hierarchy, backend = make()
+        for tag in (100, 1124):          # L2 set 100 holds both, 100 first
+            hierarchy.access(tag)
+        for level, lower in ((hierarchy.l1, hierarchy.l2),
+                             (hierarchy.l2, hierarchy.l3)):
+            line = lower.lookup(100)
+            order = list(lower._sets[line.set_index])
+            stats = snapshot_block(lower.stats)
+            hierarchy._spill(level, (100, b"s" * 64))
+            assert lower.lookup(100) is line
+            assert line.dirty and line.data == b"s" * 64
+            hierarchy._spill(level, (100, None))
+            assert line.dirty and line.data == b"s" * 64
+            assert lower._sets[line.set_index] == order
+            assert snapshot_block(lower.stats) == stats
+        assert backend.writebacks == []
 
     def test_flush_dirty_reaches_backend(self):
         hierarchy, backend = make()

@@ -92,6 +92,8 @@ class TestDRRIP:
         policy.on_hit(0, 1)
         # All RRPVs are 0; victim search must age and still terminate.
         assert policy.victim_full(0) in (0, 1)
+        assert [policy.rrpv(0, way) for way in (0, 1)] == [
+            DRRIPPolicy.MAX_RRPV] * 2
 
     def test_prefetch_inserted_distant(self):
         policy = DRRIPPolicy(64, 2)
@@ -115,10 +117,10 @@ class TestDRRIP:
         follower = next(s for s in range(1024) if s not in policy._leader)
         policy._psel = 0                       # SRRIP: insert long
         policy.on_fill(follower, 0)
-        assert policy._rrpv[follower][0] == DRRIPPolicy.LONG_RRPV
+        assert policy.rrpv(follower, 0) == DRRIPPolicy.LONG_RRPV
         policy._psel = policy._psel_max        # BRRIP: insert distant
         policy.on_fill(follower, 1)
-        assert policy._rrpv[follower][1] == DRRIPPolicy.DISTANT_RRPV
+        assert policy.rrpv(follower, 1) == DRRIPPolicy.DISTANT_RRPV
         assert policy._psel == policy._psel_max  # followers never vote
 
     def test_brrip_occasionally_inserts_long(self):
@@ -128,7 +130,7 @@ class TestDRRIP:
         rrpvs = set()
         for _ in range(64):
             policy.on_fill(follower, 0)
-            rrpvs.add(policy._rrpv[follower][0])
+            rrpvs.add(policy.rrpv(follower, 0))
         assert DRRIPPolicy.DISTANT_RRPV in rrpvs
         assert DRRIPPolicy.LONG_RRPV in rrpvs
 

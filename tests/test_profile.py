@@ -239,6 +239,20 @@ class TestProfileFlag:
         assert schema_errors(doc, PROFILE_SCHEMA) == []
         assert format_profile(doc["profile"]) == tree
 
+    def test_the_profile_is_folded_after_the_profiled_run(self, tmp_path,
+                                                          capsys):
+        """The accumulator only keeps each machine's registry while the
+        experiment runs, so none of the profiler's own folding shows in
+        the host table."""
+        assert cli_main(["--profile", "--results-dir", str(tmp_path),
+                         "remap_latency"]) == 0
+        capsys.readouterr()
+        doc = json.loads(
+            (tmp_path / "remap_latency.profile.json").read_text())
+        assert doc["systems"] == 2
+        assert "obs.profile" not in [
+            layer["name"] for layer in doc["host"]["layers"]]
+
     def test_a_fresh_process_profiles_the_experiment_not_its_imports(
             self, tmp_path):
         """The harnesses are imported before profiling starts, so host

@@ -75,6 +75,18 @@ cache_ops = st.lists(
     min_size=256, max_size=400)
 
 
+def cache_state(cache):
+    """Each set's recency list as ``(tag, way, dirty, data)``, the stats,
+    and (DRRIP) every way's RRPV."""
+    return ([[(line.tag, line.way, line.dirty, line.data) for line in order]
+             for order in cache._sets],
+            vars(cache.stats).copy(),
+            None if cache._lru else [
+                [cache._policy.rrpv(set_index, way)
+                 for way in range(cache.ways)]
+                for set_index in range(cache.num_sets)])
+
+
 class TestResidentMap:
     @slow
     @given(cache_ops, st.sampled_from(["lru", "drrip"]))
@@ -83,12 +95,28 @@ class TestResidentMap:
         """The resident map holds the very line object in each slot, each
         set's list holds that set's resident lines once each, and a line
         leaving through fill() or a cross-set retag() is returned iff it
-        was dirty."""
-        cache = SetAssociativeCache("R", size_bytes=8 * 64 * 2, ways=2,
-                                    policy=policy, **L1_TIMING)
+        was dirty.  The cache is a hierarchy's L2: a fill of a resident
+        tag is an L1 victim spilled onto that copy, which leaves what
+        fill's refill merge left before the hierarchy took it over: the
+        copy dirty, its data replaced when the victim carries some, and
+        nothing else changed."""
+        hierarchy = MemoryHierarchy(config=replace(
+            DEFAULT_CONFIG, l2_bytes=8 * 64 * 2, l2_ways=2,
+            l2_policy=policy))
+        cache = hierarchy.l2
         for op, tag, other, flag, value in sequence:
             data = bytes([value]) * 64
-            if op in ("fill", "retag"):
+            if op == "fill" and tag in cache:
+                line = cache._where[tag]
+                expected = cache_state(cache)
+                slot = expected[0][line.set_index].index(
+                    (tag, line.way, line.dirty, line.data))
+                expected[0][line.set_index][slot] = (
+                    tag, line.way, True, data if flag else line.data)
+                hierarchy._spill(hierarchy.l1, (tag, data if flag else None))
+                assert cache._where[tag] is line
+                assert cache_state(cache) == expected
+            elif op in ("fill", "retag"):
                 before = {t: (line.dirty, line.data)
                           for t, line in cache._where.items()}
                 evictions = cache.stats.evictions
@@ -103,9 +131,7 @@ class TestResidentMap:
                 assert len(gone) == cache.stats.evictions - evictions <= 1
                 if gone and before[next(iter(gone))][0]:
                     victim = next(iter(gone))
-                    assert evicted is not None
-                    assert (evicted.tag, evicted.dirty, evicted.data) == (
-                        victim, True, before[victim][1])
+                    assert evicted == (victim, before[victim][1])
                 else:
                     assert evicted is None
             elif op == "access":
@@ -236,12 +262,12 @@ class TestVictimSelection:
         from repro.mem.replacement import DRRIPPolicy
         policy = DRRIPPolicy(num_sets=1, ways=len(rrpvs))
         row = policy._rrpv[0]
-        row[:] = rrpvs
+        row[:] = rrpvs                 # stored values, at offset 0
         expected = list(rrpvs)
         way = reference_drrip_victim(expected, DRRIPPolicy.MAX_RRPV)
         assert policy.victim_full(0) == way
-        assert policy._rrpv[0] is row
-        assert row == expected
+        assert [policy.rrpv(0, w) for w in range(len(rrpvs))] == expected
+        assert row == rrpvs            # the aging rewrote no way
 
     @settings(max_examples=100, deadline=None, phases=UNSHRUNK,
               suppress_health_check=[HealthCheck.too_slow,
@@ -267,6 +293,8 @@ class TestVictimSelection:
                 cache.access(tag, write=flag)
                 reference.access(tag, flag)
             elif op == "fill":
+                if tag in cache:       # fill installs an absent tag only
+                    continue
                 before = set(cache.resident_tags())
                 evicted = cache.fill(tag, dirty=flag)
                 victim = reference.fill(tag, flag)
@@ -274,7 +302,7 @@ class TestVictimSelection:
                 assert gone == ({victim[0]} if victim else set())
                 assert (evicted is not None) == bool(victim and victim[1])
                 if evicted is not None:
-                    assert (evicted.tag, evicted.dirty) == (victim[0], True)
+                    assert evicted[0] == victim[0]
             elif op == "invalidate":
                 cache.invalidate(tag)
                 reference.invalidate(tag)
@@ -282,7 +310,7 @@ class TestVictimSelection:
                 if flag:               # a retag within the set
                     other += tag % num_sets - other % num_sets
                 moved, evicted = cache.retag(tag, other)
-                assert (moved, evicted and evicted.tag) == reference.retag(
+                assert (moved, evicted and evicted[0]) == reference.retag(
                     tag, other)
             assert sorted(cache.resident_tags()) == reference.tags()
             assert ([line.tag for line in cache.dirty_lines()]
@@ -320,12 +348,9 @@ class ReferenceLRU:
                 self.slots[set_index][way][1] = True
 
     def fill(self, tag, dirty):
-        """Install *tag*; returns the ``[tag, dirty]`` that fell out."""
-        set_index, way = self._find(tag)
-        if way is not None:            # a refill merges, touching nothing
-            if dirty:
-                self.slots[set_index][way][1] = True
-            return None
+        """Install *tag*, which is absent; returns the ``[tag, dirty]``
+        that fell out."""
+        set_index = tag % self.num_sets
         bucket = self.slots[set_index]
         if None in bucket:
             way, victim = bucket.index(None), None

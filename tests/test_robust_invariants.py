@@ -18,6 +18,7 @@ from repro.core.address import PAGE_SIZE, line_tag_of, overlay_page_number
 from repro.osmodel.kernel import Kernel
 from repro.robust import (RULES, FaultPlan, InvariantChecker, Violation,
                           fault_session)
+from repro.techniques.metadata import MetadataManager
 
 BASE_VPN = 0x100
 BASE = BASE_VPN * PAGE_SIZE
@@ -138,6 +139,23 @@ class TestOmtPageTable:
         assert any(v.rule == "omt-page-table"
                    and "OBitVector bit is clear" in v.detail
                    for v in violations)
+
+    def test_only_shadow_memory_lines_may_keep_their_bits_clear(self):
+        """Section 5.3.4's metadata lines live in OMS segments with the
+        OBitVector clear: no violation while the entry is marked shadow,
+        and the same segment line is reported once it is not."""
+        kernel, process = _cow_machine()
+        MetadataManager(kernel, process).metadata_store(BASE + 64, 5)
+        entry = kernel.system.controller.omt.lookup(
+            overlay_page_number(process.asid, BASE_VPN))
+        assert entry.shadow and entry.segment.has_line(1)
+        assert entry.obitvector.is_empty()
+        checker = InvariantChecker(kernel.system)
+        assert checker.check_all() == []
+        entry.shadow = False
+        assert [(v.rule, v.detail) for v in checker.check_all()] == [
+            ("omt-page-table",
+             "segment holds data for line 1 but its OBitVector bit is clear")]
 
 
 class TestTlbCoherence:
