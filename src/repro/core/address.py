@@ -28,6 +28,9 @@ PAGE_SIZE = 4096
 LINE_SIZE = 64
 #: Number of cache lines in one page — also the width of the OBitVector.
 LINES_PER_PAGE = PAGE_SIZE // LINE_SIZE
+#: The one shared all-zero line: what an unwritten line of a frame or an
+#: overlay reads as.
+ZERO_LINE = bytes(LINE_SIZE)
 
 #: Number of bits in a per-process virtual address (Section 4.1).
 VIRTUAL_ADDRESS_BITS = 48

@@ -31,11 +31,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from .address import (LINE_SIZE, LINES_PER_PAGE, OVERLAY_BIT_MASK, PAGE_SIZE,
-                      VIRTUAL_ADDRESS_BITS, line_index, line_offset,
+                      VIRTUAL_ADDRESS_BITS, ZERO_LINE, line_index, line_offset,
                       line_tag_of, overlay_page_number, page_number)
 from .coherence import CoherenceNetwork
 from .mmu import MemoryController, MMU
-from .oms import OverlayMemoryStore, ZERO_LINE
+from .oms import OverlayMemoryStore
 from .page_table import PTE, PageFault, PageTable
 from .tlb import TLB, TLBEntry
 from ..config import DEFAULT_CONFIG, SystemConfig

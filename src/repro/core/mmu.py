@@ -24,10 +24,10 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from .address import (LINE_SIZE, LINES_PER_PAGE, OVERLAY_BIT_MASK,
-                      overlay_page_number, tag_is_overlay)
+                      ZERO_LINE, overlay_page_number, tag_is_overlay)
 from .obitvector import OBitVector
 from .omt import OMTCache, OMTEntry, OverlayMappingTable
-from .oms import OverlayMemoryStore, ZERO_LINE
+from .oms import OverlayMemoryStore
 from .page_table import PageTable
 from .tlb import TLB, TLBEntry
 from ..config import DEFAULT_CONFIG, SystemConfig
@@ -106,10 +106,7 @@ class MemoryController(Component):
             # MainMemory.read_line inlined — ``tag & 63`` is a line
             # index by construction, so the bounds check is satisfied.
             frame = self.main_memory._frames.get(tag >> 6)
-            if frame is None:
-                return 0, cycles, ZERO_LINE
-            start = (tag & 63) << 6
-            return 0, cycles, bytes(frame[start:start + LINE_SIZE])
+            return 0, cycles, ZERO_LINE if frame is None else frame[tag & 63]
         address, lookup = self.resolve_miss(tag)
         cycles = 0
         if address is not None:

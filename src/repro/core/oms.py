@@ -44,8 +44,6 @@ SEGMENT_SIZES = (256, 512, 1024, 2048, 4096)
 #: Lines of metadata at the head of a sub-4KB segment (Figure 7).
 METADATA_LINES = 1
 
-ZERO_LINE = bytes(LINE_SIZE)
-
 
 def data_slot_capacity(segment_size: int) -> int:
     """Number of overlay cache lines a segment of *segment_size* can hold."""
@@ -121,9 +119,8 @@ class Segment:
     def _free_slot(self) -> Optional[int]:
         if self.is_direct_mapped:
             return None  # caller uses the line index directly
-        used = set(self.slots)
         for slot in range(self.capacity):
-            if slot not in used:
+            if slot not in self.slots:
                 return slot
         return None
 

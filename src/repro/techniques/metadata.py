@@ -16,9 +16,8 @@ granularity taint-tracking and memcheck tools use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from ..core.address import (LINE_SIZE, line_index, line_offset,
+from ..core.address import (LINE_SIZE, ZERO_LINE, line_index, line_offset,
                             overlay_page_number, page_number)
-from ..core.oms import ZERO_LINE
 
 #: Data bytes shadowed by one metadata byte (one tag per 64-bit word).
 WORD_BYTES = 8

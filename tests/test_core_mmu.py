@@ -3,11 +3,11 @@
 import pytest
 
 from repro.config import DEFAULT_CONFIG
-from repro.core.address import (LINE_SIZE, line_tag_of, overlay_page_number,
-                                tag_is_overlay)
+from repro.core.address import (LINE_SIZE, ZERO_LINE, line_tag_of,
+                                overlay_page_number, tag_is_overlay)
 from repro.core.framework import OverlaySystem
 from repro.core.mmu import MMU, MemoryController
-from repro.core.oms import OverlayMemoryStore, ZERO_LINE
+from repro.core.oms import OverlayMemoryStore
 from repro.core.page_table import PageFault, PageTable
 from repro.core.tlb import TLB
 from repro.mem.dram import DRAM
@@ -107,6 +107,14 @@ class TestControllerReadMiss:
         assert (lookup, data) == (0, b"m" * 64)
         assert cycles > 0
         assert issued == [((5 * 64 + 3) * LINE_SIZE, 700)]
+
+    def test_physical_miss_returns_the_frames_own_line(self):
+        controller = make_controller()
+        stored = bytes(range(64))
+        controller.main_memory.write_line(5, 3, stored)
+        assert controller.read_miss(line_tag_of(5, 3), 0)[2] is stored
+        assert controller.read_miss(line_tag_of(5, 4), 0)[2] is ZERO_LINE
+        assert controller.read_miss(line_tag_of(6, 0), 0)[2] is ZERO_LINE
 
     def test_demand_overlay_miss_reads_dram_after_the_omt_lookup(self):
         controller = make_controller()

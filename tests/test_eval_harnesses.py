@@ -69,6 +69,33 @@ class TestForkExperiment:
         with pytest.raises(ValueError):
             run_policy(BENCHMARKS["libq"], "hopeful")
 
+    @pytest.mark.parametrize("name", ["bzip2", "cactus", "lbm", "leslie3d",
+                                      "soplex"])
+    def test_type2_overlay_memory_is_oms_growth(self, name, monkeypatch):
+        # Figure 8, Type 2: overlay-on-write's extra memory is the live
+        # OMS segments plus what the 256B→4KB growth ladder leaves on the
+        # free lists, less the initial pool granted before the fork.
+        from repro.core.address import PAGE_SIZE
+        from repro.eval import fork_experiment
+        from repro.osmodel.kernel import Kernel
+        from repro.workloads.spec_like import BENCHMARKS
+
+        kernels = []
+
+        class RecordingKernel(Kernel):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                kernels.append(self)
+
+        monkeypatch.setattr(fork_experiment, "Kernel", RecordingKernel)
+        run = fork_experiment.run_policy(BENCHMARKS[name], "overlay-on-write")
+        oms = kernels[0].system.oms
+        free_bytes = sum(size * count
+                         for size, count in oms.free_segment_counts.items())
+        initial_pool_bytes = 16 * PAGE_SIZE  # Kernel's oms_initial_pages
+        assert run.additional_memory_bytes == (
+            oms.allocated_bytes + free_bytes - initial_pool_bytes)
+
 
 class TestSpMVExperiment:
     @pytest.fixture(scope="class")

@@ -2,10 +2,9 @@
 
 import pytest
 
-from repro.core.address import (LINE_SIZE, PAGE_SIZE, line_tag_of,
+from repro.core.address import (LINE_SIZE, PAGE_SIZE, ZERO_LINE, line_tag_of,
                                 overlay_page_number)
 from repro.core.framework import OverlaySystem
-from repro.core.oms import ZERO_LINE
 from repro.core.page_table import PageTableError
 
 
