@@ -44,6 +44,10 @@ SEGMENT_SIZES = (256, 512, 1024, 2048, 4096)
 #: Lines of metadata at the head of a sub-4KB segment (Figure 7).
 METADATA_LINES = 1
 
+#: Free segments per group of the grouped linked list (Section 4.4.3):
+#: only every GROUP_SIZE-th push or pop touches a group header line.
+GROUP_SIZE = 8
+
 
 def data_slot_capacity(segment_size: int) -> int:
     """Number of overlay cache lines a segment of *segment_size* can hold."""
@@ -169,18 +173,15 @@ class OverlayMemoryStore(Component):
     Parameters
     ----------
     request_pages:
-        Callback invoked when all free lists are empty; must return a list
-        of page base addresses freshly granted by the OS, or an empty list
-        when the OS itself is out of memory.  Models the rare, off-critical
-        path OS interaction of Section 4.5.
+        Callback invoked with a page count, for the initial pages and
+        then for one page whenever all free lists are empty; must return
+        a list of page base addresses freshly granted by the OS, or an
+        empty list when the OS itself is out of memory.  Models the rare,
+        off-critical path OS interaction of Section 4.5.
     initial_pages:
         Number of 4KB pages the OS proactively grants at startup
         (Section 4.4.3 — "During system startup, the OS proactively
         allocates a chunk of free pages to the memory controller").
-    group_size:
-        Free-segment group size for the grouped-linked-list free store
-        (Section 4.4.3); only affects the accounting of pointer-maintenance
-        memory traffic, not correctness.
     page_per_overlay:
         Section 4.4's simpler management alternative: "let the memory
         controller manage the OMS by using a full physical page to store
@@ -193,16 +194,10 @@ class OverlayMemoryStore(Component):
     def __init__(self,
                  request_pages: Optional[Callable[[int], List[int]]] = None,
                  initial_pages: int = 16,
-                 group_size: int = 8,
-                 os_request_batch: int = 1,
                  page_per_overlay: bool = False):
         super().__init__("oms")
-        if group_size < 1:
-            raise ValueError("group size must be at least 1")
         self._next_fallback_page = 0
         self._request_pages = request_pages or self._fallback_request_pages
-        self._group_size = group_size
-        self._os_request_batch = max(1, os_request_batch)
         self._page_per_overlay = page_per_overlay
         self._free_lists: Dict[int, List[int]] = {size: [] for size in SEGMENT_SIZES}
         self._segments: Dict[int, Segment] = {}
@@ -226,13 +221,13 @@ class OverlayMemoryStore(Component):
         """Pop a free segment base of *size*, splitting/refilling as needed."""
         free = self._free_lists[size]
         if free:
-            # Grouped linked list: only every group_size-th pop touches the
-            # group header line in memory.
-            if len(free) % self._group_size == 0:
+            # Grouped linked list: only every GROUP_SIZE-th pop touches
+            # the group header line in memory.
+            if len(free) % GROUP_SIZE == 0:
                 self.stats.memory_line_transfers += 1
             return free.pop()
         if size == PAGE_SIZE:
-            pages = self._request_pages(self._os_request_batch)
+            pages = self._request_pages(1)
             self.stats.os_page_requests += 1
             if not pages:
                 raise OutOfOverlayMemory("OS has no pages for the overlay store")
@@ -248,7 +243,7 @@ class OverlayMemoryStore(Component):
 
     def _release_base(self, base: int, size: int) -> None:
         self._free_lists[size].append(base)
-        if len(self._free_lists[size]) % self._group_size == 0:
+        if len(self._free_lists[size]) % GROUP_SIZE == 0:
             self.stats.memory_line_transfers += 1
 
     def coalesce(self) -> int:

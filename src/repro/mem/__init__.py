@@ -1,13 +1,11 @@
-"""Memory-hierarchy substrate: caches, replacement, prefetcher, DRAM."""
+"""Memory-hierarchy substrate: caches (LRU or DRRIP), prefetcher, DRAM."""
 
 from .cache import CacheLine, SetAssociativeCache
 from .dram import DRAM
 from .hierarchy import MemoryHierarchy
 from .mainmemory import MainMemory
 from .prefetcher import StreamPrefetcher
-from .replacement import DRRIPPolicy, make_policy
 from .stats import CacheStats, DRAMStats
 
-__all__ = ["CacheLine", "CacheStats", "DRAM", "DRAMStats", "DRRIPPolicy",
-           "MainMemory", "MemoryHierarchy", "SetAssociativeCache",
-           "StreamPrefetcher", "make_policy"]
+__all__ = ["CacheLine", "CacheStats", "DRAM", "DRAMStats", "MainMemory",
+           "MemoryHierarchy", "SetAssociativeCache", "StreamPrefetcher"]

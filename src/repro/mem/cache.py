@@ -13,12 +13,23 @@ Lines optionally carry a 64-byte payload so data-fidelity experiments
 (deduplication, checkpointing, speculation) can move real bytes through
 the hierarchy; timing-only workloads pass ``None``.
 
-LRU is kept here, as each set's list of resident lines in recency
-order, least recently used first: a hit moves its line to the back
-(nothing to do when it is there already), and a fill of a full set
-takes the victim from the front, reuses its object for the incoming
-line and puts it at the back.  DRRIP is a policy object
-(:mod:`repro.mem.replacement`) the cache calls on every hit and fill.
+Table 2 of the paper uses LRU for the L1 and L2 caches and DRRIP [27]
+for the last-level cache; the cache keeps either as per-set state.
+LRU is each set's list of resident lines in recency order, least
+recently used first: a hit moves its line to the back (nothing to do
+when it is there already), and a fill of a full set takes the victim
+from the front, reuses its object for the incoming line and puts it at
+the back.
+
+DRRIP follows Jaleel et al. [27]: 2-bit re-reference prediction values
+(RRPV), SRRIP inserts at RRPV=2, BRRIP inserts at RRPV=3 except 1/32 of
+the time, and set-dueling with a 10-bit saturating policy-selection
+counter picks between them for follower sets.  A hit promotes its way
+to RRPV 0.  A full-set fill ages the whole set until some way reaches
+the maximum RRPV and evicts the first such way; each set keeps that
+aging as one offset added to every way's stored value
+(:meth:`SetAssociativeCache.rrpv`), so a fill changes one way and the
+offset instead of rewriting every way.
 
 A fill installs a tag the level does not hold; the hierarchy never
 fills a resident tag, and merges a dirty line spilled onto a resident
@@ -31,12 +42,19 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from .replacement import make_policy
 from .stats import CacheStats
 from ..engine.component import Component
 
 #: A dirty line leaving a cache: its ``(tag, data)``.
 Victim = Tuple[int, Optional[bytes]]
+
+MAX_RRPV = 3           # 2-bit RRPV
+LONG_RRPV = 2          # SRRIP insertion point
+DISTANT_RRPV = 3       # BRRIP insertion point (most of the time)
+BRRIP_LONG_EVERY = 32  # BRRIP inserts at LONG_RRPV 1/32 of the time
+PSEL_MAX = (1 << 10) - 1  # 10-bit saturating policy selector
+PSEL_MID = (PSEL_MAX + 1) // 2
+DUELING_SETS = 32      # leader sets per policy
 
 
 class CacheLine:
@@ -69,7 +87,8 @@ class SetAssociativeCache(Component):
     Parameters mirror Table 2: size, associativity, line size, tag/data
     latencies and whether tag and data lookups are performed in parallel
     (L1, L2) or serially (L3).  The caller passes every timing from the
-    machine's :class:`~repro.config.SystemConfig`.
+    machine's :class:`~repro.config.SystemConfig`.  *policy* is
+    ``'lru'`` or ``'drrip'``, in any case.
     """
 
     def __init__(self, name: str, size_bytes: int, ways: int,
@@ -86,18 +105,32 @@ class SetAssociativeCache(Component):
         self.tag_latency = tag_latency
         self.data_latency = data_latency
         self.serial_tag_data = serial_tag_data
-        # None under LRU; the hot paths keep LRU themselves and call
-        # any other policy through its methods.
-        self._policy = make_policy(policy, self.num_sets, ways)
-        self._lru = self._policy is None
+        policy = policy.lower()
+        if policy not in ("lru", "drrip"):
+            raise ValueError(f"unknown replacement policy {policy!r}")
+        self._lru = policy == "lru"
+        if not self._lru:
+            # A way's RRPV is its stored value plus its set's offset.
+            self._rrpv: List[List[int]] = [
+                [MAX_RRPV] * ways for _ in range(self.num_sets)]
+            self._offset: List[int] = [0] * self.num_sets
+            self._psel = PSEL_MID
+            self._brrip_throttle = 0
+            self._leader: Dict[int, str] = {}
+            stride = max(1, self.num_sets // (2 * DUELING_SETS))
+            for i in range(DUELING_SETS):
+                self._leader.setdefault(
+                    (2 * i * stride) % self.num_sets, "srrip")
+                self._leader.setdefault(
+                    ((2 * i + 1) * stride) % self.num_sets, "brrip")
         # Each set's slots, by way: dirty_lines() walks them in this order.
         self._lines: List[List[Optional[CacheLine]]] = [
             [None] * ways for _ in range(self.num_sets)]
         # The resident map: tag -> its CacheLine, which knows its slot.
         self._where: Dict[int, CacheLine] = {}
         # Each set's resident lines.  Under LRU this is the set's recency
-        # order, least recently used first; any other policy reads only
-        # its length, so fill() skips the free-way scan of a full set.
+        # order, least recently used first; DRRIP reads only its length,
+        # so fill() skips the free-way scan of a full set.
         self._sets: List[List[CacheLine]] = [[] for _ in range(self.num_sets)]
         # Precomputed ints so hot paths avoid the property dispatch.
         if serial_tag_data:
@@ -132,7 +165,7 @@ class SetAssociativeCache(Component):
                 order.remove(line)
                 order.append(line)
         else:
-            self._policy.on_hit(line.set_index, line.way)
+            self._rrpv[line.set_index][line.way] = -self._offset[line.set_index]
         self.stats.hits += 1
         if line.prefetched:
             self.stats.prefetch_hits += 1
@@ -165,15 +198,25 @@ class SetAssociativeCache(Component):
                                            set_index, way)
             order.append(line)
             if not self._lru:
-                self._policy.on_fill(set_index, way, prefetch=prefetch)
+                self._rrpv[set_index][way] = (
+                    self._insertion_rrpv(set_index, prefetch)
+                    - self._offset[set_index])
         else:
             if self._lru:
                 # The least recently used line becomes the most recent.
                 line = order.pop(0)
                 order.append(line)
             else:
-                line = self._lines[set_index][
-                    self._policy.replace(set_index, prefetch)]
+                # RRIP ages the whole set until some way reaches MAX_RRPV
+                # and evicts the first such way.  RRPVs never exceed
+                # MAX_RRPV, so that is one aging step: the offset that
+                # lifts the largest stored value to MAX_RRPV.
+                rrpvs = self._rrpv[set_index]
+                top = max(rrpvs)
+                way = rrpvs.index(top)
+                offset = self._offset[set_index] = MAX_RRPV - top
+                rrpvs[way] = self._insertion_rrpv(set_index, prefetch) - offset
+                line = self._lines[set_index][way]
             del where[line.tag]
             stats.evictions += 1
             if line.dirty:
@@ -189,6 +232,38 @@ class SetAssociativeCache(Component):
         if prefetch:
             stats.prefetch_fills += 1
         return evicted
+
+    def _insertion_rrpv(self, set_index: int, prefetch: bool) -> int:
+        """The RRPV a DRRIP fill of *set_index* inserts at.
+
+        A fill in a leader set is a miss there, which votes against
+        that leader's policy; a follower set follows PSEL.  Prefetches
+        are inserted with the distant prediction.
+        """
+        leader = self._leader.get(set_index)
+        psel = self._psel
+        if leader is None:
+            srrip = psel < PSEL_MID
+        elif leader == "srrip":
+            if psel < PSEL_MAX:
+                self._psel = psel + 1
+            srrip = True
+        else:
+            if psel > 0:
+                self._psel = psel - 1
+            srrip = False
+        if srrip:
+            rrpv = LONG_RRPV
+        else:
+            self._brrip_throttle = (self._brrip_throttle + 1) % BRRIP_LONG_EVERY
+            rrpv = LONG_RRPV if self._brrip_throttle == 0 else DISTANT_RRPV
+        if prefetch:
+            rrpv = DISTANT_RRPV
+        return rrpv
+
+    def rrpv(self, set_index: int, way: int) -> int:
+        """The RRPV of *way* in *set_index* of a DRRIP cache."""
+        return self._rrpv[set_index][way] + self._offset[set_index]
 
     def invalidate(self, tag: int) -> Optional[CacheLine]:
         """Remove *tag*; returns its unlinked line, if present."""

@@ -187,7 +187,7 @@ class MemoryHierarchy(Component):
                     order.remove(line)
                     order.append(line)
             else:
-                l1._policy.on_hit(line.set_index, line.way)
+                l1._rrpv[line.set_index][line.way] = -l1._offset[line.set_index]
             stats = l1.stats
             stats.hits += 1
             if line.prefetched:
@@ -210,7 +210,7 @@ class MemoryHierarchy(Component):
                     order.remove(line)
                     order.append(line)
             else:
-                l2._policy.on_hit(line.set_index, line.way)
+                l2._rrpv[line.set_index][line.way] = -l2._offset[line.set_index]
             stats = l2.stats
             stats.hits += 1
             if line.prefetched:
@@ -254,7 +254,7 @@ class MemoryHierarchy(Component):
                         order.remove(line)
                         order.append(line)
                 else:
-                    l3._policy.on_hit(line.set_index, line.way)
+                    l3._rrpv[line.set_index][line.way] = -l3._offset[line.set_index]
                 l3_stats = l3.stats
                 l3_stats.hits += 1
                 if line.prefetched:
@@ -297,7 +297,7 @@ class MemoryHierarchy(Component):
             l1.stats.hits += 1
             if not l1._lru:
                 line = l1._where[tag]
-                l1._policy.on_hit(line.set_index, line.way)
+                l1._rrpv[line.set_index][line.way] = -l1._offset[line.set_index]
         else:
             victim = l1.fill(tag, fill_data, dirty)
         if victim is not None:

@@ -25,7 +25,7 @@ to manifests and the profiler's explicitly labelled ``host`` section):
   ``results/*.profile.json``;
 * **Run comparison** (:func:`~repro.obs.compare.compare_documents`,
   ``python -m repro.obs compare``) — per-metric differential reports
-  with percentage thresholds; the CI perf/regression gate.
+  with percentage thresholds, a manual tool for suite documents.
 
 When no tracer or root observer is installed the engine's hook sites
 are a single attribute check: observability off adds zero simulated

@@ -17,7 +17,9 @@ for uploaded artifacts.
 
 ``compare`` prints a differential report of two documents' numeric
 leaves (environment sections excluded) and exits nonzero when any
-delta exceeds its threshold — this is the CI perf gate.  Thresholds
+delta exceeds its threshold; it is a manual tool for comparing two
+runs' documents (CI's perf gate is ``benchmarks/bench_perf.py
+--gate``).  Thresholds
 are percent; ``--thresholds`` patterns match dotted metric paths,
 first match wins, ``--threshold`` sets the default (0: byte-exact).
 

@@ -1,4 +1,4 @@
-"""Differential run reports — the regression gate over result artifacts.
+"""Differential run reports over result artifacts.
 
 Two runs of the same experiment under the same seed must agree; a
 change that moves cycle counts shows up here as a per-metric delta.
@@ -14,9 +14,10 @@ documents and the ``wall`` section of perf-suite documents are
 excluded before flattening, exactly mirroring
 ``RunManifest.deterministic_dict``.
 
-CI runs this as ``python -m repro.obs compare baseline.json fresh.json
---threshold 20`` and fails the build on any verdict of ``regression``
-or ``from-zero`` (the process exits nonzero).  A metric whose baseline
+``python -m repro.obs compare baseline.json fresh.json --threshold 20``
+exits nonzero on any verdict of ``regression`` or ``from-zero``; it is
+a manual tool for suite documents, not a CI step (CI's perf gate is
+``benchmarks/bench_perf.py --gate``).  A metric whose baseline
 is exactly zero has no meaningful percent delta, so any departure from
 it gets the dedicated ``from-zero`` verdict and fails the gate rather
 than sneaking under a finite threshold.  Paths present in only one

@@ -212,10 +212,6 @@ class TestStore:
         oms.read_line(seg, 0)
         assert oms.stats.memory_line_transfers >= before + 2
 
-    def test_bad_group_size_rejected(self):
-        with pytest.raises(ValueError):
-            OverlayMemoryStore(group_size=0)
-
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 63), st.integers(0, 255)),
                     min_size=1, max_size=80))

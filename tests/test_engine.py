@@ -166,8 +166,8 @@ class TestSystemBuilder:
                                                  f"{level}_data_latency")
             assert cache.line_size == config.cache_line_bytes
             assert cache.serial_tag_data == (level == "l3")
-        # l3_policy="lru": the L3 keeps LRU itself, with no policy object.
-        assert hierarchy.l3._lru and hierarchy.l3._policy is None
+        # l3_policy="lru": the L3 keeps its sets in recency order.
+        assert hierarchy.l3._lru
 
     def test_built_hierarchy_matches_config(self):
         config = SystemConfig(l2_bytes=256 * 1024, l2_ways=4,

@@ -144,9 +144,8 @@ class TestDemandPath:
                     == [(line.tag, line.way, line.dirty, line.data)
                         for line in reference._sets[0]])
             if policy == "drrip":
-                assert ([l1._policy.rrpv(0, way) for way in range(4)]
-                        == [reference._policy.rrpv(0, way)
-                            for way in range(4)])
+                assert ([l1.rrpv(0, way) for way in range(4)]
+                        == [reference.rrpv(0, way) for way in range(4)])
         assert hierarchy.l1.stats.misses > 50   # write misses ran
 
 

@@ -1,23 +1,10 @@
-"""Unit tests for the LRU and DRRIP replacement policies."""
-
-import random
+"""Unit tests for the caches' LRU and DRRIP replacement."""
 
 import pytest
 
 from repro.config import DEFAULT_CONFIG
-from repro.mem.cache import SetAssociativeCache
-from repro.mem.replacement import DRRIPPolicy, make_policy
-
-
-class TestFactory:
-    def test_known_policies(self):
-        # LRU has no policy object: the cache keeps each set's recency.
-        assert make_policy("lru", 4, 2) is None
-        assert isinstance(make_policy("DRRIP", 4, 2), DRRIPPolicy)
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
-            make_policy("random", 4, 2)
+from repro.mem.cache import (DISTANT_RRPV, LONG_RRPV, MAX_RRPV, PSEL_MAX,
+                             SetAssociativeCache)
 
 
 def lru_cache(num_sets, ways, policy="lru"):
@@ -27,6 +14,17 @@ def lru_cache(num_sets, ways, policy="lru"):
         tag_latency=DEFAULT_CONFIG.l1_tag_latency,
         data_latency=DEFAULT_CONFIG.l1_data_latency, policy=policy)
 
+
+class TestFactory:
+    """The constructor's *policy* argument picks the replacement."""
+
+    def test_known_policies(self):
+        assert lru_cache(4, 2)._lru
+        assert not lru_cache(4, 2, policy="DRRIP")._lru
+
+    def test_unknown_policy_rejected(self):
+        with pytest.raises(ValueError):
+            lru_cache(4, 2, policy="random")
 
 class TestLRU:
     def test_prefers_free_way(self):
@@ -59,6 +57,11 @@ class TestLRU:
 
 
 class TestDRRIP:
+    """A DRRIP cache driven through ``fill`` and ``access``.  Tag *t*
+    lives in set ``t % num_sets``; victims are read from which tag left.
+    With 64 sets every set is a leader: set 0 of SRRIP, inserting at
+    LONG_RRPV."""
+
     def test_prefers_free_way(self):
         cache = lru_cache(1, 4, policy="drrip")
         for tag in range(4):
@@ -70,104 +73,72 @@ class TestDRRIP:
         assert set(cache.resident_tags()) == {0, 2, 3, 4}
 
     def test_hit_promotion_protects_line(self):
-        policy = DRRIPPolicy(64, 2)
-        policy.on_fill(0, 0)
-        policy.on_fill(0, 1)
-        policy.on_hit(0, 0)  # RRPV -> 0
-        assert policy.victim_full(0) == 1
+        cache = lru_cache(64, 2, policy="drrip")
+        cache.fill(0)
+        cache.fill(64)
+        cache.access(0)      # RRPV -> 0
+        assert cache.rrpv(0, 0) == 0
+        cache.fill(128)
+        assert set(cache.resident_tags()) == {0, 128}
 
     def test_victim_is_max_rrpv(self):
-        policy = DRRIPPolicy(64, 4)
-        for way in range(4):
-            policy.on_fill(0, way)
-        policy.on_hit(0, 2)
-        victim = policy.victim_full(0)
-        assert victim != 2
+        cache = lru_cache(64, 4, policy="drrip")
+        for tag in range(0, 4 * 64, 64):
+            cache.fill(tag)
+        cache.access(2 * 64)  # way 2
+        cache.fill(4 * 64)
+        assert 2 * 64 in cache and len(cache) == 4
 
     def test_aging_when_no_distant_line(self):
-        policy = DRRIPPolicy(64, 2)
-        policy.on_fill(0, 0)
-        policy.on_fill(0, 1)
-        policy.on_hit(0, 0)
-        policy.on_hit(0, 1)
-        # All RRPVs are 0; victim search must age and still terminate.
-        assert policy.victim_full(0) in (0, 1)
-        assert [policy.rrpv(0, way) for way in (0, 1)] == [
-            DRRIPPolicy.MAX_RRPV] * 2
+        cache = lru_cache(64, 2, policy="drrip")
+        cache.fill(0)
+        cache.fill(64)
+        cache.access(0)
+        cache.access(64)
+        # All RRPVs are 0; the fill must age the set and still evict.
+        cache.fill(128)
+        assert set(cache.resident_tags()) == {64, 128}
+        assert cache.rrpv(0, 0) == LONG_RRPV   # the incoming line
+        assert cache.rrpv(0, 1) == MAX_RRPV    # aged from 0
 
     def test_prefetch_inserted_distant(self):
-        policy = DRRIPPolicy(64, 2)
-        policy.on_fill(0, 0, prefetch=True)
-        policy.on_fill(0, 1, prefetch=False)
+        cache = lru_cache(64, 2, policy="drrip")
+        cache.fill(0, prefetch=True)
+        cache.fill(64)
+        assert [cache.rrpv(0, way) for way in (0, 1)] == [DISTANT_RRPV,
+                                                          LONG_RRPV]
         # The prefetched line has the more distant prediction.
-        assert policy.replace(0) == 0
+        cache.fill(128)
+        assert set(cache.resident_tags()) == {64, 128}
 
     def test_set_dueling_moves_psel(self):
-        policy = DRRIPPolicy(64, 4)
-        start = policy._psel
+        cache = lru_cache(64, 4, policy="drrip")
+        start = cache._psel
         # Misses in SRRIP leader sets push PSEL up.
-        srrip_leader = next(s for s, kind in policy._leader.items()
+        srrip_leader = next(s for s, kind in cache._leader.items()
                             if kind == "srrip")
-        for _ in range(10):
-            policy.on_fill(srrip_leader, 0)
-        assert policy._psel > start
+        for k in range(10):
+            cache.fill(srrip_leader + 64 * k)
+        assert cache._psel > start
 
     def test_follower_sets_follow_psel(self):
-        policy = DRRIPPolicy(1024, 2)
-        follower = next(s for s in range(1024) if s not in policy._leader)
-        policy._psel = 0                       # SRRIP: insert long
-        policy.on_fill(follower, 0)
-        assert policy.rrpv(follower, 0) == DRRIPPolicy.LONG_RRPV
-        policy._psel = policy._psel_max        # BRRIP: insert distant
-        policy.on_fill(follower, 1)
-        assert policy.rrpv(follower, 1) == DRRIPPolicy.DISTANT_RRPV
-        assert policy._psel == policy._psel_max  # followers never vote
+        cache = lru_cache(1024, 2, policy="drrip")
+        follower = next(s for s in range(1024) if s not in cache._leader)
+        cache._psel = 0                        # SRRIP: insert long
+        cache.fill(follower)
+        assert cache.rrpv(follower, 0) == LONG_RRPV
+        cache._psel = PSEL_MAX                 # BRRIP: insert distant
+        cache.fill(follower + 1024)
+        assert cache.rrpv(follower, 1) == DISTANT_RRPV
+        assert cache._psel == PSEL_MAX         # followers never vote
 
     def test_brrip_occasionally_inserts_long(self):
-        policy = DRRIPPolicy(1024, 1)
-        policy._psel = policy._psel_max  # force BRRIP for followers
-        follower = next(s for s in range(1024) if s not in policy._leader)
+        cache = lru_cache(1024, 1, policy="drrip")
+        cache._psel = PSEL_MAX  # force BRRIP for followers
+        follower = next(s for s in range(1024) if s not in cache._leader)
         rrpvs = set()
-        for _ in range(64):
-            policy.on_fill(follower, 0)
-            rrpvs.add(policy.rrpv(follower, 0))
-        assert DRRIPPolicy.DISTANT_RRPV in rrpvs
-        assert DRRIPPolicy.LONG_RRPV in rrpvs
-
-
-class TestReplaceMatchesReference:
-    """DRRIP's ``replace`` — one call that fills a full set — equals
-    ``victim_full`` then ``on_fill`` on a twin policy: same way, same
-    RRPVs and same set-dueling state after every step of seeded fill/hit
-    sequences."""
-
-    @staticmethod
-    def state(policy, set_index):
-        """Every slot of *policy*, per-set tables reduced to one set."""
-        state = {}
-        for name in type(policy).__slots__:
-            value = getattr(policy, name)
-            if isinstance(value, list):
-                value = value[set_index]
-            state[name] = value
-        return state
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_same_way_and_state(self, seed):
-        rng = random.Random(seed)
-        num_sets, ways = 128, 16
-        fused = DRRIPPolicy(num_sets, ways)
-        split = DRRIPPolicy(num_sets, ways)
-        for _ in range(20000):
-            set_index = rng.randrange(num_sets)
-            if rng.random() < 0.3:
-                way = rng.randrange(ways)
-                fused.on_hit(set_index, way)
-                split.on_hit(set_index, way)
-            else:
-                prefetch = rng.random() < 0.4
-                way = split.victim_full(set_index)
-                split.on_fill(set_index, way, prefetch=prefetch)
-                assert fused.replace(set_index, prefetch) == way
-            assert (self.state(fused, set_index)
-                    == self.state(split, set_index))
+        for k in range(64):
+            cache.fill(follower + 1024 * k)
+            rrpvs.add(cache.rrpv(follower, 0))
+        assert DISTANT_RRPV in rrpvs
+        assert LONG_RRPV in rrpvs

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
 from repro.config import DEFAULT_CONFIG
-from repro.mem.cache import SetAssociativeCache
+from repro.mem.cache import (BRRIP_LONG_EVERY, DISTANT_RRPV, LONG_RRPV,
+                             MAX_RRPV, PSEL_MAX, PSEL_MID,
+                             SetAssociativeCache)
 from repro.mem.dram import DRAM
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.mem.mainmemory import MainMemory
@@ -82,7 +84,7 @@ def cache_state(cache):
              for order in cache._sets],
             vars(cache.stats).copy(),
             None if cache._lru else [
-                [cache._policy.rrpv(set_index, way)
+                [cache.rrpv(set_index, way)
                  for way in range(cache.ways)]
                 for set_index in range(cache.num_sets)])
 
@@ -259,15 +261,24 @@ class TestVictimSelection:
     @slow
     @given(st.lists(st.integers(0, 3), min_size=1, max_size=16))
     def test_drrip_victim_matches_reference(self, rrpvs):
-        from repro.mem.replacement import DRRIPPolicy
-        policy = DRRIPPolicy(num_sets=1, ways=len(rrpvs))
-        row = policy._rrpv[0]
+        """A fill of a full set evicts the way the aging loop picks and
+        leaves the RRPVs it leaves, without rewriting the stored row."""
+        ways = len(rrpvs)
+        cache = SetAssociativeCache("V", size_bytes=ways * 64, ways=ways,
+                                    policy="drrip", **L1_TIMING)
+        for tag in range(ways):        # way w holds tag w
+            cache.fill(tag)
+        row = cache._rrpv[0]
         row[:] = rrpvs                 # stored values, at offset 0
         expected = list(rrpvs)
-        way = reference_drrip_victim(expected, DRRIPPolicy.MAX_RRPV)
-        assert policy.victim_full(0) == way
-        assert [policy.rrpv(0, w) for w in range(len(rrpvs))] == expected
-        assert row == rrpvs            # the aging rewrote no way
+        way = reference_drrip_victim(expected, MAX_RRPV)
+        expected[way] = LONG_RRPV      # the one set leads for SRRIP
+        cache.fill(ways)
+        assert cache._lines[0][way].tag == ways
+        assert [cache.rrpv(0, w) for w in range(ways)] == expected
+        # The aging rewrote no way: only the victim's stored value moved.
+        assert [value for w, value in enumerate(row) if w != way] == [
+            value for w, value in enumerate(rrpvs) if w != way]
 
     @settings(max_examples=100, deadline=None, phases=UNSHRUNK,
               suppress_health_check=[HealthCheck.too_slow,
@@ -316,17 +327,78 @@ class TestVictimSelection:
             assert ([line.tag for line in cache.dirty_lines()]
                     == reference.dirty_tags())
 
+    @settings(max_examples=100, deadline=None, phases=UNSHRUNK,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.data_too_large])
+    @given(st.lists(st.tuples(
+               st.sampled_from(["access", "fill", "invalidate", "retag"]),
+               st.integers(0, 1 << 16), st.integers(0, 1 << 16),
+               st.booleans(), st.booleans()),
+               min_size=100, max_size=300),
+           st.sampled_from([2, 4, 8, 16]), st.sampled_from([1, 2, 128]),
+           st.integers(0, BRRIP_LONG_EVERY - 1))
+    def test_drrip_fill_evicts_reference_victim(self, sequence, ways,
+                                                num_sets, throttle):
+        """Over the same mixes, with fills that prefetch or not, a DRRIP
+        cache evicts the victims a per-way RRPV model picks, returns
+        the same dirty victims, and leaves the same lines in the same
+        ways, every way's RRPV, PSEL and the BRRIP throttle.  One or two
+        sets are all leaders (with 64 sets, too, every set leads); the
+        128-set cache draws its tags from SRRIP leader set 0, BRRIP
+        leader set 1 and follower sets 64 and 65.  The BRRIP throttle
+        starts anywhere in its period, so that a mix of a few dozen
+        BRRIP fills meets its long insertion too."""
+        cache = SetAssociativeCache(
+            "V", size_bytes=num_sets * ways * 64, ways=ways,
+            policy="drrip", **L1_TIMING)
+        reference = ReferenceDRRIP(num_sets, ways)
+        cache._brrip_throttle = reference.throttle = throttle
+        sets = [0, 1, 64, 65] if num_sets == 128 else range(num_sets)
+        per_set = ways * 3 // 2      # tags: half again each set's ways
 
-class ReferenceLRU:
-    """The stamp LRU the recency lists replaced, on plain slots: every
-    fill and hit stamps its way with a global clock, and a fill takes
-    the first free way, else the oldest stamp, first of equals."""
+        def tag_of(value):
+            return (sets[value % len(sets)]
+                    + num_sets * (value // len(sets) % per_set))
+
+        for op, tag, other, flag, prefetch in sequence:
+            tag, other = tag_of(tag), tag_of(other)
+            if op == "access":
+                hit, _ = cache.access(tag, write=flag)
+                assert hit == reference.access(tag, flag)
+            elif op == "fill":
+                if tag in cache:       # fill installs an absent tag only
+                    continue
+                evicted = cache.fill(tag, dirty=flag, prefetch=prefetch)
+                victim = reference.fill(tag, flag, prefetch)
+                assert evicted == ((victim[0], None)
+                                   if victim and victim[1] else None)
+            elif op == "invalidate":
+                cache.invalidate(tag)
+                reference.invalidate(tag)
+            else:
+                if flag:               # a retag within the set
+                    other += tag % num_sets - other % num_sets
+                moved, evicted = cache.retag(tag, other)
+                assert (moved, evicted and evicted[0]) == reference.retag(
+                    tag, other)
+            for set_index in sets:
+                assert ([None if line is None else [line.tag, line.dirty]
+                         for line in cache._lines[set_index]]
+                        == reference.slots[set_index])
+                assert ([cache.rrpv(set_index, way) for way in range(ways)]
+                        == reference.rrpvs[set_index])
+            assert cache._psel == reference.psel
+            assert cache._brrip_throttle == reference.throttle
+
+
+class ReferenceSlots:
+    """Plain per-set slots of ``[tag, dirty]`` with the lookup,
+    invalidate and retag the reference policies share; a subclass keeps
+    its policy's state and supplies ``access`` and ``fill``."""
 
     def __init__(self, num_sets, ways):
         self.num_sets = num_sets
         self.slots = [[None] * ways for _ in range(num_sets)]
-        self.stamps = [[0] * ways for _ in range(num_sets)]
-        self.clock = 0
 
     def _find(self, tag):
         """``(set, way)`` of *tag*; the way is None when it is absent."""
@@ -335,31 +407,6 @@ class ReferenceLRU:
             if slot is not None and slot[0] == tag:
                 return set_index, way
         return set_index, None
-
-    def _touch(self, set_index, way):
-        self.clock += 1
-        self.stamps[set_index][way] = self.clock
-
-    def access(self, tag, write):
-        set_index, way = self._find(tag)
-        if way is not None:
-            self._touch(set_index, way)
-            if write:
-                self.slots[set_index][way][1] = True
-
-    def fill(self, tag, dirty):
-        """Install *tag*, which is absent; returns the ``[tag, dirty]``
-        that fell out."""
-        set_index = tag % self.num_sets
-        bucket = self.slots[set_index]
-        if None in bucket:
-            way, victim = bucket.index(None), None
-        else:
-            way = reference_lru_victim(self.stamps[set_index])
-            victim = bucket[way]
-        bucket[way] = [tag, dirty]
-        self._touch(set_index, way)
-        return victim
 
     def invalidate(self, tag):
         set_index, way = self._find(tag)
@@ -386,3 +433,96 @@ class ReferenceLRU:
     def dirty_tags(self):
         return [slot[0] for bucket in self.slots for slot in bucket
                 if slot is not None and slot[1]]
+
+
+class ReferenceLRU(ReferenceSlots):
+    """The stamp LRU the recency lists replaced: every fill and hit
+    stamps its way with a global clock, and a fill takes the first free
+    way, else the oldest stamp, first of equals."""
+
+    def __init__(self, num_sets, ways):
+        super().__init__(num_sets, ways)
+        self.stamps = [[0] * ways for _ in range(num_sets)]
+        self.clock = 0
+
+    def _touch(self, set_index, way):
+        self.clock += 1
+        self.stamps[set_index][way] = self.clock
+
+    def access(self, tag, write):
+        set_index, way = self._find(tag)
+        if way is not None:
+            self._touch(set_index, way)
+            if write:
+                self.slots[set_index][way][1] = True
+
+    def fill(self, tag, dirty):
+        """Install *tag*, which is absent; returns the ``[tag, dirty]``
+        that fell out."""
+        set_index = tag % self.num_sets
+        bucket = self.slots[set_index]
+        if None in bucket:
+            way, victim = bucket.index(None), None
+        else:
+            way = reference_lru_victim(self.stamps[set_index])
+            victim = bucket[way]
+        bucket[way] = [tag, dirty]
+        self._touch(set_index, way)
+        return victim
+
+
+class ReferenceDRRIP(ReferenceSlots):
+    """DRRIP [27] with one plain RRPV per way: a hit sets its way's RRPV
+    to 0, and a fill takes the first free way, else ages the set with
+    the loop of :func:`reference_drrip_victim`.  Leader sets alternate
+    SRRIP, BRRIP every *stride* sets (32 of each, first claim wins);
+    a fill in a leader set votes against its policy on a 10-bit PSEL,
+    a follower set inserts as SRRIP while PSEL is below its midpoint,
+    BRRIP inserts long on every 32nd of its fills, and a prefetch
+    inserts distant."""
+
+    def __init__(self, num_sets, ways):
+        super().__init__(num_sets, ways)
+        self.rrpvs = [[MAX_RRPV] * ways for _ in range(num_sets)]
+        self.psel = PSEL_MID
+        self.throttle = 0
+        stride = max(1, num_sets // 64)
+        self.leaders = {}
+        for k in range(64):
+            self.leaders.setdefault(k * stride % num_sets,
+                                    "brrip" if k % 2 else "srrip")
+
+    def access(self, tag, write):
+        set_index, way = self._find(tag)
+        if way is None:
+            return False
+        self.rrpvs[set_index][way] = 0
+        if write:
+            self.slots[set_index][way][1] = True
+        return True
+
+    def fill(self, tag, dirty, prefetch=False):
+        """Install *tag*, which is absent; returns the ``[tag, dirty]``
+        that fell out."""
+        set_index = tag % self.num_sets
+        bucket = self.slots[set_index]
+        if None in bucket:
+            way, victim = bucket.index(None), None
+        else:
+            way = reference_drrip_victim(self.rrpvs[set_index], MAX_RRPV)
+            victim = bucket[way]
+        bucket[way] = [tag, dirty]
+        kind = self.leaders.get(set_index)
+        if kind == "srrip":
+            self.psel = min(self.psel + 1, PSEL_MAX)
+        elif kind == "brrip":
+            self.psel = max(self.psel - 1, 0)
+        else:
+            kind = "srrip" if self.psel < PSEL_MID else "brrip"
+        rrpv = LONG_RRPV
+        if kind == "brrip":
+            self.throttle = (self.throttle + 1) % BRRIP_LONG_EVERY
+            if self.throttle:
+                rrpv = DISTANT_RRPV
+        self.rrpvs[set_index][way] = DISTANT_RRPV if prefetch else rrpv
+        return victim

@@ -27,11 +27,6 @@ class TestExports:
         assert system is not None
         assert repro.__version__
 
-    def test_techniques_sparse_entry_point(self):
-        from repro.techniques.sparse import (OverlaySparseMatrix,
-                                             ideal_memory_bytes, run_spmv)
-        assert callable(run_spmv)
-
 
 class TestLayering:
     def test_core_does_not_import_higher_layers(self):
