@@ -18,24 +18,26 @@ file against its schema.
 ``--gate BASE HEAD`` is the CI perf gate instead: *BASE* and *HEAD* hold
 the last output line of one ``benchmarks/perf/run.py --workload W
 --trace 0`` run on the base commit and on HEAD in the same job, and the
-gate fails unless HEAD's run is correct and its ``pass_cpu_s`` is at
-most the base's times ``1 + GATE_BOUND``.  CI applies it to each of the
-benchmark's four workloads in turn.
+gate fails unless HEAD's run is correct and each gated metric
+(``pass_cpu_s`` and ``peak_rss_mb``) is at most the base's times one
+plus the bound ``BENCHMARK.json`` sets on it.  CI applies it to each of
+the benchmark's four workloads in turn.
 """
 
 import argparse
 import json
 import subprocess
 from pathlib import Path
+from typing import Dict, Optional
 
 from repro.obs import RunManifest
 from repro.obs.schema import BENCH_PERF_SCHEMA, schema_errors
 
-#: Largest allowed relative growth of ``pass_cpu_s``: the bound
-#: BENCHMARK.json sets on it.
-GATE_BOUND = 0.22
 ROOT = Path(__file__).resolve().parent.parent
 RESULTS_PATH = ROOT / "BENCH_perf.json"
+BENCHMARK_PATH = ROOT / "BENCHMARK.json"
+#: The end-to-end metrics the gate compares; lower is better for each.
+GATED = ("pass_cpu_s", "peak_rss_mb")
 #: Format of the record document; 1 was the retired hot-loop timings.
 FORMAT = 2
 
@@ -99,21 +101,39 @@ def append_entry(entry: dict, path: Path = RESULTS_PATH) -> Path:
     return path
 
 
-def gate(base: dict, head: dict, bound: float = GATE_BOUND) -> int:
+def gate_bounds(path: Path = BENCHMARK_PATH) -> Dict[str, float]:
+    """Each gated metric's largest allowed relative growth: the bound
+    of its ``end_to_end`` entry in the benchmark declaration at *path*."""
+    entries = {entry["name"]: entry
+               for entry in json.loads(path.read_text())["end_to_end"]}
+    for name in GATED:
+        if entries[name]["better"] != "lower":
+            raise ValueError(f"{path}: the gate needs {name} lower-is-better")
+    return {name: entries[name]["bound"] for name in GATED}
+
+
+def gate(base: dict, head: dict,
+         bounds: Optional[Dict[str, float]] = None) -> int:
     """Fail (return 1) unless *head*, a ``benchmarks/perf/run.py`` result
-    line, is correct and its ``pass_cpu_s`` is within *bound* of
-    *base*'s, a run of the base commit in the same job."""
+    line, is correct and each metric in *bounds* (by default
+    :func:`gate_bounds`) is within its bound of *base*'s, a run of the
+    base commit in the same job."""
     if not head["correct"] or head["failed"]:
         print(f"gate: HEAD run is not correct ({head['failed']} of "
               f"{head['attempted']} units failed): FAIL")
         return 1
-    base_s = base["metrics"]["pass_cpu_s"]["value"]
-    head_s = head["metrics"]["pass_cpu_s"]["value"]
-    ok = head_s <= base_s * (1 + bound)
-    print(f"gate: pass_cpu_s {head_s:.3f}s at HEAD vs {base_s:.3f}s at base "
-          f"({head_s / base_s - 1:+.1%}, allowed {bound:+.0%}): "
-          f"{'pass' if ok else 'FAIL'}")
-    return 0 if ok else 1
+    failed = 0
+    for name, bound in (bounds or gate_bounds()).items():
+        base_value = base["metrics"][name]["value"]
+        head_value = head["metrics"][name]["value"]
+        unit = head["metrics"][name]["unit"]
+        ok = head_value <= base_value * (1 + bound)
+        failed += not ok
+        print(f"gate: {name} {head_value:.3f} {unit} at HEAD vs "
+              f"{base_value:.3f} {unit} at base "
+              f"({head_value / base_value - 1:+.1%}, allowed {bound:+.0%}): "
+              f"{'pass' if ok else 'FAIL'}")
+    return 1 if failed else 0
 
 
 def main(argv=None) -> int:
@@ -151,9 +171,10 @@ def main(argv=None) -> int:
     return 0
 
 
-def _run_line(seconds, correct=True, failed=0):
+def _run_line(seconds, correct=True, failed=0, rss=60.0):
     return {"correct": correct, "attempted": 10, "failed": failed,
-            "metrics": {"pass_cpu_s": {"value": seconds, "unit": "s"}}}
+            "metrics": {"pass_cpu_s": {"value": seconds, "unit": "s"},
+                        "peak_rss_mb": {"value": rss, "unit": "MiB"}}}
 
 
 def test_record_appends_the_median_run(tmp_path):
@@ -190,13 +211,16 @@ def test_committed_record_is_valid():
 
 
 def test_gate():
-    """The gate passes within the bound and fails past it or on an
-    incorrect HEAD run."""
+    """The gate passes within each bound BENCHMARK.json sets and fails
+    past either or on an incorrect HEAD run."""
+    assert gate_bounds() == {"pass_cpu_s": 0.22, "peak_rss_mb": 0.10}
     assert gate(_run_line(3.0), _run_line(2.0)) == 0
     assert gate(_run_line(3.0), _run_line(3.6)) == 0
     assert gate(_run_line(3.0), _run_line(3.7)) == 1
     assert gate(_run_line(3.0), _run_line(2.0, correct=False)) == 1
     assert gate(_run_line(3.0), _run_line(2.0, failed=1)) == 1
+    assert gate(_run_line(3.0, rss=60.0), _run_line(3.0, rss=65.9)) == 0
+    assert gate(_run_line(3.0, rss=60.0), _run_line(2.0, rss=66.1)) == 1
 
 
 if __name__ == "__main__":

@@ -30,12 +30,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from .address import (LINE_SIZE, LINES_PER_PAGE, OVERLAY_BIT_MASK, PAGE_SIZE,
+from .address import (LINE_SIZE, LINES_PER_PAGE, OVERLAY_BIT_MASK,
                       VIRTUAL_ADDRESS_BITS, ZERO_LINE, line_index, line_offset,
                       line_tag_of, overlay_page_number, page_number)
 from .coherence import CoherenceNetwork
 from .mmu import MemoryController, MMU
-from .oms import OverlayMemoryStore
+from .oms import OverlayMemoryStore, counter_page_source
 from .page_table import PTE, PageFault, PageTable
 from .tlb import TLB, TLBEntry
 from ..config import DEFAULT_CONFIG, SystemConfig
@@ -114,9 +114,9 @@ class OverlaySystem(Component):
         self.sim_clock = SimClock()
         self.main_memory = MainMemory()
         self.dram = DRAM(config, parent=self)
-        self._oms_next_frame = DEFAULT_OMS_FRAME_BASE
         self.oms = OverlayMemoryStore(
-            request_pages=oms_request_pages or self._default_oms_pages,
+            request_pages=(oms_request_pages
+                           or counter_page_source(DEFAULT_OMS_FRAME_BASE)),
             initial_pages=oms_initial_pages,
             page_per_overlay=oms_page_per_overlay)
         self.controller = MemoryController(
@@ -181,11 +181,6 @@ class OverlaySystem(Component):
         set this.
         """
         self._serializing_event = True
-
-    def _default_oms_pages(self, count: int) -> List[int]:
-        base = self._oms_next_frame
-        self._oms_next_frame += count
-        return [(base + i) * PAGE_SIZE for i in range(count)]
 
     # -- address-space management (OS-facing) ---------------------------------
 
@@ -606,7 +601,7 @@ class OverlaySystem(Component):
         finish = start
         issue = start
         hierarchy = self.hierarchy
-        l1_lines = hierarchy.l1._where
+        l1_where, l1_data = hierarchy.l1._where, hierarchy.l1._data
         src_base = line_tag_of(src_ppn, 0)
         dst_base = line_tag_of(dst_ppn, 0)
         for line in range(LINES_PER_PAGE):
@@ -614,9 +609,10 @@ class OverlaySystem(Component):
             dst_tag = dst_base + line
             read = hierarchy.access(src_tag, False, None, issue)
             # The load has just filled the source line into the L1
-            # (SetAssociativeCache.lookup inlined).
-            cached = l1_lines.get(src_tag)
-            data = ((cached and cached.data) or hierarchy.lookup_data(src_tag)
+            # (its slot read inline).
+            slot = l1_where.get(src_tag)
+            data = ((slot is not None and l1_data[slot])
+                    or hierarchy.lookup_data(src_tag)
                     or self.main_memory.read_line(src_ppn, line))
             write = hierarchy.access(dst_tag, True, data, issue)
             # Keep the destination frame in sync line by line: the copy

@@ -23,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from .address import (LINE_SIZE, LINES_PER_PAGE, OVERLAY_BIT_MASK,
-                      ZERO_LINE, overlay_page_number, tag_is_overlay)
+from .address import (LINE_SIZE, OVERLAY_BIT_MASK, ZERO_LINE,
+                      overlay_page_number, tag_is_overlay)
 from .obitvector import OBitVector
 from .omt import OMTCache, OMTEntry, OverlayMappingTable
 from .oms import OverlayMemoryStore
@@ -79,13 +79,6 @@ class MemoryController(Component):
         self.stats_scope.register_block("omt_cache", self.omt_cache.stats)
         self.attach_child(oms)
         self._now = 0
-
-    # -- tag decomposition ---------------------------------------------------
-
-    @staticmethod
-    def _split(tag: int) -> Tuple[int, int]:
-        """Return (page_number, line_index) of a line tag."""
-        return tag // LINES_PER_PAGE, tag % LINES_PER_PAGE
 
     # -- hierarchy hooks -------------------------------------------------------
 

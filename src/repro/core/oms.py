@@ -31,6 +31,7 @@ from the writeback path only.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -47,6 +48,20 @@ METADATA_LINES = 1
 #: Free segments per group of the grouped linked list (Section 4.4.3):
 #: only every GROUP_SIZE-th push or pop touches a group header line.
 GROUP_SIZE = 8
+
+
+def counter_page_source(first_frame: int = 0) -> Callable[[int], List[int]]:
+    """A page source for an OMS with no OS allocator behind it.
+
+    Each request hands out the next consecutive 4KB frames from
+    *first_frame*, as page base addresses.  It is a plain function, so
+    the OMS holds no reference back to its owner.
+    """
+    frames = itertools.count(first_frame)
+
+    def request_pages(pages: int) -> List[int]:
+        return [next(frames) * PAGE_SIZE for _ in range(pages)]
+    return request_pages
 
 
 def data_slot_capacity(segment_size: int) -> int:
@@ -196,8 +211,7 @@ class OverlayMemoryStore(Component):
                  initial_pages: int = 16,
                  page_per_overlay: bool = False):
         super().__init__("oms")
-        self._next_fallback_page = 0
-        self._request_pages = request_pages or self._fallback_request_pages
+        self._request_pages = request_pages or counter_page_source()
         self._page_per_overlay = page_per_overlay
         self._free_lists: Dict[int, List[int]] = {size: [] for size in SEGMENT_SIZES}
         self._segments: Dict[int, Segment] = {}
@@ -207,12 +221,6 @@ class OverlayMemoryStore(Component):
             self._grant_pages(self._request_pages(initial_pages))
 
     # -- free-space management (Section 4.4.3) ----------------------------
-
-    def _fallback_request_pages(self, count: int) -> List[int]:
-        """Default OS stub: hand out pages from a private address range."""
-        start = self._next_fallback_page
-        self._next_fallback_page += count
-        return [(start + i) * PAGE_SIZE for i in range(count)]
 
     def _grant_pages(self, page_bases: List[int]) -> None:
         self._free_lists[PAGE_SIZE].extend(page_bases)

@@ -99,10 +99,6 @@ class _SetAssociativeArray:
         self._buckets: List["OrderedDict[Tuple[int, int], TLBEntry]"] = [
             OrderedDict() for _ in range(self._sets)]
 
-    def _set_for(self, key: Tuple[int, int]) -> int:
-        asid, vpn = key
-        return (vpn ^ asid) % self._sets
-
     def lookup(self, key: Tuple[int, int]) -> Optional[TLBEntry]:
         bucket = self._buckets[(key[1] ^ key[0]) % self._sets]
         entry = bucket.get(key)

@@ -13,12 +13,17 @@ Lines optionally carry a 64-byte payload so data-fidelity experiments
 (deduplication, checkpointing, speculation) can move real bytes through
 the hierarchy; timing-only workloads pass ``None``.
 
+A level keeps its lines in four flat lists indexed by *slot*, ``set *
+ways + way``: the tag (``None`` in a free way), the dirty bit, the
+payload and the prefetched bit.  ``_where`` maps each resident tag to
+its slot, so a fill writes four list items and allocates nothing.
+
 Table 2 of the paper uses LRU for the L1 and L2 caches and DRRIP [27]
 for the last-level cache; the cache keeps either as per-set state.
-LRU is each set's list of resident lines in recency order, least
-recently used first: a hit moves its line to the back (nothing to do
+LRU is each set's list of resident slots in recency order, least
+recently used first: a hit moves its slot to the back (nothing to do
 when it is there already), and a fill of a full set takes the victim
-from the front, reuses its object for the incoming line and puts it at
+slot from the front, writes the incoming line into it and puts it at
 the back.
 
 DRRIP follows Jaleel et al. [27]: 2-bit re-reference prediction values
@@ -34,12 +39,14 @@ offset instead of rewriting every way.
 A fill installs a tag the level does not hold; the hierarchy never
 fills a resident tag, and merges a dirty line spilled onto a resident
 copy itself.  A dirty line leaving a fill or a cross-set retag is
-handed back as a plain ``(tag, data)`` pair, and :meth:`invalidate`
-hands back the unlinked :class:`CacheLine`.
+handed back as a plain ``(tag, data)`` pair.  :meth:`lookup`,
+:meth:`invalidate` and :meth:`dirty_lines` hand back
+:class:`CacheLine` snapshots.
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Dict, List, Optional, Tuple
 
 from .stats import CacheStats
@@ -58,10 +65,11 @@ DUELING_SETS = 32      # leader sets per policy
 
 
 class CacheLine:
-    """One resident line: tag, dirtiness, optional payload, and its slot.
+    """A snapshot of one resident line and its slot.
 
-    ``set_index`` and ``way`` never change while the object lives: a fill
-    that evicts reuses the victim's object for the incoming tag, in place.
+    Tag, dirtiness, optional payload, prefetched bit, set and way, as
+    they were when it was taken; changing it changes nothing in the
+    cache.
     """
 
     __slots__ = ("tag", "dirty", "data", "prefetched", "set_index", "way")
@@ -123,15 +131,20 @@ class SetAssociativeCache(Component):
                     (2 * i * stride) % self.num_sets, "srrip")
                 self._leader.setdefault(
                     ((2 * i + 1) * stride) % self.num_sets, "brrip")
-        # Each set's slots, by way: dirty_lines() walks them in this order.
-        self._lines: List[List[Optional[CacheLine]]] = [
-            [None] * ways for _ in range(self.num_sets)]
-        # The resident map: tag -> its CacheLine, which knows its slot.
-        self._where: Dict[int, CacheLine] = {}
-        # Each set's resident lines.  Under LRU this is the set's recency
+        # The lines, one item per slot (set * ways + way); a free slot's
+        # tag is None, its dirty and prefetched bits False and its data
+        # None.  dirty_lines() walks the slots in this order.
+        slots = self.num_sets * ways
+        self._tags: List[Optional[int]] = [None] * slots
+        self._dirty: List[bool] = [False] * slots
+        self._data: List[Optional[bytes]] = [None] * slots
+        self._prefetched: List[bool] = [False] * slots
+        # The resident map: tag -> its slot.
+        self._where: Dict[int, int] = {}
+        # Each set's resident slots.  Under LRU this is the set's recency
         # order, least recently used first; DRRIP reads only its length,
         # so fill() skips the free-way scan of a full set.
-        self._sets: List[List[CacheLine]] = [[] for _ in range(self.num_sets)]
+        self._sets: List[List[int]] = [[] for _ in range(self.num_sets)]
         # Precomputed ints so hot paths avoid the property dispatch.
         if serial_tag_data:
             self.hit_latency = tag_latency + data_latency
@@ -143,9 +156,17 @@ class SetAssociativeCache(Component):
 
     # -- core operations -------------------------------------------------------
 
+    def _line(self, slot: int) -> CacheLine:
+        """A snapshot of the line in *slot*."""
+        set_index, way = divmod(slot, self.ways)
+        return CacheLine(self._tags[slot], self._dirty[slot],
+                         self._data[slot], self._prefetched[slot],
+                         set_index, way)
+
     def lookup(self, tag: int) -> Optional[CacheLine]:
-        """Probe without any side effects (no stats, no LRU update)."""
-        return self._where.get(tag)
+        """A snapshot of *tag*'s line, or None; no stats, no LRU update."""
+        slot = self._where.get(tag)
+        return None if slot is None else self._line(slot)
 
     def access(self, tag: int, write: bool = False,
                data: Optional[bytes] = None) -> Tuple[bool, int]:
@@ -155,25 +176,27 @@ class SetAssociativeCache(Component):
         when *data* is given.  Misses cost only the tag latency here; the
         hierarchy adds the lower levels' time and then calls :meth:`fill`.
         """
-        line = self._where.get(tag)
-        if line is None:
+        slot = self._where.get(tag)
+        if slot is None:
             self.stats.misses += 1
             return False, self.miss_latency
+        set_index = tag % self.num_sets
         if self._lru:
-            order = self._sets[line.set_index]
-            if order[-1] is not line:
-                order.remove(line)
-                order.append(line)
+            order = self._sets[set_index]
+            if order[-1] != slot:
+                order.remove(slot)
+                order.append(slot)
         else:
-            self._rrpv[line.set_index][line.way] = -self._offset[line.set_index]
+            self._rrpv[set_index][slot - set_index * self.ways] = (
+                -self._offset[set_index])
         self.stats.hits += 1
-        if line.prefetched:
+        if self._prefetched[slot]:
             self.stats.prefetch_hits += 1
-            line.prefetched = False
+            self._prefetched[slot] = False
         if write:
-            line.dirty = True
+            self._dirty[slot] = True
             if data is not None:
-                line.data = data
+                self._data[slot] = data
         return True, self.hit_latency
 
     def fill(self, tag: int, data: Optional[bytes] = None,
@@ -186,26 +209,24 @@ class SetAssociativeCache(Component):
         merges into that copy instead
         (:meth:`~repro.mem.hierarchy.MemoryHierarchy._spill`).
         """
-        where = self._where
         set_index = tag % self.num_sets
         order = self._sets[set_index]
+        tags = self._tags
         stats = self.stats
         evicted = None
         if len(order) < self.ways:
-            bucket = self._lines[set_index]
-            way = bucket.index(None)  # first free way
-            line = bucket[way] = CacheLine(tag, dirty, data, prefetch,
-                                           set_index, way)
-            order.append(line)
+            # The set's first free way.
+            slot = tags.index(None, set_index * self.ways)
+            order.append(slot)
             if not self._lru:
-                self._rrpv[set_index][way] = (
+                self._rrpv[set_index][slot - set_index * self.ways] = (
                     self._insertion_rrpv(set_index, prefetch)
                     - self._offset[set_index])
         else:
             if self._lru:
-                # The least recently used line becomes the most recent.
-                line = order.pop(0)
-                order.append(line)
+                # The least recently used slot becomes the most recent.
+                slot = order.pop(0)
+                order.append(slot)
             else:
                 # RRIP ages the whole set until some way reaches MAX_RRPV
                 # and evicts the first such way.  RRPVs never exceed
@@ -216,18 +237,18 @@ class SetAssociativeCache(Component):
                 way = rrpvs.index(top)
                 offset = self._offset[set_index] = MAX_RRPV - top
                 rrpvs[way] = self._insertion_rrpv(set_index, prefetch) - offset
-                line = self._lines[set_index][way]
-            del where[line.tag]
+                slot = set_index * self.ways + way
+            victim = tags[slot]
+            del self._where[victim]
             stats.evictions += 1
-            if line.dirty:
+            if self._dirty[slot]:
                 stats.dirty_evictions += 1
-                evicted = (line.tag, line.data)
-            # Reuse the victim's CacheLine object for the incoming line.
-            line.tag = tag
-            line.dirty = dirty
-            line.data = data
-            line.prefetched = prefetch
-        where[tag] = line
+                evicted = (victim, self._data[slot])
+        tags[slot] = tag
+        self._dirty[slot] = dirty
+        self._data[slot] = data
+        self._prefetched[slot] = prefetch
+        self._where[tag] = slot
         stats.fills += 1
         if prefetch:
             stats.prefetch_fills += 1
@@ -265,13 +286,21 @@ class SetAssociativeCache(Component):
         """The RRPV of *way* in *set_index* of a DRRIP cache."""
         return self._rrpv[set_index][way] + self._offset[set_index]
 
+    def _free(self, slot: int) -> None:
+        """Empty *slot*, whose tag has left the resident map."""
+        self._sets[slot // self.ways].remove(slot)
+        self._tags[slot] = None
+        self._dirty[slot] = False
+        self._data[slot] = None
+        self._prefetched[slot] = False
+
     def invalidate(self, tag: int) -> Optional[CacheLine]:
-        """Remove *tag*; returns its unlinked line, if present."""
-        line = self._where.pop(tag, None)
-        if line is None:
+        """Remove *tag*; returns a snapshot of its line, if present."""
+        slot = self._where.pop(tag, None)
+        if slot is None:
             return None
-        self._lines[line.set_index][line.way] = None
-        self._sets[line.set_index].remove(line)
+        line = self._line(slot)
+        self._free(slot)
         self.stats.invalidations += 1
         return line
 
@@ -287,24 +316,23 @@ class SetAssociativeCache(Component):
         Section 4.3.3), and *victim* is that fill's dirty ``(tag, data)``.
         """
         where = self._where
-        line = where.get(old_tag)
-        if line is None or new_tag in where:
+        slot = where.get(old_tag)
+        if slot is None or new_tag in where:
             return False, None
         del where[old_tag]
-        line.tag = new_tag
-        set_index = line.set_index
-        if new_tag % self.num_sets == set_index:
-            where[new_tag] = line
+        if new_tag % self.num_sets == old_tag % self.num_sets:
+            self._tags[slot] = new_tag
+            where[new_tag] = slot
             return True, None
         # Cross-set move: evict from the old slot, fill into the new set.
-        self._lines[set_index][line.way] = None
-        self._sets[set_index].remove(line)
-        return True, self.fill(new_tag, data=line.data, dirty=line.dirty)
+        data, dirty = self._data[slot], self._dirty[slot]
+        self._free(slot)
+        return True, self.fill(new_tag, data=data, dirty=dirty)
 
     def dirty_lines(self) -> List[CacheLine]:
-        """All dirty resident lines (checkpoint/speculation flushes)."""
-        return [line for bucket in self._lines for line in bucket
-                if line is not None and line.dirty]
+        """Snapshots of all dirty resident lines, in slot order."""
+        return [self._line(slot)
+                for slot in compress(range(len(self._dirty)), self._dirty)]
 
     def resident_tags(self) -> List[int]:
         return list(self._where)

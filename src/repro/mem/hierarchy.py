@@ -32,6 +32,7 @@ flat physical address space over its own DRAM.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, List, Optional, Tuple
 
 from .cache import SetAssociativeCache, Victim
@@ -151,11 +152,11 @@ class MemoryHierarchy(Component):
         controller."""
         for lower in self._below[level]:
             tag, data = victim
-            line = lower._where.get(tag)
-            if line is not None:
-                line.dirty = True
+            slot = lower._where.get(tag)
+            if slot is not None:
+                lower._dirty[slot] = True
                 if data is not None:
-                    line.data = data
+                    lower._data[slot] = data
                 return
             victim = lower.fill(tag, data, True)
             if victim is None:
@@ -179,50 +180,54 @@ class MemoryHierarchy(Component):
         if now is not None:
             self._now = now
         l1 = self.l1
-        line = l1._where.get(tag)
-        if line is not None:
+        slot = l1._where.get(tag)
+        if slot is not None:
             if l1._lru:
-                order = l1._sets[line.set_index]
-                if order[-1] is not line:
-                    order.remove(line)
-                    order.append(line)
+                order = l1._sets[tag % l1.num_sets]
+                if order[-1] != slot:
+                    order.remove(slot)
+                    order.append(slot)
             else:
-                l1._rrpv[line.set_index][line.way] = -l1._offset[line.set_index]
+                set_index = tag % l1.num_sets
+                l1._rrpv[set_index][slot - set_index * l1.ways] = (
+                    -l1._offset[set_index])
             stats = l1.stats
             stats.hits += 1
-            if line.prefetched:
+            if l1._prefetched[slot]:
                 stats.prefetch_hits += 1
-                line.prefetched = False
+                l1._prefetched[slot] = False
             if write:
-                line.dirty = True
+                l1._dirty[slot] = True
                 if data is not None:
-                    line.data = data
+                    l1._data[slot] = data
             return l1.hit_latency
         l1.stats.misses += 1
 
         l2 = self.l2
-        line = l2._where.get(tag)
-        if line is not None:
+        slot = l2._where.get(tag)
+        if slot is not None:
             # SetAssociativeCache.access(tag), a read hit, inlined.
             if l2._lru:
-                order = l2._sets[line.set_index]
-                if order[-1] is not line:
-                    order.remove(line)
-                    order.append(line)
+                order = l2._sets[tag % l2.num_sets]
+                if order[-1] != slot:
+                    order.remove(slot)
+                    order.append(slot)
             else:
-                l2._rrpv[line.set_index][line.way] = -l2._offset[line.set_index]
+                set_index = tag % l2.num_sets
+                l2._rrpv[set_index][slot - set_index * l2.ways] = (
+                    -l2._offset[set_index])
             stats = l2.stats
             stats.hits += 1
-            if line.prefetched:
+            if l2._prefetched[slot]:
                 stats.prefetch_hits += 1
-                line.prefetched = False
+                l2._prefetched[slot] = False
             latency = l2.hit_latency
             # Dirty ownership moves *up* with the data: leaving a lower
             # copy dirty would create a stale dirty duplicate that a
             # later flush or eviction writes back over fresher data.
-            dirty = write or line.dirty
-            line.dirty = False
-            fill_data = line.data
+            dirty = write or l2._dirty[slot]
+            l2._dirty[slot] = False
+            fill_data = l2._data[slot]
         else:
             l2.stats.misses += 1
             latency = l2.miss_latency
@@ -245,27 +250,29 @@ class MemoryHierarchy(Component):
                 if victim is not None:
                     self._writeback(victim)
 
-            line = l3._where.get(tag)
-            if line is not None:
+            slot = l3._where.get(tag)
+            if slot is not None:
                 # SetAssociativeCache.access(tag), a read hit, inlined.
+                set_index = tag % l3.num_sets
                 if l3._lru:
-                    order = l3._sets[line.set_index]
-                    if order[-1] is not line:
-                        order.remove(line)
-                        order.append(line)
+                    order = l3._sets[set_index]
+                    if order[-1] != slot:
+                        order.remove(slot)
+                        order.append(slot)
                 else:
-                    l3._rrpv[line.set_index][line.way] = -l3._offset[line.set_index]
+                    l3._rrpv[set_index][slot - set_index * l3.ways] = (
+                        -l3._offset[set_index])
                 l3_stats = l3.stats
                 l3_stats.hits += 1
-                if line.prefetched:
+                if l3._prefetched[slot]:
                     l3_stats.prefetch_hits += 1
-                    line.prefetched = False
+                    l3._prefetched[slot] = False
                 latency += l3.hit_latency
-                dirty = write or line.dirty
-                line.dirty = False
+                dirty = write or l3._dirty[slot]
+                l3._dirty[slot] = False
                 # Read before the L2 fill: its spill into the L3 may evict
-                # this line and reuse the object for another tag.
-                fill_data = line.data
+                # this line and give its slot to another tag.
+                fill_data = l3._data[slot]
                 victim = l2.fill(tag, fill_data)
                 if victim is not None:
                     self._spill(l2, victim)
@@ -296,8 +303,9 @@ class MemoryHierarchy(Component):
             victim = l1.fill(tag, data, True)
             l1.stats.hits += 1
             if not l1._lru:
-                line = l1._where[tag]
-                l1._rrpv[line.set_index][line.way] = -l1._offset[line.set_index]
+                set_index = tag % l1.num_sets
+                l1._rrpv[set_index][l1._where[tag] - set_index * l1.ways] = (
+                    -l1._offset[set_index])
         else:
             victim = l1.fill(tag, fill_data, dirty)
         if victim is not None:
@@ -327,36 +335,37 @@ class MemoryHierarchy(Component):
         """Write back every dirty line (checkpoint barrier); returns count."""
         flushed = 0
         for level in (self.l1, self.l2, self.l3):
-            for line in level.dirty_lines():
-                self._writeback((line.tag, line.data))
-                line.dirty = False
+            tags, dirty, data = level._tags, level._dirty, level._data
+            for slot in compress(range(len(dirty)), dirty):
+                self._writeback((tags[slot], data[slot]))
+                dirty[slot] = False
                 flushed += 1
         return flushed
 
     def lookup_data(self, tag: int) -> Optional[bytes]:
         """Return the freshest cached payload for *tag*, if any."""
         for level in (self.l1, self.l2, self.l3):
-            line = level.lookup(tag)
-            if line is not None and line.data is not None:
-                return line.data
+            slot = level._where.get(tag)
+            if slot is not None and level._data[slot] is not None:
+                return level._data[slot]
         return None
 
     def dirty_data(self, tag: int) -> Optional[bytes]:
         """Return the payload of the freshest *dirty* copy of *tag*, or
         None when no cached copy is dirty."""
         for level in (self.l1, self.l2, self.l3):
-            line = level.lookup(tag)
-            if line is not None and line.dirty:
-                return line.data
+            slot = level._where.get(tag)
+            if slot is not None and level._dirty[slot]:
+                return level._data[slot]
         return None
 
     def clean(self, tag: int) -> None:
         """Clear the dirty bit on every cached copy of *tag* (after the
         caller has written the data back itself)."""
         for level in (self.l1, self.l2, self.l3):
-            line = level.lookup(tag)
-            if line is not None:
-                line.dirty = False
+            slot = level._where.get(tag)
+            if slot is not None:
+                level._dirty[slot] = False
 
     def caches(self) -> List[SetAssociativeCache]:
         return [self.l1, self.l2, self.l3]

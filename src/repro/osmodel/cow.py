@@ -13,6 +13,7 @@ machine.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 from ..core.framework import OverlaySystem
@@ -29,10 +30,16 @@ class CowStats:
 
 
 class CopyOnWritePolicy:
-    """Baseline policy: copy the page, remap, shoot down, then store."""
+    """Baseline policy: copy the page, remap, shoot down, then store.
+
+    The policy is installed in its kernel's machine, so it holds the
+    kernel through a weak proxy: the caller keeps the kernel alive while
+    the machine runs, and a finished machine is freed without the cyclic
+    garbage collector.
+    """
 
     def __init__(self, kernel):
-        self.kernel = kernel
+        self.kernel = weakref.proxy(kernel)
         self.stats = CowStats()
 
     def __call__(self, system: OverlaySystem, asid: int, vaddr: int,

@@ -36,11 +36,18 @@ class Kernel:
                  total_frames: int = 1 << 20, num_cores: int = 1,
                  oms_initial_pages: int = 16,
                  oms_page_per_overlay: bool = False, config=None):
-        self.allocator = FrameAllocator(total_frames=total_frames)
+        self.allocator = allocator = FrameAllocator(total_frames=total_frames)
+
+        def grant_oms_pages(count: int) -> List[int]:
+            """OS handing 4KB pages to the memory controller for the OMS;
+            it closes over the allocator, not the kernel, so the machine
+            holds no reference back to its kernel."""
+            return [allocator.allocate() * PAGE_SIZE for _ in range(count)]
+
         if system is None:
             system = OverlaySystem(
                 num_cores=num_cores,
-                oms_request_pages=self._grant_oms_pages,
+                oms_request_pages=grant_oms_pages,
                 oms_initial_pages=oms_initial_pages,
                 oms_page_per_overlay=oms_page_per_overlay,
                 config=config)
@@ -50,10 +57,6 @@ class Kernel:
         self.frame_users: Dict[int, Set[Tuple[int, int]]] = {}
         self._next_pid = 1
         self.stats = KernelStats()
-
-    def _grant_oms_pages(self, count: int) -> List[int]:
-        """OS handing 4KB pages to the memory controller for the OMS."""
-        return [self.allocator.allocate() * PAGE_SIZE for _ in range(count)]
 
     # -- policy installation -------------------------------------------------------
 

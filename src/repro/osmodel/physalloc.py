@@ -43,9 +43,6 @@ class FrameAllocator:
         self._refcounts[ppn] = 1
         return ppn
 
-    def allocate_many(self, count: int) -> List[int]:
-        return [self.allocate() for _ in range(count)]
-
     def allocate_contiguous(self, count: int, align: int = 1) -> List[int]:
         """Allocate *count* physically contiguous frames, the run aligned
         to *align* frames (super-pages need 512-frame-aligned runs)."""

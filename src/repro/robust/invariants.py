@@ -47,6 +47,7 @@ is a :class:`~repro.engine.Component` child of the system), and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.address import (LINES_PER_PAGE, decompose_overlay_address,
@@ -145,9 +146,9 @@ class InvariantChecker(Component):
         hierarchy = self.system.hierarchy
         # Only a page with a dirty cached line, under either of its two
         # page numbers, can break the rule.
-        dirty_pages = {line.tag // LINES_PER_PAGE
+        dirty_pages = {tag // LINES_PER_PAGE
                        for level in hierarchy.caches()
-                       for line in level.dirty_lines()}
+                       for tag in compress(level._tags, level._dirty)}
         for asid, vpn, pte in self._mapped_pages():
             opn = overlay_page_number(asid, vpn)
             if pte.ppn not in dirty_pages and opn not in dirty_pages:

@@ -16,6 +16,7 @@ the overlay no longer helps, so the page is promoted with
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 from ..core.address import LINES_PER_PAGE, page_number
@@ -35,7 +36,9 @@ class OverlayOnWritePolicy:
     Parameters
     ----------
     kernel:
-        The OS kernel (frame allocation for promotions, CoW bookkeeping).
+        The OS kernel (frame allocation for promotions, CoW bookkeeping),
+        held through a weak proxy as
+        :class:`~repro.osmodel.cow.CopyOnWritePolicy` holds it.
     promote_threshold:
         When an overlay reaches this many lines the page is promoted via
         copy-and-commit into a private frame (None disables promotion;
@@ -46,7 +49,7 @@ class OverlayOnWritePolicy:
     def __init__(self, kernel=None, promote_threshold=None):
         if promote_threshold is not None and not 1 <= promote_threshold <= LINES_PER_PAGE:
             raise ValueError("promote threshold must be within 1..64")
-        self.kernel = kernel
+        self.kernel = None if kernel is None else weakref.proxy(kernel)
         self.promote_threshold = promote_threshold
         self.stats = OverlayOnWriteStats()
 

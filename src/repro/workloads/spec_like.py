@@ -50,10 +50,6 @@ class BenchmarkProfile:
     read_fraction: float      # reads per access in the measurement window
     gap: int                  # non-memory instructions per access
 
-    @property
-    def type_name(self) -> str:
-        return f"Type {self.type_id}"
-
 
 #: Parameter presets named after the paper's benchmarks.  write_pages and
 #: lines_per_page encode each type's structure; small within-type

@@ -78,7 +78,7 @@ class TestMappingEdges:
     def test_default_oms_pool_does_not_collide_with_frames(self, system):
         """The fallback OMS region lives far above workload frames."""
         from repro.core.framework import DEFAULT_OMS_FRAME_BASE
-        base = system._default_oms_pages(1)[0]
+        base = system.oms._request_pages(1)[0]
         assert base >= DEFAULT_OMS_FRAME_BASE * PAGE_SIZE
 
 

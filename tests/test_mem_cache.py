@@ -91,9 +91,12 @@ class TestInvalidateAndRetag:
     def test_invalidate_returns_line(self):
         cache = make()
         cache.fill(100, data=b"v" * 64, dirty=True)
+        slot = cache._where[100]
         line = cache.invalidate(100)
         assert line.tag == 100 and line.dirty and line.data == b"v" * 64
-        assert 100 not in cache and line not in cache._sets[line.set_index]
+        assert 100 not in cache and slot not in cache._sets[line.set_index]
+        assert (cache._tags[slot], cache._dirty[slot],
+                cache._data[slot]) == (None, False, None)
 
     def test_invalidate_missing_returns_none(self):
         cache = make()

@@ -53,6 +53,14 @@ def misses(hierarchy):
     return [cache.stats.misses for cache in hierarchy.caches()]
 
 
+def recency(cache, set_index=0):
+    """Set *set_index*'s lines in recency order as ``(tag, way, dirty,
+    data)``, read from the cache's slot lists."""
+    return [(cache._tags[slot], slot - set_index * cache.ways,
+             cache._dirty[slot], cache._data[slot])
+            for slot in cache._sets[set_index]]
+
+
 class TestDemandPath:
     def test_miss_fills_all_levels(self):
         hierarchy, _ = make()
@@ -139,10 +147,7 @@ class TestDemandPath:
                 reference.access(tag, write=True, data=data)
             l1 = hierarchy.l1
             assert snapshot_block(l1.stats) == snapshot_block(reference.stats)
-            assert ([(line.tag, line.way, line.dirty, line.data)
-                     for line in l1._sets[0]]
-                    == [(line.tag, line.way, line.dirty, line.data)
-                        for line in reference._sets[0]])
+            assert recency(l1) == recency(reference)
             if policy == "drrip":
                 assert ([l1.rrpv(0, way) for way in range(4)]
                         == [reference.rrpv(0, way) for way in range(4)])
@@ -184,22 +189,22 @@ class TestWritebackChain:
 
     def test_spill_into_a_resident_copy_merges_in_place(self):
         """A dirty victim arriving at a level that holds its tag goes into
-        that copy: same line object and slot, no replacement touch, no
-        fill counted; a victim without a payload keeps the copy's data."""
+        that copy: same slot, no replacement touch, no fill counted; a
+        victim without a payload keeps the copy's data."""
         hierarchy, backend = make()
         for tag in (100, 1124):          # L2 set 100 holds both, 100 first
             hierarchy.access(tag)
         for level, lower in ((hierarchy.l1, hierarchy.l2),
                              (hierarchy.l2, hierarchy.l3)):
-            line = lower.lookup(100)
-            order = list(lower._sets[line.set_index])
+            slot = lower._where[100]
+            order = list(lower._sets[100 % lower.num_sets])
             stats = snapshot_block(lower.stats)
             hierarchy._spill(level, (100, b"s" * 64))
-            assert lower.lookup(100) is line
-            assert line.dirty and line.data == b"s" * 64
+            assert lower._where[100] == slot
+            assert lower._dirty[slot] and lower._data[slot] == b"s" * 64
             hierarchy._spill(level, (100, None))
-            assert line.dirty and line.data == b"s" * 64
-            assert lower._sets[line.set_index] == order
+            assert lower._dirty[slot] and lower._data[slot] == b"s" * 64
+            assert lower._sets[100 % lower.num_sets] == order
             assert snapshot_block(lower.stats) == stats
         assert backend.writebacks == []
 

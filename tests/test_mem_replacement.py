@@ -33,7 +33,7 @@ class TestLRU:
             cache.fill(tag)
         cache.invalidate(1)
         cache.fill(4)
-        assert cache._lines[0][1].tag == 4  # the freed way
+        assert cache._tags[1] == 4  # the freed way
         assert cache.stats.evictions == 0
         assert set(cache.resident_tags()) == {0, 2, 3, 4}
 
@@ -44,7 +44,7 @@ class TestLRU:
         cache.access(0)              # 1 is now LRU
         cache.fill(3)
         assert set(cache.resident_tags()) == {0, 2, 3}
-        assert cache._lines[0][1].tag == 3  # in the victim's way
+        assert cache._tags[1] == 3  # in the victim's way
 
     def test_sets_are_independent(self):
         cache = lru_cache(2, 2)      # even tags in set 0, odd in set 1
@@ -68,7 +68,7 @@ class TestDRRIP:
             cache.fill(tag)
         cache.invalidate(1)
         cache.fill(4)
-        assert cache._lines[0][1].tag == 4  # the freed way
+        assert cache._tags[1] == 4  # the freed way
         assert cache.stats.evictions == 0
         assert set(cache.resident_tags()) == {0, 2, 3, 4}
 

@@ -80,8 +80,9 @@ cache_ops = st.lists(
 def cache_state(cache):
     """Each set's recency list as ``(tag, way, dirty, data)``, the stats,
     and (DRRIP) every way's RRPV."""
-    return ([[(line.tag, line.way, line.dirty, line.data) for line in order]
-             for order in cache._sets],
+    return ([[(cache._tags[slot], slot - set_index * cache.ways,
+               cache._dirty[slot], cache._data[slot]) for slot in order]
+             for set_index, order in enumerate(cache._sets)],
             vars(cache.stats).copy(),
             None if cache._lru else [
                 [cache.rrpv(set_index, way)
@@ -94,8 +95,10 @@ class TestResidentMap:
     @given(cache_ops, st.sampled_from(["lru", "drrip"]))
     def test_map_matches_slots_and_fill_reports_dirty_victims(
             self, sequence, policy):
-        """The resident map holds the very line object in each slot, each
-        set's list holds that set's resident lines once each, and a line
+        """The resident map, the tag list and each set's list agree slot
+        for slot: a resident tag's slot holds that tag in its own set,
+        each set's list holds that set's occupied slots once each, a
+        free slot is empty (no tag, clean, no data), and a line
         leaving through fill() or a cross-set retag() is returned iff it
         was dirty.  The cache is a hierarchy's L2: a fill of a resident
         tag is an L1 victim spilled onto that copy, which leaves what
@@ -109,18 +112,19 @@ class TestResidentMap:
         for op, tag, other, flag, value in sequence:
             data = bytes([value]) * 64
             if op == "fill" and tag in cache:
-                line = cache._where[tag]
+                slot = cache._where[tag]
+                set_index, way = divmod(slot, cache.ways)
+                line = (tag, way, cache._dirty[slot], cache._data[slot])
                 expected = cache_state(cache)
-                slot = expected[0][line.set_index].index(
-                    (tag, line.way, line.dirty, line.data))
-                expected[0][line.set_index][slot] = (
-                    tag, line.way, True, data if flag else line.data)
+                position = expected[0][set_index].index(line)
+                expected[0][set_index][position] = (
+                    tag, way, True, data if flag else line[3])
                 hierarchy._spill(hierarchy.l1, (tag, data if flag else None))
-                assert cache._where[tag] is line
+                assert cache._where[tag] == slot
                 assert cache_state(cache) == expected
             elif op in ("fill", "retag"):
-                before = {t: (line.dirty, line.data)
-                          for t, line in cache._where.items()}
+                before = {t: (cache._dirty[slot], cache._data[slot])
+                          for t, slot in cache._where.items()}
                 evictions = cache.stats.evictions
                 if op == "fill":
                     evicted = cache.fill(tag, data=data if flag else None,
@@ -140,13 +144,20 @@ class TestResidentMap:
                 cache.access(tag, write=flag, data=data if flag else None)
             else:
                 cache.invalidate(tag)
-            for resident, line in cache._where.items():
-                assert line.tag == resident
-                assert cache._lines[line.set_index][line.way] is line
-                assert line.set_index == resident % cache.num_sets
-            for bucket, order in zip(cache._lines, cache._sets):
-                assert sorted(map(id, order)) == sorted(
-                    id(line) for line in bucket if line is not None)
+            for resident, slot in cache._where.items():
+                assert cache._tags[slot] == resident
+                assert slot // cache.ways == resident % cache.num_sets
+            for slot, resident in enumerate(cache._tags):
+                if resident is None:
+                    assert (cache._dirty[slot], cache._data[slot],
+                            cache._prefetched[slot]) == (False, None, False)
+                else:
+                    assert cache._where[resident] == slot
+            for set_index, order in enumerate(cache._sets):
+                first = set_index * cache.ways
+                assert sorted(order) == [
+                    slot for slot in range(first, first + cache.ways)
+                    if cache._tags[slot] is not None]
 
 
 class TestHierarchyEquivalence:
@@ -253,10 +264,10 @@ class TestVictimSelection:
             stamps.append(len(stamps) + 1)
         for clock, way in enumerate(hits, ways + 1):
             way %= ways
-            cache.access(cache._lines[0][way].tag)
+            cache.access(cache._tags[way])
             stamps[way] = clock
         cache.fill(ways)
-        assert cache._lines[0][reference_lru_victim(stamps)].tag == ways
+        assert cache._tags[reference_lru_victim(stamps)] == ways
 
     @slow
     @given(st.lists(st.integers(0, 3), min_size=1, max_size=16))
@@ -274,7 +285,7 @@ class TestVictimSelection:
         way = reference_drrip_victim(expected, MAX_RRPV)
         expected[way] = LONG_RRPV      # the one set leads for SRRIP
         cache.fill(ways)
-        assert cache._lines[0][way].tag == ways
+        assert cache._tags[way] == ways
         assert [cache.rrpv(0, w) for w in range(ways)] == expected
         # The aging rewrote no way: only the victim's stored value moved.
         assert [value for w, value in enumerate(row) if w != way] == [
@@ -382,8 +393,10 @@ class TestVictimSelection:
                 assert (moved, evicted and evicted[0]) == reference.retag(
                     tag, other)
             for set_index in sets:
-                assert ([None if line is None else [line.tag, line.dirty]
-                         for line in cache._lines[set_index]]
+                first = set_index * ways
+                assert ([None if cache._tags[slot] is None
+                         else [cache._tags[slot], cache._dirty[slot]]
+                         for slot in range(first, first + ways)]
                         == reference.slots[set_index])
                 assert ([cache.rrpv(set_index, way) for way in range(ways)]
                         == reference.rrpvs[set_index])
