@@ -601,25 +601,30 @@ class OverlaySystem(Component):
         finish = start
         issue = start
         hierarchy = self.hierarchy
+        access = hierarchy.access
         l1_where, l1_data = hierarchy.l1._where, hierarchy.l1._data
+        # The destination frame, looked up once: a writeback of one of
+        # its lines during the copy stores into this same list.
+        dst_frame = self.main_memory._frame(dst_ppn)
         src_base = line_tag_of(src_ppn, 0)
         dst_base = line_tag_of(dst_ppn, 0)
         for line in range(LINES_PER_PAGE):
             src_tag = src_base + line
-            dst_tag = dst_base + line
-            read = hierarchy.access(src_tag, False, None, issue)
+            read = access(src_tag, False, None, issue)
             # The load has just filled the source line into the L1
             # (its slot read inline).
             slot = l1_where.get(src_tag)
             data = ((slot is not None and l1_data[slot])
                     or hierarchy.lookup_data(src_tag)
                     or self.main_memory.read_line(src_ppn, line))
-            write = hierarchy.access(dst_tag, True, data, issue)
+            done = issue + read + access(dst_base + line, True, data, issue)
             # Keep the destination frame in sync line by line: the copy
             # must carry dirty cached source data, never the (possibly
-            # stale) source frame.
-            self.main_memory.write_line(dst_ppn, line, data)
-            finish = max(finish, issue + read + write)
+            # stale) source frame.  A cached line is already one
+            # immutable 64-byte object, so it is stored as it is.
+            dst_frame[line] = data
+            if done > finish:
+                finish = done
             issue += 2  # one load + one store issued per two cycles
         return finish - start
 

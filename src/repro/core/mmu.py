@@ -155,7 +155,10 @@ class MemoryController(Component):
         page, line = tag >> 6, tag & 63
         payload = data if data is not None else ZERO_LINE
         if not tag & _OVERLAY_TAG_BIT:
-            self.main_memory.write_line(page, line, payload)
+            # MainMemory.write_line without its checks and copy: a line
+            # leaving the L3 is one immutable 64-byte object, and
+            # ``tag & 63`` is a line index by construction.
+            self.main_memory._frame(page)[line] = payload
             self.stats.physical_writebacks += 1
             return self.dram.write(tag * LINE_SIZE, self._now)
         entry, accesses = self.omt_cache.lookup(page, create=True)

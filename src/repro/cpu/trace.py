@@ -50,7 +50,9 @@ class MemoryAccess:
         self.vaddr = vaddr
         self.write = write
         self.size = size
-        self.data = data
+        # A store's bytes become cache lines, which are immutable
+        # ``bytes`` objects: a mutable buffer is copied here, once.
+        self.data = data if data is None else bytes(data)
         self.gap = gap  # non-memory instructions preceding this access
 
     @property

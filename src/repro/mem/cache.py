@@ -212,32 +212,59 @@ class SetAssociativeCache(Component):
         set_index = tag % self.num_sets
         order = self._sets[set_index]
         tags = self._tags
-        stats = self.stats
-        evicted = None
-        if len(order) < self.ways:
-            # The set's first free way.
-            slot = tags.index(None, set_index * self.ways)
-            order.append(slot)
-            if not self._lru:
-                self._rrpv[set_index][slot - set_index * self.ways] = (
-                    self._insertion_rrpv(set_index, prefetch)
-                    - self._offset[set_index])
-        else:
-            if self._lru:
+        ways = self.ways
+        full = len(order) >= ways
+        if self._lru:
+            if full:
                 # The least recently used slot becomes the most recent.
                 slot = order.pop(0)
-                order.append(slot)
             else:
+                # The set's first free way.
+                slot = tags.index(None, set_index * ways)
+            order.append(slot)
+        else:
+            # The insertion RRPV.  A fill in a leader set is a miss
+            # there, which votes against that leader's policy; a
+            # follower set follows PSEL.  Prefetches are inserted with
+            # the distant prediction.
+            leader = self._leader.get(set_index)
+            psel = self._psel
+            if leader is None:
+                srrip = psel < PSEL_MID
+            elif leader == "srrip":
+                if psel < PSEL_MAX:
+                    self._psel = psel + 1
+                srrip = True
+            else:
+                if psel > 0:
+                    self._psel = psel - 1
+                srrip = False
+            if srrip:
+                rrpv = LONG_RRPV
+            else:
+                throttle = self._brrip_throttle = (
+                    (self._brrip_throttle + 1) % BRRIP_LONG_EVERY)
+                rrpv = LONG_RRPV if throttle == 0 else DISTANT_RRPV
+            if prefetch:
+                rrpv = DISTANT_RRPV
+            rrpvs = self._rrpv[set_index]
+            if full:
                 # RRIP ages the whole set until some way reaches MAX_RRPV
                 # and evicts the first such way.  RRPVs never exceed
                 # MAX_RRPV, so that is one aging step: the offset that
                 # lifts the largest stored value to MAX_RRPV.
-                rrpvs = self._rrpv[set_index]
                 top = max(rrpvs)
                 way = rrpvs.index(top)
                 offset = self._offset[set_index] = MAX_RRPV - top
-                rrpvs[way] = self._insertion_rrpv(set_index, prefetch) - offset
-                slot = set_index * self.ways + way
+                rrpvs[way] = rrpv - offset
+                slot = set_index * ways + way
+            else:
+                slot = tags.index(None, set_index * ways)
+                order.append(slot)
+                rrpvs[slot - set_index * ways] = rrpv - self._offset[set_index]
+        stats = self.stats
+        evicted = None
+        if full:
             victim = tags[slot]
             del self._where[victim]
             stats.evictions += 1
@@ -253,34 +280,6 @@ class SetAssociativeCache(Component):
         if prefetch:
             stats.prefetch_fills += 1
         return evicted
-
-    def _insertion_rrpv(self, set_index: int, prefetch: bool) -> int:
-        """The RRPV a DRRIP fill of *set_index* inserts at.
-
-        A fill in a leader set is a miss there, which votes against
-        that leader's policy; a follower set follows PSEL.  Prefetches
-        are inserted with the distant prediction.
-        """
-        leader = self._leader.get(set_index)
-        psel = self._psel
-        if leader is None:
-            srrip = psel < PSEL_MID
-        elif leader == "srrip":
-            if psel < PSEL_MAX:
-                self._psel = psel + 1
-            srrip = True
-        else:
-            if psel > 0:
-                self._psel = psel - 1
-            srrip = False
-        if srrip:
-            rrpv = LONG_RRPV
-        else:
-            self._brrip_throttle = (self._brrip_throttle + 1) % BRRIP_LONG_EVERY
-            rrpv = LONG_RRPV if self._brrip_throttle == 0 else DISTANT_RRPV
-        if prefetch:
-            rrpv = DISTANT_RRPV
-        return rrpv
 
     def rrpv(self, set_index: int, way: int) -> int:
         """The RRPV of *way* in *set_index* of a DRRIP cache."""

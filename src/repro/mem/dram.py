@@ -73,32 +73,6 @@ class DRAM(Component):
         row_index = address // ROW_BUFFER_BYTES
         return row_index % NUM_BANKS, row_index // NUM_BANKS
 
-    # -- timing core ---------------------------------------------------------
-
-    def _service(self, bank: _Bank, row: int, now: int) -> int:
-        """Advance *bank* to service one access to *row* starting at *now*;
-        return the completion cycle.
-
-        Row hits pipeline: the column-access latency (tCAS) of back-to-back
-        hits overlaps, so the bank is occupied for only the burst time
-        while the request's own latency still includes tCAS.  Row misses
-        occupy the bank for the full activate/precharge sequence.
-        """
-        start = max(now, bank.ready_at)
-        if bank.open_row == row:
-            self.stats.row_hits += 1
-            occupancy = self.t_burst
-        elif bank.open_row == -1:
-            self.stats.row_misses += 1
-            occupancy = self.t_rcd + self.t_burst
-        else:
-            self.stats.row_misses += 1
-            occupancy = self.t_rp + self.t_rcd + self.t_burst
-        bank.open_row = row
-        bank.ready_at = start + occupancy
-        self.stats.busy_cycles += occupancy
-        return start + occupancy + self.t_cas
-
     # -- public interface ------------------------------------------------------
 
     def read(self, address: int, now: int = 0) -> int:
@@ -116,7 +90,11 @@ class DRAM(Component):
         row_index = address // ROW_BUFFER_BYTES
         bank = self._banks[row_index % NUM_BANKS]
         row = row_index // NUM_BANKS
-        # _service inlined: the read path is the hierarchy's hot exit.
+        # Row hits pipeline: the column-access latency (tCAS) of
+        # back-to-back hits overlaps, so the bank is occupied for only
+        # the burst time while the request's own latency still includes
+        # tCAS.  Row misses occupy the bank for the full
+        # activate/precharge sequence.
         ready = bank.ready_at
         start = now if now > ready else ready
         if bank.open_row == row:
@@ -150,12 +128,14 @@ class DRAM(Component):
         subsequent reads — which is how write bandwidth pressure becomes
         visible to the workload.
         """
-        self.stats.writes += 1
-        line = address & ~63
-        self._write_buffer[line] = (address // ROW_BUFFER_BYTES) % NUM_BANKS
-        self.stats.write_buffer_peak = max(self.stats.write_buffer_peak,
-                                           len(self._write_buffer))
-        if len(self._write_buffer) >= self.write_buffer_capacity:
+        stats = self.stats
+        stats.writes += 1
+        buffer = self._write_buffer
+        buffer[address & ~63] = (address // ROW_BUFFER_BYTES) % NUM_BANKS
+        pending = len(buffer)
+        if pending > stats.write_buffer_peak:
+            stats.write_buffer_peak = pending
+        if pending >= self.write_buffer_capacity:
             self.drain_writes(now)
         return T_CONTROLLER
 
@@ -165,17 +145,35 @@ class DRAM(Component):
         FR-FCFS batching: drains are sorted by (bank, row) so row hits are
         maximised, as a real FR-FCFS scheduler would.
         """
-        if not self._write_buffer:
+        buffer = self._write_buffer
+        if not buffer:
             return 0
-        self.stats.write_drains += 1
+        stats = self.stats
+        stats.write_drains += 1
+        banks = self._banks
         occupancy = 0
-        # Each line's (bank, row), sorted: lines that tie are serviced
-        # alike, so their order does not matter.
-        for bank_index, row in sorted(map(self._map, self._write_buffer)):
-            before = self._banks[bank_index].ready_at
-            done = self._service(self._banks[bank_index], row, now)
-            occupancy += done - max(now, before)
-        self._write_buffer.clear()
+        # Each line as (bank, line address), sorted: within a bank, line
+        # order is row order, and lines of one row are serviced alike.
+        # Each line is serviced as a read is (see :meth:`read`); the
+        # drain occupies its bank for the busy time plus tCAS.
+        for bank_index, line in sorted(zip(buffer.values(), buffer)):
+            bank = banks[bank_index]
+            row = line // ROW_BUFFER_BYTES // NUM_BANKS
+            if bank.open_row == row:
+                stats.row_hits += 1
+                busy = self.t_burst
+            elif bank.open_row == -1:
+                stats.row_misses += 1
+                busy = self.t_rcd + self.t_burst
+            else:
+                stats.row_misses += 1
+                busy = self.t_rp + self.t_rcd + self.t_burst
+            ready = bank.ready_at
+            bank.open_row = row
+            bank.ready_at = (now if now > ready else ready) + busy
+            stats.busy_cycles += busy
+            occupancy += busy + self.t_cas
+        buffer.clear()
         return occupancy
 
     @property

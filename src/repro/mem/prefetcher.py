@@ -119,16 +119,27 @@ class StreamPrefetcher:
 
         if stream.confidence < 2:
             return []
-        # Issue up to `degree` prefetches, never farther than `distance`
-        # lines ahead of the demand miss.
-        limit = line + direction * self.distance
-        candidate = max(stream.next_prefetch * direction, (line + direction) * direction) * direction
-        count = min(self.degree, (limit - candidate) * direction + 1)
+        # Issue up to `degree` prefetches from the stream's next line (or
+        # the line after the demand miss, if that is farther along), never
+        # farther than `distance` lines ahead of the demand miss.
+        candidate = stream.next_prefetch
+        if direction > 0:
+            if candidate <= line:
+                candidate = line + 1
+            count = line + self.distance - candidate + 1
+        else:
+            if candidate >= line:
+                candidate = line - 1
+            count = candidate - line + self.distance + 1
+        if count > self.degree:
+            count = self.degree
         if count <= 0:
             return []
         stream.next_prefetch = candidate + count * direction
         self.stats.issued += count
-        return list(range(candidate, stream.next_prefetch, direction))
+        if count == 1:
+            return [candidate]
+        return [*range(candidate, stream.next_prefetch, direction)]
 
     def active_streams(self) -> int:
         return len(self._streams)

@@ -1,14 +1,18 @@
 """Integration-grade unit tests for the OverlaySystem facade — the
 access semantics of Figure 2 and the operations of Section 4.3."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.config import DEFAULT_CONFIG
 from repro.core.address import (LINE_SIZE, PAGE_SIZE, line_tag_of,
                                 overlay_page_number)
 from repro.core.framework import CowWriteFault, OverlaySystem
 from repro.core.page_table import PageFault
 from repro.cpu.core import Core
 from repro.cpu.trace import MemoryAccess, Trace
+from repro.obs import tracing_session
 
 
 def vaddr(vpn, line=0, offset=0):
@@ -269,6 +273,39 @@ class TestPageCopy:
         assert system.main_memory.read_page(9) == b"y" * PAGE_SIZE
         # The destination lines are now resident (cache pollution).
         assert system.hierarchy.lookup_data(line_tag_of(9, 0)) == b"y" * 64
+
+    def test_destination_lines_written_back_during_the_copy(self):
+        # Caches of 2, 4 and 8 lines: the copy's own dirty destination
+        # lines leave the L3 while it runs, and their writebacks store
+        # into the frame the copy holds.
+        config = replace(DEFAULT_CONFIG, l1_bytes=128, l1_ways=2,
+                         l2_bytes=256, l2_ways=4, l3_bytes=512, l3_ways=8)
+        system = OverlaySystem(config=config)
+        memory = system.main_memory
+        memory.write_page(5, bytes(range(256)) * 16)
+        with tracing_session() as tracer:
+            system.copy_page_via_cache(5, 9)
+        written_back = {event.args["tag"] for event in tracer
+                        if event.name == "writeback"}
+        assert written_back & {line_tag_of(9, line) for line in range(64)}
+        assert memory.read_page(9) == memory.read_page(5)
+        assert all(memory.read_line(9, line) is memory.read_line(5, line)
+                   for line in range(64))
+
+
+class TestStoreBuffers:
+    def test_a_trace_store_does_not_alias_its_buffer(self, system):
+        system.map_page(1, 0x10, 0x99)
+        buf = bytearray(b"s" * LINE_SIZE)
+        Core(system, 1).run(Trace([MemoryAccess(vaddr(0x10), write=True,
+                                                size=LINE_SIZE, data=buf)]))
+        tag = line_tag_of(0x99, 0)
+        buf[:] = b"m" * LINE_SIZE
+        assert system.hierarchy.lookup_data(tag) == b"s" * LINE_SIZE
+        assert system.line_bytes(1, 0x10, 0) == b"s" * LINE_SIZE
+        system.hierarchy.flush_dirty()
+        buf[:] = b"n" * LINE_SIZE
+        assert system.main_memory.read_line(0x99, 0) == b"s" * LINE_SIZE
 
 
 class TestSerializingEvents:
