@@ -71,9 +71,6 @@ class CoherenceNetwork(Component):
         #: page copy).
         self._port_busy_until = 0
 
-    def attach(self, tlb: TLB) -> None:
-        self.tlbs.append(tlb)
-
     # -- the new message (Section 4.3.3) ------------------------------------
 
     def overlaying_read_exclusive(self, overlay_page: int, line: int,

@@ -503,21 +503,6 @@ class OverlaySystem(Component):
         self.hierarchy.invalidate(line_tag_of(opn, line), writeback=False)
         self.coherence.overlaying_read_exclusive(opn, line, entry)
 
-    def remove_overlay_line(self, asid: int, vpn: int, line: int) -> None:
-        """Drop one line from an overlay (dynamic sparse update path)."""
-        opn = overlay_page_number(asid, vpn)
-        entry, _ = self.controller.omt_entry(opn, charge=False)
-        if entry is None or not entry.obitvector.is_set(line):
-            return
-        entry.obitvector.clear(line)
-        if entry.segment is not None and entry.segment.has_line(line):
-            entry.segment.remove_line(line)
-        self.hierarchy.invalidate(line_tag_of(opn, line), writeback=False)
-        for tlb in self.tlbs:
-            cached = tlb.cached_entry(asid, vpn)
-            if cached is not None:
-                cached.obitvector.clear(line)
-
     # -- data-fidelity views --------------------------------------------------------
 
     def line_bytes(self, asid: int, vpn: int, line: int) -> bytes:

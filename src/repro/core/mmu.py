@@ -124,12 +124,7 @@ class MemoryController(Component):
         if entry is None or entry.segment is None or not entry.segment.has_line(line):
             return None, latency
         self.stats.overlay_reads += 1
-        slot = entry.segment.slot_pointers[line]
-        if entry.segment.is_direct_mapped:
-            address = entry.segment.base + line * LINE_SIZE
-        else:
-            address = entry.segment.base + (slot + 1) * LINE_SIZE
-        return address, latency
+        return entry.segment.line_address(line), latency
 
     def fetch_data(self, tag: int) -> Optional[bytes]:
         """Return backing bytes for a missing line (no latency charged —
@@ -167,12 +162,8 @@ class MemoryController(Component):
             entry.segment = self.oms.allocate_segment(1)
         entry.segment = self.oms.write_line(entry.segment, line, payload)
         self.stats.overlay_writebacks += 1
-        slot = entry.segment.slot_pointers[line]
-        if entry.segment.is_direct_mapped:
-            address = entry.segment.base + line * LINE_SIZE
-        else:
-            address = entry.segment.base + (slot + 1) * LINE_SIZE
-        return latency + self.dram.write(address, self._now)
+        return latency + self.dram.write(entry.segment.line_address(line),
+                                         self._now)
 
     # -- OMT management for the framework ---------------------------------------
 
@@ -233,7 +224,3 @@ class MMU:
             obitvector = omt_entry.obitvector
         entry = self.tlb.fill(asid, vpn, pte, obitvector)
         return entry, latency
-
-    def refresh(self, asid: int, vpn: int) -> None:
-        """Drop a cached translation after the OS edits the PTE."""
-        self.tlb.shootdown(asid, vpn)

@@ -34,7 +34,8 @@ class OBitVector:
         self._bits = bits
 
     @classmethod
-    def from_lines(cls, lines: Iterable[int]) -> "OBitVector":
+    def from_lines(  # simlint: disable=SL007 test oracle
+            cls, lines: Iterable[int]) -> "OBitVector":
         """Build a vector with the given line indices set."""
         bits = 0
         for line in lines:
@@ -68,9 +69,6 @@ class OBitVector:
 
     def is_empty(self) -> bool:
         return self._bits == 0
-
-    def is_full(self) -> bool:
-        return self._bits == (1 << self.WIDTH) - 1
 
     def lines(self) -> Iterator[int]:
         """Iterate over set line indices in increasing order."""
@@ -114,15 +112,6 @@ class OBitVector:
         if HOOKS.faults is not None:
             HOOKS.faults.on_obitvector_copy(vector)
         return vector
-
-    def union(self, other: "OBitVector") -> "OBitVector":
-        return OBitVector(self._bits | other._bits)
-
-    def intersection(self, other: "OBitVector") -> "OBitVector":
-        return OBitVector(self._bits & other._bits)
-
-    def difference(self, other: "OBitVector") -> "OBitVector":
-        return OBitVector(self._bits & ~other._bits)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, OBitVector):

@@ -125,6 +125,17 @@ class Segment:
     def has_line(self, line: int) -> bool:
         return self.slot_pointers[line] is not None
 
+    def line_address(self, line: int) -> int:
+        """DRAM byte address of line *line*, which must be present.
+
+        A 4KB segment is direct-mapped (line *i* is its line *i*); a
+        smaller one starts with its metadata line, so data slot *s* is
+        its line *s* + 1.
+        """
+        if self.size == PAGE_SIZE:
+            return self.base + line * LINE_SIZE
+        return self.base + (self.slot_pointers[line] + 1) * LINE_SIZE
+
     def mapped_lines(self) -> List[int]:
         return [i for i, slot in enumerate(self.slot_pointers) if slot is not None]
 
@@ -158,13 +169,6 @@ class Segment:
             self.slot_pointers[line] = slot
         self.slots[slot] = data
         return True
-
-    def remove_line(self, line: int) -> None:
-        slot = self.slot_pointers[line]
-        if slot is None:
-            raise OMSError(f"line {line} is not present in segment @{self.base:#x}")
-        del self.slots[slot]
-        self.slot_pointers[line] = None
 
 
 @dataclass
@@ -254,7 +258,8 @@ class OverlayMemoryStore(Component):
         if len(self._free_lists[size]) % GROUP_SIZE == 0:
             self.stats.memory_line_transfers += 1
 
-    def coalesce(self) -> int:
+    def coalesce(  # simlint: disable=SL007 kept for free-space reuse
+            self) -> int:
         """Merge free buddy segments back into larger ones.
 
         The inverse of splitting (Section 4.4.3): two adjacent free
@@ -371,20 +376,6 @@ class OverlayMemoryStore(Component):
         """Bytes of main memory consumed by live segments."""
         return sum(segment.size for segment in self._segments.values())
 
-    @property
-    def used_bytes(self) -> int:
-        """Bytes of live segments actually holding data or metadata."""
-        total = 0
-        for segment in self._segments.values():
-            total += segment.line_count * LINE_SIZE
-            if not segment.is_direct_mapped:
-                total += METADATA_LINES * LINE_SIZE
-        return total
-
-    @property
-    def free_segment_counts(self) -> Dict[int, int]:
-        return {size: len(bases) for size, bases in self._free_lists.items()}
-
     def free_list_snapshot(self) -> Dict[int, Tuple[int, ...]]:
         """Per-size free segment bases (invariant checking; read-only)."""
         return {size: tuple(bases)
@@ -393,14 +384,3 @@ class OverlayMemoryStore(Component):
     def live_segments(self) -> List[Segment]:
         """Every live segment, sorted by base address (invariant checks)."""
         return [self._segments[base] for base in sorted(self._segments)]
-
-    @property
-    def live_segment_count(self) -> int:
-        return len(self._segments)
-
-    def fragmentation(self) -> float:
-        """Fraction of allocated segment bytes not holding data/metadata."""
-        allocated = self.allocated_bytes
-        if allocated == 0:
-            return 0.0
-        return 1.0 - self.used_bytes / allocated

@@ -54,11 +54,6 @@ class OMTEntry:
     segment: Optional[Segment] = None
     shadow: bool = False
 
-    @property
-    def oms_address(self) -> Optional[int]:
-        """The OMSaddr field: base address of the overlay's segment."""
-        return None if self.segment is None else self.segment.base
-
 
 @dataclass
 class OMTStats:

@@ -126,17 +126,6 @@ class PageTable:
         if self._entries.pop(vpn, None) is None:
             raise PageTableError(f"VPN {vpn:#x} is not mapped")
 
-    def split_superpage(self, base_vpn: int) -> None:
-        """Shatter a super-page into 512 4KB PTEs (baseline CoW on a
-        super-page does this; flexible super-pages avoid it)."""
-        pte = self._superpages.pop(base_vpn, None)
-        if pte is None:
-            raise PageTableError(f"no super-page at VPN {base_vpn:#x}")
-        for i in range(SUPERPAGE_SPAN):
-            self._entries[base_vpn + i] = PTE(
-                ppn=pte.ppn + i, writable=pte.writable, cow=pte.cow,
-                overlays_enabled=pte.overlays_enabled)
-
     def update(self, vpn: int, **flag_changes) -> PTE:
         """Update flags (or ppn) of an existing 4KB mapping."""
         pte = self._entries.get(vpn)

@@ -73,11 +73,6 @@ class TLBStats:
     def accesses(self) -> int:
         return self.l1_hits + self.l2_hits + self.misses
 
-    @property
-    def miss_rate(self) -> float:
-        total = self.accesses
-        return self.misses / total if total else 0.0
-
 
 class _SetAssociativeArray:
     """A set-associative array of TLB entries with per-set LRU.
@@ -243,7 +238,8 @@ class TLB(Component):
         self._l1.flush()
         self._l2.flush()
 
-    def cached_entry(self, asid: int, vpn: int) -> Optional[TLBEntry]:
+    def cached_entry(  # simlint: disable=SL007 test oracle
+            self, asid: int, vpn: int) -> Optional[TLBEntry]:
         """Peek (no stats, no LRU effect beyond lookup) for tests/snoops."""
         return self._l1.lookup((asid, vpn)) or self._l2.lookup((asid, vpn))
 

@@ -57,10 +57,6 @@ class CoreStats:
     def cpi(self) -> float:
         return self.cycles / self.instructions if self.instructions else 0.0
 
-    @property
-    def ipc(self) -> float:
-        return self.instructions / self.cycles if self.cycles else 0.0
-
     def merge(self, other: "CoreStats") -> "CoreStats":
         """Accumulate *other*'s raw counters into this one (rates and
         CPI are derived, so they stay consistent after merging)."""

@@ -130,10 +130,11 @@ class Trace:
         return cls(accesses)
 
     @classmethod
-    def zipf_pages(cls, base: int, pages: int, count: int,
-                   skew: float = 1.2, write_fraction: float = 0.3,
-                   gap: int = 3, size: int = 8, seed: Optional[int] = None,
-                   rng: Optional[random.Random] = None) -> "Trace":
+    def zipf_pages(  # simlint: disable=SL007 tests build traces with it
+            cls, base: int, pages: int, count: int, skew: float = 1.2,
+            write_fraction: float = 0.3, gap: int = 3, size: int = 8,
+            seed: Optional[int] = None,
+            rng: Optional[random.Random] = None) -> "Trace":
         """Page-level Zipf-distributed accesses (hot/cold working sets).
 
         Real applications concentrate accesses on a few hot pages with a
@@ -158,7 +159,8 @@ class Trace:
         return cls(accesses)
 
     @classmethod
-    def from_text(cls, text: str) -> "Trace":
+    def from_text(  # simlint: disable=SL007 the text trace format
+            cls, text: str) -> "Trace":
         """Parse the simple textual trace format, validating every line.
 
         One record per line: ``R|W <vaddr> [size] [gap]`` —  the kind
@@ -210,12 +212,6 @@ class Trace:
             accesses.append(MemoryAccess(vaddr=vaddr, write=(kind == "W"),
                                          size=size, gap=gap))
         return cls(accesses)
-
-    @classmethod
-    def from_file(cls, path) -> "Trace":
-        """Load :meth:`from_text` format from *path* (UTF-8)."""
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_text(handle.read())
 
     def interleave(self, other: "Trace") -> "Trace":
         """Round-robin merge of two traces (multiprogrammed phases)."""

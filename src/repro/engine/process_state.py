@@ -26,7 +26,7 @@ Registration names are the full dotted path of the global
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Tuple
+from typing import Any, Callable, Dict
 
 
 class ProcessStateError(RuntimeError):
@@ -76,11 +76,6 @@ def register(name: str, *, snapshot: Callable[[], Any],
     return slot
 
 
-def registered() -> Tuple[str, ...]:
-    """The dotted names of every registered slot, registration order."""
-    return tuple(_SLOTS)
-
-
 def snapshot(name: str) -> Any:
     """Snapshot one slot by dotted name."""
     try:
@@ -92,7 +87,7 @@ def snapshot(name: str) -> Any:
     return slot.snapshot()
 
 
-def snapshot_all() -> Dict[str, Any]:
+def snapshot_all() -> Dict[str, Any]:  # simlint: disable=SL007 harness lever
     """Summarise every slot — compare across processes to spot drift."""
     return {name: slot.snapshot() for name, slot in _SLOTS.items()}
 
@@ -108,7 +103,7 @@ def reset(name: str) -> None:
     slot.reset()
 
 
-def reset_all() -> None:
+def reset_all() -> None:  # simlint: disable=SL007 harness lever
     """Restore every slot to its import-time value.
 
     After this, an in-process run is byte-identical to one in a fresh

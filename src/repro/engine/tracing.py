@@ -50,7 +50,7 @@ class TraceSink:
 
     ``emit(time, category, name, args)`` receives the simulated cycle
     the event happened at (``None``: the sink back-fills the last
-    observed clock time), a short category (``"clock"``, ``"port"``,
+    observed clock time), a short category (``"clock"``, ``"hierarchy"``,
     ``"tlb"``, ...), an event name, and an optional payload dict.
     """
 
@@ -188,11 +188,6 @@ def uninstall() -> None:
     HOOKS.active = None
 
 
-def active() -> Optional[TraceSink]:
-    """The installed sink, or ``None`` when tracing is off."""
-    return HOOKS.active
-
-
 def install_root_observer(observer: RootObserver) -> RootObserver:
     """Arm the root hook: hand every new machine root to *observer*.
 
@@ -227,8 +222,3 @@ def install_faults(hook: FaultHook) -> FaultHook:
 def uninstall_faults() -> None:
     """Disarm fault injection (idempotent)."""
     HOOKS.faults = None
-
-
-def active_faults() -> Optional[FaultHook]:
-    """The installed fault hook, or ``None`` when injection is off."""
-    return HOOKS.faults

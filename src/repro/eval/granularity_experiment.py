@@ -32,12 +32,6 @@ class Figure11Point:
     csr_overhead: float
     block_overheads: Dict[int, float] = field(default_factory=dict)
 
-    def finest_block_beating_csr(self) -> Optional[int]:
-        """Largest block size whose overhead is below CSR's, if any."""
-        winning = [size for size, overhead in self.block_overheads.items()
-                   if overhead < self.csr_overhead]
-        return max(winning) if winning else None
-
 
 def run_figure11(matrix_count: int = 16, rows: int = 1024, cols: int = 1024,
                  nnz: int = 4000, seed: int = 7,

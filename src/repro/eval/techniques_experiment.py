@@ -10,6 +10,7 @@ import random
 from typing import Any, Dict
 
 from ..core.address import LINE_SIZE, PAGE_SIZE
+from ..core.page_table import SUPERPAGE_SPAN
 from ..osmodel.kernel import Kernel
 from ..techniques.checkpoint import CheckpointManager
 from ..techniques.dedup import DeduplicationManager
@@ -149,5 +150,6 @@ def format_techniques(data: Dict[str, Any]) -> str:
         f"shadow (page-granularity shadow: {md['page_granularity_bytes']} B)",
         f"super-pages: {sp['segment_copies']} segment copies = "
         f"{sp['pages_copied']} pages copied "
-        f"(full-copy baseline: 512 pages; shatter baseline: 512 PTEs)",
+        f"(full-copy baseline: {SUPERPAGE_SPAN} pages; "
+        f"shatter baseline: {SUPERPAGE_SPAN} PTEs)",
     ])

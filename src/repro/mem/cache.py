@@ -328,12 +328,12 @@ class SetAssociativeCache(Component):
         self._free(slot)
         return True, self.fill(new_tag, data=data, dirty=dirty)
 
-    def dirty_lines(self) -> List[CacheLine]:
+    def dirty_lines(self) -> List[CacheLine]:  # simlint: disable=SL007 oracle
         """Snapshots of all dirty resident lines, in slot order."""
         return [self._line(slot)
                 for slot in compress(range(len(self._dirty)), self._dirty)]
 
-    def resident_tags(self) -> List[int]:
+    def resident_tags(self) -> List[int]:  # simlint: disable=SL007 oracle
         return list(self._where)
 
     def __contains__(self, tag: int) -> bool:

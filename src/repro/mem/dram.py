@@ -21,7 +21,7 @@ requires.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .stats import DRAMStats
 from ..config import DEFAULT_CONFIG, SystemConfig
@@ -64,14 +64,6 @@ class DRAM(Component):
         self.stats_scope.own_block(self.stats)
         self._banks: List[_Bank] = [_Bank() for _ in range(NUM_BANKS)]
         self._write_buffer: Dict[int, int] = {}  # line addr -> bank
-
-    # -- address mapping ----------------------------------------------------
-
-    @staticmethod
-    def _map(address: int) -> Tuple[int, int]:
-        """Return (bank, row) for a byte address (row-interleaved banks)."""
-        row_index = address // ROW_BUFFER_BYTES
-        return row_index % NUM_BANKS, row_index // NUM_BANKS
 
     # -- public interface ------------------------------------------------------
 
@@ -177,9 +169,5 @@ class DRAM(Component):
         return occupancy
 
     @property
-    def pending_writes(self) -> int:
+    def pending_writes(self) -> int:  # simlint: disable=SL007 tests read it
         return len(self._write_buffer)
-
-    def bank_ready_at(self, address: int) -> int:
-        bank_index, _ = self._map(address)
-        return self._banks[bank_index].ready_at

@@ -24,8 +24,8 @@ when an access misses the entire hierarchy):
 * ``handle_writeback`` takes a dirty line leaving the L3.
 
 It counts the requests and latency of each call in its own stats block,
-:class:`HierarchyStats`, and emits the ``port`` trace events of the
-resolve, fetch and writeback steps.  Unwired, it serves misses from a
+:class:`HierarchyStats`, and emits one ``hierarchy`` trace event per
+call: ``read_miss`` or ``writeback``.  Unwired, it serves misses from a
 flat physical address space over its own DRAM.
 """
 
@@ -56,9 +56,8 @@ WritebackHandler = Callable[[int, Optional[bytes]], int]
 class HierarchyStats:
     """Requests to, and latency charged by, the memory controller."""
 
-    resolve_miss_requests: int = 0
-    resolve_miss_latency: int = 0
-    fetch_data_requests: int = 0
+    read_miss_requests: int = 0
+    read_miss_latency: int = 0
     writeback_requests: int = 0
     writeback_latency: int = 0
 
@@ -110,22 +109,9 @@ class MemoryHierarchy(Component):
         return 0, self.dram.read(tag * 64, now), None
 
     def _default_writeback(self, tag: int, data: Optional[bytes]) -> int:
-        # The flat address space resolves the tag as a full miss does.
-        self.stats.resolve_miss_requests += 1
-        if HOOKS.active is not None:
-            HOOKS.active.emit(None, "port", "resolve_miss",
-                              {"op": "resolve", "tag": tag, "latency": 0})
         return self.dram.write(tag * 64, self._now)
 
     # -- calls to the memory controller, counted and traced -------------------
-
-    def _trace_miss(self, tag: int, lookup: int) -> None:
-        """Emit the resolve and fetch steps of a :attr:`read_miss` call;
-        *lookup* is its lookup latency."""
-        HOOKS.active.emit(None, "port", "resolve_miss",
-                          {"op": "resolve", "tag": tag, "latency": lookup})
-        HOOKS.active.emit(None, "port", "fetch_data",
-                          {"op": "fetch", "tag": tag})
 
     def _writeback(self, victim: Victim) -> int:
         """Hand a dirty line ``(tag, data)`` leaving the hierarchy to the
@@ -136,9 +122,8 @@ class MemoryHierarchy(Component):
         latency = self.handle_writeback(tag, data)
         stats.writeback_latency += latency
         if HOOKS.active is not None:
-            HOOKS.active.emit(None, "port", "writeback",
-                              {"op": "writeback", "tag": tag,
-                               "latency": latency})
+            HOOKS.active.emit(None, "hierarchy", "writeback",
+                              {"tag": tag, "latency": latency})
         return latency
 
     # -- eviction plumbing ---------------------------------------------------------
@@ -241,11 +226,11 @@ class MemoryHierarchy(Component):
                     continue
                 extra, _cycles, pf_data = self.read_miss(pf_tag, self._now,
                                                          True)
-                stats.resolve_miss_requests += 1
-                stats.resolve_miss_latency += extra
-                stats.fetch_data_requests += 1
+                stats.read_miss_requests += 1
+                stats.read_miss_latency += extra
                 if HOOKS.active is not None:
-                    self._trace_miss(pf_tag, extra)
+                    HOOKS.active.emit(None, "hierarchy", "read_miss",
+                                      {"tag": pf_tag, "latency": extra})
                 victim = l3.fill(pf_tag, pf_data, False, True)
                 if victim is not None:
                     self._writeback(victim)
@@ -283,11 +268,11 @@ class MemoryHierarchy(Component):
                 # read DRAM and fetch the line in one controller call.
                 extra, cycles, fill_data = self.read_miss(
                     tag, self._now + l1.miss_latency + latency, False)
-                stats.resolve_miss_requests += 1
-                stats.resolve_miss_latency += extra
-                stats.fetch_data_requests += 1
+                stats.read_miss_requests += 1
+                stats.read_miss_latency += extra
                 if HOOKS.active is not None:
-                    self._trace_miss(tag, extra)
+                    HOOKS.active.emit(None, "hierarchy", "read_miss",
+                                      {"tag": tag, "latency": extra})
                 latency += extra + cycles
                 # Fill L3 then L2, spilling each dirty victim at once.
                 victim = l3.fill(tag, fill_data)

@@ -53,7 +53,7 @@ class MainMemory:
 
     # -- page granularity ----------------------------------------------------
 
-    def read_page(self, ppn: int) -> bytes:
+    def read_page(self, ppn: int) -> bytes:  # simlint: disable=SL007 oracle
         frame = self._frames.get(ppn)
         return b"".join(frame) if frame is not None else bytes(PAGE_SIZE)
 
@@ -73,9 +73,6 @@ class MainMemory:
         frame = self._frames.get(src_ppn)
         self._frames[dst_ppn] = ([ZERO_LINE] * LINES_PER_PAGE if frame is None
                                  else frame[:])
-
-    def free_frame(self, ppn: int) -> None:
-        self._frames.pop(ppn, None)
 
     # -- byte granularity (convenience for examples) ----------------------------
 
@@ -101,11 +98,6 @@ class MainMemory:
                             for i in range(0, len(span), LINE_SIZE)]
 
     # -- accounting -------------------------------------------------------------
-
-    @property
-    def touched_frames(self) -> int:
-        """Number of frames that have ever been written."""
-        return len(self._frames)
 
     def frames(self) -> Iterator[int]:
         return iter(self._frames)

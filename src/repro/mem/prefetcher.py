@@ -141,5 +141,5 @@ class StreamPrefetcher:
             return [candidate]
         return [*range(candidate, stream.next_prefetch, direction)]
 
-    def active_streams(self) -> int:
+    def active_streams(self) -> int:  # simlint: disable=SL007 tests read it
         return len(self._streams)

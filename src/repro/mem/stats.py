@@ -28,11 +28,6 @@ class CacheStats:
         total = self.accesses
         return self.hits / total if total else 0.0
 
-    @property
-    def miss_rate(self) -> float:
-        total = self.accesses
-        return self.misses / total if total else 0.0
-
 
 @dataclass
 class DRAMStats:
@@ -49,8 +44,3 @@ class DRAMStats:
     @property
     def accesses(self) -> int:
         return self.reads + self.writes
-
-    @property
-    def row_hit_rate(self) -> float:
-        total = self.row_hits + self.row_misses
-        return self.row_hits / total if total else 0.0

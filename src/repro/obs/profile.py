@@ -173,7 +173,7 @@ def _rule_hierarchy(scalars: Dict[str, Number],
     # These two scalars are *measured* latency sums, not counts.
     return {
         "miss resolution (controller)":
-            scalars.get("resolve_miss_latency", 0),
+            scalars.get("read_miss_latency", 0),
         "writebacks (copy traffic)": scalars.get("writeback_latency", 0),
     }
 

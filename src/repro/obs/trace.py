@@ -11,7 +11,7 @@ byte-identical across reruns with the same seed.
 
 Two export formats:
 
-* **JSONL** (:meth:`Tracer.to_jsonl` / :meth:`Tracer.write_jsonl`) —
+* **JSONL** (:meth:`Tracer.to_jsonl`) —
   one event object per line, the grep/diff-friendly archival form;
 * **Chrome trace format** (:meth:`Tracer.chrome_trace` /
   :meth:`Tracer.write_chrome_trace`) — a ``{"traceEvents": [...]}``
@@ -44,7 +44,7 @@ class TraceEvent:
 
     seq: int                     #: global emission order (0-based)
     time: int                    #: simulated cycle
-    category: str                #: "clock", "cursor", "port", "tlb", ...
+    category: str                #: "clock", "cursor", "hierarchy", "tlb", ...
     name: str                    #: event name within the category
     args: Optional[Dict[str, Any]] = None
 
@@ -89,32 +89,17 @@ class Tracer(tracing.TraceSink):
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self._events)
 
-    @property
-    def total_emitted(self) -> int:
-        """Every event ever seen, including those the ring dropped."""
-        return self._seq
-
-    def events(self) -> List[TraceEvent]:
-        """The retained events, oldest first."""
-        return list(self._events)
-
     def clear(self) -> None:
         self._events.clear()
         self.dropped = 0
 
     # -- JSONL export --------------------------------------------------------
 
-    def to_jsonl(self) -> str:
+    def to_jsonl(self) -> str:  # simlint: disable=SL007 tests hash it
         """One compact JSON object per event, newline-separated."""
         return "\n".join(json.dumps(event.to_json_obj(), sort_keys=True,
                                     separators=(",", ":"))
                          for event in self._events)
-
-    def write_jsonl(self, path) -> Path:
-        path = Path(path)
-        text = self.to_jsonl()
-        path.write_text(text + "\n" if text else "")
-        return path
 
     # -- Chrome trace format -------------------------------------------------
 

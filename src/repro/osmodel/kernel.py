@@ -135,7 +135,8 @@ class Kernel:
                     del self.frame_users[ppn]
             self.allocator.release(ppn)
 
-    def exit_process(self, process: Process) -> None:
+    def exit_process(  # simlint: disable=SL007 process lifecycle API
+            self, process: Process) -> None:
         self.munmap(process, min(process.mappings, default=0),
                     0 if not process.mappings else
                     max(process.mappings) - min(process.mappings) + 1)
@@ -184,7 +185,8 @@ class Kernel:
 
     # -- graceful degradation (repro.robust) -----------------------------------------------
 
-    def degrade_to_full_page_cow(self) -> int:
+    def degrade_to_full_page_cow(  # simlint: disable=SL007 recovery API
+            self) -> int:
         """Retire the overlay subsystem and fall back to full-page CoW.
 
         The recovery of last resort: when fault detection concludes the

@@ -96,10 +96,6 @@ class FaultPlan:
         return {spec.name: getattr(self, spec.name)
                 for spec in fields(self) if spec.name.endswith("_rate")}
 
-    def any_armed(self) -> bool:
-        """True when at least one site can fire."""
-        return any(value > 0.0 for value in self.rates().values())
-
     def scaled(self, factor: float) -> "FaultPlan":
         """A plan with every rate multiplied by *factor* (rate sweeps)."""
         changes = {name: min(1.0, value * factor)

@@ -23,7 +23,6 @@ import numpy as np
 from .pattern import MatrixPattern, VALUE_BYTES, VALUES_PER_LINE
 from ..core.address import (LINE_SIZE, PAGE_SIZE, line_index,
                             overlay_page_number, page_number)
-from ..core.oms import smallest_segment_for
 from ..cpu.trace import MemoryAccess, Trace
 
 #: FP instructions per overlay line processed (8 fused multiply-adds).
@@ -60,20 +59,8 @@ class OverlaySparseMatrix:
         lines actually present in the overlays (Section 2.3: "for each
         overlay, store only the cache lines that are actually present"),
         plus the single shared zero frame.  Segment-size quantisation is
-        reported separately by :meth:`segment_allocated_bytes` and
         studied in the segment-ladder ablation."""
         return len(self.pattern.nonzero_lines()) * LINE_SIZE + PAGE_SIZE
-
-    def segment_allocated_bytes(self) -> int:
-        """Footprint including OMS segment rounding and metadata lines:
-        the smallest segment of the 256B..4KB ladder per overlay page."""
-        lines_by_page = {}
-        for line in self.pattern.nonzero_lines():
-            page = line // LINES_PER_PAGE
-            lines_by_page[page] = lines_by_page.get(page, 0) + 1
-        segment_total = sum(smallest_segment_for(count)
-                            for count in lines_by_page.values())
-        return segment_total + PAGE_SIZE  # + the zero page
 
     # -- placement ------------------------------------------------------------------
 

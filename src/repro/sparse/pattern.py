@@ -102,7 +102,7 @@ class MatrixPattern:
             dense[row, col] = value
         return dense
 
-    def to_scipy(self):
+    def to_scipy(self):  # simlint: disable=SL007 reference for tests
         """Return a scipy.sparse CSR matrix (reference implementation)."""
         from scipy.sparse import csr_matrix
         rows, cols, values = [], [], []

@@ -19,7 +19,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from ..core.address import LINES_PER_PAGE, PAGE_SIZE
+from ..core.address import LINES_PER_PAGE
 
 
 @dataclass
@@ -28,11 +28,6 @@ class DedupStats:
     pages_deduplicated: int = 0
     frames_freed: int = 0
     overlay_lines_created: int = 0
-
-    @property
-    def bytes_saved(self) -> int:
-        """Frame bytes freed minus overlay line bytes spent."""
-        return self.frames_freed * PAGE_SIZE - self.overlay_lines_created * 64
 
 
 class DeduplicationManager:

@@ -95,7 +95,8 @@ class MetadataManager:
 
     # -- bulk helpers for tools built on top (taint tracking etc.) ------------------------
 
-    def taint_range(self, vaddr: int, length: int, tag: int = 1) -> None:
+    def taint_range(  # simlint: disable=SL007 the technique's API
+            self, vaddr: int, length: int, tag: int = 1) -> None:
         """Tag every word overlapping [vaddr, vaddr+length)."""
         start = (vaddr // WORD_BYTES) * WORD_BYTES
         end = vaddr + length
@@ -104,7 +105,8 @@ class MetadataManager:
             self.metadata_store(word, tag)
             word += WORD_BYTES
 
-    def is_tainted(self, vaddr: int, length: int) -> bool:
+    def is_tainted(  # simlint: disable=SL007 the technique's API
+            self, vaddr: int, length: int) -> bool:
         """True if any word overlapping the range carries a non-zero tag."""
         start = (vaddr // WORD_BYTES) * WORD_BYTES
         word = start

@@ -9,17 +9,17 @@ pages / 64 bits = 8 pages per bit), and a written segment is remapped to
 the overlay — copying 8 pages instead of 512 — while the rest of the
 super-page keeps its single TLB entry.
 
-The same segment vector supports multiple protection domains within one
-super-page (per-segment protections).
-
-:class:`SuperpageManager` implements both the overlay scheme and the two
-baselines (full copy; shattering) so the ablation bench can compare them.
+:class:`SuperpageManager` simulates the overlay scheme.  The two
+baselines it is compared with are arithmetic, not simulated: a full copy
+copies all ``SUPERPAGE_SPAN`` pages of the super-page, and shattering
+replaces its one PD entry with ``SUPERPAGE_SPAN`` base PTEs.  The
+paper's per-segment protection domains are not modelled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from ..core.obitvector import OBitVector
 from ..core.page_table import SUPERPAGE_SPAN
@@ -33,19 +33,15 @@ class SuperpageStats:
     superpages_shared: int = 0
     segment_copies: int = 0
     pages_copied: int = 0
-    full_copies: int = 0
-    shatters: int = 0
 
 
 @dataclass
 class _SharedSuperpage:
     base_vpn: int
     base_ppn: int
-    #: per-sharer segment overlay state: asid -> (OBitVector, segment -> frames)
-    overlays: Dict[int, Tuple[OBitVector, Dict[int, List[int]]]] = field(
-        default_factory=dict)
-    #: per-segment protection domain: segment -> "rw" | "ro" | "none"
-    protections: Dict[int, str] = field(default_factory=dict)
+    #: per-sharer segment overlay state: asid -> OBitVector of the
+    #: segments already remapped to that sharer's private frames
+    overlays: Dict[int, OBitVector] = field(default_factory=dict)
 
 
 class SuperpageManager:
@@ -103,12 +99,10 @@ class SuperpageManager:
         shared = self._shared.get((process.asid, base_vpn))
         if shared is None:
             raise KeyError(f"super-page at {base_vpn:#x} is not shared")
-        vector, segments = shared.overlays.setdefault(
-            process.asid, (OBitVector(), {}))
+        vector = shared.overlays.setdefault(process.asid, OBitVector())
         segment = self.segment_of(vpn - base_vpn)
         if vector.is_set(segment):
             return 0  # segment already remapped to this sharer's overlay
-        frames = []
         first_page = base_vpn + segment * PAGES_PER_SEGMENT
         for i in range(PAGES_PER_SEGMENT):
             src_ppn = shared.base_ppn + segment * PAGES_PER_SEGMENT + i
@@ -121,76 +115,8 @@ class SuperpageManager:
             # the rest of the 2MB region keeps its single PD entry.
             process.page_table.map(first_page + i, dst_ppn,
                                    writable=True, cow=False)
-            frames.append(dst_ppn)
         self.kernel.system.coherence.shootdown(process.asid, first_page)
         vector.set(segment)
-        segments[segment] = frames
         self.stats.segment_copies += 1
         self.stats.pages_copied += PAGES_PER_SEGMENT
         return PAGES_PER_SEGMENT
-
-    def resolve_page(self, process, vpn: int) -> int:
-        """Physical frame backing *vpn*, honouring segment overlays."""
-        base_vpn = vpn - (vpn % SUPERPAGE_SPAN)
-        shared = self._shared.get((process.asid, base_vpn))
-        if shared is None:
-            pte = process.page_table.entry(vpn)
-            if pte is None:
-                raise KeyError(f"VPN {vpn:#x} not mapped")
-            return pte.ppn
-        offset = vpn - base_vpn
-        state = shared.overlays.get(process.asid)
-        if state is not None:
-            vector, segments = state
-            segment = self.segment_of(offset)
-            if vector.is_set(segment):
-                return segments[segment][offset % PAGES_PER_SEGMENT]
-        return shared.base_ppn + offset
-
-    # -- baselines for comparison ---------------------------------------------------------
-
-    def baseline_full_copy(self, process, base_vpn: int) -> int:
-        """Baseline A: copy the whole 2MB on first write (512 pages)."""
-        shared = self._shared.get((process.asid, base_vpn))
-        if shared is None:
-            raise KeyError(f"super-page at {base_vpn:#x} is not shared")
-        for i in range(SUPERPAGE_SPAN):
-            dst = self.kernel.allocator.allocate()
-            self.kernel.system.copy_page_via_dram(shared.base_ppn + i, dst)
-            process.mappings[base_vpn + i] = dst
-        self.stats.full_copies += 1
-        self.stats.pages_copied += SUPERPAGE_SPAN
-        return SUPERPAGE_SPAN
-
-    def baseline_shatter(self, process, base_vpn: int) -> int:
-        """Baseline B: shatter into 512 base PTEs (loses the single TLB
-        entry; each page then does ordinary CoW)."""
-        process.page_table.split_superpage(base_vpn)
-        self.stats.shatters += 1
-        return SUPERPAGE_SPAN
-
-    # -- protection domains ------------------------------------------------------------------
-
-    def set_segment_protection(self, process, base_vpn: int, segment: int,
-                               protection: str) -> None:
-        """Give one 32KB segment its own protection domain."""
-        if protection not in ("rw", "ro", "none"):
-            raise ValueError("protection must be rw/ro/none")
-        shared = self._shared.get((process.asid, base_vpn))
-        if shared is None:
-            raise KeyError(f"super-page at {base_vpn:#x} is not shared")
-        shared.protections[segment] = protection
-
-    def check_access(self, process, vpn: int, write: bool) -> bool:
-        """Would an access to *vpn* be permitted by segment protections?"""
-        base_vpn = vpn - (vpn % SUPERPAGE_SPAN)
-        shared = self._shared.get((process.asid, base_vpn))
-        if shared is None:
-            return True
-        segment = self.segment_of(vpn - base_vpn)
-        protection = shared.protections.get(segment, "rw")
-        if protection == "none":
-            return False
-        if protection == "ro" and write:
-            return False
-        return True

@@ -1,4 +1,4 @@
-"""Architecture checks: five AST rules over every ``.py`` file in ``src/``,
+"""Architecture checks: six AST rules over every ``.py`` file in ``src/``,
 ``benchmarks/`` and ``examples/``.  DESIGN.md ("Architectural rules") gives
 each rule's reason.  ``# simlint: disable=SLxxx`` suppresses a rule on its
 line; a pragma that suppresses nothing fails.  Each check has one violating
@@ -322,12 +322,43 @@ def check_hot_path_slots(modules: List[Module]) -> Iterator[Finding]:
                               f"{node.name} has no __slots__")
 
 
+# -- SL007 program callers: every definition in src/ has a use outside tests
+
+def check_program_callers(modules: List[Module]) -> Iterator[Finding]:
+    """Flag a ``def`` in ``repro`` whose name no scanned module references:
+    no name, no attribute and no identifier string (``getattr`` tables,
+    ``__all__``).  ``tests/`` is not scanned, so a definition that only
+    tests call is flagged.  Dunders are called by the language."""
+    used: Set[str] = set()
+    for module in modules:
+        for node in ast.walk(module.tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.Constant) \
+                    and isinstance(node.value, str) \
+                    and node.value.isidentifier():
+                used.add(node.value)
+    for module in modules:
+        if module.name.partition(".")[0] != "repro":
+            continue
+        for node in ast.walk(module.tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and node.name not in used \
+                    and not (node.name.startswith("__")
+                             and node.name.endswith("__")):
+                yield Finding("SL007", module.path, node.lineno,
+                              f"{node.name} has no program caller")
+
+
 CHECKS = {
     "SL001": check_determinism,
     "SL002": check_latency_literals,
     "SL003": check_stats_discipline,
     "SL004": check_layering,
     "SL006": check_hot_path_slots,
+    "SL007": check_program_callers,
 }
 
 
@@ -436,6 +467,24 @@ VIOLATIONS = {
             pass
         # simlint: hot-path                       # SL006
     '''},
+    "SL007": {"repro.mem.sample": '''
+        __all__ = ["exported"]
+        class Cache:
+            def __init__(self):
+                self.probe = self.lookup
+            def lookup(self, tag):
+                return getattr(self, "resolve")(tag)
+            def resolve(self, tag):
+                return tag
+            def peek(self, tag):                  # SL007
+                return tag
+            def oracle(self):  # simlint: disable=SL007 tests read it
+                return []
+        def exported():
+            return Cache().lookup(0)
+        def unused():                             # SL007
+            return Cache
+    ''', "examples.tool": "def main():\n    pass\n"},
 }
 
 

@@ -29,13 +29,13 @@ TRACE_CAPACITY = 1 << 20
 
 PINNED = {
     ("mcf", "copy-on-write"):
-        "8b7dde0d38198a7765eb98c19e3e3eb27932887caa0b913cc58d846d22b6722d",
+        "60a44175440973de4b3797451f2eec549101599a124922324a81cb718146895b",
     ("mcf", "overlay-on-write"):
-        "1e3ab09a880682ad0baf8e3424246d409a160472e106747cc9d02b2b6a2a6e97",
+        "c1c18e53b97f84063c2e97b22b101b99b3d9cf355235af9547b9bd66782dbf90",
     ("lbm", "copy-on-write"):
-        "e281d658f575688497502ed70f6a650ce6d0808e677286c52cc3092b015c230b",
+        "d55afa0f68d568b45ffa3e5a3d3913b5777402125091bfdcae1c2a081cc039de",
     ("cactus", "overlay-on-write"):
-        "5c0e01e89776173b1cd4005d7ef29f356de1ff6445c9a2540c409e172baf4090",
+        "8e7f3f1ef77b3dbba545b518114c56d63ae79917414f2895a2662913a8f72917",
 }
 
 

@@ -85,11 +85,3 @@ class TestShootdown:
         for tlb in tlbs:
             assert tlb.cached_entry(5, 0x10) is None
         assert net.stats.shootdowns == 1
-
-    def test_attach_adds_tlb(self):
-        net = CoherenceNetwork()
-        tlb = make_tlb()
-        net.attach(tlb)
-        tlb.fill(1, 0x10, PTE(ppn=1), OBitVector())
-        net.shootdown(1, 0x10)
-        assert tlb.cached_entry(1, 0x10) is None

@@ -114,12 +114,6 @@ class TestAccessSemantics:
             tlb.flush()
         assert system.read(1, vaddr(0x10, 1), 4)[0] == b"PPPP"
 
-    def test_remove_overlay_line_reverts_to_page(self, system):
-        self.setup_overlay(system)
-        system.remove_overlay_line(1, 0x10, 1)
-        assert system.read(1, vaddr(0x10, 1), 4)[0] == b"PPPP"
-        assert system.overlay_line_count(1, 0x10) == 1
-
     def test_overlay_line_count(self, system):
         self.setup_overlay(system)
         assert system.overlay_line_count(1, 0x10) == 2

@@ -243,10 +243,3 @@ class TestMMU:
         mmu, _, _ = self.make_mmu()
         with pytest.raises(PageFault):
             mmu.translate(1, 0x77)
-
-    def test_refresh_drops_translation(self):
-        mmu, _, _ = self.make_mmu()
-        mmu.translate(1, 0x10)
-        mmu.refresh(1, 0x10)
-        mmu.translate(1, 0x10)
-        assert mmu.tlb.stats.misses == 2

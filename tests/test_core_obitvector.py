@@ -26,7 +26,6 @@ class TestBasics:
 
     def test_full_vector(self):
         v = OBitVector.full()
-        assert v.is_full()
         assert v.count() == 64
 
     def test_clear_all(self):
@@ -72,13 +71,6 @@ class TestValueSemantics:
         assert hash(a) == hash(b)
         assert a != OBitVector()
 
-    def test_union_intersection_difference(self):
-        a = OBitVector.from_lines([1, 2])
-        b = OBitVector.from_lines([2, 3])
-        assert sorted(a.union(b).lines()) == [1, 2, 3]
-        assert sorted(a.intersection(b).lines()) == [2]
-        assert sorted(a.difference(b).lines()) == [1]
-
 
 class TestProperties:
     @given(line_sets)
@@ -95,17 +87,6 @@ class TestProperties:
         v.set(line)
         assert v.count() == count
         assert v.is_set(line)
-
-    @given(line_sets, line_sets)
-    def test_union_contains_both(self, a_set, b_set):
-        union = OBitVector.from_lines(a_set).union(
-            OBitVector.from_lines(b_set))
-        assert set(union.lines()) == a_set | b_set
-
-    @given(line_sets)
-    def test_difference_with_self_is_empty(self, chosen):
-        v = OBitVector.from_lines(chosen)
-        assert v.difference(v).is_empty()
 
     @given(line_sets)
     def test_count_matches_len(self, chosen):

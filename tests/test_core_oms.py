@@ -3,9 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.oms import (METADATA_LINES, OMSError, OutOfOverlayMemory,
-                            OverlayMemoryStore, SEGMENT_SIZES, Segment,
-                            data_slot_capacity, smallest_segment_for)
+from repro.core.oms import (OMSError, OutOfOverlayMemory, OverlayMemoryStore,
+                            SEGMENT_SIZES, Segment, data_slot_capacity,
+                            smallest_segment_for)
 
 LINE = b"\x11" * 64
 
@@ -82,20 +82,6 @@ class TestSegment:
         seg.write_line(42, LINE)
         assert seg.slot_pointers[42] == 42
 
-    def test_remove_line_frees_slot(self):
-        seg = Segment(base=0, size=256)
-        seg.write_line(0, make_line(0))
-        seg.write_line(1, make_line(1))
-        seg.write_line(2, make_line(2))
-        seg.remove_line(1)
-        assert not seg.has_line(1)
-        assert seg.write_line(9, make_line(9))  # freed slot reused
-
-    def test_remove_missing_raises(self):
-        seg = Segment(base=0, size=256)
-        with pytest.raises(OMSError):
-            seg.remove_line(0)
-
     def test_wrong_size_data_rejected(self):
         seg = Segment(base=0, size=256)
         with pytest.raises(ValueError):
@@ -146,7 +132,7 @@ class TestStore:
         allocated = oms.allocated_bytes
         oms.free_segment(seg)
         assert oms.allocated_bytes == allocated - 256
-        assert oms.live_segment_count == 0
+        assert oms.live_segments() == []
 
     def test_double_free_rejected(self):
         oms = OverlayMemoryStore()
@@ -189,20 +175,6 @@ class TestStore:
         oms.free_segment(seg)
         again = oms.allocate_segment(1)
         assert again.base == base
-
-    def test_used_bytes_counts_metadata(self):
-        oms = OverlayMemoryStore()
-        seg = oms.allocate_segment(1)
-        oms.write_line(seg, 0, LINE)
-        assert oms.used_bytes == 64 + METADATA_LINES * 64
-
-    def test_fragmentation_metric(self):
-        oms = OverlayMemoryStore()
-        assert oms.fragmentation() == 0.0
-        seg = oms.allocate_segment(1)
-        oms.write_line(seg, 0, LINE)
-        # 256B allocated, 128B used (1 data + 1 metadata line).
-        assert oms.fragmentation() == pytest.approx(0.5)
 
     def test_line_transfer_accounting(self):
         oms = OverlayMemoryStore()

@@ -4,8 +4,7 @@ import pytest
 
 from repro.core.obitvector import OBitVector
 from repro.core.oms import OverlayMemoryStore
-from repro.core.omt import (OMT_ENTRY_BITS, OMTCache, OMTEntry,
-                            OverlayMappingTable)
+from repro.core.omt import OMT_ENTRY_BITS, OMTCache, OverlayMappingTable
 
 
 class TestTable:
@@ -33,13 +32,6 @@ class TestTable:
         assert removed is not None
         assert omt.lookup(1) is None
         assert omt.remove(1) is None
-
-    def test_oms_address_tracks_segment(self):
-        entry = OMTEntry(opn=1)
-        assert entry.oms_address is None
-        oms = OverlayMemoryStore()
-        entry.segment = oms.allocate_segment(1)
-        assert entry.oms_address == entry.segment.base
 
 
 class TestEntryFormat:

@@ -108,20 +108,6 @@ class TestSuperpages:
         assert table.entry(7).ppn == 519
         assert table.entry(0).ppn == 512
 
-    def test_split_superpage(self):
-        table = PageTable(asid=1)
-        table.map_superpage(0, 512)
-        table.split_superpage(0)
-        pte, accesses = table.walk(5)
-        assert pte.ppn == 517
-        assert not pte.superpage
-        assert accesses == PAGE_TABLE_LEVELS
-
-    def test_split_missing_raises(self):
-        table = PageTable(asid=1)
-        with pytest.raises(PageTableError):
-            table.split_superpage(0)
-
     def test_superpage_len(self):
         table = PageTable(asid=1)
         table.map_superpage(0, 512)

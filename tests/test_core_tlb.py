@@ -70,7 +70,7 @@ class TestLookup:
         tlb.lookup(1, 0x10)
         fill(tlb, 1, 0x10)
         tlb.lookup(1, 0x10)
-        assert tlb.stats.miss_rate == pytest.approx(0.5)
+        assert (tlb.stats.misses, tlb.stats.accesses) == (1, 2)
 
 
 class TestCoherence:

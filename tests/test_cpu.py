@@ -143,12 +143,6 @@ class TestCore:
         data, _ = kernel.system.read(process.asid, 0x100 * 4096 + 16, 4)
         assert data == b"WXYZ"
 
-    def test_ipc_is_inverse_of_cpi(self):
-        kernel, process = machine()
-        core = Core(kernel.system, process.asid)
-        stats = core.run(Trace.sequential(0x100 * 4096, 16, stride=64))
-        assert stats.ipc == pytest.approx(1.0 / stats.cpi)
-
 
 class TestZipfTrace:
     def test_stays_in_region(self):

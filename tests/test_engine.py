@@ -293,6 +293,5 @@ class TestSystemStatsWiring:
         assert paths["system.framework.reads"] == 1
         assert [path.rsplit(".", 1)[1] for path in paths
                 if path.rsplit(".", 1)[0] == "system.hierarchy"] == [
-            "resolve_miss_requests", "resolve_miss_latency",
-            "fetch_data_requests", "writeback_requests",
-            "writeback_latency"]
+            "read_miss_requests", "read_miss_latency",
+            "writeback_requests", "writeback_latency"]

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.eval.fork_experiment import BenchmarkComparison, PolicyRun
-from repro.eval.granularity_experiment import Figure11Point
 from repro.eval.spmv_experiment import Figure10Point, crossover_locality
 
 
@@ -59,18 +58,6 @@ class TestCrossover:
     def test_never_winning(self):
         points = [point(1, 0.5), point(8, 0.9)]
         assert crossover_locality(points) is None
-
-
-class TestFigure11Point:
-    def test_finest_block_beating_csr(self):
-        p = Figure11Point(matrix="m", locality=2.0, csr_overhead=1.5,
-                          block_overheads={16: 1.2, 64: 1.4, 4096: 9.0})
-        assert p.finest_block_beating_csr() == 64
-
-    def test_none_beats(self):
-        p = Figure11Point(matrix="m", locality=1.0, csr_overhead=1.0,
-                          block_overheads={16: 2.0, 4096: 9.0})
-        assert p.finest_block_beating_csr() is None
 
 
 class TestSpeedupGuards:

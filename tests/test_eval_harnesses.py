@@ -90,8 +90,8 @@ class TestForkExperiment:
         monkeypatch.setattr(fork_experiment, "Kernel", RecordingKernel)
         run = fork_experiment.run_policy(BENCHMARKS[name], "overlay-on-write")
         oms = kernels[0].system.oms
-        free_bytes = sum(size * count
-                         for size, count in oms.free_segment_counts.items())
+        free_bytes = sum(size * len(bases) for size, bases
+                         in oms.free_list_snapshot().items())
         initial_pool_bytes = 16 * PAGE_SIZE  # Kernel's oms_initial_pages
         assert run.additional_memory_bytes == (
             oms.allocated_bytes + free_bytes - initial_pool_bytes)

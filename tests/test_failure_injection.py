@@ -135,10 +135,10 @@ class TestCoalescing:
         segments = [oms.allocate_segment(1) for _ in range(16)]
         for segment in segments:
             oms.free_segment(segment)
-        free_256_before = oms.free_segment_counts[256]
+        free_256_before = len(oms.free_list_snapshot()[256])
         merged = oms.coalesce()
         assert merged > 0
-        assert oms.free_segment_counts[256] < free_256_before
+        assert len(oms.free_list_snapshot()[256]) < free_256_before
         assert oms.stats.segment_coalesces == merged
 
     def test_coalesce_enables_large_allocation(self):
@@ -157,11 +157,11 @@ class TestCoalescing:
         segs = [oms.allocate_segment(1) for _ in range(10)]
         for segment in segs[::2]:
             oms.free_segment(segment)
-        free_bytes_before = sum(size * count for size, count
-                                in oms.free_segment_counts.items())
+        free_bytes_before = sum(size * len(bases) for size, bases
+                                in oms.free_list_snapshot().items())
         oms.coalesce()
-        free_bytes_after = sum(size * count for size, count
-                               in oms.free_segment_counts.items())
+        free_bytes_after = sum(size * len(bases) for size, bases
+                               in oms.free_list_snapshot().items())
         assert free_bytes_after == free_bytes_before
 
     def test_non_buddy_neighbours_do_not_merge(self):

@@ -32,19 +32,6 @@ class TestOverlayLineManagement:
         data, _ = system.read(1, vaddr(0x10, 3), 8)
         assert data == b"2" * 8
 
-    def test_remove_missing_line_is_noop(self, system):
-        system.map_page(1, 0x10, 0x42)
-        system.remove_overlay_line(1, 0x10, 5)  # nothing mapped: no error
-        assert system.overlay_line_count(1, 0x10) == 0
-
-    def test_remove_updates_cached_tlb_entry(self, system):
-        system.map_page(1, 0x10, 0x42)
-        system.install_overlay_line(1, 0x10, 5, b"x" * 64)
-        system.read(1, vaddr(0x10), 1)  # cache the translation
-        system.remove_overlay_line(1, 0x10, 5)
-        entry = system.tlbs[0].cached_entry(1, 0x10)
-        assert not entry.obitvector.is_set(5)
-
 
 class TestPromotionEdges:
     def test_promote_page_without_overlay(self, system):

@@ -211,12 +211,6 @@ class TestTraceParsing:
         assert caught.value.line_number == 3
         assert "W broken" in str(caught.value)
 
-    def test_from_file_round_trip(self, tmp_path):
-        path = tmp_path / "trace.txt"
-        path.write_text("W 0x100 8 2\nR 0x140\n")
-        trace = Trace.from_file(path)
-        assert [access.vaddr for access in trace] == [0x100, 0x140]
-
 
 class TestSchemaStrictness:
     def test_unknown_manifest_key_rejected(self):

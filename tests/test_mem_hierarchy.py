@@ -232,9 +232,9 @@ class TestWritebackChain:
 
 class TestControllerCalls:
     def test_counts_requests_and_latency_of_each_call(self):
-        """A full miss resolves and fetches the line once, a dirty line
-        leaving the hierarchy is written back once, and the hierarchy
-        counts each call and its latency in its own stats scope."""
+        """A full miss makes one read_miss call, a dirty line leaving the
+        hierarchy is written back once, and the hierarchy counts each
+        call and its latency in its own stats scope."""
         class StubController:
             def read_miss(self, tag, now, prefetch):
                 return 7, 0, None
@@ -248,24 +248,23 @@ class TestControllerCalls:
         hierarchy.access(100, write=True, data=b"c" * 64)
         hierarchy.invalidate(100)
         assert hierarchy.stats_scope.scalars() == {
-            "resolve_miss_requests": 1, "resolve_miss_latency": 7,
-            "fetch_data_requests": 1,
+            "read_miss_requests": 1, "read_miss_latency": 7,
             "writeback_requests": 1, "writeback_latency": 11}
 
 
 class TestFusedMissCall:
-    """A full miss and each prefetch make one ``read_miss`` call; the
-    hierarchy still counts and traces its resolve and fetch steps."""
+    """A full miss and each prefetch make one ``read_miss`` call, which
+    the hierarchy counts once and traces as one event."""
 
     class Recorder:
         def __init__(self):
             self.events = []
 
         def emit(self, time, category, name, args=None):
-            if category == "port":
+            if category == "hierarchy":
                 self.events.append((name, args))
 
-    def test_full_miss_emits_resolve_then_fetch(self):
+    def test_full_miss_emits_one_read_miss_event(self):
         system = OverlaySystem()
         system.map_page(1, 0x10, 0x99)
         recorder = self.Recorder()
@@ -276,18 +275,16 @@ class TestFusedMissCall:
             tracing.uninstall()
         tag = 0x99 * 64 + 5
         assert recorder.events == [
-            ("resolve_miss", {"op": "resolve", "tag": tag, "latency": 0}),
-            ("fetch_data", {"op": "fetch", "tag": tag})]
+            ("read_miss", {"tag": tag, "latency": 0})]
 
-    def test_every_resolve_is_a_fetch_on_a_wired_machine(self):
+    def test_every_l3_miss_and_prefetch_is_one_read_miss(self):
         system = OverlaySystem()
         system.map_page(1, 0x10, 0x99)
         for offset in range(0, 4096, 64):  # a stream: prefetches run
             system.read(1, 0x10 * 4096 + offset)
         stats = system.hierarchy.stats
         assert system.hierarchy.l3.stats.prefetch_fills > 0
-        assert stats.resolve_miss_requests == stats.fetch_data_requests
-        assert stats.resolve_miss_requests == (
+        assert stats.read_miss_requests == (
             system.hierarchy.l3.stats.misses
             + system.hierarchy.l3.stats.prefetch_fills)
 
@@ -327,13 +324,13 @@ class TestFusedMissCall:
                           + hierarchy.l3.miss_latency]
 
     def test_unwired_hierarchy_keeps_its_counters(self):
-        """Flat physical memory: a writeback resolves its tag too."""
+        """Flat physical memory: a writeback is counted once, as a
+        writeback, and the miss as one read_miss."""
         hierarchy = MemoryHierarchy()
         hierarchy.access(100, write=True, data=b"x" * 64, now=10)
         hierarchy.invalidate(100)
         assert hierarchy.stats_scope.scalars() == {
-            "resolve_miss_requests": 2, "resolve_miss_latency": 0,
-            "fetch_data_requests": 1,
+            "read_miss_requests": 1, "read_miss_latency": 0,
             "writeback_requests": 1, "writeback_latency": 10}
 
 

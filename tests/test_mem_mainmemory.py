@@ -11,7 +11,7 @@ class TestLines:
     def test_unwritten_reads_zero(self):
         memory = MainMemory()
         assert memory.read_line(5, 0) == bytes(LINE_SIZE)
-        assert memory.touched_frames == 0
+        assert list(memory.frames()) == []
 
     def test_write_then_read(self):
         memory = MainMemory()
@@ -70,13 +70,6 @@ class TestPages:
         memory = MainMemory()
         memory.copy_page(9, 10)
         assert memory.read_page(10) == bytes(PAGE_SIZE)
-
-    def test_free_frame(self):
-        memory = MainMemory()
-        memory.write_page(1, b"f" * PAGE_SIZE)
-        memory.free_frame(1)
-        assert memory.read_page(1) == bytes(PAGE_SIZE)
-        assert memory.touched_frames == 0
 
     def test_repeated_line_page_shares_one_object(self):
         memory = MainMemory()
@@ -146,7 +139,6 @@ memory_ops = st.lists(st.one_of(
                         st.integers(0, 200)),
               st.integers(0, 255)),
     st.tuples(st.just("copy_page"), ppns, ppns),
-    st.tuples(st.just("free_frame"), ppns),
 ), min_size=5, max_size=40)
 
 
@@ -182,12 +174,9 @@ class TestReferenceModel:
                              for i in range(min(length, PAGE_SIZE - offset)))
                 memory.write_bytes(ppn, offset, data)
                 frame(ppn)[offset:offset + len(data)] = data
-            elif kind == "copy_page":
+            else:
                 memory.copy_page(ppn, op[2])
                 model[op[2]] = bytearray(model.get(ppn, bytes(PAGE_SIZE)))
-            else:
-                memory.free_frame(ppn)
-                model.pop(ppn, None)
             for check in range(4):
                 expected = bytes(model.get(check, bytes(PAGE_SIZE)))
                 assert memory.read_page(check) == expected

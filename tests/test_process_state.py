@@ -88,7 +88,7 @@ class TestRegistryApi:
 
 class TestMigratedSlots:
     def test_expected_slots_registered(self):
-        names = process_state.registered()
+        names = process_state.snapshot_all()
         for expected in ("repro.engine.tracing.HOOKS",
                          "repro.engine.clock._DEFAULT_MAX_CYCLES",
                          "repro.workloads.spec_like._TRACE_MEMO"):

@@ -70,7 +70,7 @@ class TestAttributionRules:
 
     def test_hierarchy_uses_measured_latency_sums_directly(self):
         node = profile_stats(_scope("hierarchy", {
-            "resolve_miss_latency": 111, "writeback_latency": 22}))
+            "read_miss_latency": 111, "writeback_latency": 22}))
         assert node.own == 111 + 22
 
     def test_core_scales_issue_by_width(self):

@@ -20,7 +20,7 @@ import pytest
 
 from repro.config import DEFAULT_CONFIG, SystemConfig
 from repro.core.address import PAGE_SIZE
-from repro.engine.tracing import HOOKS, TraceError, active_faults
+from repro.engine.tracing import HOOKS, TraceError
 from repro.osmodel.kernel import Kernel
 from repro.robust import (DEFAULT_BASE_PLAN, ECC_MODES, FaultInjector,
                           FaultPlan, fault_session)
@@ -41,7 +41,6 @@ def _cow_machine(pages=2, fill=b"fx"):
 class TestFaultPlan:
     def test_zero_plan_arms_nothing(self):
         plan = FaultPlan()
-        assert not plan.any_armed()
         assert all(value == 0.0 for value in plan.rates().values())
 
     def test_rejects_out_of_range_rates(self):
@@ -61,7 +60,7 @@ class TestFaultPlan:
         doubled = plan.scaled(2.0)
         assert doubled.omt_flip_rate == pytest.approx(0.8)
         assert doubled.coherence_drop_rate == 1.0  # capped
-        assert plan.scaled(0.0).any_armed() is False
+        assert not any(plan.scaled(0.0).rates().values())
 
     def test_to_dict_round_trips_rates(self):
         plan = FaultPlan(tlb_fill_flip_rate=0.25, ecc="parity", seed=7)
@@ -173,23 +172,23 @@ class TestECCModels:
 
 class TestFaultSession:
     def test_installs_and_uninstalls(self):
-        assert active_faults() is None
+        assert HOOKS.faults is None
         with fault_session(FaultPlan()) as injector:
-            assert active_faults() is injector
-        assert active_faults() is None
+            assert HOOKS.faults is injector
+        assert HOOKS.faults is None
 
     def test_uninstalls_across_a_crash(self):
         with pytest.raises(RuntimeError, match="boom"):
             with fault_session(FaultPlan()):
                 raise RuntimeError("boom")
-        assert active_faults() is None
+        assert HOOKS.faults is None
 
     def test_double_install_rejected(self):
         with fault_session(FaultPlan()):
             with pytest.raises(TraceError, match="already installed"):
                 with fault_session(FaultPlan()):
                     pass  # pragma: no cover
-        assert active_faults() is None
+        assert HOOKS.faults is None
 
 
 class TestDisarmedOverhead:
@@ -221,6 +220,5 @@ class TestDisarmedOverhead:
         assert not growth, f"disarmed faults slot allocated: {growth}"
 
     def test_default_base_plan_is_fully_armed(self):
-        assert DEFAULT_BASE_PLAN.any_armed()
         assert all(value > 0.0
                    for value in DEFAULT_BASE_PLAN.rates().values())

@@ -16,9 +16,11 @@ from tests.test_architecture import (
     check_hot_path_slots,
     check_latency_literals,
     check_layering,
+    check_program_callers,
     check_stats_discipline,
     inline,
     unsuppressed,
+    unused_pragmas,
 )
 
 
@@ -259,6 +261,80 @@ class TestSL006HotPathSlots:
                 def __init__(self, tag):
                     self.tag = tag
         ''') == []
+
+
+class TestSL007ProgramCallers:
+    LIBRARY = (
+        ("repro.mem.sample", '''
+            class Cache:
+                def lookup(self, tag):
+                    return tag
+
+                def peek(self, tag):
+                    return tag
+
+            def _helper():
+                return Cache()
+        '''),
+        ("repro.mem.user", '''
+            from repro.mem.sample import Cache
+
+            def build():
+                return Cache().lookup(0)
+        '''),
+    )
+
+    def test_definition_without_caller_flagged(self):
+        findings = run(check_program_callers, *self.LIBRARY)
+        assert sorted(f.message for f in findings) == [
+            "_helper has no program caller", "build has no program caller",
+            "peek has no program caller"]
+        assert {f.path for f in findings} == {"repro/mem/sample.py",
+                                             "repro/mem/user.py"}
+
+    def test_callers_outside_src_count_and_are_not_checked(self):
+        # An example's call is a program caller; the example's own
+        # definitions are not checked.
+        example = ("examples.tool", '''
+            from repro.mem.sample import Cache
+            from repro.mem.user import build
+
+            def main():
+                return Cache().peek(build())
+        ''')
+        assert [f.message for f in run(
+            check_program_callers, *self.LIBRARY, example)] == [
+            "_helper has no program caller"]
+
+    def test_string_references_count(self):
+        # getattr tables and __all__ name a definition as a string.
+        assert run(check_program_callers, '''
+            __all__ = ["public"]
+            METHODS = ("probe",)
+
+            class Cache:
+                def probe(self):
+                    return getattr(self, METHODS[0])
+
+            def public():
+                return Cache
+        ''') == []
+
+    def test_pragma_keeps_a_test_oracle(self):
+        source = '''
+            def oracle():  # simlint: disable=SL007 tests compare against it
+                return []
+        '''
+        module = inline(source)
+        findings = list(check_program_callers([module]))
+        assert unsuppressed([module], findings) == []
+        assert unused_pragmas([module], findings) == []
+        # Once a program calls it, the pragma suppresses nothing.
+        caller = inline("from repro.mem.sample import oracle\n"
+                        "total = len(oracle())\n", "repro.mem.user")
+        findings = list(check_program_callers([module, caller]))
+        assert unused_pragmas([module, caller], findings) == [
+            "repro/mem/sample.py:2: SL007"]
 
 
 class TestPragmas:

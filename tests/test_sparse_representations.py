@@ -136,10 +136,6 @@ class TestOverlayRepresentation:
         expected = len(matrix.nonzero_lines()) * 64 + PAGE_SIZE
         assert rep.memory_bytes() == expected
 
-    def test_segment_accounting_is_larger(self, matrix):
-        rep = OverlaySparseMatrix(matrix)
-        assert rep.segment_allocated_bytes() >= rep.memory_bytes()
-
     def test_dynamic_insert_is_one_line(self, matrix, x):
         kernel, process, rep = self.build(matrix)
         # Insert into a previously all-zero line.

@@ -6,6 +6,11 @@ from repro.core.page_table import SUPERPAGE_SPAN
 from repro.techniques.superpage import PAGES_PER_SEGMENT, SuperpageManager
 
 
+def frame(process, vpn):
+    """The frame the hardware page walk resolves *vpn* to."""
+    return process.page_table.entry(vpn).ppn
+
+
 @pytest.fixture
 def setup(kernel):
     parent = kernel.create_process()
@@ -23,7 +28,7 @@ class TestMapping:
     def test_map_superpage_contiguous_aligned(self, setup):
         kernel, manager, parent, _, base_ppn = setup
         assert base_ppn % SUPERPAGE_SPAN == 0
-        assert manager.resolve_page(parent, 100) == base_ppn + 100
+        assert frame(parent, 100) == base_ppn + 100
 
     def test_unaligned_base_rejected(self, kernel):
         manager = SuperpageManager(kernel)
@@ -47,16 +52,16 @@ class TestCowSharing:
         copied = manager.write_page(child, 12)   # segment 1
         assert copied == PAGES_PER_SEGMENT
         # The written page is private, a distant page still shared.
-        assert manager.resolve_page(child, 12) != base_ppn + 12
-        assert manager.resolve_page(child, 400) == base_ppn + 400
-        assert manager.resolve_page(parent, 12) == base_ppn + 12
+        assert frame(child, 12) != base_ppn + 12
+        assert frame(child, 400) == base_ppn + 400
+        assert frame(parent, 12) == base_ppn + 12
 
     def test_segment_copy_preserves_data(self, setup):
         kernel, manager, parent, child, base_ppn = setup
         kernel.system.main_memory.write_line(base_ppn + 12, 0, b"S" * 64)
         manager.share_cow(parent, child, 0)
         manager.write_page(child, 12)
-        private = manager.resolve_page(child, 12)
+        private = frame(child, 12)
         assert kernel.system.main_memory.read_line(private, 0) == b"S" * 64
 
     def test_second_write_same_segment_is_free(self, setup):
@@ -71,8 +76,7 @@ class TestCowSharing:
         manager.share_cow(parent, child, 0)
         manager.write_page(child, 0)
         manager.write_page(parent, 0)
-        assert (manager.resolve_page(child, 0)
-                != manager.resolve_page(parent, 0))
+        assert frame(child, 0) != frame(parent, 0)
 
     def test_framework_access_resolves_through_segment_overlay(self, setup):
         """After a segment copy, ordinary framework reads/writes hit the
@@ -96,44 +100,3 @@ class TestCowSharing:
         kernel, manager, parent, _, _ = setup
         with pytest.raises(KeyError):
             manager.write_page(parent, 3)
-
-
-class TestBaselines:
-    def test_overlay_copies_64x_less_than_full_copy(self, setup):
-        kernel, manager, parent, child, _ = setup
-        manager.share_cow(parent, child, 0)
-        overlay_pages = manager.write_page(child, 0)
-        other = kernel.create_process()
-        base2 = manager.map_superpage(other, SUPERPAGE_SPAN)
-        clone = kernel.create_process()
-        manager.share_cow(other, clone, SUPERPAGE_SPAN)
-        full_pages = manager.baseline_full_copy(clone, SUPERPAGE_SPAN)
-        assert full_pages == 64 * overlay_pages
-
-    def test_shatter_baseline_splits_page_table(self, setup):
-        kernel, manager, parent, child, base_ppn = setup
-        manager.share_cow(parent, child, 0)
-        manager.baseline_shatter(child, 0)
-        assert child.page_table.superpage_entry(0) is None
-        pte = child.page_table.entry(5)
-        assert pte is not None and pte.ppn == base_ppn + 5
-
-
-class TestProtectionDomains:
-    def test_per_segment_protection(self, setup):
-        kernel, manager, parent, child, _ = setup
-        manager.share_cow(parent, child, 0)
-        manager.set_segment_protection(child, 0, 2, "ro")
-        manager.set_segment_protection(child, 0, 3, "none")
-        in_seg2 = 2 * PAGES_PER_SEGMENT
-        in_seg3 = 3 * PAGES_PER_SEGMENT
-        assert manager.check_access(child, in_seg2, write=False)
-        assert not manager.check_access(child, in_seg2, write=True)
-        assert not manager.check_access(child, in_seg3, write=False)
-        assert manager.check_access(child, 0, write=True)  # default rw
-
-    def test_invalid_protection_rejected(self, setup):
-        kernel, manager, parent, child, _ = setup
-        manager.share_cow(parent, child, 0)
-        with pytest.raises(ValueError):
-            manager.set_segment_protection(child, 0, 0, "rwx")
