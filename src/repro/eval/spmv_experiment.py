@@ -18,6 +18,7 @@ series.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import List, Optional
 
 from ..sparse.matrix_gen import locality_sweep
@@ -53,12 +54,13 @@ def run_figure10(matrix_count: int = 16, rows: int = DEFAULT_ROWS,
         matrices = locality_sweep(matrix_count, rows=rows, cols=cols,
                                   nnz=nnz, seed=seed)
     points = []
-    for pattern in sorted(matrices, key=lambda m: m.locality):
+    for locality, pattern in sorted(((m.locality, m) for m in matrices),
+                                    key=itemgetter(0)):
         csr = run_spmv(pattern, "csr")
         overlay = run_spmv(pattern, "overlay")
         points.append(Figure10Point(
             matrix=pattern.name,
-            locality=pattern.locality,
+            locality=locality,
             nnz=pattern.nnz,
             relative_performance=csr.cycles / overlay.cycles,
             relative_memory=overlay.memory_bytes / csr.memory_bytes,

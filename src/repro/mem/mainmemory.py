@@ -61,7 +61,7 @@ class MainMemory:
         if len(data) != PAGE_SIZE:
             raise ValueError(f"page data must be {PAGE_SIZE} bytes")
         first = bytes(data[:LINE_SIZE])
-        if data.count(first) == LINES_PER_PAGE:
+        if data == first * LINES_PER_PAGE:
             self._frames[ppn] = [first] * LINES_PER_PAGE
         else:
             data = bytes(data)

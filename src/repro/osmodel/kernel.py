@@ -11,13 +11,18 @@ which copy-on-write policy runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 from .physalloc import FrameAllocator
 from .process import Process
-from ..core.address import PAGE_SIZE, overlay_page_number
+from ..core.address import (PAGE_SIZE, VIRTUAL_ADDRESS_BITS,
+                            overlay_page_number)
 from ..core.framework import CowHandler, OverlaySystem
+
+#: Bits of a virtual page number: ``frame_users`` names the mapping of
+#: page ``vpn`` in address space ``asid`` by the one int
+#: ``asid << VPN_BITS | vpn``.
+VPN_BITS = VIRTUAL_ADDRESS_BITS - (PAGE_SIZE - 1).bit_length()
 
 
 @dataclass
@@ -53,8 +58,8 @@ class Kernel:
                 config=config)
         self.system = system
         self.processes: Dict[int, Process] = {}
-        #: ppn -> set of (asid, vpn) currently mapping that frame.
-        self.frame_users: Dict[int, Set[Tuple[int, int]]] = {}
+        #: ppn -> the mappings of that frame, each ``asid << VPN_BITS | vpn``.
+        self.frame_users: Dict[int, Set[int]] = {}
         self._next_pid = 1
         self.stats = KernelStats()
 
@@ -84,6 +89,7 @@ class Kernel:
         page = (None if fill is None else
                 (fill * (PAGE_SIZE // max(1, len(fill)) + 1))[:PAGE_SIZE])
         frames = []
+        asid_key = process.asid << VPN_BITS
         for i in range(npages):
             vpn = start_vpn + i
             if vpn in process.mappings:
@@ -91,7 +97,7 @@ class Kernel:
             ppn = self.allocator.allocate()
             self.system.map_page(process.asid, vpn, ppn)
             process.mappings[vpn] = ppn
-            self.frame_users.setdefault(ppn, set()).add((process.asid, vpn))
+            self.frame_users.setdefault(ppn, set()).add(asid_key | vpn)
             if page is not None:
                 self.system.main_memory.write_page(ppn, page)
             frames.append(ppn)
@@ -109,17 +115,31 @@ class Kernel:
         """
         if not vpns:
             return
-        clash = process.mappings.keys() & vpns
+        mappings = dict.fromkeys(vpns, ppn)
+        clash = process.mappings.keys() & mappings.keys()
         if clash:
             raise ValueError(f"VPN {min(clash):#x} already mapped in "
                              f"pid {process.pid}")
         process.page_table.map_shared(
-            vpns, ppn, writable=writable, cow=cow,
+            mappings, ppn, writable=writable, cow=cow,
             overlays_enabled=self.system.overlays_enabled)
-        process.mappings.update(dict.fromkeys(vpns, ppn))
+        process.mappings.update(mappings)
         users = self.frame_users.setdefault(ppn, set())
-        self.allocator.share(ppn, len(vpns) - (0 if users else 1))
-        users.update(zip(repeat(process.asid), vpns))
+        self.allocator.share(ppn, len(mappings) - (0 if users else 1))
+        asid_key = process.asid << VPN_BITS
+        users.update([asid_key | vpn for vpn in mappings])
+
+    def map_data(self, process: Process, start_vpn: int, raw: bytes) -> int:
+        """Map fresh pages at *start_vpn* holding *raw*; returns their count.
+
+        The last page is zero-padded.
+        """
+        raw += bytes(-len(raw) % PAGE_SIZE)
+        frames = self.mmap(process, start_vpn, len(raw) // PAGE_SIZE)
+        write_page = self.system.main_memory.write_page
+        for index, ppn in enumerate(frames):
+            write_page(ppn, raw[index * PAGE_SIZE:(index + 1) * PAGE_SIZE])
+        return len(frames)
 
     def munmap(self, process: Process, start_vpn: int, npages: int) -> None:
         for i in range(npages):
@@ -128,11 +148,7 @@ class Kernel:
             if ppn is None:
                 continue
             process.page_table.unmap(vpn)
-            users = self.frame_users.get(ppn)
-            if users is not None:
-                users.discard((process.asid, vpn))
-                if not users:
-                    del self.frame_users[ppn]
+            self._drop_user(ppn, process.asid << VPN_BITS | vpn)
             self.allocator.release(ppn)
 
     def exit_process(  # simlint: disable=SL007 process lifecycle API
@@ -159,13 +175,14 @@ class Kernel:
         """
         child = self.create_process()
         child.parent_pid = parent.pid
+        child_key = child.asid << VPN_BITS
         for vpn, ppn in parent.mappings.items():
             self.allocator.share(ppn)
             self.system.map_page(child.asid, vpn, ppn, writable=False, cow=True)
             child.mappings[vpn] = ppn
             self.system.update_mapping(parent.asid, vpn,
                                        writable=False, cow=True)
-            self.frame_users.setdefault(ppn, set()).add((child.asid, vpn))
+            self.frame_users.setdefault(ppn, set()).add(child_key | vpn)
             self.stats.pages_shared_on_fork += 1
             self._copy_overlay_lines(parent.asid, child.asid, vpn)
         self.stats.forks += 1
@@ -212,7 +229,7 @@ class Kernel:
                 latency += self.system.promote(process.asid, vpn,
                                                "copy-and-commit",
                                                new_ppn=new_ppn)
-                self._retarget_mapping(process, vpn, old_ppn, new_ppn)
+                self.move_mapping(process.asid, vpn, old_ppn, new_ppn)
                 self.stats.pages_rescued_on_degradation += 1
         self.system.overlays_enabled = False
         for process in self.processes.values():
@@ -224,44 +241,48 @@ class Kernel:
         self.stats.degradations += 1
         return latency
 
-    def _retarget_mapping(self, process: Process, vpn: int, old_ppn: int,
-                          new_ppn: int) -> None:
-        """Move frame bookkeeping after a promotion remapped *vpn*."""
-        process.mappings[vpn] = new_ppn
-        users = self.frame_users.get(old_ppn)
-        if users is not None:
-            users.discard((process.asid, vpn))
-            if not users:
-                del self.frame_users[old_ppn]
-        self.frame_users.setdefault(new_ppn, set()).add((process.asid, vpn))
-        remaining = self.allocator.release(old_ppn)
-        if remaining == 1 and users and len(users) == 1:
-            # The promotion broke a CoW share; the sole remaining sharer
-            # can drop its write protection (same rule as note_cow_copy).
-            sole_asid, sole_vpn = next(iter(users))
-            self.system.update_mapping(sole_asid, sole_vpn,
-                                       cow=False, writable=True)
-
-    # -- CoW bookkeeping (called by the copy policy) ---------------------------------------
+    # -- moving a mapping between frames ---------------------------------------------------
 
     def note_cow_copy(self, asid: int, vpn: int, old_ppn: int,
                       new_ppn: int) -> None:
         """Record that (*asid*, *vpn*) broke its CoW share onto *new_ppn*."""
         self.stats.cow_breaks += 1
+        self.move_mapping(asid, vpn, old_ppn, new_ppn)
+
+    def move_mapping(self, asid: int, vpn: int, old_ppn: int,
+                     new_ppn: int) -> int:
+        """Move (*asid*, *vpn*)'s bookkeeping from *old_ppn* to *new_ppn*.
+
+        Called once the PTE points at *new_ppn*, whose reference the
+        caller holds: updates the process's mappings and ``frame_users``,
+        drops the mapping's reference to *old_ppn* and returns the
+        references *old_ppn* keeps.  A CoW copy, a promotion and a
+        deduplicating remap all end here.
+        """
         process = self.processes.get(asid)
         if process is not None:
             process.mappings[vpn] = new_ppn
-        users = self.frame_users.get(old_ppn)
-        if users is not None:
-            users.discard((asid, vpn))
-        self.frame_users.setdefault(new_ppn, set()).add((asid, vpn))
+        key = asid << VPN_BITS | vpn
+        users = self._drop_user(old_ppn, key)
+        self.frame_users.setdefault(new_ppn, set()).add(key)
         remaining = self.allocator.release(old_ppn)
         if remaining == 1 and users and len(users) == 1:
             # Sole remaining sharer: drop its CoW protection lazily so it
             # will not fault on its next write.
-            sole_asid, sole_vpn = next(iter(users))
+            sole_asid, sole_vpn = divmod(next(iter(users)), 1 << VPN_BITS)
             self.system.update_mapping(sole_asid, sole_vpn,
                                        cow=False, writable=True)
+        return remaining
+
+    def _drop_user(self, ppn: int, key: int) -> Optional[Set[int]]:
+        """Remove mapping *key* from *ppn*'s users, and *ppn*'s entry once
+        none is left; returns the users that remain."""
+        users = self.frame_users.get(ppn)
+        if users is not None:
+            users.discard(key)
+            if not users:
+                del self.frame_users[ppn]
+        return users
 
     # -- memory accounting (Figure 8's metric) -------------------------------------------
 

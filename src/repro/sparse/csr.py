@@ -56,16 +56,6 @@ class CSRMatrix:
 
     # -- placement -----------------------------------------------------------------
 
-    def _write_region(self, kernel, process, base_vpn: int,
-                      raw: bytes) -> int:
-        npages = (len(raw) + PAGE_SIZE - 1) // PAGE_SIZE
-        frames = kernel.mmap(process, base_vpn, npages)
-        for page_index, ppn in enumerate(frames):
-            chunk = raw[page_index * PAGE_SIZE:(page_index + 1) * PAGE_SIZE]
-            kernel.system.main_memory.write_page(
-                ppn, chunk + bytes(PAGE_SIZE - len(chunk)))
-        return npages
-
     def build(self, kernel, process, base_vpn: int) -> None:
         """Lay the three arrays out in consecutive virtual regions."""
         values_raw = struct.pack(f"<{len(self.values)}d", *self.values)
@@ -74,11 +64,11 @@ class CSRMatrix:
 
         vpn = base_vpn
         self.values_vaddr = vpn * PAGE_SIZE
-        vpn += self._write_region(kernel, process, vpn, values_raw)
+        vpn += kernel.map_data(process, vpn, values_raw)
         self.col_vaddr = vpn * PAGE_SIZE
-        vpn += self._write_region(kernel, process, vpn, col_raw)
+        vpn += kernel.map_data(process, vpn, col_raw)
         self.rowptr_vaddr = vpn * PAGE_SIZE
-        vpn += self._write_region(kernel, process, vpn, rowptr_raw)
+        kernel.map_data(process, vpn, rowptr_raw)
 
     # -- SpMV --------------------------------------------------------------------------
 
@@ -89,25 +79,27 @@ class CSRMatrix:
         load, and the indexed gather of ``x[col]`` the paper charges CSR
         for.  Per row: a row-pointer load and a store of ``y[row]``.
         """
-        trace = Trace()
+        accesses = []
+        append = accesses.append
+        values_vaddr, col_vaddr = self.values_vaddr, self.col_vaddr
+        rowptr_vaddr, col_idx, row_ptr = (self.rowptr_vaddr, self.col_idx,
+                                          self.row_ptr)
         for row in range(self.pattern.rows):
-            trace.append(MemoryAccess(
-                vaddr=self.rowptr_vaddr + row * INDEX_BYTES, size=INDEX_BYTES,
-                gap=1))
-            start, end = self.row_ptr[row], self.row_ptr[row + 1]
+            # MemoryAccess(vaddr, write, size, data, gap)
+            append(MemoryAccess(rowptr_vaddr + row * INDEX_BYTES, False,
+                                INDEX_BYTES, None, 1))
+            start, end = row_ptr[row], row_ptr[row + 1]
             for i in range(start, end):
-                trace.append(MemoryAccess(
-                    vaddr=self.values_vaddr + i * VALUE_BYTES,
-                    gap=CSR_GAP_PER_NNZ))
-                trace.append(MemoryAccess(
-                    vaddr=self.col_vaddr + i * INDEX_BYTES, size=INDEX_BYTES,
-                    gap=0))
-                trace.append(MemoryAccess(
-                    vaddr=x_vaddr + self.col_idx[i] * VALUE_BYTES, gap=0))
+                append(MemoryAccess(values_vaddr + i * VALUE_BYTES, False,
+                                    VALUE_BYTES, None, CSR_GAP_PER_NNZ))
+                append(MemoryAccess(col_vaddr + i * INDEX_BYTES, False,
+                                    INDEX_BYTES, None, 0))
+                append(MemoryAccess(x_vaddr + col_idx[i] * VALUE_BYTES,
+                                    False, VALUE_BYTES, None, 0))
             if end > start:
-                trace.append(MemoryAccess(
-                    vaddr=y_vaddr + row * VALUE_BYTES, write=True, gap=1))
-        return trace
+                append(MemoryAccess(y_vaddr + row * VALUE_BYTES, True,
+                                    VALUE_BYTES, None, 1))
+        return Trace(accesses)
 
     def multiply(self, x: np.ndarray) -> np.ndarray:
         """Functional SpMV over the CSR arrays themselves."""

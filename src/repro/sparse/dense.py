@@ -46,16 +46,8 @@ class DenseMatrix:
 
     def build(self, kernel, process, base_vpn: int) -> None:
         """Map the dense matrix at *base_vpn* and write its bytes."""
-        npages = self.memory_bytes() // PAGE_SIZE
-        frames = kernel.mmap(process, base_vpn, npages)
-        dense = self.pattern.to_numpy()
-        flat = dense.reshape(-1)
-        for page_index, ppn in enumerate(frames):
-            start = page_index * (PAGE_SIZE // VALUE_BYTES)
-            chunk = flat[start:start + PAGE_SIZE // VALUE_BYTES]
-            raw = chunk.astype("<f8").tobytes()
-            raw += bytes(PAGE_SIZE - len(raw))
-            kernel.system.main_memory.write_page(ppn, raw)
+        kernel.map_data(process, base_vpn, np.ascontiguousarray(
+            self.pattern.to_numpy(), dtype="<f8").tobytes())
         self.base_vaddr = base_vpn * PAGE_SIZE
         self._built = True
 

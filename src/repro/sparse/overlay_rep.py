@@ -66,13 +66,11 @@ class OverlaySparseMatrix:
 
     def _line_bytes(self, flat_line: int) -> bytes:
         """Pack the 8 doubles of dense line *flat_line*."""
-        cols = self.pattern.cols
-        values = []
-        base = flat_line * VALUES_PER_LINE
-        for offset in range(VALUES_PER_LINE):
-            flat = base + offset
-            values.append(self.pattern.get(flat // cols, flat % cols))
-        return struct.pack(f"<{VALUES_PER_LINE}d", *values)
+        row, first = divmod(flat_line * VALUES_PER_LINE, self.pattern.cols)
+        row_data = self.pattern.data.get(row, {})
+        return struct.pack(f"<{VALUES_PER_LINE}d", *[
+            row_data.get(col, 0.0)
+            for col in range(first, first + VALUES_PER_LINE)])
 
     def build(self, kernel, process, base_vpn: int) -> None:
         """Map all pages to one zero frame and install non-zero overlays."""
@@ -94,23 +92,23 @@ class OverlaySparseMatrix:
 
     def spmv_trace(self, x_vaddr: int, y_vaddr: int) -> Trace:
         """One y = A·x iteration touching only non-zero (overlay) lines."""
-        trace = Trace()
-        cols = self.pattern.cols
-        lines_per_row = cols // VALUES_PER_LINE
+        lines_per_row = self.pattern.cols // VALUES_PER_LINE
+        base_vaddr = self.base_vaddr
+        accesses = []
+        append = accesses.append
         last_row = -1
         for flat_line in self.pattern.nonzero_lines():
-            row = flat_line // lines_per_row
-            line_in_row = flat_line % lines_per_row
-            trace.append(MemoryAccess(
-                vaddr=self.base_vaddr + flat_line * LINE_SIZE,
-                gap=FMA_GAP_PER_LINE))
-            trace.append(MemoryAccess(
-                vaddr=x_vaddr + line_in_row * LINE_SIZE, gap=0))
+            row, line_in_row = divmod(flat_line, lines_per_row)
+            # MemoryAccess(vaddr, write, size, data, gap)
+            append(MemoryAccess(base_vaddr + flat_line * LINE_SIZE, False,
+                                VALUE_BYTES, None, FMA_GAP_PER_LINE))
+            append(MemoryAccess(x_vaddr + line_in_row * LINE_SIZE, False,
+                                VALUE_BYTES, None, 0))
             if row != last_row:
-                trace.append(MemoryAccess(
-                    vaddr=y_vaddr + row * VALUE_BYTES, write=True, gap=1))
+                append(MemoryAccess(y_vaddr + row * VALUE_BYTES, True,
+                                    VALUE_BYTES, None, 1))
                 last_row = row
-        return trace
+        return Trace(accesses)
 
     def multiply(self, x: np.ndarray) -> np.ndarray:
         """Functional reference result from the pattern."""

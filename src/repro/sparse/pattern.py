@@ -11,7 +11,7 @@ representation uses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
 import numpy as np
 
@@ -70,18 +70,18 @@ class MatrixPattern:
         With ``block_bytes=64`` this is the non-zero cache-line count; with
         4096 it is the non-zero page count (the Figure 11 sweep).
         """
-        values_per_block = max(1, block_bytes // VALUE_BYTES)
-        blocks = set()
-        for row, col, _ in self.entries():
-            blocks.add(self.flat_index(row, col) // values_per_block)
-        return len(blocks)
+        return len(self._blocks(max(1, block_bytes // VALUE_BYTES)))
 
     def nonzero_lines(self) -> List[int]:
         """Sorted flat line indices of all non-zero 64B lines."""
-        lines = set()
-        for row, col, _ in self.entries():
-            lines.add(self.flat_index(row, col) // VALUES_PER_LINE)
-        return sorted(lines)
+        return sorted(self._blocks(VALUES_PER_LINE))
+
+    def _blocks(self, values_per_block: int) -> Set[int]:
+        """Indices of the blocks of *values_per_block* values of the dense
+        layout that hold a non-zero: one pass over ``data``, unordered."""
+        cols = self.cols
+        return {(row * cols + col) // values_per_block
+                for row, row_data in self.data.items() for col in row_data}
 
     @property
     def locality(self) -> float:

@@ -44,8 +44,6 @@ class SpMVResult:
     cycles: int
     instructions: int
     memory_bytes: int
-    locality: float
-    nnz: int
     y: Optional[np.ndarray] = None
 
     @property
@@ -56,18 +54,13 @@ class SpMVResult:
 def _build_vectors(kernel: Kernel, process, cols: int, rows: int,
                    x: np.ndarray) -> None:
     """Map and fill the x (input) and y (output) vector regions."""
-    x_pages = (cols * VALUE_BYTES + PAGE_SIZE - 1) // PAGE_SIZE
-    y_pages = (rows * VALUE_BYTES + PAGE_SIZE - 1) // PAGE_SIZE
     raw = np.ascontiguousarray(x, dtype="<f8").tobytes()
     if len(raw) != cols * VALUE_BYTES:
         raise ValueError(f"x has {len(raw) // VALUE_BYTES} values, "
                          f"the matrix has {cols} columns")
-    x_frames = kernel.mmap(process, X_BASE_VPN, x_pages)
-    kernel.mmap(process, Y_BASE_VPN, y_pages)
-    for page_index, ppn in enumerate(x_frames):
-        chunk = raw[page_index * PAGE_SIZE:(page_index + 1) * PAGE_SIZE]
-        kernel.system.main_memory.write_page(
-            ppn, chunk + bytes(PAGE_SIZE - len(chunk)))
+    kernel.map_data(process, X_BASE_VPN, raw)
+    kernel.mmap(process, Y_BASE_VPN,
+                (rows * VALUE_BYTES + PAGE_SIZE - 1) // PAGE_SIZE)
 
 
 def run_spmv(pattern: MatrixPattern, representation: str,
@@ -105,8 +98,6 @@ def run_spmv(pattern: MatrixPattern, representation: str,
         cycles=stats.cycles,
         instructions=stats.instructions,
         memory_bytes=rep.memory_bytes(),
-        locality=pattern.locality,
-        nnz=pattern.nnz,
         y=rep.multiply(x) if check_result else None)
 
 

@@ -103,20 +103,13 @@ class DeduplicationManager:
         system.update_mapping(asid, vpn, ppn=base_ppn, cow=True,
                               writable=False)
         system.update_mapping(base_asid, base_vpn, cow=True, writable=False)
-        process = self.kernel.processes.get(asid)
-        if process is not None:
-            process.mappings[vpn] = base_ppn
-        users = self.kernel.frame_users.get(old_ppn)
-        if users is not None:
-            users.discard((asid, vpn))
-        self.kernel.frame_users.setdefault(base_ppn, set()).add((asid, vpn))
 
         # Differences become overlay lines of the deduplicated page.
         for line in diff:
             system.install_overlay_line(asid, vpn, line, lines[line])
             self.stats.overlay_lines_created += 1
 
-        if self.kernel.allocator.release(old_ppn) == 0:
+        if self.kernel.move_mapping(asid, vpn, old_ppn, base_ppn) == 0:
             self.stats.frames_freed += 1
         self.families.setdefault(base_ppn, []).append((asid, vpn))
         self.stats.pages_deduplicated += 1

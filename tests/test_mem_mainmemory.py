@@ -82,6 +82,23 @@ class TestPages:
         assert memory.read_page(3) == (b"w" * 64 * 7 + b"N" * 64
                                        + b"w" * 64 * 56)
 
+    def test_repeated_line_pattern_shares_one_object(self):
+        memory = MainMemory()
+        line = bytes(range(64))
+        memory.write_page(4, bytearray(line * LINES_PER_PAGE))
+        assert all(memory.read_line(4, index) is memory.read_line(4, 0)
+                   for index in range(LINES_PER_PAGE))
+        assert memory.read_line(4, 0) == line
+
+    def test_page_differing_in_its_last_byte_is_split(self):
+        memory = MainMemory()
+        payload = bytearray(b"r" * PAGE_SIZE)
+        payload[-1:] = b"!"
+        memory.write_page(5, payload)
+        assert memory.read_page(5) == bytes(payload)
+        assert memory.read_line(5, LINES_PER_PAGE - 1) == b"r" * 63 + b"!"
+        assert memory.read_line(5, 0) is not memory.read_line(5, 1)
+
     def test_wrong_page_size_rejected(self):
         memory = MainMemory()
         with pytest.raises(ValueError):

@@ -4,8 +4,9 @@ import pytest
 
 from repro.core.address import PAGE_SIZE
 from repro.osmodel.cow import CopyOnWritePolicy
-from repro.osmodel.kernel import Kernel
+from repro.osmodel.kernel import VPN_BITS, Kernel
 from repro.osmodel.physalloc import FrameAllocator, OutOfMemory
+from repro.techniques.dedup import DeduplicationManager
 
 
 class TestFrameAllocator:
@@ -179,3 +180,65 @@ class TestCopyOnWritePolicy:
         assert policy.stats.copy_cycles > 0
         assert policy.stats.shootdown_cycles > 0
         assert kernel.stats.cow_breaks == 1
+
+
+def users(asid, *vpns):
+    """*vpns* of *asid* as ``Kernel.frame_users`` names them."""
+    return {asid << VPN_BITS | vpn for vpn in vpns}
+
+
+class TestFrameUsers:
+    """``frame_users`` names each mapping of a frame by one int, and a
+    frame no mapping uses has no entry."""
+
+    def test_mmap_and_fork_record_every_mapping(self, kernel, forked):
+        parent, child = forked
+        for vpn, ppn in parent.mappings.items():
+            assert kernel.frame_users[ppn] == (users(parent.asid, vpn)
+                                               | users(child.asid, vpn))
+
+    def test_munmap_drops_the_entry_of_a_freed_frame(self, kernel, process):
+        ppn = process.mappings[0x100]
+        kernel.munmap(process, 0x100, 1)
+        assert ppn not in kernel.frame_users
+
+    def test_cow_write_after_the_child_exits_leaves_no_entry(self, kernel,
+                                                              forked):
+        """The parent is the last user when it copies; the old frame is
+        freed and keeps no (empty) entry."""
+        parent, child = forked
+        kernel.install_cow_policy(CopyOnWritePolicy(kernel))
+        old = parent.mappings[0x100]
+        kernel.exit_process(child)
+        assert kernel.frame_users[old] == users(parent.asid, 0x100)
+        kernel.system.write(parent.asid, 0x100 * PAGE_SIZE, b"P")
+        new = parent.mappings[0x100]
+        assert new != old
+        assert kernel.allocator.refcount(old) == 0
+        assert old not in kernel.frame_users
+        assert kernel.frame_users[new] == users(parent.asid, 0x100)
+
+    def test_cow_write_moves_one_mapping(self, kernel, forked):
+        parent, child = forked
+        kernel.install_cow_policy(CopyOnWritePolicy(kernel))
+        old = parent.mappings[0x101]
+        kernel.system.write(child.asid, 0x101 * PAGE_SIZE, b"C")
+        assert kernel.frame_users[old] == users(parent.asid, 0x101)
+        assert (kernel.frame_users[child.mappings[0x101]]
+                == users(child.asid, 0x101))
+        # The parent, the sole remaining sharer, lost its CoW protection.
+        pte = parent.page_table.entry(0x101)
+        assert pte.writable and not pte.cow
+
+    def test_dedup_remap_frees_the_old_frame_entry(self, kernel):
+        a = kernel.create_process()
+        b = kernel.create_process()
+        kernel.mmap(a, 0x10, 1, fill=b"dup")
+        kernel.mmap(b, 0x20, 1, fill=b"dup")
+        old, base = b.mappings[0x20], a.mappings[0x10]
+        DeduplicationManager(kernel).deduplicate([(a.asid, 0x10),
+                                                  (b.asid, 0x20)])
+        assert b.mappings[0x20] == base
+        assert old not in kernel.frame_users
+        assert kernel.frame_users[base] == (users(a.asid, 0x10)
+                                            | users(b.asid, 0x20))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.address import PAGE_SIZE
-from repro.osmodel.kernel import Kernel
+from repro.osmodel.kernel import VPN_BITS, Kernel
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.dense import DenseMatrix
 from repro.sparse.matrix_gen import generate_with_locality, random_uniform
@@ -184,8 +184,8 @@ class TestSpMVHarness:
         assert result.cycles > 0
         assert result.instructions > 0
         assert result.cpi > 0
-        assert result.nnz == matrix.nnz
-        assert result.locality == pytest.approx(matrix.locality)
+        assert result.matrix == matrix.name
+        assert result.memory_bytes == CSRMatrix(matrix).memory_bytes()
 
 
 def _two_row_matrix():
@@ -207,7 +207,7 @@ class TestSharedZeroFrame:
                                    writable=False, cow=True)
             process.mappings[vpn] = ppn
             kernel.frame_users.setdefault(ppn, set()).add(
-                (process.asid, vpn))
+                process.asid << VPN_BITS | vpn)
 
     @pytest.mark.parametrize("overlays_enabled", [True, False])
     def test_bulk_build_matches_per_page_loop(self, matrix, overlays_enabled):
@@ -265,8 +265,10 @@ class TestSharedZeroFrame:
         # A second mapping range of the same frame adds its own pages.
         kernel.map_shared(process, range(0x9000, 0x9003), rep.zero_ppn)
         assert kernel.allocator.refcount(rep.zero_ppn) == rep.npages + 3
-        assert (len(kernel.frame_users[rep.zero_ppn])
-                == rep.npages + 3)
+        vpns = [*range(MATRIX_BASE_VPN, MATRIX_BASE_VPN + rep.npages),
+                *range(0x9000, 0x9003)]
+        assert kernel.frame_users[rep.zero_ppn] == {
+            process.asid << VPN_BITS | vpn for vpn in vpns}
 
     def test_degradation_keeps_zero_pages_zero(self):
         """Promoting the two overlay pages releases two references.  With
