@@ -52,7 +52,7 @@ def main():
 
     # --- the crash ------------------------------------------------------
     live_image = {vpn: kernel.system.page_bytes(process.asid, vpn)
-                  for vpn in process.mappings}
+                  for vpn in process.page_table.mapped_vpns()}
     print("\nsimulating a crash: rebuilding memory from base + deltas...")
     recovered = manager.restore_view(EPOCHS)
     assert recovered == live_image

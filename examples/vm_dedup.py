@@ -24,16 +24,15 @@ def boot_vm(kernel, guest_image, patch_rng):
     """Create a 'VM' (process) whose pages are the guest image with a
     couple of VM-specific patched lines per page."""
     vm = kernel.create_process()
-    kernel.mmap(vm, BASE_VPN, GUEST_PAGES)
-    for page, content in enumerate(guest_image):
+    frames = kernel.mmap(vm, BASE_VPN, GUEST_PAGES)
+    for ppn, content in zip(frames, guest_image):
         patched = bytearray(content)
         for _ in range(2):  # two VM-specific lines per page
             line = patch_rng.randrange(64)
             patch = f"vm{vm.pid}-line{line}".encode()
             start = line * LINE_SIZE
             patched[start:start + len(patch)] = patch
-        kernel.system.main_memory.write_page(vm.mappings[BASE_VPN + page],
-                                             bytes(patched))
+        kernel.system.main_memory.write_page(ppn, bytes(patched))
     return vm
 
 
@@ -50,7 +49,7 @@ def main():
           f"{before / 1024:.0f} KB in use")
 
     views = {(vm.asid, vpn): kernel.system.page_bytes(vm.asid, vpn)
-             for vm in vms for vpn in vm.mappings}
+             for vm in vms for vpn in vm.page_table.mapped_vpns()}
 
     manager = DeduplicationManager(kernel, max_diff_lines=8)
     candidates = [(vm.asid, vpn) for vpn in range(BASE_VPN,

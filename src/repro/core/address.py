@@ -77,11 +77,6 @@ def line_offset(address: int) -> int:
     return address & _LINE_OFFSET_MASK
 
 
-def line_number(address: int) -> int:
-    """Return the global cache-line number containing *address*."""
-    return address >> 6
-
-
 def line_address(address: int) -> int:
     """Return *address* rounded down to its cache-line boundary."""
     return address & ~_LINE_OFFSET_MASK

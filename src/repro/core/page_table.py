@@ -154,12 +154,20 @@ class PageTable:
         return self._superpages.get(base_vpn)
 
     def mapped_vpns(self) -> Iterator[int]:
-        yield from self._entries
+        """Yield every mapped VPN once.
+
+        The 4KB entries come first, in mapping order, then each
+        super-page's pages that no 4KB entry overrides.
+        """
+        entries = self._entries
+        yield from entries
         for base in self._superpages:
-            yield from range(base, base + SUPERPAGE_SPAN)
+            for vpn in range(base, base + SUPERPAGE_SPAN):
+                if vpn not in entries:
+                    yield vpn
 
     def __len__(self) -> int:
-        return len(self._entries) + len(self._superpages) * SUPERPAGE_SPAN
+        return sum(1 for _ in self.mapped_vpns())
 
     # -- hardware walk (MMU side) ------------------------------------------
 

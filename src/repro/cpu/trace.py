@@ -18,22 +18,6 @@ from typing import Iterable, Iterator, List, Optional
 from ..engine.rng import derive_rng
 
 
-class TraceParseError(ValueError):
-    """Raised when a textual trace file is malformed.
-
-    The message always carries the line number and the offending text so
-    a bad trace pinpoints itself instead of surfacing later as a weird
-    simulation result.
-    """
-
-    def __init__(self, line_number: int, line: str, reason: str):
-        super().__init__(
-            f"trace line {line_number}: {reason} (got {line!r})")
-        self.line_number = line_number
-        self.line = line
-        self.reason = reason
-
-
 class MemoryAccess:
     """One load or store in a trace.
 
@@ -156,61 +140,6 @@ class Trace:
             accesses.append(MemoryAccess(
                 vaddr=base + page * 4096 + offset,
                 write=rng.random() < write_fraction, gap=gap, size=size))
-        return cls(accesses)
-
-    @classmethod
-    def from_text(  # simlint: disable=SL007 the text trace format
-            cls, text: str) -> "Trace":
-        """Parse the simple textual trace format, validating every line.
-
-        One record per line: ``R|W <vaddr> [size] [gap]`` —  the kind
-        letter (case-insensitive), a hex (``0x``-prefixed) or decimal
-        virtual address, then optional decimal size and gap.  Blank
-        lines and ``#`` comments are skipped.  Any other shape raises
-        :class:`TraceParseError` naming the line; a malformed trace
-        must fail loudly at load time, never feed garbage accesses
-        into a run.
-        """
-        accesses: List[MemoryAccess] = []
-        for number, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            fields = line.split()
-            if len(fields) < 2 or len(fields) > 4:
-                raise TraceParseError(
-                    number, raw, "expected 'R|W <vaddr> [size] [gap]'")
-            kind = fields[0].upper()
-            if kind not in ("R", "W"):
-                raise TraceParseError(
-                    number, raw, f"unknown access kind {fields[0]!r}; "
-                    f"expected R or W")
-            try:
-                vaddr = int(fields[1], 0)
-            except ValueError:
-                raise TraceParseError(
-                    number, raw, f"bad address {fields[1]!r}") from None
-            if vaddr < 0:
-                raise TraceParseError(
-                    number, raw, "address cannot be negative")
-            size, gap = 8, 3
-            try:
-                if len(fields) >= 3:
-                    size = int(fields[2])
-                if len(fields) == 4:
-                    gap = int(fields[3])
-            except ValueError:
-                raise TraceParseError(
-                    number, raw, "size and gap must be decimal "
-                    "integers") from None
-            if size < 1:
-                raise TraceParseError(
-                    number, raw, f"size must be positive, got {size}")
-            if gap < 0:
-                raise TraceParseError(
-                    number, raw, f"gap cannot be negative, got {gap}")
-            accesses.append(MemoryAccess(vaddr=vaddr, write=(kind == "W"),
-                                         size=size, gap=gap))
         return cls(accesses)
 
     def interleave(self, other: "Trace") -> "Trace":

@@ -31,8 +31,8 @@ def dedup_vm_fleet(vms=6, pages=16, diff_lines=2):
     processes = []
     for vm in range(vms):
         process = kernel.create_process()
-        kernel.mmap(process, BASE_VPN, pages)
-        for page, content in enumerate(image):
+        frames = kernel.mmap(process, BASE_VPN, pages)
+        for ppn, content in zip(frames, image):
             patched = bytearray(content)
             for d in range(diff_lines):
                 # avoid the dedup manager's sampled signature lines so
@@ -40,8 +40,7 @@ def dedup_vm_fleet(vms=6, pages=16, diff_lines=2):
                 line = 1 + (vm * 7 + d * 13) % 19
                 tag = f"vm{vm:02d}d{d:02d}".encode().ljust(8, b"_")
                 patched[line * 64:line * 64 + 8] = tag
-            kernel.system.main_memory.write_page(
-                process.mappings[BASE_VPN + page], bytes(patched))
+            kernel.system.main_memory.write_page(ppn, bytes(patched))
         processes.append(process)
     before = kernel.allocator.bytes_in_use
     manager = DeduplicationManager(kernel, max_diff_lines=8)

@@ -58,7 +58,9 @@ class Kernel:
                 config=config)
         self.system = system
         self.processes: Dict[int, Process] = {}
-        #: ppn -> the mappings of that frame, each ``asid << VPN_BITS | vpn``.
+        #: ppn -> the mappings of that frame, each ``asid << VPN_BITS | vpn``:
+        #: the frame's reference count is the size of its set, and the
+        #: frame is freed when the set empties.
         self.frame_users: Dict[int, Set[int]] = {}
         self._next_pid = 1
         self.stats = KernelStats()
@@ -89,15 +91,15 @@ class Kernel:
         page = (None if fill is None else
                 (fill * (PAGE_SIZE // max(1, len(fill)) + 1))[:PAGE_SIZE])
         frames = []
+        table = process.page_table
         asid_key = process.asid << VPN_BITS
         for i in range(npages):
             vpn = start_vpn + i
-            if vpn in process.mappings:
+            if table.entry(vpn) is not None:
                 raise ValueError(f"VPN {vpn:#x} already mapped in pid {process.pid}")
             ppn = self.allocator.allocate()
             self.system.map_page(process.asid, vpn, ppn)
-            process.mappings[vpn] = ppn
-            self.frame_users.setdefault(ppn, set()).add(asid_key | vpn)
+            self.frame_users[ppn] = {asid_key | vpn}
             if page is not None:
                 self.system.main_memory.write_page(ppn, page)
             frames.append(ppn)
@@ -108,26 +110,24 @@ class Kernel:
         """Map every VPN in *vpns* to the one allocated frame *ppn*.
 
         The overlay sparse matrix maps its whole dense layout to a
-        single zero page this way (Section 5.2).  As after a fork, the
-        frame holds one allocator reference per mapping: the first
-        mapping of a freshly allocated frame takes over the reference
-        :meth:`FrameAllocator.allocate` gave it.
+        single zero page this way (Section 5.2).  As after a fork, each
+        mapping is one user of the frame.
         """
         if not vpns:
             return
-        mappings = dict.fromkeys(vpns, ppn)
-        clash = process.mappings.keys() & mappings.keys()
+        table = process.page_table
+        asid_key = process.asid << VPN_BITS
+        new_users = {asid_key | vpn for vpn in vpns}
+        clash = [vpn for vpn in table.mapped_vpns()
+                 if asid_key | vpn in new_users]
         if clash:
             raise ValueError(f"VPN {min(clash):#x} already mapped in "
                              f"pid {process.pid}")
-        process.page_table.map_shared(
-            mappings, ppn, writable=writable, cow=cow,
-            overlays_enabled=self.system.overlays_enabled)
-        process.mappings.update(mappings)
-        users = self.frame_users.setdefault(ppn, set())
-        self.allocator.share(ppn, len(mappings) - (0 if users else 1))
-        asid_key = process.asid << VPN_BITS
-        users.update([asid_key | vpn for vpn in mappings])
+        table.map_shared(vpns, ppn, writable=writable, cow=cow,
+                         overlays_enabled=self.system.overlays_enabled)
+        users = self.frame_users.setdefault(ppn, new_users)
+        if users is not new_users:
+            users |= new_users
 
     def map_data(self, process: Process, start_vpn: int, raw: bytes) -> int:
         """Map fresh pages at *start_vpn* holding *raw*; returns their count.
@@ -142,20 +142,18 @@ class Kernel:
         return len(frames)
 
     def munmap(self, process: Process, start_vpn: int, npages: int) -> None:
-        for i in range(npages):
-            vpn = start_vpn + i
-            ppn = process.mappings.pop(vpn, None)
-            if ppn is None:
-                continue
-            process.page_table.unmap(vpn)
-            self._drop_user(ppn, process.asid << VPN_BITS | vpn)
-            self.allocator.release(ppn)
+        table = process.page_table
+        asid_key = process.asid << VPN_BITS
+        for vpn in range(start_vpn, start_vpn + npages):
+            pte = table.entry(vpn)
+            if pte is not None:
+                table.unmap(vpn)
+                self._drop_user(pte.ppn, asid_key | vpn)
 
     def exit_process(  # simlint: disable=SL007 process lifecycle API
             self, process: Process) -> None:
-        self.munmap(process, min(process.mappings, default=0),
-                    0 if not process.mappings else
-                    max(process.mappings) - min(process.mappings) + 1)
+        for vpn in sorted(process.page_table.mapped_vpns()):
+            self.munmap(process, vpn, 1)
         self.processes.pop(process.pid, None)
 
     # -- fork (Section 5.1) -------------------------------------------------------------
@@ -174,15 +172,14 @@ class Kernel:
         child's own overlay.
         """
         child = self.create_process()
-        child.parent_pid = parent.pid
         child_key = child.asid << VPN_BITS
-        for vpn, ppn in parent.mappings.items():
-            self.allocator.share(ppn)
+        table = parent.page_table
+        for vpn in table.mapped_vpns():
+            ppn = table.entry(vpn).ppn
             self.system.map_page(child.asid, vpn, ppn, writable=False, cow=True)
-            child.mappings[vpn] = ppn
             self.system.update_mapping(parent.asid, vpn,
                                        writable=False, cow=True)
-            self.frame_users.setdefault(ppn, set()).add(child_key | vpn)
+            self.frame_users[ppn].add(child_key | vpn)
             self.stats.pages_shared_on_fork += 1
             self._copy_overlay_lines(parent.asid, child.asid, vpn)
         self.stats.forks += 1
@@ -221,10 +218,11 @@ class Kernel:
         self.system.mark_overlay_faulted()
         latency = 0
         for process in list(self.processes.values()):
-            for vpn in sorted(process.mappings):
+            table = process.page_table
+            for vpn in sorted(table.mapped_vpns()):
                 if not self.system.overlay_line_count(process.asid, vpn):
                     continue
-                old_ppn = process.mappings[vpn]
+                old_ppn = table.entry(vpn).ppn
                 new_ppn = self.allocator.allocate()
                 latency += self.system.promote(process.asid, vpn,
                                                "copy-and-commit",
@@ -233,7 +231,7 @@ class Kernel:
                 self.stats.pages_rescued_on_degradation += 1
         self.system.overlays_enabled = False
         for process in self.processes.values():
-            for vpn in process.mappings:
+            for vpn in process.page_table.mapped_vpns():
                 self.system.update_mapping(process.asid, vpn,
                                            overlays_enabled=False)
                 latency += self.system.coherence.shootdown_latency
@@ -251,38 +249,36 @@ class Kernel:
 
     def move_mapping(self, asid: int, vpn: int, old_ppn: int,
                      new_ppn: int) -> int:
-        """Move (*asid*, *vpn*)'s bookkeeping from *old_ppn* to *new_ppn*.
+        """Move (*asid*, *vpn*) from *old_ppn*'s users to *new_ppn*'s.
 
-        Called once the PTE points at *new_ppn*, whose reference the
-        caller holds: updates the process's mappings and ``frame_users``,
-        drops the mapping's reference to *old_ppn* and returns the
-        references *old_ppn* keeps.  A CoW copy, a promotion and a
+        Called once the PTE points at *new_ppn*, which the caller has
+        allocated or which other mappings already use; returns the
+        mappings *old_ppn* keeps.  A CoW copy, a promotion and a
         deduplicating remap all end here.
         """
-        process = self.processes.get(asid)
-        if process is not None:
-            process.mappings[vpn] = new_ppn
         key = asid << VPN_BITS | vpn
-        users = self._drop_user(old_ppn, key)
+        remaining = self._drop_user(old_ppn, key)
         self.frame_users.setdefault(new_ppn, set()).add(key)
-        remaining = self.allocator.release(old_ppn)
-        if remaining == 1 and users and len(users) == 1:
-            # Sole remaining sharer: drop its CoW protection lazily so it
-            # will not fault on its next write.
-            sole_asid, sole_vpn = divmod(next(iter(users)), 1 << VPN_BITS)
-            self.system.update_mapping(sole_asid, sole_vpn,
-                                       cow=False, writable=True)
         return remaining
 
-    def _drop_user(self, ppn: int, key: int) -> Optional[Set[int]]:
-        """Remove mapping *key* from *ppn*'s users, and *ppn*'s entry once
-        none is left; returns the users that remain."""
-        users = self.frame_users.get(ppn)
-        if users is not None:
-            users.discard(key)
-            if not users:
-                del self.frame_users[ppn]
-        return users
+    def _drop_user(self, ppn: int, key: int) -> int:
+        """Remove mapping *key* from *ppn*'s users; returns how many remain.
+
+        The frame is freed with its last mapping.  A sole remaining
+        copy-on-write mapping loses its protection lazily, so its next
+        write stores in place instead of copying a frame nobody shares.
+        """
+        users = self.frame_users[ppn]
+        users.remove(key)
+        if not users:
+            del self.frame_users[ppn]
+            self.allocator.free(ppn)
+        elif len(users) == 1:
+            sole_asid, sole_vpn = divmod(next(iter(users)), 1 << VPN_BITS)
+            if self.system.page_tables[sole_asid].entry(sole_vpn).cow:
+                self.system.update_mapping(sole_asid, sole_vpn,
+                                           cow=False, writable=True)
+        return len(users)
 
     # -- memory accounting (Figure 8's metric) -------------------------------------------
 

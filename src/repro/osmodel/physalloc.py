@@ -1,15 +1,16 @@
 """Physical frame allocator.
 
-A free-list allocator over a fixed pool of 4KB frames, with reference
-counting for frames shared in copy-on-write mode and high-water-mark
-accounting, which is what the Figure 8 "additional memory consumed"
-series measures on the baseline.
+A free-list allocator over a fixed pool of 4KB frames with
+high-water-mark accounting, which is what the Figure 8 "additional
+memory consumed" series measures on the baseline.  Who maps a frame is
+the kernel's record (:attr:`repro.osmodel.kernel.Kernel.frame_users`);
+the kernel frees a frame when its last mapping goes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import List, Set
 
 
 class OutOfMemory(RuntimeError):
@@ -18,13 +19,13 @@ class OutOfMemory(RuntimeError):
 
 @dataclass
 class FrameAllocator:
-    """Fixed pool of physical frames with refcounts."""
+    """Fixed pool of physical frames; a freed frame is handed out first."""
 
     total_frames: int = 1 << 20
     first_frame: int = 1
     _next_unused: int = field(init=False)
     _free: List[int] = field(default_factory=list)
-    _refcounts: Dict[int, int] = field(default_factory=dict)
+    _in_use: Set[int] = field(default_factory=set)
 
     def __post_init__(self):
         self._next_unused = self.first_frame
@@ -32,7 +33,7 @@ class FrameAllocator:
     # -- allocation -------------------------------------------------------------
 
     def allocate(self) -> int:
-        """Allocate a frame with refcount 1."""
+        """Allocate one frame."""
         if self._free:
             ppn = self._free.pop()
         else:
@@ -40,7 +41,7 @@ class FrameAllocator:
                 raise OutOfMemory("physical frame pool exhausted")
             ppn = self._next_unused
             self._next_unused += 1
-        self._refcounts[ppn] = 1
+        self._in_use.add(ppn)
         return ppn
 
     def allocate_contiguous(self, count: int, align: int = 1) -> List[int]:
@@ -56,39 +57,21 @@ class FrameAllocator:
             self._free.append(ppn)
         self._next_unused = start + count
         frames = list(range(start, start + count))
-        for ppn in frames:
-            self._refcounts[ppn] = 1
+        self._in_use.update(frames)
         return frames
 
-    def share(self, ppn: int, count: int = 1) -> int:
-        """Add *count* references to *ppn* (fork sharing, or a frame
-        mapped at many pages); returns the new refcount."""
-        if ppn not in self._refcounts:
+    def free(self, ppn: int) -> None:
+        """Return *ppn* to the pool; the next :meth:`allocate` reuses it."""
+        if ppn not in self._in_use:
             raise KeyError(f"frame {ppn:#x} is not allocated")
-        self._refcounts[ppn] += count
-        return self._refcounts[ppn]
-
-    def release(self, ppn: int) -> int:
-        """Drop one reference; frees the frame at zero.  Returns the
-        remaining refcount."""
-        count = self._refcounts.get(ppn)
-        if count is None:
-            raise KeyError(f"frame {ppn:#x} is not allocated")
-        if count == 1:
-            del self._refcounts[ppn]
-            self._free.append(ppn)
-            return 0
-        self._refcounts[ppn] = count - 1
-        return count - 1
-
-    def refcount(self, ppn: int) -> int:
-        return self._refcounts.get(ppn, 0)
+        self._in_use.remove(ppn)
+        self._free.append(ppn)
 
     # -- accounting ---------------------------------------------------------------
 
     @property
     def frames_in_use(self) -> int:
-        return len(self._refcounts)
+        return len(self._in_use)
 
     @property
     def bytes_in_use(self) -> int:

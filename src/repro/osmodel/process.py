@@ -1,15 +1,14 @@
 """Process abstraction for the OS model.
 
-A process owns an address-space identifier, a page table (held by the
-simulated hardware), and bookkeeping of which virtual pages it has
+A process owns an address-space identifier and a page table (held by
+the simulated hardware), which is the one record of the pages it has
 mapped.  The kernel (:mod:`repro.osmodel.kernel`) manipulates processes;
 this module only holds state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator
+from dataclasses import dataclass
 
 from ..core.page_table import PageTable
 
@@ -21,17 +20,7 @@ class Process:
     pid: int
     asid: int
     page_table: PageTable
-    #: vpn -> ppn for every anonymous page this process has mapped.
-    mappings: Dict[int, int] = field(default_factory=dict)
-    parent_pid: int = -1
-
-    def vpns(self) -> Iterator[int]:
-        return iter(self.mappings)
-
-    @property
-    def mapped_pages(self) -> int:
-        return len(self.mappings)
 
     def __repr__(self) -> str:
         return (f"Process(pid={self.pid}, asid={self.asid}, "
-                f"pages={self.mapped_pages})")
+                f"pages={len(self.page_table)})")

@@ -226,7 +226,7 @@ def _execute(ops_list: Sequence[Tuple], kernel: Kernel, process,
 def _final_image(kernel: Kernel, process) -> List[bytes]:
     system = kernel.system
     return [system.page_bytes(process.asid, vpn)
-            for vpn in sorted(process.mappings)]
+            for vpn in sorted(process.page_table.mapped_vpns())]
 
 
 def run_trial(plan: FaultPlan, *, ops: int = 160, pages: int = 4,

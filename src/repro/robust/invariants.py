@@ -320,9 +320,7 @@ class InvariantChecker(Component):
         for asid in sorted(self.system.page_tables):
             table = self.system.page_tables[asid]
             for vpn in sorted(table.mapped_vpns()):
-                pte = table.entry(vpn)
-                if pte is not None:
-                    yield asid, vpn, pte
+                yield asid, vpn, table.entry(vpn)
 
     @staticmethod
     def _page(asid: int, vpn: int) -> str:

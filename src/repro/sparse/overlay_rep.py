@@ -41,6 +41,9 @@ class OverlaySparseMatrix:
             raise ValueError("column count must be a multiple of 8 "
                              "(lines must not cross rows)")
         self.pattern = pattern
+        #: Sorted flat indices of the non-zero lines: the lines held in
+        #: overlays.  :meth:`insert` keeps it current.
+        self._lines = pattern.nonzero_lines()
         self.base_vaddr = 0
         self.zero_ppn: Optional[int] = None
         self._kernel = None
@@ -60,7 +63,7 @@ class OverlaySparseMatrix:
         overlay, store only the cache lines that are actually present"),
         plus the single shared zero frame.  Segment-size quantisation is
         studied in the segment-ladder ablation."""
-        return len(self.pattern.nonzero_lines()) * LINE_SIZE + PAGE_SIZE
+        return len(self._lines) * LINE_SIZE + PAGE_SIZE
 
     # -- placement ------------------------------------------------------------------
 
@@ -78,7 +81,7 @@ class OverlaySparseMatrix:
         self.zero_ppn = kernel.allocator.allocate()  # the shared zero page
         kernel.map_shared(process, range(base_vpn, base_vpn + self.npages),
                           self.zero_ppn)
-        for flat_line in self.pattern.nonzero_lines():
+        for flat_line in self._lines:
             vpn = base_vpn + flat_line // LINES_PER_PAGE
             line = flat_line % LINES_PER_PAGE
             system.install_overlay_line(process.asid, vpn, line,
@@ -97,7 +100,7 @@ class OverlaySparseMatrix:
         accesses = []
         append = accesses.append
         last_row = -1
-        for flat_line in self.pattern.nonzero_lines():
+        for flat_line in self._lines:
             row, line_in_row = divmod(flat_line, lines_per_row)
             # MemoryAccess(vaddr, write, size, data, gap)
             append(MemoryAccess(base_vaddr + flat_line * LINE_SIZE, False,
@@ -127,7 +130,7 @@ class OverlaySparseMatrix:
         asid = self._process.asid
         cols = self.pattern.cols
         y = np.zeros(self.pattern.rows)
-        for flat_line in self.pattern.nonzero_lines():
+        for flat_line in self._lines:
             vaddr = self.base_vaddr + flat_line * LINE_SIZE
             raw = system.line_bytes(asid, page_number(vaddr),
                                     line_index(vaddr))
@@ -151,6 +154,7 @@ class OverlaySparseMatrix:
         if not self._built:
             raise RuntimeError("matrix has not been built into a simulator")
         self.pattern.set(row, col, value)
+        self._lines = self.pattern.nonzero_lines()
         flat = self.pattern.flat_index(row, col)
         flat_line = flat // VALUES_PER_LINE
         vpn = page_number(self.base_vaddr) + flat_line // LINES_PER_PAGE

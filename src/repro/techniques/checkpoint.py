@@ -65,9 +65,9 @@ class CheckpointManager:
         every page so stores are redirected into overlays."""
         system = self.kernel.system
         if not self._base_image:
-            for vpn in self.process.mappings:
+            for vpn in self.process.page_table.mapped_vpns():
                 self._base_image[vpn] = system.page_bytes(self.process.asid, vpn)
-        for vpn in self.process.mappings:
+        for vpn in self.process.page_table.mapped_vpns():
             system.update_mapping(self.process.asid, vpn,
                                   cow=True, writable=False)
         self._epoch_open = True
@@ -86,7 +86,7 @@ class CheckpointManager:
         system.hierarchy.flush_dirty()
 
         record = CheckpointRecord(epoch=self.epoch)
-        for vpn in list(self.process.mappings):
+        for vpn in list(self.process.page_table.mapped_vpns()):
             count = system.overlay_line_count(asid, vpn)
             if count == 0:
                 continue
@@ -105,7 +105,7 @@ class CheckpointManager:
             # deduplication) must not be written through: break the
             # sharing with copy-and-commit instead.
             ppn = self.process.page_table.entry(vpn).ppn
-            if self.kernel.allocator.refcount(ppn) > 1:
+            if len(self.kernel.frame_users[ppn]) > 1:
                 new_ppn = self.kernel.allocator.allocate()
                 system.promote(asid, vpn, "copy-and-commit", new_ppn=new_ppn)
                 self.kernel.note_cow_copy(asid, vpn, ppn, new_ppn)
@@ -118,7 +118,7 @@ class CheckpointManager:
     def end(self) -> None:
         """Stop capturing: restore normal write permissions."""
         system = self.kernel.system
-        for vpn in self.process.mappings:
+        for vpn in self.process.page_table.mapped_vpns():
             system.update_mapping(self.process.asid, vpn,
                                   cow=False, writable=True)
         self._epoch_open = False

@@ -99,7 +99,6 @@ class DeduplicationManager:
 
         # Remap onto the base frame, copy-on-write so later divergence
         # lands in the overlay too.
-        self.kernel.allocator.share(base_ppn)
         system.update_mapping(asid, vpn, ppn=base_ppn, cow=True,
                               writable=False)
         system.update_mapping(base_asid, base_vpn, cow=True, writable=False)

@@ -74,7 +74,7 @@ class MetadataManager:
         if not 0 <= tag < 256:
             raise ValueError("metadata tag must fit one byte")
         vpn = page_number(vaddr)
-        if vpn not in self.process.mappings:
+        if self.process.page_table.entry(vpn) is None:
             raise KeyError(f"VPN {vpn:#x} not mapped")
         line = line_index(vaddr)
         slot = line_offset(vaddr) // WORD_BYTES
@@ -86,7 +86,7 @@ class MetadataManager:
     def metadata_load(self, vaddr: int) -> int:
         """Read the metadata byte shadowing the word at *vaddr*."""
         vpn = page_number(vaddr)
-        if vpn not in self.process.mappings:
+        if self.process.page_table.entry(vpn) is None:
             raise KeyError(f"VPN {vpn:#x} not mapped")
         line = line_index(vaddr)
         slot = line_offset(vaddr) // WORD_BYTES

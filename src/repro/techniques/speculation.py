@@ -63,7 +63,7 @@ class SpeculationContext:
         if self._open:
             raise SpeculationError("speculation already in progress")
         system = self.kernel.system
-        for vpn in self.process.mappings:
+        for vpn in self.process.page_table.mapped_vpns():
             system.update_mapping(self.process.asid, vpn,
                                   cow=True, writable=False)
         self._open = True
@@ -115,7 +115,7 @@ class SpeculationContext:
         for vpn in self._touched_vpns:
             if system.overlay_line_count(self.process.asid, vpn):
                 latency += system.promote(self.process.asid, vpn, action)
-        for vpn in self.process.mappings:
+        for vpn in self.process.page_table.mapped_vpns():
             system.update_mapping(self.process.asid, vpn,
                                   cow=False, writable=True)
         self._open = False

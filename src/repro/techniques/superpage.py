@@ -63,8 +63,6 @@ class SuperpageManager:
             SUPERPAGE_SPAN, align=SUPERPAGE_SPAN)
         base_ppn = frames[0]
         process.page_table.map_superpage(base_vpn, base_ppn)
-        for i in range(SUPERPAGE_SPAN):
-            process.mappings[base_vpn + i] = base_ppn + i
         return base_ppn
 
     def share_cow(self, parent, child, base_vpn: int) -> _SharedSuperpage:
@@ -77,9 +75,6 @@ class SuperpageManager:
                                        cow=True)
         parent.page_table.map_superpage(base_vpn, pte.ppn, writable=False,
                                         cow=True)
-        for i in range(SUPERPAGE_SPAN):
-            self.kernel.allocator.share(pte.ppn + i)
-            child.mappings[base_vpn + i] = pte.ppn + i
         shared = _SharedSuperpage(base_vpn=base_vpn, base_ppn=pte.ppn)
         self._shared[(child.asid, base_vpn)] = shared
         self._shared[(parent.asid, base_vpn)] = shared
@@ -108,7 +103,6 @@ class SuperpageManager:
             src_ppn = shared.base_ppn + segment * PAGES_PER_SEGMENT + i
             dst_ppn = self.kernel.allocator.allocate()
             self.kernel.system.copy_page_via_dram(src_ppn, dst_ppn)
-            process.mappings[first_page + i] = dst_ppn
             # Install a base-page PTE that overrides the super-page
             # mapping for this page (the "overlay at the PD level"): the
             # hardware walk now resolves these 8 pages privately while

@@ -43,10 +43,6 @@ class TestPageGeometry:
         assert addr.page_address(3) == 3 * 4096
         assert addr.page_number(addr.page_address(123)) == 123
 
-    def test_line_number_global(self):
-        assert addr.line_number(64) == 1
-        assert addr.line_number(4096) == 64
-
     def test_line_offset(self):
         assert addr.line_offset(70) == 6
         assert addr.line_offset(64) == 0

@@ -119,3 +119,12 @@ class TestSuperpages:
         table.map(5, 0x999)  # explicit base mapping overrides
         pte, _ = table.walk(5)
         assert pte.ppn == 0x999
+
+    def test_an_overridden_page_is_mapped_once(self):
+        table = PageTable(asid=1)
+        table.map_superpage(0, 512)
+        table.map(5, 0x999)
+        vpns = list(table.mapped_vpns())
+        assert sorted(vpns) == list(range(SUPERPAGE_SPAN))
+        assert vpns[0] == 5  # 4KB entries first, in mapping order
+        assert len(table) == SUPERPAGE_SPAN

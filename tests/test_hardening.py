@@ -7,7 +7,6 @@ The contract under test (DESIGN.md "Robustness"):
   diagnosable :class:`SimulationHangError`;
 * ``write_json`` is crash-safe — a killed writer never leaves a torn
   artifact, a failed serialisation never destroys the previous one;
-* malformed textual traces fail loudly at parse time;
 * schema validation rejects unknown keys and wrong types;
 * ``obs compare`` exits 2 on a missing or corrupt baseline.
 """
@@ -23,7 +22,6 @@ from pathlib import Path
 import pytest
 
 from repro.config import ConfigError, DEFAULT_CONFIG, SystemConfig
-from repro.cpu.trace import Trace, TraceParseError
 from repro.engine.clock import (SimClock, SimulationHangError,
                                 default_max_cycles, set_default_max_cycles)
 from repro.obs import RunManifest, SchemaError, validate_manifest
@@ -174,42 +172,6 @@ class TestCrashSafeWriteJson:
         assert target.exists(), "writer never produced the artifact"
         document = json.loads(target.read_text())  # parses => not torn
         assert len(document) == 512
-
-
-class TestTraceParsing:
-    def test_parses_the_documented_format(self):
-        trace = Trace.from_text(
-            "# streaming phase\n"
-            "R 0x1000\n"
-            "W 4096 16 5   # decimal address, size 16, gap 5\n"
-            "\n"
-            "r 0x2000 8\n")
-        assert len(trace) == 3
-        assert trace.accesses[0].vaddr == 0x1000
-        assert not trace.accesses[0].write
-        assert trace.accesses[1] == trace.accesses[1].__class__(
-            vaddr=4096, write=True, size=16, gap=5)
-
-    def test_rejects_malformed_lines(self):
-        cases = {
-            "R": "expected",
-            "R 0x10 8 3 9": "expected",
-            "X 0x10": "unknown access kind",
-            "R zebra": "bad address",
-            "R -4": "negative",
-            "R 0x10 hat": "decimal",
-            "R 0x10 0": "positive",
-            "R 0x10 8 -1": "gap",
-        }
-        for text, fragment in cases.items():
-            with pytest.raises(TraceParseError, match=fragment):
-                Trace.from_text(text)
-
-    def test_error_pinpoints_the_line(self):
-        with pytest.raises(TraceParseError) as caught:
-            Trace.from_text("R 0x1000\n\nW broken\n")
-        assert caught.value.line_number == 3
-        assert "W broken" in str(caught.value)
 
 
 class TestSchemaStrictness:

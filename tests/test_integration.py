@@ -42,7 +42,8 @@ class TestForkFamilies:
         assert kernel.system.read(child.asid, BASE + PAGE_SIZE, 3)[0] == b"CPY"
         # One page went to an overlay, the other to a private frame.
         assert kernel.system.overlay_line_count(child.asid, 0x100) == 1
-        assert child.mappings[0x101] != process.mappings[0x101]
+        assert (child.page_table.entry(0x101).ppn
+                != process.page_table.entry(0x101).ppn)
 
 
 class TestOverlayLifecycleUnderTiming:

@@ -9,26 +9,51 @@ from repro.osmodel.physalloc import FrameAllocator, OutOfMemory
 from repro.techniques.dedup import DeduplicationManager
 
 
+def mappings(process):
+    """vpn -> ppn of every page *process*'s page table maps."""
+    table = process.page_table
+    return {vpn: table.entry(vpn).ppn for vpn in table.mapped_vpns()}
+
+
+def frame(process, vpn):
+    return process.page_table.entry(vpn).ppn
+
+
 class TestFrameAllocator:
     def test_allocates_distinct_frames(self):
         alloc = FrameAllocator()
         frames = {alloc.allocate() for _ in range(100)}
         assert len(frames) == 100
 
-    def test_refcounting(self):
-        alloc = FrameAllocator()
-        ppn = alloc.allocate()
-        assert alloc.refcount(ppn) == 1
-        assert alloc.share(ppn) == 2
-        assert alloc.release(ppn) == 1
-        assert alloc.release(ppn) == 0
-        assert alloc.refcount(ppn) == 0
+    def test_refcounting(self, kernel, process):
+        """A frame's reference count is the size of its kernel user set,
+        and the frame goes back to the allocator with its last user."""
+        ppn = frame(process, 0x100)
+        assert len(kernel.frame_users[ppn]) == 1
+        child = kernel.fork(process)
+        assert len(kernel.frame_users[ppn]) == 2
+        kernel.install_cow_policy(CopyOnWritePolicy(kernel))
+        kernel.system.write(child.asid, 0x100 * PAGE_SIZE, b"C")
+        assert kernel.frame_users[ppn] == users(process.asid, 0x100)
+        in_use = kernel.allocator.frames_in_use
+        kernel.munmap(process, 0x100, 1)
+        assert ppn not in kernel.frame_users
+        assert kernel.allocator.frames_in_use == in_use - 1
+        assert kernel.allocator.allocate() == ppn
 
     def test_freed_frames_are_reused(self):
         alloc = FrameAllocator()
         ppn = alloc.allocate()
-        alloc.release(ppn)
+        alloc.free(ppn)
+        assert alloc.frames_in_use == 0
         assert alloc.allocate() == ppn
+
+    def test_free_list_is_last_in_first_out(self):
+        alloc = FrameAllocator()
+        frames = [alloc.allocate() for _ in range(3)]
+        alloc.free(frames[0])
+        alloc.free(frames[2])
+        assert [alloc.allocate(), alloc.allocate()] == [frames[2], frames[0]]
 
     def test_out_of_memory(self):
         alloc = FrameAllocator(total_frames=2)
@@ -37,12 +62,14 @@ class TestFrameAllocator:
         with pytest.raises(OutOfMemory):
             alloc.allocate()
 
-    def test_share_unallocated_raises(self):
+    def test_free_unallocated_raises(self):
         alloc = FrameAllocator()
         with pytest.raises(KeyError):
-            alloc.share(12345)
-        with pytest.raises(KeyError):
-            alloc.release(12345)
+            alloc.free(12345)
+        ppn = alloc.allocate()
+        alloc.free(ppn)
+        with pytest.raises(KeyError, match="not allocated"):
+            alloc.free(ppn)
 
     def test_bytes_in_use(self):
         alloc = FrameAllocator()
@@ -85,7 +112,7 @@ class TestKernelBasics:
         in_use = kernel.allocator.frames_in_use
         kernel.munmap(process, 0x100, 8)
         assert kernel.allocator.frames_in_use == in_use - 8
-        assert process.mapped_pages == 0
+        assert not mappings(process)
 
     def test_memory_marker_accounting(self, kernel):
         marker = kernel.memory_marker()
@@ -101,9 +128,9 @@ class TestKernelBasics:
 class TestFork:
     def test_child_shares_frames_cow(self, kernel, process):
         child = kernel.fork(process)
-        assert child.mappings == process.mappings
-        for vpn, ppn in child.mappings.items():
-            assert kernel.allocator.refcount(ppn) == 2
+        assert mappings(child) == mappings(process)
+        for vpn, ppn in mappings(child).items():
+            assert len(kernel.frame_users[ppn]) == 2
             for proc in (process, child):
                 pte = proc.page_table.entry(vpn)
                 assert pte.cow and not pte.writable
@@ -135,7 +162,7 @@ class TestCopyOnWritePolicy:
                                            0x100 * PAGE_SIZE, 6)
         assert child_data == b"CHILD!"
         assert parent_data == b"fxfxfx"
-        assert child.mappings[0x100] != parent.mappings[0x100]
+        assert frame(child, 0x100) != frame(parent, 0x100)
 
     def test_copy_consumes_a_frame(self, kernel, forked):
         parent, child = forked
@@ -193,52 +220,73 @@ class TestFrameUsers:
 
     def test_mmap_and_fork_record_every_mapping(self, kernel, forked):
         parent, child = forked
-        for vpn, ppn in parent.mappings.items():
+        for vpn, ppn in mappings(parent).items():
             assert kernel.frame_users[ppn] == (users(parent.asid, vpn)
                                                | users(child.asid, vpn))
 
     def test_munmap_drops_the_entry_of_a_freed_frame(self, kernel, process):
-        ppn = process.mappings[0x100]
+        ppn = frame(process, 0x100)
         kernel.munmap(process, 0x100, 1)
         assert ppn not in kernel.frame_users
 
     def test_cow_write_after_the_child_exits_leaves_no_entry(self, kernel,
                                                               forked):
-        """The parent is the last user when it copies; the old frame is
-        freed and keeps no (empty) entry."""
+        """Once the child exits the parent is its frames' sole user: it
+        lost its CoW protection, so its write stores in place."""
         parent, child = forked
-        kernel.install_cow_policy(CopyOnWritePolicy(kernel))
-        old = parent.mappings[0x100]
+        policy = CopyOnWritePolicy(kernel)
+        kernel.install_cow_policy(policy)
+        old = frame(parent, 0x100)
         kernel.exit_process(child)
         assert kernel.frame_users[old] == users(parent.asid, 0x100)
+        pte = parent.page_table.entry(0x100)
+        assert pte.writable and not pte.cow
         kernel.system.write(parent.asid, 0x100 * PAGE_SIZE, b"P")
-        new = parent.mappings[0x100]
-        assert new != old
-        assert kernel.allocator.refcount(old) == 0
-        assert old not in kernel.frame_users
-        assert kernel.frame_users[new] == users(parent.asid, 0x100)
+        assert frame(parent, 0x100) == old
+        assert policy.stats.page_copies == 0
+        assert kernel.frame_users[old] == users(parent.asid, 0x100)
+        data, _ = kernel.system.read(parent.asid, 0x100 * PAGE_SIZE, 4)
+        assert data == b"Pxfx"
 
     def test_cow_write_moves_one_mapping(self, kernel, forked):
         parent, child = forked
         kernel.install_cow_policy(CopyOnWritePolicy(kernel))
-        old = parent.mappings[0x101]
+        old = frame(parent, 0x101)
         kernel.system.write(child.asid, 0x101 * PAGE_SIZE, b"C")
         assert kernel.frame_users[old] == users(parent.asid, 0x101)
-        assert (kernel.frame_users[child.mappings[0x101]]
+        assert (kernel.frame_users[frame(child, 0x101)]
                 == users(child.asid, 0x101))
         # The parent, the sole remaining sharer, lost its CoW protection.
         pte = parent.page_table.entry(0x101)
         assert pte.writable and not pte.cow
+
+    def test_munmap_leaves_the_sole_sharer_writable(self, kernel, forked):
+        """``munmap`` keeps the rule a CoW copy keeps: a frame's last
+        mapping loses its CoW protection."""
+        parent, child = forked
+        kernel.munmap(child, 0x100, 1)
+        pte = parent.page_table.entry(0x100)
+        assert pte.writable and not pte.cow
+        assert parent.page_table.entry(0x101).cow
+
+    def test_a_read_only_sole_mapping_stays_read_only(self, kernel):
+        process = kernel.create_process()
+        ppn = kernel.allocator.allocate()
+        kernel.map_shared(process, range(0x10, 0x12), ppn, cow=False)
+        kernel.munmap(process, 0x10, 1)
+        pte = process.page_table.entry(0x11)
+        assert not pte.writable and not pte.cow
+        assert kernel.frame_users[ppn] == users(process.asid, 0x11)
 
     def test_dedup_remap_frees_the_old_frame_entry(self, kernel):
         a = kernel.create_process()
         b = kernel.create_process()
         kernel.mmap(a, 0x10, 1, fill=b"dup")
         kernel.mmap(b, 0x20, 1, fill=b"dup")
-        old, base = b.mappings[0x20], a.mappings[0x10]
+        old, base = frame(b, 0x20), frame(a, 0x10)
         DeduplicationManager(kernel).deduplicate([(a.asid, 0x10),
                                                   (b.asid, 0x20)])
-        assert b.mappings[0x20] == base
+        assert frame(b, 0x20) == base
         assert old not in kernel.frame_users
         assert kernel.frame_users[base] == (users(a.asid, 0x10)
                                             | users(b.asid, 0x20))

@@ -152,7 +152,7 @@ class TestECCModels:
 
     def test_none_flips_a_real_bit_in_the_backing_store(self):
         kernel, process = _cow_machine(fill=b"\x00")
-        ppn = process.mappings[BASE_VPN]
+        ppn = process.page_table.entry(BASE_VPN).ppn
         memory = kernel.system.main_memory
         injector = FaultInjector(
             FaultPlan(dram_error_rate=1.0, ecc="none", seed=1),

@@ -117,7 +117,7 @@ class TestOverlayRepresentation:
 
     def test_all_pages_share_one_zero_frame(self, matrix):
         kernel, process, rep = self.build(matrix)
-        ppns = {process.mappings[vpn]
+        ppns = {process.page_table.entry(vpn).ppn
                 for vpn in range(MATRIX_BASE_VPN,
                                  MATRIX_BASE_VPN + rep.npages)}
         assert ppns == {rep.zero_ppn}
@@ -205,7 +205,6 @@ class TestSharedZeroFrame:
         for vpn in vpns:
             kernel.system.map_page(process.asid, vpn, ppn,
                                    writable=False, cow=True)
-            process.mappings[vpn] = ppn
             kernel.frame_users.setdefault(ppn, set()).add(
                 process.asid << VPN_BITS | vpn)
 
@@ -230,7 +229,8 @@ class TestSharedZeroFrame:
                     == ref_process.page_table.entry(vpn))
         assert (process.page_table.entry(vpns[-1]).overlays_enabled
                 is overlays_enabled)
-        assert process.mappings == ref_process.mappings
+        assert (list(process.page_table.mapped_vpns())
+                == list(ref_process.page_table.mapped_vpns()))
         assert kernel.frame_users == ref_kernel.frame_users
 
     def test_map_shared_rejects_an_overlapping_range(self):
@@ -238,33 +238,34 @@ class TestSharedZeroFrame:
         process = kernel.create_process()
         kernel.mmap(process, 0x102, 1)
         zero = kernel.allocator.allocate()
-        mappings = dict(process.mappings)
+        vpns = list(process.page_table.mapped_vpns())
         users = {ppn: set(u) for ppn, u in kernel.frame_users.items()}
         with pytest.raises(ValueError, match="0x102 already mapped"):
             kernel.map_shared(process, range(0x100, 0x104), zero)
-        assert process.mappings == mappings
+        assert list(process.page_table.mapped_vpns()) == vpns
         assert kernel.frame_users == users
         assert process.page_table.entry(0x100) is None
-        assert kernel.allocator.refcount(zero) == 1
+        assert zero not in kernel.frame_users
 
     def test_map_shared_of_no_pages_changes_nothing(self):
         kernel = Kernel()
         process = kernel.create_process()
         zero = kernel.allocator.allocate()
+        in_use = kernel.allocator.frames_in_use
         kernel.map_shared(process, range(0x100, 0x100), zero)
-        assert kernel.allocator.refcount(zero) == 1
+        assert kernel.allocator.frames_in_use == in_use
         assert zero not in kernel.frame_users
-        assert not process.mappings
+        assert len(process.page_table) == 0
 
     def test_refcount_equals_mapped_pages(self, matrix):
         kernel = Kernel()
         process = kernel.create_process()
         rep = OverlaySparseMatrix(matrix)
         rep.build(kernel, process, MATRIX_BASE_VPN)
-        assert kernel.allocator.refcount(rep.zero_ppn) == rep.npages
+        assert len(kernel.frame_users[rep.zero_ppn]) == rep.npages
         # A second mapping range of the same frame adds its own pages.
         kernel.map_shared(process, range(0x9000, 0x9003), rep.zero_ppn)
-        assert kernel.allocator.refcount(rep.zero_ppn) == rep.npages + 3
+        assert len(kernel.frame_users[rep.zero_ppn]) == rep.npages + 3
         vpns = [*range(MATRIX_BASE_VPN, MATRIX_BASE_VPN + rep.npages),
                 *range(0x9000, 0x9003)]
         assert kernel.frame_users[rep.zero_ppn] == {
@@ -281,9 +282,9 @@ class TestSharedZeroFrame:
         rep.build(kernel, process, 0x1000)
         assert rep.npages == 4
         kernel.degrade_to_full_page_cow()
-        assert kernel.allocator.refcount(rep.zero_ppn) == 2
+        assert len(kernel.frame_users[rep.zero_ppn]) == 2
         for vpn in (0x1001, 0x1002):
-            assert process.mappings[vpn] == rep.zero_ppn
+            assert process.page_table.entry(vpn).ppn == rep.zero_ppn
             data, _ = kernel.system.read(process.asid, vpn * PAGE_SIZE,
                                          PAGE_SIZE)
             assert data == bytes(PAGE_SIZE), hex(vpn)
@@ -296,9 +297,11 @@ class TestSharedZeroFrame:
         process = kernel.create_process()
         rep = OverlaySparseMatrix(_two_row_matrix())
         rep.build(kernel, process, 0x1000)
+        in_use = kernel.allocator.frames_in_use
         kernel.exit_process(process)
-        assert kernel.allocator.refcount(rep.zero_ppn) == 0
+        assert kernel.allocator.frames_in_use == in_use - 1
         assert rep.zero_ppn not in kernel.frame_users
+        assert kernel.allocator.allocate() == rep.zero_ppn
 
 
 class TestNumpyPacking:
@@ -314,7 +317,8 @@ class TestNumpyPacking:
         expected = struct.pack(f"<{cols}d", *x)
         expected += bytes(-len(expected) % PAGE_SIZE)
         written = b"".join(
-            kernel.system.main_memory.read_page(process.mappings[vpn])
+            kernel.system.main_memory.read_page(
+                process.page_table.entry(vpn).ppn)
             for vpn in (X_BASE_VPN, X_BASE_VPN + 1))
         assert written == expected
 
@@ -323,7 +327,7 @@ class TestNumpyPacking:
         process = kernel.create_process()
         with pytest.raises(ValueError, match="columns"):
             _build_vectors(kernel, process, 16, 4, np.ones(15))
-        assert not process.mappings
+        assert len(process.page_table) == 0
 
     def test_dense_bytes_match_struct(self):
         matrix = generate_with_locality(3, 200, nnz=90, locality=2.0,
@@ -335,6 +339,7 @@ class TestNumpyPacking:
         expected = struct.pack(f"<{flat.size}d", *flat)
         expected += bytes(-len(expected) % PAGE_SIZE)
         written = b"".join(
-            kernel.system.main_memory.read_page(process.mappings[vpn])
+            kernel.system.main_memory.read_page(
+                process.page_table.entry(vpn).ppn)
             for vpn in (MATRIX_BASE_VPN, MATRIX_BASE_VPN + 1))
         assert written == expected

@@ -86,7 +86,7 @@ class TestDedup:
         assert merged == 3
         assert manager.stats.frames_freed == 3
         base_ppn = kernel.system.page_tables[processes[0].asid].entry(0x10).ppn
-        assert kernel.allocator.refcount(base_ppn) == 4
+        assert len(kernel.frame_users[base_ppn]) == 4
 
     def test_invalid_threshold_rejected(self, kernel):
         with pytest.raises(ValueError):

@@ -16,7 +16,7 @@ def spec(kernel, process):
 class TestLifecycle:
     def test_abort_reverts_memory_exactly(self, kernel, process, spec):
         before = {vpn: kernel.system.page_bytes(process.asid, vpn)
-                  for vpn in process.mappings}
+                  for vpn in process.page_table.mapped_vpns()}
         spec.begin()
         spec.write(BASE + 10, b"SPECULATIVE")
         spec.write(BASE + PAGE_SIZE, b"MORE")

@@ -44,7 +44,7 @@ class TestCowSharing:
         for process in (parent, child):
             pte = process.page_table.superpage_entry(0)
             assert pte.cow and not pte.writable
-        assert kernel.allocator.refcount(base_ppn) == 2
+            assert pte.ppn == base_ppn
 
     def test_write_copies_only_one_segment(self, setup):
         kernel, manager, parent, child, base_ppn = setup
@@ -95,6 +95,16 @@ class TestCowSharing:
         assert parent_data == b"BBBB"
         child_data, _ = kernel.system.read(child.asid, 12 * 4096, 4)
         assert child_data == b"CHLD"
+
+    def test_segment_copy_maps_each_page_once(self, setup):
+        """The 8 private PTEs override the super-page: the child's table
+        still maps its 512 pages once each."""
+        kernel, manager, parent, child, _ = setup
+        manager.share_cow(parent, child, 0)
+        manager.write_page(child, 12)
+        for process in (parent, child):
+            vpns = list(process.page_table.mapped_vpns())
+            assert sorted(vpns) == list(range(SUPERPAGE_SPAN))
 
     def test_write_to_unshared_superpage_rejected(self, setup):
         kernel, manager, parent, _, _ = setup
